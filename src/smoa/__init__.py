@@ -14,7 +14,6 @@ from .adapters import (
     BaselineAdapter,
     BlockLayout,
     SMoAAdapter,
-    baseline_delta,
     block_layout,
     build_adapter,
     build_baseline,

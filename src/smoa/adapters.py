@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrix_io
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .matrix_io import METHOD_NAMES, RunConfig, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, modulation_tensor, partition
 
@@ -93,6 +93,13 @@ class Block(NamedTuple):
     A: np.ndarray
     B: np.ndarray
     scale: float
+
+    def update(self) -> np.ndarray:
+        """The block's rows x cols update, scale * (B @ A), masked if it has a mask."""
+        update = self.scale * (self.B @ self.A)
+        if self.mask is not None:
+            update *= self.mask
+        return update
 
 
 @dataclass
@@ -216,17 +223,8 @@ def delta(adapter) -> np.ndarray:
     d_out, d_in = adapter.shape
     out = np.zeros((d_out, d_in))
     for blk in adapter.blocks():
-        update = blk.scale * (blk.B @ blk.A)
-        if blk.mask is not None:
-            update = update * blk.mask
-        out[blk.row0:blk.row1, blk.col0:blk.col1] += update
+        out[blk.row0:blk.row1, blk.col0:blk.col1] += blk.update()
     return out
-
-
-def baseline_delta(adapter: BaselineAdapter) -> np.ndarray:
-    if adapter.kind not in BASELINE_KINDS:
-        raise ValidationError(f"not a baseline adapter: kind={adapter.kind!r}")
-    return delta(adapter)
 
 
 def merge(adapter, w0) -> np.ndarray:
@@ -321,13 +319,32 @@ def save_adapter(adapter, prefix) -> list[Path]:
 
 
 def load_adapter(prefix):
+    """Read an adapter written by save_adapter.
+
+    A manifest that is not valid JSON, is not an object, or lacks a key
+    or a tensor entry the adapter needs raises FormatError.
+    """
     prefix = Path(prefix)
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(
+            f"{manifest_path}: manifest must be a JSON object, got {type(manifest).__name__}"
+        )
+    try:
+        return _adapter_from_manifest(manifest, prefix.parent)
+    except KeyError as exc:
+        raise FormatError(f"{manifest_path}: missing manifest entry {exc}") from exc
+
+
+def _adapter_from_manifest(manifest: dict, folder: Path):
     by_role: dict[tuple[str, int], np.ndarray] = {}
     for entry in manifest["tensors"]:
-        arr = matrix_io.read_matrix(prefix.parent / entry["file"])
+        arr = matrix_io.read_matrix(folder / entry["file"])
         if list(arr.shape) != entry["shape"]:
             raise ValidationError(
                 f"tensor {entry['file']} has shape {list(arr.shape)}, "

@@ -158,7 +158,7 @@ def _cmd_train(args) -> int:
         adapter = adapters.build_adapter(args.method, run_cfg, task.w0)
         state = training.TrainState.for_adapter(
             adapter, learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-            epsilon=cfg.epsilon, weight_decay=cfg.weight_decay, rng_seed=seed,
+            epsilon=cfg.epsilon, weight_decay=cfg.weight_decay,
         )
         trace = training.train(adapter, task, cfg.steps, state)
         training.write_loss_trace(trace, f"{args.out_prefix}.seed{seed}.loss.csv")

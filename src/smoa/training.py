@@ -6,6 +6,20 @@ closed-form: with G the loss gradient w.r.t. the update matrix,
 restricted to block k as G_k and Hadamard-masked where the block carries
 a mask, dB_k = s_k (G_k o M_k) A_k^T and dA_k = s_k B_k^T (G_k o M_k).
 Frozen tensors (the host weight, masks, references) receive no gradient.
+
+The block structure does the linear algebra: neither the update matrix
+nor the full d_out x d_in gradient G is formed.  For n samples and a
+block of m_k rows, c_k columns and rank r_k, one step costs
+2 n m_k c_k + 3 m_k c_k r_k multiply-adds: the block's update
+U_k = s (B_k A_k), masked where the block has a mask, the forward
+x_k U_k^T, G_k = u^T x_k (u the block's columns of the output gradient,
+x_k its columns of the inputs), G_k A_k^T and B_k^T G_k.  Each product
+is a block of the matching dense product, so the results equal those of
+a dense step bit for bit wherever the BLAS computes a block of a product
+as it computes the whole.
+
+The host output x @ w0^T (n d_out d_in) is computed once per train or
+grad_check call; a step adds O(n d_out) elementwise work on the output.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import block_layout, delta
+from .adapters import block_layout
 from .errors import NumericalError, ValidationError
 from .matrix_io import validate_matrix
 
@@ -117,15 +131,37 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def forward(adapter, w0, x) -> np.ndarray:
-    """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
+def _check_host(adapter, w0, x) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the frozen weight against the inputs and the adapter;
+    returns both as float64 arrays."""
     w0 = validate_matrix(w0)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w0.shape[1]:
         raise ValidationError(
             f"inputs must be 2-D with {w0.shape[1]} features, got shape {x.shape}"
         )
-    return x @ w0.T + x @ delta(adapter).T
+    if adapter.shape != w0.shape:
+        raise ValidationError(
+            f"weight shape {w0.shape} does not match adapter shape {adapter.shape}"
+        )
+    return w0, x
+
+
+def _add_update(adapter, x, out) -> np.ndarray:
+    """Add x @ delta^T into out block by block and return out.
+
+    Block k adds x[:, cols_k] @ U_k^T to out[:, rows_k], where U_k is the
+    block's own update; the full update matrix is never formed.
+    """
+    for blk in adapter.blocks():
+        out[:, blk.row0:blk.row1] += x[:, blk.col0:blk.col1] @ blk.update().T
+    return out
+
+
+def forward(adapter, w0, x) -> np.ndarray:
+    """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
+    w0, x = _check_host(adapter, w0, x)
+    return _add_update(adapter, x, x @ w0.T)
 
 
 @dataclass
@@ -134,34 +170,38 @@ class Gradients:
     B: list[np.ndarray]
 
 
+def _factor_grads(adapter, x, upstream) -> Gradients:
+    """Factor gradients from each block's own slice of the upstream gradient.
+
+    With u = upstream[:, rows_k] and x_k = x[:, cols_k], block k forms
+    G_k = u^T x_k, masked where the block has a mask, and takes
+    dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
+    """
+    grads_a, grads_b = [], []
+    for blk in adapter.blocks():
+        gk = upstream[:, blk.row0:blk.row1].T @ x[:, blk.col0:blk.col1]
+        if blk.mask is not None:
+            gk *= blk.mask
+        grads_b.append(blk.scale * (gk @ blk.A.T))
+        grads_a.append(blk.scale * (blk.B.T @ gk))
+    return Gradients(A=grads_a, B=grads_b)
+
+
 def backward(adapter, w0, x, upstream_grad) -> Gradients:
     """Gradients of the trainable factors given the loss gradient w.r.t.
     the forward output."""
-    w0 = validate_matrix(w0)
-    x = np.asarray(x, dtype=np.float64)
+    w0, x = _check_host(adapter, w0, x)
     upstream = np.asarray(upstream_grad, dtype=np.float64)
     if upstream.shape != (x.shape[0], w0.shape[0]):
         raise ValidationError(
             f"upstream gradient shape {upstream.shape} does not match "
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
-    g_delta = upstream.T @ x
-    grads_a, grads_b = [], []
-    for blk in adapter.blocks():
-        gk = g_delta[blk.row0:blk.row1, blk.col0:blk.col1]
-        if blk.mask is not None:
-            gk = gk * blk.mask
-        grads_b.append(blk.scale * (gk @ blk.A.T))
-        grads_a.append(blk.scale * (blk.B.T @ gk))
-    return Gradients(A=grads_a, B=grads_b)
+    return _factor_grads(adapter, x, upstream)
 
 
 def mse(pred: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((pred - targets) ** 2))
-
-
-def mse_upstream(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return (2.0 / pred.size) * (pred - targets)
 
 
 @dataclass
@@ -185,17 +225,24 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
 
     Every trainable entry is perturbed by +-h when the adapter holds at
     most sample_limit entries; larger adapters use a seeded subsample of
-    n_samples entries.  Relative error is |a - n| / max(|a|, |n|, 1e-8).
-    Failures are report entries, never exceptions.
+    n_samples entries.  With p+- the outputs at +-h and t the targets,
+    the numeric derivative is mean((p+ - p-)(p+ + p- - 2t)) / 2h, which
+    equals (mse(p+) - mse(p-)) / 2h without subtracting two nearly equal
+    losses; p+ - p- is taken between the update outputs alone, so the
+    frozen host output cancels exactly.  Relative error is
+    |a - n| / max(|a|, |n|, 1e-8).  Failures are report entries, never
+    exceptions.
 
     corrupt_for_testing flips the sign of the largest analytic gradient
     before comparing, to verify the checker itself catches bad gradients.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValidationError(f"step h must be in [1e-7, 1e-3], got {h}")
-    x, targets = task.inputs, task.targets
-    pred = forward(adapter, w0, x)
-    grads = backward(adapter, w0, x, mse_upstream(pred, targets))
+    w0, x = _check_host(adapter, w0, task.inputs)
+    base = x @ w0.T
+    resid = _add_update(adapter, x, base.copy()) - task.targets
+    grads = _factor_grads(adapter, x, (2.0 / resid.size) * resid)
+    offset = 2.0 * (base - task.targets)
 
     entries = []
     for k in range(len(adapter.A)):
@@ -220,11 +267,11 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
         tensor = adapter.A[k] if role == "A" else adapter.B[k]
         orig = tensor[i, j]
         tensor[i, j] = orig + h
-        loss_plus = mse(forward(adapter, w0, x), targets)
+        plus = _add_update(adapter, x, np.zeros_like(offset))
         tensor[i, j] = orig - h
-        loss_minus = mse(forward(adapter, w0, x), targets)
+        minus = _add_update(adapter, x, np.zeros_like(offset))
         tensor[i, j] = orig
-        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * h)
         analytic = getattr(grads, role)[k][i, j]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         if rel > max_rel:
@@ -248,7 +295,6 @@ class TrainState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
-    rng_seed: int = 0
     step: int = 0
     m_A: list[np.ndarray] = field(default_factory=list)
     v_A: list[np.ndarray] = field(default_factory=list)
@@ -263,6 +309,18 @@ class TrainState:
         state.m_B = [np.zeros_like(b) for b in adapter.B]
         state.v_B = [np.zeros_like(b) for b in adapter.B]
         return state
+
+
+def _check_moments(state: TrainState, adapter) -> None:
+    """Raise ValidationError unless every moment has its factor's shape."""
+    for name, factors in (("m_A", adapter.A), ("v_A", adapter.A),
+                          ("m_B", adapter.B), ("v_B", adapter.B)):
+        have = [np.shape(m) for m in getattr(state, name)]
+        want = [f.shape for f in factors]
+        if have != want:
+            raise ValidationError(
+                f"TrainState.{name} has shapes {have}, but the adapter factors have {want}"
+            )
 
 
 def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
@@ -282,8 +340,12 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
 
     The trace has steps+1 entries: trace[i] is the MSE after i updates,
     so trace[0] is the initial loss.  Deterministic for fixed inputs.
-    Raises DivergenceError (with the step index) if the loss leaves the
-    finite range.
+    The host weight is validated and its output x @ w0^T computed once;
+    each step adds the block-wise update output to a copy of it.  A
+    state whose moments do not match the adapter's factors raises
+    ValidationError before any parameter changes.  Raises
+    DivergenceError (with the step index) if the loss leaves the finite
+    range.
     """
     if steps < 1:
         raise ValidationError(f"steps must be ≥ 1, got {steps}")
@@ -293,25 +355,27 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
         fresh = TrainState.for_adapter(adapter)
         state.m_A, state.v_A = fresh.m_A, fresh.v_A
         state.m_B, state.v_B = fresh.m_B, fresh.v_B
-    x, targets, w0 = task.inputs, task.targets, task.w0
+    _check_moments(state, adapter)
+    w0, x = _check_host(adapter, task.w0, task.inputs)
+    base = x @ w0.T
     trace = np.empty(steps + 1)
-    for i in range(steps):
-        pred = forward(adapter, w0, x)
-        loss = mse(pred, targets)
+    for i in range(steps + 1):
+        resid = _add_update(adapter, x, base.copy())
+        resid -= task.targets
+        loss = float(np.mean(resid ** 2))
         trace[i] = loss
         if not np.isfinite(loss):
             raise DivergenceError(f"training diverged: non-finite loss at step {i}")
-        grads = backward(adapter, w0, x, mse_upstream(pred, targets))
+        if i == steps:
+            break
+        resid *= 2.0 / resid.size
+        grads = _factor_grads(adapter, x, resid)
         state.step += 1
         for k in range(len(adapter.A)):
             _adamw_update(adapter.A[k], grads.A[k], state.m_A[k], state.v_A[k],
                           state.step, state)
             _adamw_update(adapter.B[k], grads.B[k], state.m_B[k], state.v_B[k],
                           state.step, state)
-    final = mse(forward(adapter, w0, x), targets)
-    trace[steps] = final
-    if not np.isfinite(final):
-        raise DivergenceError(f"training diverged: non-finite loss at step {steps}")
     return trace
 
 

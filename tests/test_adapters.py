@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import adapters
-from smoa.errors import ValidationError
+from smoa.errors import FormatError, ValidationError
 from smoa.matrix_io import RunConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.training import random_weight
@@ -155,7 +157,7 @@ def test_lora_achieves_exact_rank():
     w0 = random_weight(128, 128, np.random.default_rng(31))
     adapter = adapters.build_baseline("lora", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(32))
-    assert numerical_rank(adapters.baseline_delta(adapter)) == 8
+    assert numerical_rank(adapters.delta(adapter)) == 8
 
 
 def test_hadamard_exceeds_factor_rank():
@@ -163,7 +165,7 @@ def test_hadamard_exceeds_factor_rank():
     w0 = random_weight(128, 128, np.random.default_rng(41))
     adapter = adapters.build_baseline("hadamard_w0", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(42))
-    assert numerical_rank(adapters.baseline_delta(adapter)) > 8
+    assert numerical_rank(adapters.delta(adapter)) > 8
 
 
 def test_block_lora_is_block_diagonal():
@@ -171,7 +173,7 @@ def test_block_lora_is_block_diagonal():
     w0 = random_weight(16, 16, np.random.default_rng(51))
     adapter = adapters.build_baseline("block_lora", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(52))
-    update = adapters.baseline_delta(adapter)
+    update = adapters.delta(adapter)
     assert not np.any(update[:8, 8:])
     assert not np.any(update[8:, :8])
     assert numerical_rank(update) == 4
@@ -245,3 +247,28 @@ def test_randomize_factors_is_seed_deterministic():
     adapters.randomize_factors(second, np.random.default_rng(9))
     assert adapters.delta(first).tobytes() == adapters.delta(second).tobytes()
     assert np.any(first.B[0])
+
+
+def _saved_manifest(tmp_path):
+    cfg = RunConfig(d_out=8, d_in=8, K=2, r=4, seed=3)
+    adapter = adapters.build_smoa(cfg, random_weight(8, 8, np.random.default_rng(3)))
+    adapters.save_adapter(adapter, tmp_path / "ckpt")
+    return tmp_path / "ckpt.manifest.json"
+
+
+@pytest.mark.parametrize("key", ["tensors", "K", "kind", "row_ranges", "index_sets"])
+def test_load_adapter_missing_manifest_key_is_format_error(tmp_path, key):
+    path = _saved_manifest(tmp_path)
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="missing manifest entry"):
+        adapters.load_adapter(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("text", ['{"kind": "smoa", ', "[]", '{"kind": "\xe9"}'])
+def test_load_adapter_malformed_manifest_is_format_error(tmp_path, text):
+    path = _saved_manifest(tmp_path)
+    path.write_text(text, encoding="latin-1")
+    with pytest.raises(FormatError, match="manifest"):
+        adapters.load_adapter(tmp_path / "ckpt")

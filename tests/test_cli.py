@@ -207,3 +207,13 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "max relative error" in result.stdout
+
+
+@pytest.mark.parametrize("method, seed", [
+    ("smoa", 2), ("smoa", 5), ("hadamard_w0", 4), ("hadamard_w0", 5),
+])
+def test_gradcheck_d256_passes_where_loss_differences_cancelled(capsys, method, seed):
+    # subtracting the two perturbed losses put these cases at 1.1e-6 to 7.2e-6
+    code, out, err = run_cli(capsys, "gradcheck", "--d", "256", "--k", "4", "--r", "16",
+                             "--method", method, "--seed", str(seed))
+    assert code == 0, out + err

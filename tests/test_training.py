@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import adapters, training
@@ -267,3 +269,135 @@ def test_write_loss_trace_format(tmp_path):
     path = tmp_path / "loss.csv"
     training.write_loss_trace(np.array([1.0, 0.5]), path)
     assert path.read_text() == "step,loss\n0,1\n1,0.5\n"
+
+
+@pytest.mark.parametrize("other_cfg", [
+    dict(K=1, r=4),  # one moment per factor where the adapter has two
+    dict(K=2, r=6),  # the same K, other factor shapes
+])
+def test_train_rejects_state_of_another_adapter(other_cfg):
+    task = training.make_task(8, 2, 10, 0.0, seed=25)
+    adapter = adapters.build_smoa(small_cfg(seed=25), task.w0)
+    other = adapters.build_smoa(small_cfg(seed=25, **other_cfg), task.w0)
+    state = training.TrainState.for_adapter(other)
+    before = [t.tobytes() for t in adapter.A + adapter.B]
+    with pytest.raises(ValidationError, match="TrainState"):
+        training.train(adapter, task, 3, state)
+    assert [t.tobytes() for t in adapter.A + adapter.B] == before
+    assert state.step == 0
+
+
+# Dense reference for the block-wise step: the full update matrix, the
+# merged-weight forward, and the full upstream^T x gradient sliced to
+# each block.
+
+def dense_delta(adapter):
+    out = np.zeros(adapter.shape)
+    for blk in adapter.blocks():
+        update = blk.scale * (blk.B @ blk.A)
+        if blk.mask is not None:
+            update = update * blk.mask
+        out[blk.row0:blk.row1, blk.col0:blk.col1] += update
+    return out
+
+
+def dense_forward(adapter, w0, x):
+    return x @ w0.T + x @ dense_delta(adapter).T
+
+
+def dense_backward(adapter, x, upstream):
+    g_delta = upstream.T @ x
+    grads_a, grads_b = [], []
+    for blk in adapter.blocks():
+        gk = g_delta[blk.row0:blk.row1, blk.col0:blk.col1]
+        if blk.mask is not None:
+            gk = gk * blk.mask
+        grads_b.append(blk.scale * (gk @ blk.A.T))
+        grads_a.append(blk.scale * (blk.B.T @ gk))
+    return grads_a, grads_b
+
+
+def assert_matches_dense(adapter, w0, x, upstream, rtol=1e-11):
+    def close(actual, expected):
+        assert_allclose(actual, expected, rtol=0,
+                        atol=rtol * max(1.0, np.abs(expected).max()))
+
+    close(training.forward(adapter, w0, x), dense_forward(adapter, w0, x))
+    grads = training.backward(adapter, w0, x, upstream)
+    ref_a, ref_b = dense_backward(adapter, x, upstream)
+    for got, ref in zip(grads.A + grads.B, ref_a + ref_b):
+        close(got, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(adapters.METHODS), d_out=st.integers(2, 11),
+       d_in=st.integers(2, 11), k_pick=st.integers(1, 11), r_extra=st.integers(0, 4),
+       n=st.integers(1, 6), seed=st.integers(0, 2**16), spiked=st.booleans())
+def test_blockwise_step_matches_dense_reference(method, d_out, d_in, k_pick, r_extra, n,
+                                                seed, spiked):
+    # rectangular shapes, K that need not divide d_out or d_in, and (spiked)
+    # one dominant singular value, which empties the leading subspaces
+    K = min(k_pick, d_out, d_in)
+    rng = np.random.default_rng(seed)
+    w0 = training.random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    if spiked:
+        w0[0] *= 100.0
+    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + r_extra, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        adapter = adapters.build_adapter(method, cfg, w0)
+    adapters.randomize_factors(adapter, rng, std=0.5)
+    assert_matches_dense(adapter, w0, rng.standard_normal((n, d_in)),
+                         rng.standard_normal((n, d_out)))
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_blockwise_step_matches_dense_reference_with_empty_subspaces(method):
+    w0 = np.diag([100.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        adapter = adapters.build_adapter(method, RunConfig(d_out=3, d_in=3, K=3, r=3, seed=0),
+                                         w0)
+    if method == "smoa":
+        assert adapter.partition.empty_sets()
+    rng = np.random.default_rng(26)
+    adapters.randomize_factors(adapter, rng)
+    assert_matches_dense(adapter, w0, rng.standard_normal((5, 3)),
+                         rng.standard_normal((5, 3)))
+
+
+def test_forward_rejects_adapter_of_another_shape():
+    task = training.make_task(8, 2, 10, 0.0, seed=27)
+    adapter = adapters.build_smoa(small_cfg(d=6), training.random_weight(
+        6, 6, np.random.default_rng(27)))
+    with pytest.raises(ValidationError, match="adapter shape"):
+        training.forward(adapter, task.w0, task.inputs)
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_train_trace_matches_dense_reference_loop(method):
+    # 20 AdamW steps through the dense step agree with the block-wise
+    # trace to rtol 1e-9 (bit-identical on OpenBLAS 0.3.31)
+    task = training.make_task(16, 6, 40, 0.0, seed=28, target_blocks=2)
+    cfg = small_cfg(d=16, K=2, r=4, seed=28)
+    adapter = adapters.build_adapter(method, cfg, task.w0)
+    trace = training.train(adapter, task, 20)
+
+    ref = adapters.build_adapter(method, cfg, task.w0)
+    state = training.TrainState.for_adapter(ref)
+    ref_trace = []
+    for step in range(1, 22):
+        pred = dense_forward(ref, task.w0, task.inputs)
+        ref_trace.append(training.mse(pred, task.targets))
+        if step == 21:
+            break
+        upstream = (2.0 / pred.size) * (pred - task.targets)
+        grads_a, grads_b = dense_backward(ref, task.inputs, upstream)
+        for k in range(len(ref.A)):
+            training._adamw_update(ref.A[k], grads_a[k], state.m_A[k], state.v_A[k], step,
+                                   state)
+            training._adamw_update(ref.B[k], grads_b[k], state.m_B[k], state.v_B[k], step,
+                                   state)
+    assert_allclose(trace, ref_trace, rtol=1e-9)
+    for got, want in zip(adapter.A + adapter.B, ref.A + ref.B):
+        assert_allclose(got, want, rtol=1e-9, atol=1e-12)
