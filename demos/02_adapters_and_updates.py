@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from smoa import (
+    FULL_MATRIX,
     RunConfig,
     build_adapter,
-    build_smoa,
     delta,
     load_adapter,
     merge,
@@ -28,7 +28,7 @@ w0 = random_weight(64, 64, rng)
 
 print("=== construction and the zero-init guarantee ===")
 cfg = RunConfig(d_out=64, d_in=64, K=2, r=16, seed=42)
-adapter = build_smoa(cfg, w0)
+adapter = build_adapter("smoa", cfg, w0)
 print(f"subspace ranks: {adapter.r_per_subspace}, scales: {adapter.scale}")
 print(f"update is exactly zero at init: {not np.any(delta(adapter))}")
 print(f"merge returns the host weight bit-for-bit: "
@@ -36,7 +36,7 @@ print(f"merge returns the host weight bit-for-bit: "
 
 print("\n=== parameter accounting at d=64, r=16, K=2 ===")
 for method in ("smoa", "lora", "block_lora", "hadamard_w0"):
-    k = 1 if method in ("lora", "hadamard_w0") else 2
+    k = 1 if method in FULL_MATRIX else 2
     c = RunConfig(d_out=64, d_in=64, K=k, r=16, seed=0)
     print(f"{method:12s} r=16: {param_count(method, c):5d} trainable entries")
 flexible = RunConfig(d_out=64, d_in=64, K=2, r=16, seed=0, mode="flexible")

@@ -9,15 +9,11 @@ out the toolkit.
 """
 
 from .adapters import (
-    BASELINE_KINDS,
     METHODS,
-    BaselineAdapter,
+    Adapter,
     BlockLayout,
-    SMoAAdapter,
     block_layout,
     build_adapter,
-    build_baseline,
-    build_smoa,
     delta,
     load_adapter,
     merge,
@@ -29,6 +25,7 @@ from .adapters import (
 )
 from .errors import FormatError, NumericalError, SmoaError, ValidationError
 from .matrix_io import (
+    FULL_MATRIX,
     REPORT_HEADER,
     RunConfig,
     SweepConfig,

@@ -1,16 +1,17 @@
-"""Adapter construction: subspace-modulated updates and budget-matched baselines.
+"""Adapters: scaled, optionally masked low-rank blocks over a frozen weight.
 
-The main adapter splits the weight into K diagonal blocks; block k holds
-trainable factors B_k (rows_k x r_k) and A_k (r_k x cols_k) whose product
-is Hadamard-multiplied by the frozen k-th diagonal block of that
-subspace's modulation tensor, scaled by alpha / r_k.  Blocks occupy
-disjoint row/column ranges, so the ranks of the per-block updates add.
+Every method is one ``Adapter``: K blocks on disjoint row/column ranges,
+where block k holds trainable factors B_k (rows_k x r_k) and A_k
+(r_k x cols_k) and adds s_k (B_k A_k) with s_k = alpha / r_k,
+Hadamard-multiplied by a frozen mask where the block has one.  Because
+the blocks are disjoint, the ranks of the per-block updates add.  The
+methods differ only in their layout and masks:
 
-Baselines share the same factor/zero-init conventions:
-
-* ``lora``         full-matrix low-rank update, delta = scale * B @ A
-* ``block_lora``   K independent diagonal LoRA blocks (rank r/K each)
-* ``hadamard_w0``  full-matrix factors Hadamard-multiplied with frozen W0
+* ``smoa``         K diagonal blocks, block k masked by the same block of
+                   the k-th subspace's modulation tensor
+* ``lora``         one full-matrix block, unmasked
+* ``block_lora``   K unmasked diagonal blocks (rank r/K each)
+* ``hadamard_w0``  one full-matrix block masked by a frozen copy of W0
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 
 from . import matrix_io
 from .errors import FormatError, ValidationError
-from .matrix_io import METHOD_NAMES, RunConfig, validate_matrix
+from .matrix_io import FULL_MATRIX, METHOD_NAMES, RunConfig, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, modulation_tensor, partition
 
 METHODS = METHOD_NAMES
-BASELINE_KINDS = tuple(m for m in METHODS if m != "smoa")
+_MASKED = ("smoa", "hadamard_w0")
 
 
 @dataclass(frozen=True)
@@ -103,119 +104,112 @@ class Block(NamedTuple):
 
 
 @dataclass
-class SMoAAdapter:
-    layout: BlockLayout
-    mod_blocks: tuple[np.ndarray, ...]
-    A: list[np.ndarray]
-    B: list[np.ndarray]
-    r_per_subspace: tuple[int, ...]
-    scale: tuple[float, ...]
-    partition: EnergyPartition
+class Adapter:
+    """Any adapter: K scaled, optionally masked B_k A_k blocks on a layout.
 
-    kind = "smoa"
+    masks[k] is block k's frozen, read-only Hadamard mask, or None: the
+    block of the k-th modulation tensor for ``smoa``, the W0 copy for
+    ``hadamard_w0``.  partition is the energy partition behind the smoa
+    masks.  The constructor rejects any adapter whose parts disagree.
+    """
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.layout.shape
-
-    def blocks(self) -> list[Block]:
-        return [
-            Block(*self.layout.row_ranges[k], *self.layout.col_ranges[k],
-                  self.mod_blocks[k], self.A[k], self.B[k], self.scale[k])
-            for k in range(self.layout.K)
-        ]
-
-
-@dataclass
-class BaselineAdapter:
     kind: str
     layout: BlockLayout
     A: list[np.ndarray]
     B: list[np.ndarray]
-    r_per_subspace: tuple[int, ...]
+    masks: tuple[np.ndarray | None, ...]
     scale: tuple[float, ...]
-    reference: np.ndarray | None = None
+    partition: EnergyPartition | None = None
+
+    def __post_init__(self):
+        if self.kind not in METHODS:
+            raise ValidationError(f"unknown method {self.kind!r}, expected one of {METHODS}")
+        K = self.layout.K
+        counts = (len(self.A), len(self.B), len(self.masks), len(self.scale))
+        if counts != (K,) * 4:
+            raise ValidationError(
+                f"a {K}-block layout needs {K} of each of A, B, masks and scale, got {counts}"
+            )
+        if not all(np.isfinite(s) and s > 0 for s in self.scale):
+            raise ValidationError(f"every scale must be finite and positive, got {self.scale}")
+        for k, (a, b, mask) in enumerate(zip(self.A, self.B, self.masks)):
+            rows, cols = self.layout.block_shape(k)
+            rk = a.shape[0]
+            want = ((rk, cols), (rows, rk), (rows, cols) if self.kind in _MASKED else None)
+            have = (a.shape, b.shape, None if mask is None else mask.shape)
+            if have != want:
+                raise ValidationError(f"{self.kind} block {k} is {rows}x{cols}, so its A, B and "
+                                      f"mask shapes must be {want}, got {have}")
+        if (self.partition is not None) != (self.kind == "smoa"):
+            raise ValidationError("an adapter has an energy partition if and only if it is smoa")
+        if self.partition is not None:
+            sets, p = self.partition.index_sets, min(self.shape)
+            if (len(sets) != K or np.shape(self.partition.shares) != (K,)
+                    or not np.array_equal(np.concatenate(sets), np.arange(p))):
+                raise ValidationError(f"the partition must split 0..{p - 1} into {K} contiguous "
+                                      f"index sets in order, with one share each")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.layout.shape
 
+    @property
+    def r_per_subspace(self) -> tuple[int, ...]:
+        return tuple(a.shape[0] for a in self.A)
+
     def blocks(self) -> list[Block]:
-        out = []
-        for k in range(self.layout.K):
-            mask = self.reference if self.kind == "hadamard_w0" else None
-            out.append(Block(*self.layout.row_ranges[k], *self.layout.col_ranges[k],
-                             mask, self.A[k], self.B[k], self.scale[k]))
-        return out
+        return [
+            Block(*self.layout.row_ranges[k], *self.layout.col_ranges[k],
+                  self.masks[k], self.A[k], self.B[k], self.scale[k])
+            for k in range(self.layout.K)
+        ]
 
 
-def build_smoa(cfg: RunConfig, w0) -> SMoAAdapter:
-    """Decompose w0, partition its spectrum, and assemble the adapter.
+def _plan(method: str, cfg: RunConfig) -> tuple[BlockLayout, tuple[int, ...]]:
+    """The block layout and per-block ranks of a method under cfg: one
+    block of rank r for the full-matrix methods, the K-way split otherwise."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method in FULL_MATRIX:
+        return block_layout(cfg.d_out, cfg.d_in, 1), (cfg.r,)
+    return block_layout(cfg.d_out, cfg.d_in, cfg.K), subspace_ranks(cfg)
+
+
+def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
+    """Build a method's adapter over w0.
 
     A_k entries are i.i.d. Gaussian(0, init_std^2) from the config seed;
-    B_k starts at zero, so the initial update is exactly zero.  The
-    modulation blocks are frozen (marked read-only).
+    B_k starts at zero, so the initial update is exactly zero.  ``smoa``
+    decomposes w0 and partitions its spectrum for its masks.  Masks are
+    frozen (marked read-only).
     """
+    layout, ranks = _plan(method, cfg)
     w0 = validate_matrix(w0)
     d_out, d_in = w0.shape
-    _check_shape(cfg, d_out, d_in)
-    dec = decompose(w0)
-    part = partition(cumulative_energy(dec.sigma), cfg.K)
-    layout = block_layout(d_out, d_in, cfg.K)
-    ranks = subspace_ranks(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    mod_blocks, A, B, scale = [], [], [], []
-    for k in range(cfg.K):
-        (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
-        mb = np.ascontiguousarray(modulation_tensor(dec, part, k)[r0:r1, c0:c1])
-        mb.setflags(write=False)
-        mod_blocks.append(mb)
-        A.append(rng.normal(0.0, cfg.init_std, size=(ranks[k], c1 - c0)))
-        B.append(np.zeros((r1 - r0, ranks[k])))
-        scale.append(cfg.alpha / ranks[k])
-    return SMoAAdapter(layout=layout, mod_blocks=tuple(mod_blocks), A=A, B=B,
-                       r_per_subspace=ranks, scale=tuple(scale), partition=part)
-
-
-def build_baseline(kind: str, cfg: RunConfig, w0) -> BaselineAdapter:
-    if kind not in BASELINE_KINDS:
-        raise ValidationError(f"unknown baseline kind {kind!r}, expected one of {BASELINE_KINDS}")
-    w0 = validate_matrix(w0)
-    d_out, d_in = w0.shape
-    _check_shape(cfg, d_out, d_in)
-    rng = np.random.default_rng(cfg.seed)
-    if kind == "block_lora":
-        layout = block_layout(d_out, d_in, cfg.K)
-        ranks = subspace_ranks(cfg)
-    else:
-        layout = block_layout(d_out, d_in, 1)
-        ranks = (cfg.r,)
-    A, B, scale = [], [], []
-    for k in range(layout.K):
-        (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
-        A.append(rng.normal(0.0, cfg.init_std, size=(ranks[k], c1 - c0)))
-        B.append(np.zeros((r1 - r0, ranks[k])))
-        scale.append(cfg.alpha / ranks[k])
-    reference = None
-    if kind == "hadamard_w0":
-        reference = w0.copy()
-        reference.setflags(write=False)
-    return BaselineAdapter(kind=kind, layout=layout, A=A, B=B, r_per_subspace=ranks,
-                           scale=tuple(scale), reference=reference)
-
-
-def build_adapter(method: str, cfg: RunConfig, w0):
-    """Dispatch on method name; see build_smoa and build_baseline."""
-    if method == "smoa":
-        return build_smoa(cfg, w0)
-    return build_baseline(method, cfg, w0)
-
-
-def _check_shape(cfg: RunConfig, d_out: int, d_in: int) -> None:
     if (cfg.d_out, cfg.d_in) != (d_out, d_in):
         raise ValidationError(
             f"config dims ({cfg.d_out}, {cfg.d_in}) do not match weight shape ({d_out}, {d_in})"
         )
+    part = None
+    if method == "smoa":
+        dec = decompose(w0)
+        part = partition(cumulative_energy(dec.sigma), cfg.K)
+    rng = np.random.default_rng(cfg.seed)
+    masks, A, B = [], [], []
+    for k in range(layout.K):
+        (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
+        mask = None
+        if method == "smoa":
+            mask = np.ascontiguousarray(modulation_tensor(dec, part, k)[r0:r1, c0:c1])
+        elif method == "hadamard_w0":
+            mask = w0[r0:r1, c0:c1].copy()
+        if mask is not None:
+            mask.setflags(write=False)
+        masks.append(mask)
+        A.append(rng.normal(0.0, cfg.init_std, size=(ranks[k], c1 - c0)))
+        B.append(np.zeros((r1 - r0, ranks[k])))
+    return Adapter(kind=method, layout=layout, A=A, B=B, masks=tuple(masks),
+                   scale=tuple(cfg.alpha / rk for rk in ranks), partition=part)
 
 
 def delta(adapter) -> np.ndarray:
@@ -238,21 +232,10 @@ def merge(adapter, w0) -> np.ndarray:
 
 
 def param_count(method: str, cfg: RunConfig) -> int:
-    """Closed-form trainable-entry count for a method under cfg.
-
-    Matches the constructed adapter exactly: sum_k r_k * (rows_k + cols_k)
-    for the blocked methods, r * (d_out + d_in) for the full-matrix ones.
-    """
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method in ("lora", "hadamard_w0"):
-        return cfg.r * (cfg.d_out + cfg.d_in)
-    layout = block_layout(cfg.d_out, cfg.d_in, cfg.K)
-    ranks = subspace_ranks(cfg)
-    return sum(
-        rk * (rows + cols)
-        for rk, (rows, cols) in zip(ranks, (layout.block_shape(k) for k in range(cfg.K)))
-    )
+    """Closed-form trainable-entry count for a method under cfg:
+    sum_k r_k * (rows_k + cols_k), which the built adapter matches exactly."""
+    layout, ranks = _plan(method, cfg)
+    return sum(rk * sum(layout.block_shape(k)) for k, rk in enumerate(ranks))
 
 
 def trainable_parameter_count(adapter) -> int:
@@ -290,11 +273,10 @@ def save_adapter(adapter, prefix) -> list[Path]:
     for k in range(len(adapter.A)):
         _emit("A", k, adapter.A[k])
         _emit("B", k, adapter.B[k])
-    if adapter.kind == "smoa":
-        for k, mb in enumerate(adapter.mod_blocks):
-            _emit("mod_block", k, mb)
-    elif adapter.kind == "hadamard_w0":
-        _emit("reference", 0, adapter.reference)
+    role = _mask_role(adapter.kind)
+    for k, mask in enumerate(adapter.masks):
+        if mask is not None:
+            _emit(role, k, mask)
 
     manifest = {
         "kind": adapter.kind,
@@ -307,7 +289,7 @@ def save_adapter(adapter, prefix) -> list[Path]:
         "scale": list(adapter.scale),
         "tensors": tensors,
     }
-    if adapter.kind == "smoa":
+    if adapter.partition is not None:
         manifest["index_sets"] = [s.tolist() for s in adapter.partition.index_sets]
         manifest["shares"] = adapter.partition.shares.tolist()
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
@@ -318,11 +300,17 @@ def save_adapter(adapter, prefix) -> list[Path]:
     return written
 
 
-def load_adapter(prefix):
+def _mask_role(kind: str) -> str:
+    """The manifest role name of a kind's mask tensors."""
+    return "reference" if kind == "hadamard_w0" else "mod_block"
+
+
+def load_adapter(prefix) -> Adapter:
     """Read an adapter written by save_adapter.
 
-    A manifest that is not valid JSON, is not an object, or lacks a key
-    or a tensor entry the adapter needs raises FormatError.
+    A manifest that is not valid JSON, is not an object, lacks a key or a
+    tensor entry the adapter needs, or disagrees with its tensors or with
+    itself raises FormatError.
     """
     prefix = Path(prefix)
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
@@ -339,40 +327,42 @@ def load_adapter(prefix):
         return _adapter_from_manifest(manifest, prefix.parent)
     except KeyError as exc:
         raise FormatError(f"{manifest_path}: missing manifest entry {exc}") from exc
+    except (FormatError, ValidationError, TypeError, ValueError) as exc:
+        # TypeError and ValueError: a manifest value of the wrong type or shape
+        raise FormatError(f"{manifest_path}: {exc}") from exc
 
 
-def _adapter_from_manifest(manifest: dict, folder: Path):
+def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
     by_role: dict[tuple[str, int], np.ndarray] = {}
     for entry in manifest["tensors"]:
         arr = matrix_io.read_matrix(folder / entry["file"])
         if list(arr.shape) != entry["shape"]:
-            raise ValidationError(
+            raise FormatError(
                 f"tensor {entry['file']} has shape {list(arr.shape)}, "
                 f"manifest says {entry['shape']}"
             )
         by_role[(entry["role"], entry["subspace"])] = arr
-    layout = BlockLayout(
-        row_ranges=tuple(tuple(rr) for rr in manifest["row_ranges"]),
-        col_ranges=tuple(tuple(cr) for cr in manifest["col_ranges"]),
-    )
     K = manifest["K"]
-    A = [by_role[("A", k)] for k in range(K if manifest["kind"] in ("smoa", "block_lora") else 1)]
-    B = [by_role[("B", k)] for k in range(len(A))]
-    ranks = tuple(manifest["r_per_subspace"])
-    scale = tuple(manifest["scale"])
-    if manifest["kind"] == "smoa":
-        mod_blocks = []
-        for k in range(K):
-            mb = by_role[("mod_block", k)]
-            mb.setflags(write=False)
-            mod_blocks.append(mb)
-        index_sets = tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"])
-        part = EnergyPartition(K=K, index_sets=index_sets,
-                               shares=np.asarray(manifest["shares"]))
-        return SMoAAdapter(layout=layout, mod_blocks=tuple(mod_blocks), A=A, B=B,
-                           r_per_subspace=ranks, scale=scale, partition=part)
-    reference = by_role.get(("reference", 0))
-    if reference is not None:
-        reference.setflags(write=False)
-    return BaselineAdapter(kind=manifest["kind"], layout=layout, A=A, B=B,
-                           r_per_subspace=ranks, scale=scale, reference=reference)
+    layout = block_layout(manifest["d_out"], manifest["d_in"], K)
+    ranges = [[list(rr) for rr in layout.row_ranges], [list(cr) for cr in layout.col_ranges]]
+    if ranges != [manifest["row_ranges"], manifest["col_ranges"]]:
+        raise FormatError(f"row and column ranges are not the {K}-block layout {ranges} "
+                          f"of a {layout.shape[0]}x{layout.shape[1]} weight")
+    role = _mask_role(manifest["kind"])
+    masks = tuple(by_role.get((role, k)) for k in range(K))
+    for mask in masks:
+        if mask is not None:
+            mask.setflags(write=False)
+    part = None
+    if "index_sets" in manifest or "shares" in manifest:
+        part = EnergyPartition(
+            K=K, index_sets=tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"]),
+            shares=np.asarray(manifest["shares"]))
+    adapter = Adapter(kind=manifest["kind"], layout=layout,
+                      A=[by_role[("A", k)] for k in range(K)],
+                      B=[by_role[("B", k)] for k in range(K)],
+                      masks=masks, scale=tuple(manifest["scale"]), partition=part)
+    if list(adapter.r_per_subspace) != manifest["r_per_subspace"]:
+        raise FormatError(f"r_per_subspace does not match the factor ranks "
+                          f"{list(adapter.r_per_subspace)}")
+    return adapter

@@ -29,6 +29,7 @@ REPORT_HEADER = "method,d,r,K,seed,param_count,numerical_rank,frobenius_error"
 
 MODES = ("budget", "flexible")
 METHOD_NAMES = ("smoa", "lora", "block_lora", "hadamard_w0")
+FULL_MATRIX = ("lora", "hadamard_w0")  # one full-matrix block; these methods ignore K
 
 
 def validate_matrix(m) -> np.ndarray:
@@ -117,13 +118,24 @@ def _read_csv(path: Path) -> np.ndarray:
     return arr
 
 
+def _check_field(name: str, value, kind: type, low: int | None = None) -> None:
+    """Raise ValidationError unless value is a kind (int, float or bool) and
+    at least low, if given.  A bool passes only as bool, since JSON true/false
+    would otherwise pass as the integers 1/0; an int passes as a float."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be ≥ {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Adapter construction parameters for a single weight matrix.
 
     `r` is the total rank budget in budget mode and the per-subspace rank
-    in flexible mode.  `alpha` defaults to `r`, `init_std` to 0.02, and
-    `rank_tolerance_factor` to 1e-10 when omitted from a config file.
+    in flexible mode.  `alpha` defaults to `r` and `init_std` to 0.02
+    when omitted from a config file.
     """
 
     d_out: int
@@ -134,15 +146,11 @@ class RunConfig:
     mode: str = "budget"
     alpha: float | None = None
     init_std: float = 0.02
-    rank_tolerance_factor: float = 1e-10
 
     def __post_init__(self):
         for name in ("d_out", "d_in", "K", "r"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{name} must be ≥ 1, got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+            _check_field(name, getattr(self, name), int, 1)
+        _check_field("seed", self.seed, int, 0)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.K > min(self.d_out, self.d_in):
@@ -153,14 +161,12 @@ class RunConfig:
             raise ValidationError(f"r must be ≥ K in budget mode, got r={self.r}, K={self.K}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", float(self.r))
+        for name in ("alpha", "init_std"):
+            _check_field(name, getattr(self, name), float)
         if self.alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.init_std <= 0:
             raise ValidationError(f"init_std must be positive, got {self.init_std}")
-        if self.rank_tolerance_factor <= 0:
-            raise ValidationError(
-                f"rank_tolerance_factor must be positive, got {self.rank_tolerance_factor}"
-            )
 
 
 _RUN_FIELDS = frozenset(RunConfig.__dataclass_fields__)
@@ -210,20 +216,23 @@ class SweepConfig:
     budget_match: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "r_values", tuple(self.r_values))
-        object.__setattr__(self, "K_values", tuple(self.K_values))
+        for name in ("methods", "r_values", "K_values"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in self.methods:
             if name not in METHOD_NAMES:
                 raise ValidationError(
                     f"unknown method {name!r}, expected one of {METHOD_NAMES}"
                 )
-        if self.d < 1:
-            raise ValidationError(f"d must be ≥ 1, got {self.d}")
-        if self.n_seeds < 0:
-            raise ValidationError(f"n_seeds must be ≥ 0, got {self.n_seeds}")
-        if any(r < 1 for r in self.r_values) or any(k < 1 for k in self.K_values):
-            raise ValidationError("r_values and K_values must all be ≥ 1")
+        _check_field("d", self.d, int, 1)
+        _check_field("n_seeds", self.n_seeds, int, 0)
+        _check_field("base_seed", self.base_seed, int, 0)
+        for name in ("r_values", "K_values"):
+            for value in getattr(self, name):
+                _check_field(f"every entry of {name}", value, int, 1)
+        _check_field("tol_factor", self.tol_factor, float)
+        _check_field("budget_match", self.budget_match, bool)
         if self.tol_factor <= 0:
             raise ValidationError(f"tol_factor must be positive, got {self.tol_factor}")
 
@@ -280,37 +289,35 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"d must be ≥ 1, got {self.d}")
-        if not 1 <= self.target_rank <= self.d:
+        for name, low in (("d", 1), ("target_rank", 1), ("n_samples", 1), ("seed", 0),
+                          ("steps", 1)):
+            _check_field(name, getattr(self, name), int, low)
+        for name, low in (("noise_std", 0), ("learning_rate", None), ("beta1", 0), ("beta2", 0),
+                          ("epsilon", None), ("weight_decay", 0)):
+            _check_field(name, getattr(self, name), float, low)
+        if self.target_rank > self.d:
             raise ValidationError(
                 f"target_rank must be in [1, {self.d}], got {self.target_rank}"
             )
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be ≥ 1, got {self.n_samples}")
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be ≥ 0, got {self.noise_std}")
-        if self.target_blocks is not None and not 1 <= self.target_blocks <= self.d:
-            raise ValidationError(
-                f"target_blocks must be in [1, {self.d}], got {self.target_blocks}"
-            )
-        if self.steps < 1:
-            raise ValidationError(f"steps must be ≥ 1, got {self.steps}")
+        if self.target_blocks is not None:
+            _check_field("target_blocks", self.target_blocks, int, 1)
+            if self.target_blocks > self.d:
+                raise ValidationError(
+                    f"target_blocks must be in [1, {self.d}], got {self.target_blocks}"
+                )
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
+            if value >= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1), got {value}")
         if self.epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be ≥ 0, got {self.weight_decay}")
 
     def run_config(self, method: str) -> RunConfig:
         """Adapter construction config for this task; full-matrix methods
         ignore K."""
-        effective_k = 1 if method in ("lora", "hadamard_w0") else self.K
+        effective_k = 1 if method in FULL_MATRIX else self.K
         return RunConfig(d_out=self.d, d_in=self.d, K=effective_k, r=self.r,
                          seed=self.seed, mode=self.mode, alpha=self.alpha,
                          init_std=self.init_std)
@@ -333,18 +340,9 @@ def read_train_config(path) -> TrainConfig:
 
 
 def write_report(rows, path) -> None:
-    """Write rank-report rows as CSV with the fixed header.
-
-    Rows may be RankRecord-like objects (attribute access) or plain
-    8-tuples ordered as the header.
-    """
+    """Write rank-report rows (RankRecord objects) as CSV with the fixed header."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(REPORT_HEADER + "\n")
         for row in rows:
-            if hasattr(row, "method"):
-                fields = (row.method, row.d, row.r, row.K, row.seed,
-                          row.param_count, row.numerical_rank, row.frobenius_norm)
-            else:
-                fields = tuple(row)
-            method, d, r, k, seed, pc, nr, fro = fields
-            fh.write(f"{method},{d},{r},{k},{seed},{pc},{nr},{fro:.17g}\n")
+            fh.write(f"{row.method},{row.d},{row.r},{row.K},{row.seed},{row.param_count},"
+                     f"{row.numerical_rank},{row.frobenius_norm:.17g}\n")

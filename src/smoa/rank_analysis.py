@@ -22,7 +22,8 @@ import numpy as np
 from .adapters import (block_layout, build_adapter, delta, param_count,
                        randomize_factors, subspace_ranks)
 from .errors import NumericalError, ValidationError
-from .matrix_io import METHOD_NAMES, RunConfig, SweepConfig, validate_matrix, write_report
+from .matrix_io import (FULL_MATRIX, METHOD_NAMES, RunConfig, SweepConfig, validate_matrix,
+                        write_report)
 from .spectral import EnergyPartition
 from .training import random_weight
 
@@ -147,11 +148,11 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 continue
             reference = param_count("smoa", RunConfig(d_out=d, d_in=d, K=K, r=r, seed=0))
             for method in cfg.methods:
-                if budget_match and method in ("lora", "hadamard_w0"):
+                if budget_match and method in FULL_MATRIX:
                     r_m = r // K
                 else:
                     r_m = r
-                k_m = 1 if method in ("lora", "hadamard_w0") else K
+                k_m = 1 if method in FULL_MATRIX else K
                 run = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=0)
                 pc = param_count(method, run)
                 if budget_match and abs(pc - reference) > 0.01 * reference:
@@ -169,11 +170,8 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     randomize_factors(adapter, fill)
                     update = delta(adapter)
                     measured = numerical_rank(update, tol_factor)
-                    bound = theoretical_bound(
-                        method, run_seed,
-                        partition=getattr(adapter, "partition", None),
-                        w0_rank=w0_ranks[seed],
-                    )
+                    bound = theoretical_bound(method, run_seed, partition=adapter.partition,
+                                              w0_rank=w0_ranks[seed])
                     rows.append(RankRecord(
                         method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
                         numerical_rank=measured, rank_upper_bound=bound,

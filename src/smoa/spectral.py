@@ -76,11 +76,10 @@ def decompose(w0) -> SpectralDecomposition:
         U, sigma, Vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    for j in range(U.shape[1]):
-        nz = np.flatnonzero(U[:, j])
-        if nz.size and U[nz[0], j] < 0:
-            U[:, j] = -U[:, j]
-            Vt[j, :] = -Vt[j, :]
+    first = U[np.argmax(U != 0, axis=0), np.arange(U.shape[1])]
+    signs = np.where(first < 0, -1.0, 1.0)
+    U *= signs
+    Vt *= signs[:, None]
     U.setflags(write=False)
     sigma.setflags(write=False)
     Vt.setflags(write=False)

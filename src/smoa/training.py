@@ -288,6 +288,8 @@ class TrainState:
 
     Defaults follow the usual decoupled-weight-decay setup: beta1=0.9,
     beta2=0.999, epsilon=1e-8, weight_decay=0, learning rate 1e-3.
+    for_adapter makes the zeroed moments; a bare TrainState() has none,
+    and train rejects it.
     """
 
     learning_rate: float = 1e-3
@@ -351,10 +353,6 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
         raise ValidationError(f"steps must be ≥ 1, got {steps}")
     if state is None:
         state = TrainState.for_adapter(adapter)
-    if not state.m_A:
-        fresh = TrainState.for_adapter(adapter)
-        state.m_A, state.v_A = fresh.m_A, fresh.v_A
-        state.m_B, state.v_B = fresh.m_B, fresh.v_B
     _check_moments(state, adapter)
     w0, x = _check_host(adapter, task.w0, task.inputs)
     base = x @ w0.T

@@ -17,7 +17,6 @@ from smoa import (
     RunConfig,
     TrainState,
     build_adapter,
-    build_smoa,
     cumulative_energy,
     decompose,
     delta,
@@ -217,7 +216,7 @@ def test_criterion_7_degeneracy():
     for seed in range(20):
         w0 = random_weight(d, d, np.random.default_rng(2000 + seed), spectrum="equal")
         cfg = RunConfig(d_out=d, d_in=d, K=d, r=d, seed=seed)
-        adapter = build_smoa(cfg, w0)
+        adapter = build_adapter("smoa", cfg, w0)
         randomize_factors(adapter, np.random.default_rng(3000 + seed))
         measured = numerical_rank(delta(adapter))
         ranks.append(measured)

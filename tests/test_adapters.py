@@ -1,13 +1,19 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import adapters
 from smoa.errors import FormatError, ValidationError
 from smoa.matrix_io import RunConfig
 from smoa.rank_analysis import numerical_rank
+from smoa.spectral import EmptySubspaceWarning
 from smoa.training import random_weight
 
 
@@ -76,7 +82,7 @@ def test_zero_init_delta_and_merge(method):
 def test_build_smoa_shapes_and_scale():
     cfg = cfg64(K=2, r=16, seed=9)
     w0 = random_weight(64, 64, np.random.default_rng(3))
-    adapter = adapters.build_smoa(cfg, w0)
+    adapter = adapters.build_adapter("smoa", cfg, w0)
     assert adapter.r_per_subspace == (8, 8)
     assert adapter.scale == (2.0, 2.0)  # alpha=r=16 over r_k=8
     for k in range(2):
@@ -88,25 +94,26 @@ def test_build_smoa_shapes_and_scale():
 def test_build_smoa_deterministic():
     cfg = cfg64(seed=13)
     w0 = random_weight(64, 64, np.random.default_rng(4))
-    first = adapters.build_smoa(cfg, w0)
-    second = adapters.build_smoa(cfg, w0)
+    first = adapters.build_adapter("smoa", cfg, w0)
+    second = adapters.build_adapter("smoa", cfg, w0)
     for a, b in zip(first.A, second.A):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(first.mod_blocks, second.mod_blocks):
+    for a, b in zip(first.masks, second.masks):
         assert a.tobytes() == b.tobytes()
 
 
 def test_mod_blocks_are_frozen():
-    adapter = adapters.build_smoa(cfg64(), random_weight(64, 64, np.random.default_rng(0)))
+    w0 = random_weight(64, 64, np.random.default_rng(0))
+    adapter = adapters.build_adapter("smoa", cfg64(), w0)
     with pytest.raises(ValueError):
-        adapter.mod_blocks[0][0, 0] = 1.0
+        adapter.masks[0][0, 0] = 1.0
 
 
 def test_delta_hand_case():
     # single subspace on diag(3, 2): the modulation block is the weight
     # itself, so the masked product keeps only the (0, 0) entry
     w0 = np.diag([3.0, 2.0])
-    adapter = adapters.build_smoa(RunConfig(d_out=2, d_in=2, K=1, r=1, seed=0), w0)
+    adapter = adapters.build_adapter("smoa", RunConfig(d_out=2, d_in=2, K=1, r=1, seed=0), w0)
     adapter.A[0][...] = [[1.0, 1.0]]
     adapter.B[0][...] = [[1.0], [0.0]]
     assert_allclose(adapters.delta(adapter), [[3.0, 0.0], [0.0, 0.0]], atol=1e-14)
@@ -115,7 +122,7 @@ def test_delta_hand_case():
 def test_delta_rank_additivity():
     cfg = RunConfig(d_out=32, d_in=32, K=2, r=8, seed=1)
     w0 = random_weight(32, 32, np.random.default_rng(11))
-    adapter = adapters.build_smoa(cfg, w0)
+    adapter = adapters.build_adapter("smoa", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(12))
     update = adapters.delta(adapter)
     block_ranks = []
@@ -128,7 +135,7 @@ def test_delta_rank_additivity():
 def test_merge_minus_w0_recovers_delta():
     cfg = cfg64(K=2, r=8)
     w0 = random_weight(64, 64, np.random.default_rng(21))
-    adapter = adapters.build_smoa(cfg, w0)
+    adapter = adapters.build_adapter("smoa", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(22), std=0.05)
     update = adapters.delta(adapter)
     recovered = adapters.merge(adapter, w0) - w0
@@ -137,25 +144,26 @@ def test_merge_minus_w0_recovers_delta():
 
 
 def test_merge_rejects_shape_mismatch():
-    adapter = adapters.build_smoa(cfg64(), random_weight(64, 64, np.random.default_rng(0)))
+    w0 = random_weight(64, 64, np.random.default_rng(0))
+    adapter = adapters.build_adapter("smoa", cfg64(), w0)
     with pytest.raises(ValidationError, match="shape"):
         adapters.merge(adapter, np.zeros((4, 4)))
 
 
 def test_build_rejects_config_weight_mismatch():
     with pytest.raises(ValidationError, match="do not match"):
-        adapters.build_smoa(cfg64(), np.zeros((8, 8)))
+        adapters.build_adapter("smoa", cfg64(), np.zeros((8, 8)))
 
 
 def test_build_baseline_rejects_unknown_kind():
-    with pytest.raises(ValidationError, match="unknown baseline kind"):
-        adapters.build_baseline("dora", cfg64(), np.zeros((64, 64)))
+    with pytest.raises(ValidationError, match="unknown method"):
+        adapters.build_adapter("dora", cfg64(), np.zeros((64, 64)))
 
 
 def test_lora_achieves_exact_rank():
     cfg = RunConfig(d_out=128, d_in=128, K=1, r=8, seed=2)
     w0 = random_weight(128, 128, np.random.default_rng(31))
-    adapter = adapters.build_baseline("lora", cfg, w0)
+    adapter = adapters.build_adapter("lora", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(32))
     assert numerical_rank(adapters.delta(adapter)) == 8
 
@@ -163,7 +171,7 @@ def test_lora_achieves_exact_rank():
 def test_hadamard_exceeds_factor_rank():
     cfg = RunConfig(d_out=128, d_in=128, K=1, r=8, seed=3)
     w0 = random_weight(128, 128, np.random.default_rng(41))
-    adapter = adapters.build_baseline("hadamard_w0", cfg, w0)
+    adapter = adapters.build_adapter("hadamard_w0", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(42))
     assert numerical_rank(adapters.delta(adapter)) > 8
 
@@ -171,7 +179,7 @@ def test_hadamard_exceeds_factor_rank():
 def test_block_lora_is_block_diagonal():
     cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=4)
     w0 = random_weight(16, 16, np.random.default_rng(51))
-    adapter = adapters.build_baseline("block_lora", cfg, w0)
+    adapter = adapters.build_adapter("block_lora", cfg, w0)
     adapters.randomize_factors(adapter, np.random.default_rng(52))
     update = adapters.delta(adapter)
     assert not np.any(update[:8, 8:])
@@ -182,11 +190,11 @@ def test_block_lora_is_block_diagonal():
 def test_hadamard_reference_is_frozen_copy():
     cfg = RunConfig(d_out=8, d_in=8, K=1, r=2, seed=5)
     w0 = random_weight(8, 8, np.random.default_rng(61))
-    adapter = adapters.build_baseline("hadamard_w0", cfg, w0)
+    adapter = adapters.build_adapter("hadamard_w0", cfg, w0)
     w0[0, 0] += 1.0
-    assert adapter.reference[0, 0] != w0[0, 0]
+    assert adapter.masks[0][0, 0] != w0[0, 0]
     with pytest.raises(ValueError):
-        adapter.reference[0, 0] = 0.0
+        adapter.masks[0][0, 0] = 0.0
 
 
 def test_hadamard_rank_bound_property():
@@ -204,7 +212,7 @@ def test_subspace_rank_bound():
     for seed in range(10):
         cfg = RunConfig(d_out=24, d_in=24, K=3, r=6, seed=seed)
         w0 = random_weight(24, 24, np.random.default_rng(seed))
-        adapter = adapters.build_smoa(cfg, w0)
+        adapter = adapters.build_adapter("smoa", cfg, w0)
         adapters.randomize_factors(adapter, np.random.default_rng(seed + 100))
         for k, blk in enumerate(adapter.blocks()):
             block = blk.scale * (blk.B @ blk.A) * blk.mask
@@ -218,7 +226,7 @@ def test_degenerate_equal_spectrum_collapses_to_plain_rank():
     for seed in range(5):
         w0 = random_weight(16, 16, np.random.default_rng(seed), spectrum="equal")
         cfg = RunConfig(d_out=16, d_in=16, K=16, r=16, seed=seed)
-        adapter = adapters.build_smoa(cfg, w0)
+        adapter = adapters.build_adapter("smoa", cfg, w0)
         adapters.randomize_factors(adapter, np.random.default_rng(seed + 7))
         assert numerical_rank(adapters.delta(adapter)) <= 16
 
@@ -241,17 +249,70 @@ def test_save_load_roundtrip(method, tmp_path):
 def test_randomize_factors_is_seed_deterministic():
     cfg = cfg64()
     w0 = random_weight(64, 64, np.random.default_rng(81))
-    first = adapters.build_smoa(cfg, w0)
-    second = adapters.build_smoa(cfg, w0)
+    first = adapters.build_adapter("smoa", cfg, w0)
+    second = adapters.build_adapter("smoa", cfg, w0)
     adapters.randomize_factors(first, np.random.default_rng(9))
     adapters.randomize_factors(second, np.random.default_rng(9))
     assert adapters.delta(first).tobytes() == adapters.delta(second).tobytes()
     assert np.any(first.B[0])
 
 
-def _saved_manifest(tmp_path):
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(adapters.METHODS), d_out=st.integers(2, 11),
+       d_in=st.integers(2, 11), k_pick=st.integers(1, 11), r_extra=st.integers(0, 4),
+       seed=st.integers(0, 2**16))
+def test_save_load_save_is_byte_identical(method, d_out, d_in, k_pick, r_extra, seed):
+    # rectangular shapes and K that need not divide d_out or d_in
+    K = min(k_pick, d_out, d_in)
+    rng = np.random.default_rng(seed)
+    w0 = random_weight(d_out, d_in, rng)
+    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + r_extra, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        adapter = adapters.build_adapter(method, cfg, w0)
+    adapters.randomize_factors(adapter, rng)
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        written = adapters.save_adapter(adapter, Path(first) / "ckpt")
+        loaded = adapters.load_adapter(Path(first) / "ckpt")
+        rewritten = adapters.save_adapter(loaded, Path(second) / "ckpt")
+        assert [p.name for p in rewritten] == [p.name for p in written]
+        for a, b in zip(written, rewritten):
+            assert a.read_bytes() == b.read_bytes(), a.name
+    assert adapters.delta(loaded).tobytes() == adapters.delta(adapter).tobytes()
+
+
+def _tensor(name, role, k, shape):
+    return {"file": f"ckpt.{name}", "role": role, "shape": shape, "subspace": k}
+
+
+@pytest.mark.parametrize("method, expected", [
+    ("block_lora", {
+        "K": 2, "d_in": 5, "d_out": 6, "kind": "block_lora",
+        "row_ranges": [[0, 3], [3, 6]], "col_ranges": [[0, 3], [3, 5]],
+        "r_per_subspace": [2, 1], "scale": [1.5, 3.0],
+        "tensors": [_tensor("A0.smoa", "A", 0, [2, 3]), _tensor("B0.smoa", "B", 0, [3, 2]),
+                    _tensor("A1.smoa", "A", 1, [1, 2]), _tensor("B1.smoa", "B", 1, [3, 1])],
+    }),
+    ("hadamard_w0", {
+        "K": 1, "d_in": 5, "d_out": 6, "kind": "hadamard_w0",
+        "row_ranges": [[0, 6]], "col_ranges": [[0, 5]],
+        "r_per_subspace": [3], "scale": [1.0],
+        "tensors": [_tensor("A0.smoa", "A", 0, [3, 5]), _tensor("B0.smoa", "B", 0, [6, 3]),
+                    _tensor("reference0.smoa", "reference", 0, [6, 5])],
+    }),
+])
+def test_saved_manifest_literal(tmp_path, method, expected):
+    cfg = RunConfig(d_out=6, d_in=5, K=2, r=3, seed=0)
+    adapter = adapters.build_adapter(method, cfg, random_weight(6, 5, np.random.default_rng(4)))
+    written = adapters.save_adapter(adapter, tmp_path / "ckpt")
+    files = [t["file"] for t in expected["tensors"]] + ["ckpt.manifest.json"]
+    assert [p.name for p in written] == files
+    assert json.loads((tmp_path / "ckpt.manifest.json").read_text()) == expected
+
+
+def _saved_manifest(tmp_path, method="smoa"):
     cfg = RunConfig(d_out=8, d_in=8, K=2, r=4, seed=3)
-    adapter = adapters.build_smoa(cfg, random_weight(8, 8, np.random.default_rng(3)))
+    adapter = adapters.build_adapter(method, cfg, random_weight(8, 8, np.random.default_rng(3)))
     adapters.save_adapter(adapter, tmp_path / "ckpt")
     return tmp_path / "ckpt.manifest.json"
 
@@ -263,6 +324,46 @@ def test_load_adapter_missing_manifest_key_is_format_error(tmp_path, key):
     del manifest[key]
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="missing manifest entry"):
+        adapters.load_adapter(tmp_path / "ckpt")
+
+
+def _drop_tensor(role):
+    def corrupt(m):
+        m["tensors"] = [t for t in m["tensors"] if t["role"] != role]
+    return corrupt
+
+
+@pytest.mark.parametrize("method, corrupt, message", [
+    ("hadamard_w0", _drop_tensor("reference"), "mask shapes must be"),
+    ("smoa", _drop_tensor("mod_block"), "mask shapes must be"),
+    ("lora", lambda m: m.update(kind="smoa"), "mask shapes must be"),
+    ("smoa", lambda m: m.update(row_ranges=[[0, 5], [5, 8]]), "not the 2-block layout"),
+    ("smoa", lambda m: m.update(K=1), "not the 1-block layout"),
+    ("smoa", lambda m: m.update(d_out=9), "not the 2-block layout"),
+    ("smoa", lambda m: m.update(scale=[1.0]), "needs 2 of each"),
+    ("smoa", lambda m: m.update(kind="dora"), "unknown method"),
+    ("smoa", lambda m: m.update(K="2"), "not supported"),
+    ("smoa", lambda m: m.update(scale=2.0), "float"),
+    ("smoa", lambda m: m.update(scale=[float("nan"), 2.0]), "finite and positive"),
+    ("smoa", lambda m: m["tensors"][0].update(shape=[2, 5]), "manifest says"),
+    ("smoa", lambda m: m.update(r_per_subspace=[2, 3]), "r_per_subspace"),
+    ("smoa", lambda m: m.update(index_sets=m["index_sets"][:1]), "partition"),
+    ("smoa", lambda m: m.update(index_sets=[[0, 1, 2], [2, 3, 4, 5, 6, 7]]), "partition"),
+    ("smoa", lambda m: m.update(shares=[1.0]), "partition"),
+    ("block_lora", lambda m: m.update(index_sets=[[0, 1, 2, 3], [4, 5, 6, 7]],
+                                      shares=[0.5, 0.5]), "partition"),
+], ids=["hadamard-without-reference", "smoa-without-masks", "lora-as-smoa",
+        "shifted-row-ranges", "K-1-on-K-2", "d_out", "short-scale", "unknown-kind",
+        "string-K", "scalar-scale", "nan-scale",
+        "tensor-shape", "r_per_subspace", "index-set-count", "index-sets-overlap",
+        "short-shares", "partition-on-block-lora"])
+def test_load_adapter_inconsistent_manifest_is_format_error(tmp_path, method, corrupt,
+                                                            message):
+    path = _saved_manifest(tmp_path, method)
+    manifest = json.loads(path.read_text())
+    corrupt(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=message):
         adapters.load_adapter(tmp_path / "ckpt")
 
 

@@ -113,6 +113,20 @@ def test_rank_bench_unknown_field_exits_1(capsys, tmp_path):
     assert "unknown sweep config" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("base_seed", -1, "base_seed must be ≥ 0"),
+    ("budget_match", "no", "budget_match must be of type bool"),
+    ("n_seeds", 1.5, "n_seeds must be of type int"),
+    ("r_values", 4, "r_values must be a list"),
+])
+def test_rank_bench_bad_field_value_exits_1(capsys, tmp_path, field, value, message):
+    cfg = write_sweep_config(tmp_path, **{field: value})
+    code, _, err = run_cli(capsys, "rank-bench", "--config", str(cfg),
+                           "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    assert message in err
+
+
 def test_rank_bench_missing_config_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rank-bench", "--config", str(tmp_path / "nope.json"),
                            "--out", str(tmp_path / "r.csv"))
@@ -156,6 +170,19 @@ def test_train_writes_trace_and_adapter(capsys, tmp_path):
     first = float(trace[1].split(",")[1])
     last = float(trace[-1].split(",")[1])
     assert last < first
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be ≥ 0"),
+    ("noise_std", "x", "noise_std must be of type float"),
+    ("steps", True, "steps must be of type int"),
+])
+def test_train_bad_field_value_exits_1(capsys, tmp_path, field, value, message):
+    cfg = write_train_config(tmp_path, **{field: value})
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                           "--out-prefix", str(tmp_path / "run"))
+    assert code == 1
+    assert message in err
 
 
 def test_train_is_deterministic(capsys, tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import matrix_io
 from smoa.errors import FormatError, ValidationError
+from smoa.rank_analysis import RankRecord
 
 
 def test_read_binary_identity(tmp_path):
@@ -116,12 +117,24 @@ def test_config_defaults(tmp_path):
     assert cfg.alpha == 16.0
     assert cfg.mode == "budget"
     assert cfg.init_std == 0.02
-    assert cfg.rank_tolerance_factor == 1e-10
 
 
 def test_config_rejects_k_zero():
     with pytest.raises(ValidationError, match="K must be ≥ 1"):
         matrix_io.config_from_dict({"d_out": 4, "d_in": 4, "K": 0, "r": 2, "seed": 0})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("K", True, "K must be of type int"),
+    ("seed", False, "seed must be of type int"),
+    ("seed", -1, "seed must be ≥ 0"),
+    ("r", 2.0, "r must be of type int"),
+    ("alpha", "x", "alpha must be of type float"),
+])
+def test_config_rejects_wrong_types(field, value, message):
+    raw = {"d_out": 4, "d_in": 4, "K": 1, "r": 2, "seed": 0, field: value}
+    with pytest.raises(ValidationError, match=message):
+        matrix_io.config_from_dict(raw)
 
 
 def test_config_rejects_unknown_field():
@@ -157,7 +170,9 @@ def test_config_roundtrip(tmp_path):
 
 def test_write_report_header_and_rows(tmp_path):
     path = tmp_path / "report.csv"
-    matrix_io.write_report([("lora", 64, 4, 1, 0, 512, 4, 2.5)], path)
+    row = RankRecord(method="lora", d=64, r=4, K=1, seed=0, param_count=512,
+                     numerical_rank=4, rank_upper_bound=4, frobenius_norm=2.5)
+    matrix_io.write_report([row], path)
     lines = path.read_text().splitlines()
     assert lines[0] == matrix_io.REPORT_HEADER
     assert lines[1] == "lora,64,4,1,0,512,4,2.5"

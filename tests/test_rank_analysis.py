@@ -194,7 +194,7 @@ def test_flexible_rank_non_decreasing_in_k(r):
             w0 = random_weight(d, d, np.random.default_rng([d, seed]))
             cfg = RunConfig(d_out=d, d_in=d, K=K, r=r, seed=seed, mode="flexible")
             assert adapters.param_count("smoa", cfg) == 2 * r * d
-            adapter = adapters.build_smoa(cfg, w0)
+            adapter = adapters.build_adapter("smoa", cfg, w0)
             adapters.randomize_factors(adapter, np.random.default_rng([seed, K, r]))
             ranks.append(rank_analysis.numerical_rank(adapters.delta(adapter)))
         medians.append(float(np.median(ranks)))

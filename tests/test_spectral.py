@@ -47,6 +47,30 @@ def test_decompose_sign_convention_and_determinism():
     assert dec.Vt.tobytes() == again.Vt.tobytes()
 
 
+def _loop_signs(w):
+    """Reference sign fix, one column at a time."""
+    U, _, Vt = np.linalg.svd(w, full_matrices=False)
+    for j in range(U.shape[1]):
+        nz = np.flatnonzero(U[:, j])
+        if nz.size and U[nz[0], j] < 0:
+            U[:, j] = -U[:, j]
+            Vt[j, :] = -Vt[j, :]
+    return U, Vt
+
+
+@pytest.mark.parametrize("w", [
+    np.random.default_rng(5).standard_normal((9, 6)),
+    np.random.default_rng(6).standard_normal((6, 9)),
+    np.diag([1.0, -2.0, 3.0, 0.0]),  # leading zeros and an all-zero direction
+    np.vstack([np.zeros((3, 5)), np.random.default_rng(7).standard_normal((4, 5))]),
+], ids=["tall", "wide", "diagonal", "zero-rows"])
+def test_decompose_signs_match_loop_reference(w):
+    dec = spectral.decompose(w)
+    U, Vt = _loop_signs(w)
+    assert dec.U.tobytes() == U.tobytes()
+    assert dec.Vt.tobytes() == Vt.tobytes()
+
+
 def test_decompose_rejects_nonfinite():
     with pytest.raises(FormatError):
         spectral.decompose(np.array([[1.0, np.inf], [0.0, 1.0]]))

@@ -81,14 +81,14 @@ def test_make_task_validation():
 
 def test_forward_zero_init_is_host_output():
     task = training.make_task(16, 4, 20, 0.0, seed=1)
-    adapter = adapters.build_smoa(small_cfg(d=16), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(d=16), task.w0)
     assert_array_equal(training.forward(adapter, task.w0, task.inputs),
                        task.inputs @ task.w0.T)
 
 
 def test_forward_identity_probe():
     task = training.make_task(8, 2, 10, 0.0, seed=2)
-    adapter = adapters.build_smoa(small_cfg(), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(0), std=0.1)
     merged = adapters.merge(adapter, task.w0)
     out = training.forward(adapter, task.w0, np.eye(8))
@@ -107,14 +107,14 @@ def test_forward_matches_merged_weight(method):
 
 def test_forward_rejects_bad_width():
     task = training.make_task(8, 2, 10, 0.0, seed=4)
-    adapter = adapters.build_smoa(small_cfg(), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(), task.w0)
     with pytest.raises(ValidationError, match="features"):
         training.forward(adapter, task.w0, np.zeros((3, 5)))
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     task = training.make_task(8, 2, 10, 0.0, seed=5)
-    adapter = adapters.build_smoa(small_cfg(), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(5))
     grads = training.backward(adapter, task.w0, task.inputs, np.zeros((10, 8)))
     for g in grads.A + grads.B:
@@ -127,7 +127,7 @@ def test_backward_empty_subspace_gets_zero_grads():
     w0 = np.diag([100.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
-        adapter = adapters.build_smoa(RunConfig(d_out=3, d_in=3, K=3, r=3, seed=0), w0)
+        adapter = adapters.build_adapter("smoa", RunConfig(d_out=3, d_in=3, K=3, r=3, seed=0), w0)
     adapters.randomize_factors(adapter, np.random.default_rng(6))
     x = np.random.default_rng(7).standard_normal((5, 3))
     upstream = np.random.default_rng(8).standard_normal((5, 3))
@@ -140,7 +140,7 @@ def test_backward_empty_subspace_gets_zero_grads():
 
 def test_backward_rejects_bad_upstream_shape():
     task = training.make_task(8, 2, 10, 0.0, seed=6)
-    adapter = adapters.build_smoa(small_cfg(), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(), task.w0)
     with pytest.raises(ValidationError, match="upstream"):
         training.backward(adapter, task.w0, task.inputs, np.zeros((10, 9)))
 
@@ -159,7 +159,7 @@ def test_grad_check_at_exact_optimum_is_zero():
     # targets equal the zero-init forward output, so both gradient routes
     # vanish identically
     base = training.make_task(8, 2, 12, 0.0, seed=12)
-    adapter = adapters.build_smoa(small_cfg(seed=12), base.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=12), base.w0)
     targets = training.forward(adapter, base.w0, base.inputs)
     task = dataclasses.replace(base, targets=targets)
     report = training.grad_check(adapter, base.w0, task)
@@ -168,7 +168,7 @@ def test_grad_check_at_exact_optimum_is_zero():
 
 def test_grad_check_flags_corruption():
     task = training.make_task(8, 4, 16, 0.0, seed=13)
-    adapter = adapters.build_smoa(small_cfg(seed=13), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=13), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(14), std=0.5)
     report = training.grad_check(adapter, task.w0, task, corrupt_for_testing=True)
     assert not report.passed
@@ -177,7 +177,7 @@ def test_grad_check_flags_corruption():
 
 def test_grad_check_subsamples_large_adapters():
     task = training.make_task(32, 8, 40, 0.0, seed=15)
-    adapter = adapters.build_smoa(small_cfg(d=32, K=2, r=8, seed=15), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(d=32, K=2, r=8, seed=15), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(16), std=0.5)
     report = training.grad_check(adapter, task.w0, task)
     assert report.n_checked == 256  # 1024 trainable entries, sampled
@@ -186,7 +186,7 @@ def test_grad_check_subsamples_large_adapters():
 
 def test_grad_check_rejects_bad_step():
     task = training.make_task(8, 2, 10, 0.0, seed=17)
-    adapter = adapters.build_smoa(small_cfg(seed=17), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=17), task.w0)
     with pytest.raises(ValidationError, match="step h"):
         training.grad_check(adapter, task.w0, task, h=1e-2)
 
@@ -197,7 +197,7 @@ def test_train_stays_at_optimum_for_zero_update_task():
     task = dataclasses.replace(
         base, target_delta=zero_delta, targets=base.inputs @ base.w0.T, target_rank=0
     )
-    adapter = adapters.build_smoa(small_cfg(seed=18), base.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=18), base.w0)
     trace = training.train(adapter, task, 50)
     assert trace[0] == 0.0
     assert np.all(trace <= trace[0] + 1e-30)
@@ -216,7 +216,7 @@ def test_train_converges_on_realizable_task():
 def test_train_is_bitwise_deterministic():
     def run():
         task = training.make_task(16, 4, 32, 0.0, seed=19)
-        adapter = adapters.build_smoa(small_cfg(d=16, seed=19), task.w0)
+        adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=19), task.w0)
         return training.train(adapter, task, 100)
 
     assert run().tobytes() == run().tobytes()
@@ -225,19 +225,19 @@ def test_train_is_bitwise_deterministic():
 def test_train_diverged_loss_raises_with_step():
     base = training.make_task(8, 2, 10, 0.0, seed=20)
     task = dataclasses.replace(base, targets=np.full_like(base.targets, 1e200))
-    adapter = adapters.build_smoa(small_cfg(seed=20), base.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=20), base.w0)
     with pytest.raises(training.DivergenceError, match="step 0"):
         training.train(adapter, task, 10)
 
 
 def test_train_preserves_frozen_tensors():
     task = training.make_task(16, 4, 32, 0.0, seed=21)
-    adapter = adapters.build_smoa(small_cfg(d=16, seed=21), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=21), task.w0)
     w0_before = task.w0.tobytes()
-    mods_before = [m.tobytes() for m in adapter.mod_blocks]
+    mods_before = [m.tobytes() for m in adapter.masks]
     training.train(adapter, task, 200)
     assert task.w0.tobytes() == w0_before
-    assert [m.tobytes() for m in adapter.mod_blocks] == mods_before
+    assert [m.tobytes() for m in adapter.masks] == mods_before
 
 
 def test_train_loss_drops_tenfold_on_realizable_task():
@@ -250,14 +250,14 @@ def test_train_loss_drops_tenfold_on_realizable_task():
 
 def test_train_rejects_zero_steps():
     task = training.make_task(8, 2, 10, 0.0, seed=23)
-    adapter = adapters.build_smoa(small_cfg(seed=23), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=23), task.w0)
     with pytest.raises(ValidationError, match="steps"):
         training.train(adapter, task, 0)
 
 
 def test_train_state_moments_match_tensors():
     task = training.make_task(8, 2, 10, 0.0, seed=24)
-    adapter = adapters.build_smoa(small_cfg(seed=24), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=24), task.w0)
     state = training.TrainState.for_adapter(adapter, learning_rate=0.01)
     assert [m.shape for m in state.m_A] == [a.shape for a in adapter.A]
     assert [m.shape for m in state.v_B] == [b.shape for b in adapter.B]
@@ -271,14 +271,21 @@ def test_write_loss_trace_format(tmp_path):
     assert path.read_text() == "step,loss\n0,1\n1,0.5\n"
 
 
+def test_train_rejects_bare_state():
+    task = training.make_task(8, 2, 10, 0.0, seed=25)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
+    with pytest.raises(ValidationError, match="TrainState.m_A"):
+        training.train(adapter, task, 3, training.TrainState())
+
+
 @pytest.mark.parametrize("other_cfg", [
     dict(K=1, r=4),  # one moment per factor where the adapter has two
     dict(K=2, r=6),  # the same K, other factor shapes
 ])
 def test_train_rejects_state_of_another_adapter(other_cfg):
     task = training.make_task(8, 2, 10, 0.0, seed=25)
-    adapter = adapters.build_smoa(small_cfg(seed=25), task.w0)
-    other = adapters.build_smoa(small_cfg(seed=25, **other_cfg), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
+    other = adapters.build_adapter("smoa", small_cfg(seed=25, **other_cfg), task.w0)
     state = training.TrainState.for_adapter(other)
     before = [t.tobytes() for t in adapter.A + adapter.B]
     with pytest.raises(ValidationError, match="TrainState"):
@@ -368,7 +375,7 @@ def test_blockwise_step_matches_dense_reference_with_empty_subspaces(method):
 
 def test_forward_rejects_adapter_of_another_shape():
     task = training.make_task(8, 2, 10, 0.0, seed=27)
-    adapter = adapters.build_smoa(small_cfg(d=6), training.random_weight(
+    adapter = adapters.build_adapter("smoa", small_cfg(d=6), training.random_weight(
         6, 6, np.random.default_rng(27)))
     with pytest.raises(ValidationError, match="adapter shape"):
         training.forward(adapter, task.w0, task.inputs)
