@@ -135,6 +135,8 @@ class Adapter:
         for k, (a, b, mask) in enumerate(zip(self.A, self.B, self.masks)):
             rows, cols = self.layout.block_shape(k)
             rk = a.shape[0]
+            if rk < 1:
+                raise ValidationError(f"{self.kind} block {k} has rank {rk}, must be ≥ 1")
             want = ((rk, cols), (rows, rk), (rows, cols) if self.kind in _MASKED else None)
             have = (a.shape, b.shape, None if mask is None else mask.shape)
             if have != want:

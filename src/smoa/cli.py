@@ -133,13 +133,15 @@ def _cmd_rank_bench(args) -> int:
     print(f"wrote {len(report.rows)} rows to {args.out}")
     print(f"wrote {sidecar}")
     violations = report.violations()
-    if violations:
-        worst = violations[0]
+    for row in violations:
         print(
-            f"rank bound violated: method={worst.method} r={worst.r} K={worst.K} "
-            f"seed={worst.seed}: rank {worst.numerical_rank} > bound {worst.rank_upper_bound}",
+            f"rank bound violated: method={row.method} r={row.r} K={row.K} "
+            f"seed={row.seed}: rank {row.numerical_rank} > bound {row.rank_upper_bound}",
             file=sys.stderr,
         )
+    if violations:
+        print(f"{len(violations)} of {len(report.rows)} rows violate their rank bound",
+              file=sys.stderr)
         return 2
     return 0
 

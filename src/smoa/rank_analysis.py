@@ -1,5 +1,13 @@
 """Numerical rank measurement and the rank-comparison sweep across methods.
 
+``numerical_rank`` ranks an adapter from its blocks, without assembling
+the update.  The blocks sit on disjoint row and column ranges, so the
+update's singular values are the union of the blocks' singular values,
+and one threshold applies to the union.  An unmasked block s (B A) of
+rank r below both block dimensions has the nonzero singular values of
+the r x r core s (R_B R_A^T), where R_B and R_A are the triangular QR
+factors of B and A^T; every other block gets a full SVD of its update.
+
 Sweeps fill the adapter factors with seeded Gaussian entries before
 measuring: the zero-init state has rank 0 by construction, and the point
 of the sweep is the achievable rank of the update.  Rows record the
@@ -19,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .adapters import (block_layout, build_adapter, delta, param_count,
+from .adapters import (Adapter, Block, block_layout, build_adapter, delta, param_count,
                        randomize_factors, subspace_ranks)
 from .errors import NumericalError, ValidationError
 from .matrix_io import (FULL_MATRIX, METHOD_NAMES, RunConfig, SweepConfig, validate_matrix,
@@ -35,17 +43,49 @@ _METHOD_INDEX = {m: i for i, m in enumerate(METHOD_NAMES)}
 def numerical_rank(m, tol_factor: float = 1e-10) -> int:
     """Count singular values above tol_factor * sigma_max * max(rows, cols).
 
-    The tolerance is scale-aware; the zero matrix has rank 0.
+    m is a matrix or an Adapter.  An adapter is ranked block by block,
+    without assembling its update: its singular values are the union of
+    its blocks' singular values, sigma_max is the largest of them, and
+    rows and cols are the adapter's shape.  An unmasked block s (B A)
+    whose rank r is below both block dimensions contributes the singular
+    values of its r x r core s (R_B R_A^T), with R_B and R_A the
+    triangular QR factors of B and A^T; every other block contributes
+    the singular values of its update.  The tolerance is scale-aware;
+    the zero matrix and the zero update have rank 0.
     """
     if tol_factor <= 0:
         raise ValidationError(f"tol_factor must be positive, got {tol_factor}")
-    arr = validate_matrix(m)
+    if isinstance(m, Adapter):
+        shape = m.shape
+        s = np.concatenate([_block_singular_values(blk) for blk in m.blocks()])
+    else:
+        arr = validate_matrix(m)
+        shape = arr.shape
+        s = _singular_values(arr)
+    threshold = tol_factor * s.max() * max(shape)
+    return int(np.count_nonzero(s > threshold))
+
+
+def _block_singular_values(blk: Block) -> np.ndarray:
+    """Singular values of one block's update, from its QR core where the
+    block is unmasked and of low rank: with B = Q_B R_B and A^T = Q_A R_A,
+    s (B A) = Q_B (s R_B R_A^T) Q_A^T has the core's nonzero singular values.
+    """
+    rank = blk.A.shape[0]
+    if blk.mask is None and rank < min(blk.row1 - blk.row0, blk.col1 - blk.col0):
+        r_b = np.linalg.qr(validate_matrix(blk.B), mode="r")
+        r_a = np.linalg.qr(validate_matrix(blk.A).T, mode="r")
+        core = blk.scale * (r_b @ r_a.T)
+    else:
+        core = blk.update()
+    return _singular_values(validate_matrix(core))
+
+
+def _singular_values(arr: np.ndarray) -> np.ndarray:
     try:
-        s = np.linalg.svd(arr, compute_uv=False)
+        return np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    threshold = tol_factor * s[0] * max(arr.shape)
-    return int(np.count_nonzero(s > threshold))
 
 
 def theoretical_bound(method: str, cfg: RunConfig,
@@ -169,7 +209,7 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
                     randomize_factors(adapter, fill)
                     update = delta(adapter)
-                    measured = numerical_rank(update, tol_factor)
+                    measured = numerical_rank(adapter, tol_factor)
                     bound = theoretical_bound(method, run_seed, partition=adapter.partition,
                                               w0_rank=w0_ranks[seed])
                     rows.append(RankRecord(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -158,6 +159,17 @@ def test_build_rejects_config_weight_mismatch():
 def test_build_baseline_rejects_unknown_kind():
     with pytest.raises(ValidationError, match="unknown method"):
         adapters.build_adapter("dora", cfg64(), np.zeros((64, 64)))
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_adapter_rejects_rank_zero_block(method):
+    # a rank-0 block has a 0-column B, which write_matrix cannot save
+    adapter = adapters.build_adapter(method, cfg64(K=2, r=4),
+                                     random_weight(64, 64, np.random.default_rng(3)))
+    A, B = list(adapter.A), list(adapter.B)
+    A[-1], B[-1] = A[-1][:0], B[-1][:, :0]
+    with pytest.raises(ValidationError, match="has rank 0, must be ≥ 1"):
+        dataclasses.replace(adapter, A=A, B=B)
 
 
 def test_lora_achieves_exact_rank():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from smoa import matrix_io
+from smoa import matrix_io, rank_analysis
 from smoa.cli import main
 
 
@@ -145,6 +145,26 @@ def test_rank_bench_is_idempotent(capsys, tmp_path):
     assert code_a == code_b == 0
     assert first_csv.read_bytes() == second_csv.read_bytes()
     assert out_a.replace("a.csv", "") == out_b.replace("b.csv", "")
+
+
+def test_rank_bench_reports_every_bound_violation(capsys, tmp_path, monkeypatch):
+    cfg = write_sweep_config(tmp_path, methods=["lora", "block_lora"], r_values=[4],
+                             K_values=[1, 2], n_seeds=2, d=16)
+    code, clean_out, clean_err = run_cli(capsys, "rank-bench", "--config", str(cfg),
+                                         "--out", str(tmp_path / "r.csv"))
+    assert (code, clean_err) == (0, "")
+    monkeypatch.setattr(rank_analysis, "theoretical_bound", lambda *args, **kwargs: 0)
+    code, out, err = run_cli(capsys, "rank-bench", "--config", str(cfg),
+                             "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert out == clean_out
+    lines = err.splitlines()
+    expected = [f"rank bound violated: method={method} r={r} K={K} seed={seed}: "
+                f"rank {r} > bound 0"
+                for method, r, K in (("block_lora", 4, 1), ("block_lora", 4, 2),
+                                     ("lora", 2, 2), ("lora", 4, 1))
+                for seed in (0, 1)]
+    assert lines == expected + ["8 of 8 rows violate their rank bound"]
 
 
 def write_train_config(tmp_path, **overrides):

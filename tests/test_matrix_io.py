@@ -1,8 +1,12 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import matrix_io
@@ -79,6 +83,30 @@ def test_malformed_binary_rejected(tmp_path, blob, message):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match=message):
         matrix_io.read_matrix(path)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), seed=st.integers(0, 2**16),
+       flips=st.lists(st.integers(1, 255), min_size=13, max_size=13))
+def test_truncated_or_corrupted_binary_is_format_error(rows, cols, seed, flips):
+    # every proper prefix of a written file, and the file with any one
+    # header byte changed, raises FormatError and nothing else
+    arr = np.random.default_rng(seed).standard_normal((rows, cols))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.smoa"
+        matrix_io.write_matrix(arr, path)
+        blob = path.read_bytes()
+        bad = Path(folder) / "bad.smoa"
+        for size in range(len(blob)):
+            bad.write_bytes(blob[:size])
+            with pytest.raises(FormatError):
+                matrix_io.read_matrix(bad)
+        for i, flip in enumerate(flips):
+            corrupted = bytearray(blob)
+            corrupted[i] ^= flip
+            bad.write_bytes(bytes(corrupted))
+            with pytest.raises(FormatError):
+                matrix_io.read_matrix(bad)
 
 
 def test_nonfinite_rejected_on_write(tmp_path):

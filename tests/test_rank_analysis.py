@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoa import rank_analysis
-from smoa.errors import ValidationError
-from smoa.matrix_io import RunConfig
-from smoa.spectral import EnergyPartition
+from smoa import adapters, rank_analysis
+from smoa.errors import FormatError, ValidationError
+from smoa.matrix_io import FULL_MATRIX, METHOD_NAMES, RunConfig
+from smoa.spectral import EmptySubspaceWarning, EnergyPartition
 from smoa.training import random_weight
 
 
@@ -184,8 +188,6 @@ def test_flexible_rank_non_decreasing_in_k(r):
     # fixed parameter budget 2rd in flexible mode; per-subspace rank r
     # saturates every block for r >= 8 at d=128 on the decaying spectrum
     # (at r=4, K=8 the 3-direction first subspace caps its block at 12)
-    from smoa import adapters
-
     d = 128
     medians = []
     for K in (1, 2, 4, 8):
@@ -199,3 +201,140 @@ def test_flexible_rank_non_decreasing_in_k(r):
             ranks.append(rank_analysis.numerical_rank(adapters.delta(adapter)))
         medians.append(float(np.median(ranks)))
     assert medians == sorted(medians), f"flexible-mode medians not monotone in K: {medians}"
+
+
+# The adapter path of numerical_rank ranks an update from its blocks; the
+# matrix path ranks the assembled delta.  Both must give the same integer.
+
+def both_ranks(adapter, tol_factor=1e-10):
+    return (rank_analysis.numerical_rank(adapter, tol_factor),
+            rank_analysis.numerical_rank(adapters.delta(adapter), tol_factor))
+
+
+def acceptance_sweep_adapters():
+    """Every adapter of the d=128 acceptance sweep (4 methods, r in
+    {2, 4, 8, 16}, K in {1, 2, 4}, 20 seeds), built and filled as
+    rank_sweep builds and fills them."""
+    d = 128
+    for seed in range(20):
+        w0 = random_weight(d, d, np.random.default_rng([d, seed]))
+        for index, method in enumerate(METHOD_NAMES):
+            for r in (2, 4, 8, 16):
+                for K in (1, 2, 4):
+                    if K > r:
+                        continue
+                    full = method in FULL_MATRIX
+                    cfg = RunConfig(d_out=d, d_in=d, K=1 if full else K,
+                                    r=r // K if full else r, seed=seed)
+                    adapter = adapters.build_adapter(method, cfg, w0)
+                    adapters.randomize_factors(adapter,
+                                               np.random.default_rng([seed, index, r, K]))
+                    yield (method, r, K, seed), adapter
+
+
+def test_block_rank_equals_dense_rank_on_every_acceptance_sweep_row():
+    rows = [(key, *both_ranks(adapter)) for key, adapter in acceptance_sweep_adapters()]
+    assert len(rows) == 880
+    assert [row for row in rows if row[1] != row[2]] == []
+
+
+def test_block_rank_of_lora_is_r():
+    cfg = RunConfig(d_out=40, d_in=24, K=1, r=6, seed=0)
+    adapter = adapters.build_adapter("lora", cfg, random_weight(40, 24,
+                                                                np.random.default_rng(2)))
+    adapters.randomize_factors(adapter, np.random.default_rng(3))
+    assert both_ranks(adapter) == (6, 6)
+
+
+@pytest.mark.parametrize("tiny", [0, 1])
+def test_block_ranks_share_one_threshold(tiny):
+    # a block 1e-12 times smaller than the other falls below the global
+    # threshold, wherever it sits in the layout
+    cfg = RunConfig(d_out=32, d_in=32, K=2, r=8, seed=0)
+    adapter = adapters.build_adapter("block_lora", cfg, random_weight(32, 32,
+                                                                      np.random.default_rng(1)))
+    adapters.randomize_factors(adapter, np.random.default_rng(2))
+    adapter.B[tiny] *= 1e-12
+    assert both_ranks(adapter) == (4, 4)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_block_rank_of_zero_init_adapter_is_zero(method):
+    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
+                                                                np.random.default_rng(4)))
+    assert both_ranks(adapter) == (0, 0)
+
+
+def test_block_rank_rejects_bad_tolerance():
+    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    adapter = adapters.build_adapter("smoa", cfg, random_weight(16, 16,
+                                                                np.random.default_rng(5)))
+    with pytest.raises(ValidationError, match="tol_factor"):
+        rank_analysis.numerical_rank(adapter, tol_factor=-1.0)
+
+
+@pytest.mark.parametrize("method, tensor", [
+    ("lora", "A"), ("lora", "B"), ("block_lora", "A"), ("block_lora", "B"),
+    ("smoa", "A"), ("smoa", "B"), ("hadamard_w0", "B"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_block_rank_rejects_nonfinite_factors_like_dense_path(method, tensor, value):
+    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
+                                                                np.random.default_rng(6)))
+    adapters.randomize_factors(adapter, np.random.default_rng(7))
+    getattr(adapter, tensor)[-1][0, 0] = value
+    for m in (adapter, adapters.delta(adapter)):
+        with pytest.raises(FormatError, match="non-finite"):
+            rank_analysis.numerical_rank(m)
+
+
+@pytest.mark.parametrize("method", ["smoa", "hadamard_w0"])
+def test_block_rank_rejects_nonfinite_mask(method):
+    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
+                                                                np.random.default_rng(8)))
+    adapters.randomize_factors(adapter, np.random.default_rng(9))
+    mask = adapter.masks[-1].copy()
+    mask[0, 0] = np.nan
+    adapter.masks = adapter.masks[:-1] + (mask,)
+    with pytest.raises(FormatError, match="non-finite"):
+        rank_analysis.numerical_rank(adapter)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_out=st.integers(2, 32),
+       d_in=st.integers(2, 32), k_pick=st.integers(1, 8),
+       mode=st.sampled_from(["budget", "flexible"]), r_pick=st.integers(0, 8),
+       seed=st.integers(0, 2**16), spiked=st.booleans(),
+       zeroed=st.sampled_from(["none", "all", "one block"]))
+def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_pick, mode,
+                                                         r_pick, seed, spiked, zeroed):
+    # rectangular shapes, K that need not divide d_out or d_in, both modes,
+    # (spiked) one dominant singular value, which empties smoa subspaces,
+    # and factors scaled to zero as a whole or in one block
+    K = min(k_pick, d_out, d_in)
+    r = K + r_pick if mode == "budget" else 1 + r_pick
+    rng = np.random.default_rng(seed)
+    w0 = random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    if spiked:
+        w0[0] *= 100.0
+    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=r, seed=seed, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        adapter = adapters.build_adapter(method, cfg, w0)
+    adapters.randomize_factors(adapter, rng)
+    if zeroed == "all":
+        for factor in adapter.A + adapter.B:
+            factor *= 0.0
+    elif zeroed == "one block":
+        adapter.B[int(rng.integers(len(adapter.B)))][...] = 0.0
+    block, dense = both_ranks(adapter)
+    assert block == dense
+    if zeroed == "all":
+        assert block == 0
+    bound = rank_analysis.theoretical_bound(method, cfg, partition=adapter.partition,
+                                            w0_rank=rank_analysis.numerical_rank(w0))
+    assert block <= bound

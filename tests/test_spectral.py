@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import spectral
@@ -169,6 +171,30 @@ def test_partition_properties_on_random_weights(d, K):
         for k, s in enumerate(part.index_sets):
             if len(s):
                 assert abs(part.shares[k] - 1.0 / K) <= slack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40).filter(any),
+       k_pick=st.integers(1, 40))
+def test_partition_invariants_on_arbitrary_spectra(values, k_pick):
+    # any non-increasing, non-negative, not all-zero spectrum, including
+    # ties, trailing zeros and single dominant values
+    sigma = np.array(sorted(values, reverse=True))
+    K = min(k_pick, sigma.size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        part = spectral.partition(spectral.cumulative_energy(sigma), K)
+    assert part.K == len(part.index_sets) == K
+    assert_array_equal(np.concatenate(part.index_sets), np.arange(sigma.size))
+    for s in part.index_sets:
+        assert_array_equal(np.diff(s), 1)
+    assert np.all(part.shares >= 0.0)
+    assert abs(part.shares.sum() - 1.0) <= 1e-12
+    empty_warnings = [w for w in caught if issubclass(w.category,
+                                                      spectral.EmptySubspaceWarning)]
+    assert len(empty_warnings) == (1 if part.empty_sets() else 0)
+    for k in part.empty_sets():
+        assert f"I_{k + 1}" in str(empty_warnings[0].message)
 
 
 def test_modulation_tensor_diagonal_cases():
