@@ -13,6 +13,7 @@ Report CSV files carry the fixed header row
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -121,10 +122,14 @@ def _read_csv(path: Path) -> np.ndarray:
 def _check_field(name: str, value, kind: type, low: int | None = None) -> None:
     """Raise ValidationError unless value is a kind (int, float or bool) and
     at least low, if given.  A bool passes only as bool, since JSON true/false
-    would otherwise pass as the integers 1/0; an int passes as a float."""
+    would otherwise pass as the integers 1/0; an int passes as a float.  A
+    float must be finite: Python's json reads NaN and Infinity, and NaN
+    passes every ordered comparison check."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be ≥ {low}, got {value!r}")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -50,11 +51,12 @@ def numerical_rank(m, tol_factor: float = 1e-10) -> int:
     whose rank r is below both block dimensions contributes the singular
     values of its r x r core s (R_B R_A^T), with R_B and R_A the
     triangular QR factors of B and A^T; every other block contributes
-    the singular values of its update.  The tolerance is scale-aware;
-    the zero matrix and the zero update have rank 0.
+    the singular values of its update.  The tolerance is scale-aware,
+    and tol_factor must be finite and positive; the zero matrix and the
+    zero update have rank 0.
     """
-    if tol_factor <= 0:
-        raise ValidationError(f"tol_factor must be positive, got {tol_factor}")
+    if not (math.isfinite(tol_factor) and tol_factor > 0):
+        raise ValidationError(f"tol_factor must be finite and positive, got {tol_factor}")
     if isinstance(m, Adapter):
         shape = m.shape
         s = np.concatenate([_block_singular_values(blk) for blk in m.blocks()])

@@ -20,10 +20,22 @@ as it computes the whole.
 
 The host output x @ w0^T (n d_out d_in) is computed once per train or
 grad_check call; a step adds O(n d_out) elementwise work on the output.
+
+train keeps the factors, their gradients and the two AdamW moments in
+one flat float64 buffer each, with a reshaped view per A_k and B_k, and
+builds the block list once over the factor views.  The gradients are
+written into their views, and one AdamW update runs over the whole
+buffer per step, whatever K is.  AdamW is elementwise, so every entry
+goes through the same operations as in a per-tensor update and the
+results are the same bit for bit.  At entry the caller's factors and
+moments are copied into the buffers; on return or on any exception they
+are copied back into the same array objects, so adapter.A/B and the
+TrainState moments hold every update made, and state.step counts them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,13 +159,13 @@ def _check_host(adapter, w0, x) -> tuple[np.ndarray, np.ndarray]:
     return w0, x
 
 
-def _add_update(adapter, x, out) -> np.ndarray:
+def _add_update(blocks, x, out) -> np.ndarray:
     """Add x @ delta^T into out block by block and return out.
 
     Block k adds x[:, cols_k] @ U_k^T to out[:, rows_k], where U_k is the
     block's own update; the full update matrix is never formed.
     """
-    for blk in adapter.blocks():
+    for blk in blocks:
         out[:, blk.row0:blk.row1] += x[:, blk.col0:blk.col1] @ blk.update().T
     return out
 
@@ -161,7 +173,7 @@ def _add_update(adapter, x, out) -> np.ndarray:
 def forward(adapter, w0, x) -> np.ndarray:
     """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
     w0, x = _check_host(adapter, w0, x)
-    return _add_update(adapter, x, x @ w0.T)
+    return _add_update(adapter.blocks(), x, x @ w0.T)
 
 
 @dataclass
@@ -170,21 +182,30 @@ class Gradients:
     B: list[np.ndarray]
 
 
-def _factor_grads(adapter, x, upstream) -> Gradients:
-    """Factor gradients from each block's own slice of the upstream gradient.
+def _factor_grads(blocks, x, upstream, grads_a, grads_b) -> None:
+    """Write the factor gradients from each block's own slice of the
+    upstream gradient into grads_a and grads_b.
 
     With u = upstream[:, rows_k] and x_k = x[:, cols_k], block k forms
     G_k = u^T x_k, masked where the block has a mask, and takes
     dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
     """
-    grads_a, grads_b = [], []
-    for blk in adapter.blocks():
+    for blk, grad_a, grad_b in zip(blocks, grads_a, grads_b):
         gk = upstream[:, blk.row0:blk.row1].T @ x[:, blk.col0:blk.col1]
         if blk.mask is not None:
             gk *= blk.mask
-        grads_b.append(blk.scale * (gk @ blk.A.T))
-        grads_a.append(blk.scale * (blk.B.T @ gk))
-    return Gradients(A=grads_a, B=grads_b)
+        np.matmul(gk, blk.A.T, out=grad_b)
+        grad_b *= blk.scale
+        np.matmul(blk.B.T, gk, out=grad_a)
+        grad_a *= blk.scale
+
+
+def _gradients(blocks, x, upstream) -> Gradients:
+    """The factor gradients of the blocks, in new arrays."""
+    grads = Gradients(A=[np.empty(blk.A.shape) for blk in blocks],
+                      B=[np.empty(blk.B.shape) for blk in blocks])
+    _factor_grads(blocks, x, upstream, grads.A, grads.B)
+    return grads
 
 
 def backward(adapter, w0, x, upstream_grad) -> Gradients:
@@ -197,7 +218,7 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
             f"upstream gradient shape {upstream.shape} does not match "
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
-    return _factor_grads(adapter, x, upstream)
+    return _gradients(adapter.blocks(), x, upstream)
 
 
 def mse(pred: np.ndarray, targets: np.ndarray) -> float:
@@ -239,9 +260,10 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
     if not 1e-7 <= h <= 1e-3:
         raise ValidationError(f"step h must be in [1e-7, 1e-3], got {h}")
     w0, x = _check_host(adapter, w0, task.inputs)
+    blocks = adapter.blocks()
     base = x @ w0.T
-    resid = _add_update(adapter, x, base.copy()) - task.targets
-    grads = _factor_grads(adapter, x, (2.0 / resid.size) * resid)
+    resid = _add_update(blocks, x, base.copy()) - task.targets
+    grads = _gradients(blocks, x, (2.0 / resid.size) * resid)
     offset = 2.0 * (base - task.targets)
 
     entries = []
@@ -267,9 +289,9 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
         tensor = adapter.A[k] if role == "A" else adapter.B[k]
         orig = tensor[i, j]
         tensor[i, j] = orig + h
-        plus = _add_update(adapter, x, np.zeros_like(offset))
+        plus = _add_update(blocks, x, np.zeros_like(offset))
         tensor[i, j] = orig - h
-        minus = _add_update(adapter, x, np.zeros_like(offset))
+        minus = _add_update(blocks, x, np.zeros_like(offset))
         tensor[i, j] = orig
         numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * h)
         analytic = getattr(grads, role)[k][i, j]
@@ -314,15 +336,19 @@ class TrainState:
 
 
 def _check_moments(state: TrainState, adapter) -> None:
-    """Raise ValidationError unless every moment has its factor's shape."""
+    """Raise ValidationError unless every moment is a float64 array of its
+    factor's shape, which train can copy its results back into."""
     for name, factors in (("m_A", adapter.A), ("v_A", adapter.A),
                           ("m_B", adapter.B), ("v_B", adapter.B)):
-        have = [np.shape(m) for m in getattr(state, name)]
+        moments = getattr(state, name)
+        have = [np.shape(m) for m in moments]
         want = [f.shape for f in factors]
         if have != want:
             raise ValidationError(
                 f"TrainState.{name} has shapes {have}, but the adapter factors have {want}"
             )
+        if not all(isinstance(m, np.ndarray) and m.dtype == np.float64 for m in moments):
+            raise ValidationError(f"TrainState.{name} must hold float64 arrays")
 
 
 def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
@@ -337,6 +363,15 @@ def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
     param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
+def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of flat, one per shape."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return views
+
+
 def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None) -> np.ndarray:
     """Full-batch AdamW on the adapter factors; returns the loss trace.
 
@@ -348,6 +383,12 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
     ValidationError before any parameter changes.  Raises
     DivergenceError (with the step index) if the loss leaves the finite
     range.
+
+    The factors, their gradients and both moments live in one flat
+    buffer each for the call, laid out A_0..A_{K-1}, B_0..B_{K-1}, so a
+    step is one AdamW update over all of them.  The buffers are copied
+    back into the caller's arrays (the same objects) when the call
+    returns or raises, so a later call resumes where this one stopped.
     """
     if steps < 1:
         raise ValidationError(f"steps must be ≥ 1, got {steps}")
@@ -356,24 +397,34 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
     _check_moments(state, adapter)
     w0, x = _check_host(adapter, task.w0, task.inputs)
     base = x @ w0.T
+    K = len(adapter.A)
+    caller = (adapter.A + adapter.B, state.m_A + state.m_B, state.v_A + state.v_B)
+    params, m, v = (np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+                    for arrays in caller)
+    grads = np.empty_like(params)
+    shapes = [a.shape for a in caller[0]]
+    param_views, grad_views = _flat_views(params, shapes), _flat_views(grads, shapes)
+    blocks = [blk._replace(A=param_views[k], B=param_views[K + k])
+              for k, blk in enumerate(adapter.blocks())]
     trace = np.empty(steps + 1)
-    for i in range(steps + 1):
-        resid = _add_update(adapter, x, base.copy())
-        resid -= task.targets
-        loss = float(np.mean(resid ** 2))
-        trace[i] = loss
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training diverged: non-finite loss at step {i}")
-        if i == steps:
-            break
-        resid *= 2.0 / resid.size
-        grads = _factor_grads(adapter, x, resid)
-        state.step += 1
-        for k in range(len(adapter.A)):
-            _adamw_update(adapter.A[k], grads.A[k], state.m_A[k], state.v_A[k],
-                          state.step, state)
-            _adamw_update(adapter.B[k], grads.B[k], state.m_B[k], state.v_B[k],
-                          state.step, state)
+    try:
+        for i in range(steps + 1):
+            resid = _add_update(blocks, x, base.copy())
+            resid -= task.targets
+            loss = float(np.mean(resid ** 2))
+            trace[i] = loss
+            if not math.isfinite(loss):
+                raise DivergenceError(f"training diverged: non-finite loss at step {i}")
+            if i == steps:
+                break
+            resid *= 2.0 / resid.size
+            _factor_grads(blocks, x, resid, grad_views[:K], grad_views[K:])
+            state.step += 1
+            _adamw_update(params, grads, m, v, state.step, state)
+    finally:
+        for flat, arrays in zip((params, m, v), caller):
+            for view, array in zip(_flat_views(flat, shapes), arrays):
+                array[...] = view
     return trace
 
 

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smoa import matrix_io, rank_analysis
 from smoa.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -125,6 +129,17 @@ def test_rank_bench_bad_field_value_exits_1(capsys, tmp_path, field, value, mess
                            "--out", str(tmp_path / "r.csv"))
     assert code == 1
     assert message in err
+
+
+def test_rank_bench_nan_tolerance_exits_1(capsys, tmp_path):
+    # json writes and reads NaN, which once ranked every row 0 and exited 0
+    cfg = write_sweep_config(tmp_path, tol_factor=float("nan"))
+    assert '"tol_factor": NaN' in cfg.read_text()
+    out_csv = tmp_path / "r.csv"
+    code, _, err = run_cli(capsys, "rank-bench", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert "tol_factor must be finite" in err
+    assert not out_csv.exists()
 
 
 def test_rank_bench_missing_config_exits_3(capsys, tmp_path):
@@ -247,10 +262,12 @@ def test_gradcheck_corruption_exits_2(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "smoa", "gradcheck", "--d", "8", "--k", "2", "--r", "4",
          "--method", "lora"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "max relative error" in result.stdout

@@ -235,6 +235,28 @@ def test_train_config_strict_and_defaults():
         matrix_io.train_config_from_dict({**raw, "target_rank": 65})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: matrix_io.SweepConfig(methods=["lora"], d=8, r_values=[2], K_values=[1],
+                                  n_seeds=1, tol_factor=float("nan")),
+    lambda: matrix_io.SweepConfig(methods=["lora"], d=8, r_values=[2], K_values=[1],
+                                  n_seeds=1, tol_factor=float("inf")),
+    lambda: matrix_io.TrainConfig(d=8, target_rank=2, n_samples=8, seed=0,
+                                  beta1=float("nan")),
+    lambda: matrix_io.TrainConfig(d=8, target_rank=2, n_samples=8, seed=0,
+                                  weight_decay=float("inf")),
+    lambda: matrix_io.TrainConfig(d=8, target_rank=2, n_samples=8, seed=0,
+                                  learning_rate=float("-inf")),
+    lambda: matrix_io.TrainConfig(d=8, target_rank=2, n_samples=8, seed=0,
+                                  noise_std=float("nan")),
+    lambda: matrix_io.RunConfig(d_out=4, d_in=4, K=1, r=2, seed=0, alpha=float("inf")),
+    lambda: matrix_io.RunConfig(d_out=4, d_in=4, K=1, r=2, seed=0, init_std=float("nan")),
+], ids=["sweep-tol-nan", "sweep-tol-inf", "train-beta1-nan", "train-weight-decay-inf",
+        "train-lr-minus-inf", "train-noise-nan", "run-alpha-inf", "run-init-std-nan"])
+def test_configs_reject_non_finite_floats(make):
+    with pytest.raises(ValidationError, match="must be finite"):
+        make()
+
+
 def test_train_config_run_config_ignores_k_for_full_matrix_methods():
     cfg = matrix_io.train_config_from_dict(
         {"d": 64, "target_rank": 8, "n_samples": 64, "seed": 1, "r": 8, "K": 2}

@@ -38,6 +38,12 @@ def test_numerical_rank_rejects_bad_tolerance():
         rank_analysis.numerical_rank(np.eye(2), tol_factor=0.0)
 
 
+@pytest.mark.parametrize("tol_factor", [float("nan"), float("inf"), float("-inf")])
+def test_numerical_rank_rejects_non_finite_tolerance(tol_factor):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        rank_analysis.numerical_rank(np.eye(4), tol_factor)
+
+
 def fake_partition(sizes):
     edges = np.cumsum([0] + list(sizes))
     sets = tuple(np.arange(edges[k], edges[k + 1]) for k in range(len(sizes)))

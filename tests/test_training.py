@@ -226,8 +226,13 @@ def test_train_diverged_loss_raises_with_step():
     base = training.make_task(8, 2, 10, 0.0, seed=20)
     task = dataclasses.replace(base, targets=np.full_like(base.targets, 1e200))
     adapter = adapters.build_adapter("smoa", small_cfg(seed=20), base.w0)
+    state = training.TrainState.for_adapter(adapter)
+    before = [t.tobytes() for t in adapter.A + adapter.B]
     with pytest.raises(training.DivergenceError, match="step 0"):
-        training.train(adapter, task, 10)
+        training.train(adapter, task, 10, state)
+    assert [t.tobytes() for t in adapter.A + adapter.B] == before
+    assert state.step == 0
+    assert not any(m.any() for m in state.m_A + state.v_A + state.m_B + state.v_B)
 
 
 def test_train_preserves_frozen_tensors():
@@ -276,6 +281,19 @@ def test_train_rejects_bare_state():
     adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
     with pytest.raises(ValidationError, match="TrainState.m_A"):
         training.train(adapter, task, 3, training.TrainState())
+
+
+@pytest.mark.parametrize("convert", [np.ndarray.tolist, lambda m: m.astype(np.float32)])
+def test_train_rejects_moments_it_cannot_write_back(convert):
+    task = training.make_task(8, 2, 10, 0.0, seed=25)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
+    state = training.TrainState.for_adapter(adapter)
+    state.v_B = [convert(v) for v in state.v_B]
+    before = [t.tobytes() for t in adapter.A + adapter.B]
+    with pytest.raises(ValidationError, match="TrainState.v_B must hold float64 arrays"):
+        training.train(adapter, task, 3, state)
+    assert [t.tobytes() for t in adapter.A + adapter.B] == before
+    assert state.step == 0
 
 
 @pytest.mark.parametrize("other_cfg", [
@@ -408,3 +426,104 @@ def test_train_trace_matches_dense_reference_loop(method):
     assert_allclose(trace, ref_trace, rtol=1e-9)
     for got, want in zip(adapter.A + adapter.B, ref.A + ref.B):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# Per-tensor reference for the flat-buffer optimizer: the step as it was
+# before train kept its factors and moments in one buffer each, built from
+# forward, backward and one AdamW update per tensor.  AdamW is elementwise,
+# so train must match it bit for bit.
+
+def per_tensor_train(adapter, task, steps, state):
+    trace = []
+    for i in range(steps + 1):
+        resid = training.forward(adapter, task.w0, task.inputs) - task.targets
+        trace.append(float(np.mean(resid ** 2)))
+        if i == steps or not np.isfinite(trace[-1]):
+            break
+        grads = training.backward(adapter, task.w0, task.inputs, resid * (2.0 / resid.size))
+        state.step += 1
+        for k in range(len(adapter.A)):
+            training._adamw_update(adapter.A[k], grads.A[k], state.m_A[k], state.v_A[k],
+                                   state.step, state)
+            training._adamw_update(adapter.B[k], grads.B[k], state.m_B[k], state.v_B[k],
+                                   state.step, state)
+    return np.array(trace)
+
+
+def assert_same_run(adapter, state, ref, ref_state):
+    assert state.step == ref_state.step
+    for name in ("A", "B"):
+        for got, want in zip(getattr(adapter, name), getattr(ref, name)):
+            assert np.array_equal(got, want)
+    for name in ("m_A", "v_A", "m_B", "v_B"):
+        have, want = getattr(state, name), getattr(ref_state, name)
+        assert len(have) == len(want)
+        for got, expected in zip(have, want):
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("method, weight_decay", [
+    *((m, 0.0) for m in adapters.METHODS),
+    ("smoa", 0.05),
+])
+def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
+    # K=3 at d=16 gives blocks of 6, 5 and 5 rows and columns
+    task = training.make_task(16, 6, 40, 0.01, seed=29, target_blocks=3)
+    cfg = small_cfg(d=16, K=3, r=6, seed=29)
+    settings_ = dict(learning_rate=1e-2, weight_decay=weight_decay)
+    adapter = adapters.build_adapter(method, cfg, task.w0)
+    state = training.TrainState.for_adapter(adapter, **settings_)
+    trace = training.train(adapter, task, 40, state)
+
+    ref = adapters.build_adapter(method, cfg, task.w0)
+    ref_state = training.TrainState.for_adapter(ref, **settings_)
+    ref_trace = per_tensor_train(ref, task, 40, ref_state)
+    assert np.array_equal(trace, ref_trace)
+    assert_same_run(adapter, state, ref, ref_state)
+
+
+def test_train_makes_one_adamw_update_per_step(monkeypatch):
+    calls = []
+    update = training._adamw_update
+    monkeypatch.setattr(training, "_adamw_update",
+                        lambda *args: calls.append(args[4]) or update(*args))
+    task = training.make_task(16, 4, 32, 0.0, seed=30)
+    adapter = adapters.build_adapter("smoa", small_cfg(d=16, K=4, r=8, seed=30), task.w0)
+    training.train(adapter, task, 5)
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def test_train_resumes_in_place_bit_for_bit():
+    task = training.make_task(16, 4, 32, 0.0, seed=31, target_blocks=2)
+    cfg = small_cfg(d=16, K=2, r=4, seed=31)
+    adapter = adapters.build_adapter("smoa", cfg, task.w0)
+    state = training.TrainState.for_adapter(adapter, learning_rate=1e-2)
+    objects = [id(t) for t in adapter.A + adapter.B + state.m_A + state.v_A
+               + state.m_B + state.v_B]
+    first = training.train(adapter, task, 7, state)
+    second = training.train(adapter, task, 13, state)
+    assert [id(t) for t in adapter.A + adapter.B + state.m_A + state.v_A
+            + state.m_B + state.v_B] == objects
+
+    ref = adapters.build_adapter("smoa", cfg, task.w0)
+    ref_state = training.TrainState.for_adapter(ref, learning_rate=1e-2)
+    single = training.train(ref, task, 20, ref_state)
+    assert np.array_equal(first, single[:8])
+    assert second[0] == single[7]
+    assert np.array_equal(second, single[7:])
+    assert_same_run(adapter, state, ref, ref_state)
+
+
+def test_train_divergence_writes_back_the_updates_made():
+    task = training.make_task(8, 2, 10, 0.0, seed=20)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=20), task.w0)
+    state = training.TrainState.for_adapter(adapter, learning_rate=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(training.DivergenceError, match="step 1"):
+            training.train(adapter, task, 10, state)
+        ref = adapters.build_adapter("smoa", small_cfg(seed=20), task.w0)
+        ref_state = training.TrainState.for_adapter(ref, learning_rate=1e200)
+        per_tensor_train(ref, task, 10, ref_state)
+    assert state.step == 1
+    assert_same_run(adapter, state, ref, ref_state)
+
