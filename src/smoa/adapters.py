@@ -17,7 +17,7 @@ methods differ only in their layout and masks:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,15 +111,21 @@ class Adapter:
     block of the k-th modulation tensor for ``smoa``, the W0 copy for
     ``hadamard_w0``.  partition is the energy partition behind the smoa
     masks.  The constructor rejects any adapter whose parts disagree.
+
+    The trainable state is one flat float64 buffer, params, laid out
+    A_0, B_0, A_1, B_1, ...  The constructor copies the given factors into
+    it and makes A and B tuples of reshaped views of it, so writing into
+    adapter.A[k] writes params, and adapter.A[k] cannot be rebound.
     """
 
     kind: str
     layout: BlockLayout
-    A: list[np.ndarray]
-    B: list[np.ndarray]
+    A: tuple[np.ndarray, ...]
+    B: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray | None, ...]
     scale: tuple[float, ...]
     partition: EnergyPartition | None = None
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in METHODS:
@@ -150,6 +156,9 @@ class Adapter:
                     or not np.array_equal(np.concatenate(sets), np.arange(p))):
                 raise ValidationError(f"the partition must split 0..{p - 1} into {K} contiguous "
                                       f"index sets in order, with one share each")
+        self.params = np.concatenate([np.ravel(t) for pair in zip(self.A, self.B) for t in pair],
+                                     dtype=np.float64)
+        self.A, self.B = self.factor_views(self.params)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -158,6 +167,19 @@ class Adapter:
     @property
     def r_per_subspace(self) -> tuple[int, ...]:
         return tuple(a.shape[0] for a in self.A)
+
+    @property
+    def factor_shapes(self) -> tuple[tuple[int, int], ...]:
+        """The shapes of A_0, B_0, A_1, B_1, ..., in the order of params."""
+        return tuple(t.shape for pair in zip(self.A, self.B) for t in pair)
+
+    def factor_views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Reshaped views of a params-sized buffer: the A_k views, then the B_k views."""
+        views, start = [], 0
+        for rows, cols in self.factor_shapes:
+            views.append(flat[start:start + rows * cols].reshape(rows, cols))
+            start += rows * cols
+        return tuple(views[0::2]), tuple(views[1::2])
 
     def blocks(self) -> list[Block]:
         return [
@@ -241,18 +263,17 @@ def param_count(method: str, cfg: RunConfig) -> int:
 
 
 def trainable_parameter_count(adapter) -> int:
-    return sum(a.size + b.size for a, b in zip(adapter.A, adapter.B))
+    return adapter.params.size
 
 
 def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> None:
     """Fill every A_k and B_k with i.i.d. Gaussian entries, in place.
 
-    Rank sweeps use this to measure achievable rank; the zero-init state
-    would make every measured rank 0.
+    One draw fills params; in its A_0, B_0, A_1, B_1, ... order that equals
+    one draw per tensor in that order.  Rank sweeps use this to measure
+    achievable rank; the zero-init state would make every measured rank 0.
     """
-    for k in range(len(adapter.A)):
-        adapter.A[k][...] = rng.normal(0.0, std, size=adapter.A[k].shape)
-        adapter.B[k][...] = rng.normal(0.0, std, size=adapter.B[k].shape)
+    adapter.params[...] = rng.normal(0.0, std, size=adapter.params.size)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +332,9 @@ def load_adapter(prefix) -> Adapter:
     """Read an adapter written by save_adapter.
 
     A manifest that is not valid JSON, is not an object, lacks a key or a
-    tensor entry the adapter needs, or disagrees with its tensors or with
-    itself raises FormatError.
+    tensor entry the adapter needs, lists a tensor entry twice or one the
+    adapter has no place for, or disagrees with its tensors or with itself
+    raises FormatError.
     """
     prefix = Path(prefix)
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
@@ -335,15 +357,6 @@ def load_adapter(prefix) -> Adapter:
 
 
 def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
-    by_role: dict[tuple[str, int], np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        arr = matrix_io.read_matrix(folder / entry["file"])
-        if list(arr.shape) != entry["shape"]:
-            raise FormatError(
-                f"tensor {entry['file']} has shape {list(arr.shape)}, "
-                f"manifest says {entry['shape']}"
-            )
-        by_role[(entry["role"], entry["subspace"])] = arr
     K = manifest["K"]
     layout = block_layout(manifest["d_out"], manifest["d_in"], K)
     ranges = [[list(rr) for rr in layout.row_ranges], [list(cr) for cr in layout.col_ranges]]
@@ -351,6 +364,21 @@ def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
         raise FormatError(f"row and column ranges are not the {K}-block layout {ranges} "
                           f"of a {layout.shape[0]}x{layout.shape[1]} weight")
     role = _mask_role(manifest["kind"])
+    by_role: dict[tuple[str, int], np.ndarray] = {}
+    for entry in manifest["tensors"]:
+        key = (entry["role"], entry["subspace"])
+        if key[0] not in ("A", "B", role) or key[1] not in range(K):
+            raise FormatError(f"unexpected tensor entry {key[0]}{key[1]} "
+                              f"for a {K}-block {manifest['kind']} adapter")
+        if key in by_role:
+            raise FormatError(f"tensor entry {key[0]}{key[1]} is listed twice")
+        arr = matrix_io.read_matrix(folder / entry["file"])
+        if list(arr.shape) != entry["shape"]:
+            raise FormatError(
+                f"tensor {entry['file']} has shape {list(arr.shape)}, "
+                f"manifest says {entry['shape']}"
+            )
+        by_role[key] = arr
     masks = tuple(by_role.get((role, k)) for k in range(K))
     for mask in masks:
         if mask is not None:

@@ -174,21 +174,8 @@ class RunConfig:
             raise ValidationError(f"init_std must be positive, got {self.init_std}")
 
 
-_RUN_FIELDS = frozenset(RunConfig.__dataclass_fields__)
-
-
-def config_from_dict(raw: dict) -> RunConfig:
-    """Strict construction: unknown keys are rejected to catch typos."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _RUN_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown config field(s): {', '.join(unknown)}")
-    return RunConfig(**raw)
-
-
 def read_config(path) -> RunConfig:
-    return config_from_dict(_load_json(path))
+    return config_from_dict(RunConfig, _load_json(path))
 
 
 def write_config(cfg: RunConfig, path) -> None:
@@ -203,7 +190,7 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read config from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{path}: malformed JSON: {exc}") from exc
 
 
@@ -250,20 +237,8 @@ class SweepConfig:
         }
 
 
-_SWEEP_FIELDS = frozenset(SweepConfig.__dataclass_fields__)
-
-
-def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"sweep config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _SWEEP_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown sweep config field(s): {', '.join(unknown)}")
-    return SweepConfig(**raw)
-
-
 def read_sweep_config(path) -> SweepConfig:
-    return sweep_config_from_dict(_load_json(path))
+    return config_from_dict(SweepConfig, _load_json(path))
 
 
 @dataclass(frozen=True)
@@ -328,20 +303,23 @@ class TrainConfig:
                          init_std=self.init_std)
 
 
-_TRAIN_FIELDS = frozenset(TrainConfig.__dataclass_fields__)
-
-
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"train config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _TRAIN_FIELDS)
-    if unknown:
-        raise ValidationError(f"unknown train config field(s): {', '.join(unknown)}")
-    return TrainConfig(**raw)
-
-
 def read_train_config(path) -> TrainConfig:
-    return train_config_from_dict(_load_json(path))
+    return config_from_dict(TrainConfig, _load_json(path))
+
+
+_CONFIG_NAMES = {RunConfig: "config", SweepConfig: "sweep config", TrainConfig: "train config"}
+
+
+def config_from_dict(cls, raw: dict):
+    """Strict construction of a RunConfig, SweepConfig or TrainConfig:
+    unknown keys are rejected to catch typos."""
+    name = _CONFIG_NAMES[cls]
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(f"unknown {name} field(s): {', '.join(unknown)}")
+    return cls(**raw)
 
 
 def write_report(rows, path) -> None:

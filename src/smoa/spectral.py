@@ -1,7 +1,7 @@
 """Spectral decomposition of a frozen weight and its energy-balanced partition.
 
 The pipeline is: SVD of the weight, cumulative spectral energy over the
-singular values (first powers by default), deterministic split of the
+singular values (first powers), deterministic split of the
 singular directions into K contiguous index sets by evenly dividing the
 cumulative energy, and reconstruction of one frozen modulation tensor per
 subspace from its singular triples.
@@ -34,10 +34,6 @@ class SpectralDecomposition:
     U: np.ndarray
     sigma: np.ndarray
     Vt: np.ndarray
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.Vt.T
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,13 +82,11 @@ def decompose(w0) -> SpectralDecomposition:
     return SpectralDecomposition(U=U, sigma=sigma, Vt=Vt)
 
 
-def cumulative_energy(sigma, exponent: float = 1.0) -> np.ndarray:
+def cumulative_energy(sigma) -> np.ndarray:
     """Cumulative spectral energy E(i) = sum_{j<=i} sigma_j / sum_j sigma_j.
 
     sigma must be non-negative, non-increasing, and not all zero.  The
     ratio uses the running partial sums, so E(p) equals 1.0 exactly.
-    The optional exponent applies sigma**exponent before accumulating
-    (1.0 keeps first powers; 2.0 explores squared-energy splits).
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -103,8 +97,6 @@ def cumulative_energy(sigma, exponent: float = 1.0) -> np.ndarray:
         raise ValidationError("sigma must be non-increasing")
     if s[0] == 0.0:
         raise NumericalError("degenerate spectrum: all singular values are zero")
-    if exponent != 1.0:
-        s = s ** exponent
     partial = np.cumsum(s)
     return partial / partial[-1]
 

@@ -21,22 +21,21 @@ as it computes the whole.
 The host output x @ w0^T (n d_out d_in) is computed once per train or
 grad_check call; a step adds O(n d_out) elementwise work on the output.
 
-train keeps the factors, their gradients and the two AdamW moments in
-one flat float64 buffer each, with a reshaped view per A_k and B_k, and
-builds the block list once over the factor views.  The gradients are
-written into their views, and one AdamW update runs over the whole
-buffer per step, whatever K is.  AdamW is elementwise, so every entry
-goes through the same operations as in a per-tensor update and the
-results are the same bit for bit.  At entry the caller's factors and
-moments are copied into the buffers; on return or on any exception they
-are copied back into the same array objects, so adapter.A/B and the
+The adapter's factors live in one flat float64 buffer, adapter.params,
+with A_k and B_k as reshaped views of it.  train lays the gradients out
+in a buffer of the same layout, and the TrainState holds both AdamW
+moments that way, so one AdamW update over the whole buffer runs per
+step, whatever K is, and updates the factors in place.  AdamW is
+elementwise, so every entry goes through the same operations as in a
+per-tensor update and the results are the same bit for bit.  Nothing is
+copied in or out: when train returns or raises, adapter.params and the
 TrainState moments hold every update made, and state.step counts them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,12 +305,14 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
 
 @dataclass
 class TrainState:
-    """Optimizer constants plus per-tensor moment accumulators.
+    """Optimizer constants plus the two AdamW moments of an adapter's factors.
 
     Defaults follow the usual decoupled-weight-decay setup: beta1=0.9,
     beta2=0.999, epsilon=1e-8, weight_decay=0, learning rate 1e-3.
-    for_adapter makes the zeroed moments; a bare TrainState() has none,
-    and train rejects it.
+    m and v are flat float64 buffers laid out like adapter.params, and
+    factor_shapes holds the factor shapes they were made for.  for_adapter
+    makes the zeroed moments; a bare TrainState() has none, and train
+    rejects it.
     """
 
     learning_rate: float = 1e-3
@@ -320,35 +321,29 @@ class TrainState:
     epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    m_A: list[np.ndarray] = field(default_factory=list)
-    v_A: list[np.ndarray] = field(default_factory=list)
-    m_B: list[np.ndarray] = field(default_factory=list)
-    v_B: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    factor_shapes: tuple[tuple[int, int], ...] = ()
 
     @classmethod
     def for_adapter(cls, adapter, **kwargs) -> "TrainState":
-        state = cls(**kwargs)
-        state.m_A = [np.zeros_like(a) for a in adapter.A]
-        state.v_A = [np.zeros_like(a) for a in adapter.A]
-        state.m_B = [np.zeros_like(b) for b in adapter.B]
-        state.v_B = [np.zeros_like(b) for b in adapter.B]
-        return state
+        return cls(**kwargs, m=np.zeros_like(adapter.params), v=np.zeros_like(adapter.params),
+                   factor_shapes=adapter.factor_shapes)
 
 
 def _check_moments(state: TrainState, adapter) -> None:
-    """Raise ValidationError unless every moment is a float64 array of its
-    factor's shape, which train can copy its results back into."""
-    for name, factors in (("m_A", adapter.A), ("v_A", adapter.A),
-                          ("m_B", adapter.B), ("v_B", adapter.B)):
-        moments = getattr(state, name)
-        have = [np.shape(m) for m in moments]
-        want = [f.shape for f in factors]
-        if have != want:
-            raise ValidationError(
-                f"TrainState.{name} has shapes {have}, but the adapter factors have {want}"
-            )
-        if not all(isinstance(m, np.ndarray) and m.dtype == np.float64 for m in moments):
-            raise ValidationError(f"TrainState.{name} must hold float64 arrays")
+    """Raise ValidationError unless state was made for factors of the
+    adapter's shapes and both moments are float64 arrays of params' shape,
+    which train updates in place."""
+    if state.factor_shapes != adapter.factor_shapes:
+        raise ValidationError(f"TrainState was made for factor shapes {state.factor_shapes}, "
+                              f"but the adapter factors have {adapter.factor_shapes}")
+    for name in ("m", "v"):
+        moment = getattr(state, name)
+        if not (isinstance(moment, np.ndarray) and moment.dtype == np.float64
+                and moment.shape == adapter.params.shape):
+            raise ValidationError(f"TrainState.{name} must be a float64 array of "
+                                  f"{adapter.params.size} entries")
 
 
 def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
@@ -363,15 +358,6 @@ def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
     param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
-def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of flat, one per shape."""
-    views, start = [], 0
-    for rows, cols in shapes:
-        views.append(flat[start:start + rows * cols].reshape(rows, cols))
-        start += rows * cols
-    return views
-
-
 def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None) -> np.ndarray:
     """Full-batch AdamW on the adapter factors; returns the loss trace.
 
@@ -384,11 +370,10 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
     DivergenceError (with the step index) if the loss leaves the finite
     range.
 
-    The factors, their gradients and both moments live in one flat
-    buffer each for the call, laid out A_0..A_{K-1}, B_0..B_{K-1}, so a
-    step is one AdamW update over all of them.  The buffers are copied
-    back into the caller's arrays (the same objects) when the call
-    returns or raises, so a later call resumes where this one stopped.
+    A step is one AdamW update over adapter.params, a gradient buffer
+    of the same layout and the state's moments, in place, so when the
+    call returns or raises the adapter and the state hold every update
+    made, and a later call resumes where this one stopped.
     """
     if steps < 1:
         raise ValidationError(f"steps must be ≥ 1, got {steps}")
@@ -397,34 +382,23 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
     _check_moments(state, adapter)
     w0, x = _check_host(adapter, task.w0, task.inputs)
     base = x @ w0.T
-    K = len(adapter.A)
-    caller = (adapter.A + adapter.B, state.m_A + state.m_B, state.v_A + state.v_B)
-    params, m, v = (np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-                    for arrays in caller)
-    grads = np.empty_like(params)
-    shapes = [a.shape for a in caller[0]]
-    param_views, grad_views = _flat_views(params, shapes), _flat_views(grads, shapes)
-    blocks = [blk._replace(A=param_views[k], B=param_views[K + k])
-              for k, blk in enumerate(adapter.blocks())]
+    blocks = adapter.blocks()
+    grads = np.empty_like(adapter.params)
+    grads_a, grads_b = adapter.factor_views(grads)
     trace = np.empty(steps + 1)
-    try:
-        for i in range(steps + 1):
-            resid = _add_update(blocks, x, base.copy())
-            resid -= task.targets
-            loss = float(np.mean(resid ** 2))
-            trace[i] = loss
-            if not math.isfinite(loss):
-                raise DivergenceError(f"training diverged: non-finite loss at step {i}")
-            if i == steps:
-                break
-            resid *= 2.0 / resid.size
-            _factor_grads(blocks, x, resid, grad_views[:K], grad_views[K:])
-            state.step += 1
-            _adamw_update(params, grads, m, v, state.step, state)
-    finally:
-        for flat, arrays in zip((params, m, v), caller):
-            for view, array in zip(_flat_views(flat, shapes), arrays):
-                array[...] = view
+    for i in range(steps + 1):
+        resid = _add_update(blocks, x, base.copy())
+        resid -= task.targets
+        loss = float(np.mean(resid ** 2))
+        trace[i] = loss
+        if not math.isfinite(loss):
+            raise DivergenceError(f"training diverged: non-finite loss at step {i}")
+        if i == steps:
+            break
+        resid *= 2.0 / resid.size
+        _factor_grads(blocks, x, resid, grads_a, grads_b)
+        state.step += 1
+        _adamw_update(adapter.params, grads, state.m, state.v, state.step, state)
     return trace
 
 

@@ -258,6 +258,55 @@ def test_save_load_roundtrip(method, tmp_path):
     assert loaded.scale == tuple(adapter.scale)
 
 
+def assert_factors_view_params(adapter):
+    # params laid out A_0, B_0, A_1, B_1, ...: a write into params shows in
+    # every factor, at its offset
+    adapter.params[...] = np.arange(adapter.params.size)
+    start = 0
+    for a, b in zip(adapter.A, adapter.B):
+        for t in (a, b):
+            assert_array_equal(t.ravel(), np.arange(start, start + t.size))
+            start += t.size
+    assert start == adapter.params.size == adapters.trainable_parameter_count(adapter)
+    assert adapter.params.dtype == np.float64
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_factors_are_views_of_params(method, tmp_path):
+    cfg = cfg64(K=3, r=7, d_in=40)
+    adapter = adapters.build_adapter(method, cfg, random_weight(64, 40,
+                                                                np.random.default_rng(5)))
+    assert_factors_view_params(adapter)
+    adapters.save_adapter(adapter, tmp_path / "ckpt")
+    assert_factors_view_params(adapters.load_adapter(tmp_path / "ckpt"))
+    A = [np.ones(a.shape) for a in adapter.A]
+    replaced = dataclasses.replace(adapter, A=A)
+    assert_factors_view_params(replaced)
+    assert not np.shares_memory(replaced.params, adapter.params)
+    assert all(np.all(a == 1.0) for a in A)  # the constructor copied them
+
+
+def test_factors_cannot_be_rebound():
+    adapter = adapters.build_adapter("smoa", cfg64(), random_weight(64, 64,
+                                                                    np.random.default_rng(6)))
+    with pytest.raises(TypeError):
+        adapter.A[0] = np.zeros(adapter.A[0].shape)
+    with pytest.raises(TypeError):
+        adapter.B[1] = np.zeros(adapter.B[1].shape)
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_randomize_factors_equals_per_tensor_draws(method):
+    # reference: one draw per tensor, in the order A_0, B_0, A_1, B_1, ...
+    w0 = random_weight(64, 64, np.random.default_rng(7))
+    adapter = adapters.build_adapter(method, cfg64(K=3, r=9), w0)
+    adapters.randomize_factors(adapter, np.random.default_rng(8), std=0.3)
+    rng = np.random.default_rng(8)
+    for a, b in zip(adapter.A, adapter.B):
+        assert_array_equal(a, rng.normal(0.0, 0.3, size=a.shape))
+        assert_array_equal(b, rng.normal(0.0, 0.3, size=b.shape))
+
+
 def test_randomize_factors_is_seed_deterministic():
     cfg = cfg64()
     w0 = random_weight(64, 64, np.random.default_rng(81))
@@ -364,11 +413,19 @@ def _drop_tensor(role):
     ("smoa", lambda m: m.update(shares=[1.0]), "partition"),
     ("block_lora", lambda m: m.update(index_sets=[[0, 1, 2, 3], [4, 5, 6, 7]],
                                       shares=[0.5, 0.5]), "partition"),
+    # tensors are listed A0, B0, A1, B1, mod_block0, mod_block1
+    ("smoa", lambda m: m["tensors"].append(dict(m["tensors"][2], subspace=0)),
+     "tensor entry A0 is listed twice"),
+    ("smoa", lambda m: m["tensors"].append(dict(m["tensors"][0], subspace=5)),
+     "unexpected tensor entry A5 for a 2-block smoa adapter"),
+    ("lora", lambda m: m["tensors"].append(dict(m["tensors"][0], role="reference")),
+     "unexpected tensor entry reference0 for a 1-block lora adapter"),
 ], ids=["hadamard-without-reference", "smoa-without-masks", "lora-as-smoa",
         "shifted-row-ranges", "K-1-on-K-2", "d_out", "short-scale", "unknown-kind",
         "string-K", "scalar-scale", "nan-scale",
         "tensor-shape", "r_per_subspace", "index-set-count", "index-sets-overlap",
-        "short-shares", "partition-on-block-lora"])
+        "short-shares", "partition-on-block-lora", "duplicate-entry", "entry-beyond-K",
+        "mask-role-of-another-kind"])
 def test_load_adapter_inconsistent_manifest_is_format_error(tmp_path, method, corrupt,
                                                             message):
     path = _saved_manifest(tmp_path, method)

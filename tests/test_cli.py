@@ -148,6 +148,20 @@ def test_rank_bench_missing_config_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("rank-bench", ["--out", "r.csv"]),
+    ("train", ["--method", "lora", "--out-prefix", "run"]),
+])
+def test_config_with_invalid_utf8_exits_3(capsys, tmp_path, command, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"d": 8}\xff')
+    code, out, err = run_cli(capsys, command, "--config", str(cfg),
+                             *(str(tmp_path / a) if a in ("r.csv", "run") else a for a in extra))
+    assert code == 3
+    assert f"smoa {command}: i/o error: {cfg}: malformed JSON" in err
+    assert out == ""
+
+
 def test_rank_bench_is_idempotent(capsys, tmp_path):
     cfg = write_sweep_config(tmp_path, methods=["lora", "smoa"], r_values=[4],
                              K_values=[2], n_seeds=3, d=32)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import matrix_io
 from smoa.errors import FormatError, ValidationError
+from smoa.matrix_io import RunConfig, SweepConfig, TrainConfig, config_from_dict
 from smoa.rank_analysis import RankRecord
 
 
@@ -149,7 +150,7 @@ def test_config_defaults(tmp_path):
 
 def test_config_rejects_k_zero():
     with pytest.raises(ValidationError, match="K must be ≥ 1"):
-        matrix_io.config_from_dict({"d_out": 4, "d_in": 4, "K": 0, "r": 2, "seed": 0})
+        config_from_dict(RunConfig, {"d_out": 4, "d_in": 4, "K": 0, "r": 2, "seed": 0})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -162,28 +163,28 @@ def test_config_rejects_k_zero():
 def test_config_rejects_wrong_types(field, value, message):
     raw = {"d_out": 4, "d_in": 4, "K": 1, "r": 2, "seed": 0, field: value}
     with pytest.raises(ValidationError, match=message):
-        matrix_io.config_from_dict(raw)
+        config_from_dict(RunConfig, raw)
 
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ValidationError, match="unknown config field"):
-        matrix_io.config_from_dict(
+        config_from_dict(RunConfig, 
             {"d_out": 4, "d_in": 4, "K": 1, "r": 2, "seed": 0, "rnak": 3}
         )
 
 
 def test_config_rejects_k_above_dims():
     with pytest.raises(ValidationError, match="min\\(d_out, d_in\\)"):
-        matrix_io.config_from_dict({"d_out": 4, "d_in": 8, "K": 5, "r": 5, "seed": 0})
+        config_from_dict(RunConfig, {"d_out": 4, "d_in": 8, "K": 5, "r": 5, "seed": 0})
 
 
 def test_config_rejects_budget_r_below_k():
     with pytest.raises(ValidationError, match="r must be ≥ K"):
-        matrix_io.config_from_dict({"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0})
+        config_from_dict(RunConfig, {"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0})
 
 
 def test_config_flexible_allows_r_below_k():
-    cfg = matrix_io.config_from_dict(
+    cfg = config_from_dict(RunConfig, 
         {"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0, "mode": "flexible"}
     )
     assert cfg.r == 2
@@ -214,25 +215,25 @@ def test_write_report_empty(tmp_path):
 
 def test_sweep_config_strict():
     raw = {"methods": ["lora"], "d": 64, "r_values": [4], "K_values": [1], "n_seeds": 3}
-    cfg = matrix_io.sweep_config_from_dict(raw)
+    cfg = config_from_dict(SweepConfig, raw)
     assert cfg.budget_match is True
     with pytest.raises(ValidationError, match="unknown sweep config"):
-        matrix_io.sweep_config_from_dict({**raw, "extra": 1})
+        config_from_dict(SweepConfig, {**raw, "extra": 1})
     with pytest.raises(ValidationError, match="unknown method"):
-        matrix_io.sweep_config_from_dict({**raw, "methods": ["loar"]})
+        config_from_dict(SweepConfig, {**raw, "methods": ["loar"]})
 
 
 def test_train_config_strict_and_defaults():
     raw = {"d": 64, "target_rank": 48, "n_samples": 128, "seed": 0}
-    cfg = matrix_io.train_config_from_dict(raw)
+    cfg = config_from_dict(TrainConfig, raw)
     assert cfg.steps == 2000
     assert cfg.learning_rate == 1e-3
     assert cfg.noise_std == 0.0
     assert cfg.target_blocks is None
     with pytest.raises(ValidationError, match="unknown train config"):
-        matrix_io.train_config_from_dict({**raw, "stepz": 10})
+        config_from_dict(TrainConfig, {**raw, "stepz": 10})
     with pytest.raises(ValidationError, match="target_rank"):
-        matrix_io.train_config_from_dict({**raw, "target_rank": 65})
+        config_from_dict(TrainConfig, {**raw, "target_rank": 65})
 
 
 @pytest.mark.parametrize("make", [
@@ -258,7 +259,7 @@ def test_configs_reject_non_finite_floats(make):
 
 
 def test_train_config_run_config_ignores_k_for_full_matrix_methods():
-    cfg = matrix_io.train_config_from_dict(
+    cfg = config_from_dict(TrainConfig, 
         {"d": 64, "target_rank": 8, "n_samples": 64, "seed": 1, "r": 8, "K": 2}
     )
     assert cfg.run_config("lora").K == 1

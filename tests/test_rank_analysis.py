@@ -260,7 +260,7 @@ def test_block_ranks_share_one_threshold(tiny):
     adapter = adapters.build_adapter("block_lora", cfg, random_weight(32, 32,
                                                                       np.random.default_rng(1)))
     adapters.randomize_factors(adapter, np.random.default_rng(2))
-    adapter.B[tiny] *= 1e-12
+    adapter.B[tiny][...] *= 1e-12
     assert both_ranks(adapter) == (4, 4)
 
 

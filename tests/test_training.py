@@ -232,7 +232,7 @@ def test_train_diverged_loss_raises_with_step():
         training.train(adapter, task, 10, state)
     assert [t.tobytes() for t in adapter.A + adapter.B] == before
     assert state.step == 0
-    assert not any(m.any() for m in state.m_A + state.v_A + state.m_B + state.v_B)
+    assert not state.m.any() and not state.v.any()
 
 
 def test_train_preserves_frozen_tensors():
@@ -264,8 +264,9 @@ def test_train_state_moments_match_tensors():
     task = training.make_task(8, 2, 10, 0.0, seed=24)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=24), task.w0)
     state = training.TrainState.for_adapter(adapter, learning_rate=0.01)
-    assert [m.shape for m in state.m_A] == [a.shape for a in adapter.A]
-    assert [m.shape for m in state.v_B] == [b.shape for b in adapter.B]
+    assert state.m.shape == state.v.shape == adapter.params.shape
+    pairs = zip(adapter.A, adapter.B)
+    assert state.factor_shapes == tuple(t.shape for a, b in pairs for t in (a, b))
     training.train(adapter, task, 5, state)
     assert state.step == 5
 
@@ -279,7 +280,7 @@ def test_write_loss_trace_format(tmp_path):
 def test_train_rejects_bare_state():
     task = training.make_task(8, 2, 10, 0.0, seed=25)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
-    with pytest.raises(ValidationError, match="TrainState.m_A"):
+    with pytest.raises(ValidationError, match="TrainState was made for factor shapes"):
         training.train(adapter, task, 3, training.TrainState())
 
 
@@ -288,9 +289,9 @@ def test_train_rejects_moments_it_cannot_write_back(convert):
     task = training.make_task(8, 2, 10, 0.0, seed=25)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
     state = training.TrainState.for_adapter(adapter)
-    state.v_B = [convert(v) for v in state.v_B]
+    state.v = convert(state.v)
     before = [t.tobytes() for t in adapter.A + adapter.B]
-    with pytest.raises(ValidationError, match="TrainState.v_B must hold float64 arrays"):
+    with pytest.raises(ValidationError, match="TrainState.v must be a float64 array"):
         training.train(adapter, task, 3, state)
     assert [t.tobytes() for t in adapter.A + adapter.B] == before
     assert state.step == 0
@@ -299,11 +300,14 @@ def test_train_rejects_moments_it_cannot_write_back(convert):
 @pytest.mark.parametrize("other_cfg", [
     dict(K=1, r=4),  # one moment per factor where the adapter has two
     dict(K=2, r=6),  # the same K, other factor shapes
+    dict(method="lora", K=1, r=2),  # other factor shapes, the same 32 entries
 ])
 def test_train_rejects_state_of_another_adapter(other_cfg):
     task = training.make_task(8, 2, 10, 0.0, seed=25)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
-    other = adapters.build_adapter("smoa", small_cfg(seed=25, **other_cfg), task.w0)
+    other_cfg = dict(other_cfg)
+    other = adapters.build_adapter(other_cfg.pop("method", "smoa"),
+                                   small_cfg(seed=25, **other_cfg), task.w0)
     state = training.TrainState.for_adapter(other)
     before = [t.tobytes() for t in adapter.A + adapter.B]
     with pytest.raises(ValidationError, match="TrainState"):
@@ -409,7 +413,8 @@ def test_train_trace_matches_dense_reference_loop(method):
     trace = training.train(adapter, task, 20)
 
     ref = adapters.build_adapter(method, cfg, task.w0)
-    state = training.TrainState.for_adapter(ref)
+    state = training.TrainState()
+    m_a, v_a, m_b, v_b = per_tensor_moments(ref)
     ref_trace = []
     for step in range(1, 22):
         pred = dense_forward(ref, task.w0, task.inputs)
@@ -419,21 +424,32 @@ def test_train_trace_matches_dense_reference_loop(method):
         upstream = (2.0 / pred.size) * (pred - task.targets)
         grads_a, grads_b = dense_backward(ref, task.inputs, upstream)
         for k in range(len(ref.A)):
-            training._adamw_update(ref.A[k], grads_a[k], state.m_A[k], state.v_A[k], step,
-                                   state)
-            training._adamw_update(ref.B[k], grads_b[k], state.m_B[k], state.v_B[k], step,
-                                   state)
+            training._adamw_update(ref.A[k], grads_a[k], m_a[k], v_a[k], step, state)
+            training._adamw_update(ref.B[k], grads_b[k], m_b[k], v_b[k], step, state)
     assert_allclose(trace, ref_trace, rtol=1e-9)
     for got, want in zip(adapter.A + adapter.B, ref.A + ref.B):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 # Per-tensor reference for the flat-buffer optimizer: the step as it was
-# before train kept its factors and moments in one buffer each, built from
-# forward, backward and one AdamW update per tensor.  AdamW is elementwise,
-# so train must match it bit for bit.
+# before the factors and moments lived in one buffer each, built from
+# forward, backward and one AdamW update per tensor with its own moment
+# arrays.  AdamW is elementwise, so train must match it bit for bit.
 
-def per_tensor_train(adapter, task, steps, state):
+def per_tensor_moments(adapter):
+    """Zeroed moments, one array per tensor: m_A, v_A, m_B, v_B."""
+    return [[np.zeros_like(t) for t in tensors]
+            for tensors in (adapter.A, adapter.A, adapter.B, adapter.B)]
+
+
+def flat_moments(adapter, state):
+    """A TrainState's flat moments as per-tensor views: m_A, v_A, m_B, v_B."""
+    (m_a, m_b), (v_a, v_b) = adapter.factor_views(state.m), adapter.factor_views(state.v)
+    return [m_a, v_a, m_b, v_b]
+
+
+def per_tensor_train(adapter, task, steps, state, moments):
+    m_a, v_a, m_b, v_b = moments
     trace = []
     for i in range(steps + 1):
         resid = training.forward(adapter, task.w0, task.inputs) - task.targets
@@ -443,20 +459,17 @@ def per_tensor_train(adapter, task, steps, state):
         grads = training.backward(adapter, task.w0, task.inputs, resid * (2.0 / resid.size))
         state.step += 1
         for k in range(len(adapter.A)):
-            training._adamw_update(adapter.A[k], grads.A[k], state.m_A[k], state.v_A[k],
-                                   state.step, state)
-            training._adamw_update(adapter.B[k], grads.B[k], state.m_B[k], state.v_B[k],
-                                   state.step, state)
+            training._adamw_update(adapter.A[k], grads.A[k], m_a[k], v_a[k], state.step, state)
+            training._adamw_update(adapter.B[k], grads.B[k], m_b[k], v_b[k], state.step, state)
     return np.array(trace)
 
 
-def assert_same_run(adapter, state, ref, ref_state):
+def assert_same_run(adapter, state, ref, ref_state, ref_moments):
     assert state.step == ref_state.step
     for name in ("A", "B"):
         for got, want in zip(getattr(adapter, name), getattr(ref, name)):
             assert np.array_equal(got, want)
-    for name in ("m_A", "v_A", "m_B", "v_B"):
-        have, want = getattr(state, name), getattr(ref_state, name)
+    for have, want in zip(flat_moments(adapter, state), ref_moments, strict=True):
         assert len(have) == len(want)
         for got, expected in zip(have, want):
             assert np.array_equal(got, expected)
@@ -476,10 +489,10 @@ def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
     trace = training.train(adapter, task, 40, state)
 
     ref = adapters.build_adapter(method, cfg, task.w0)
-    ref_state = training.TrainState.for_adapter(ref, **settings_)
-    ref_trace = per_tensor_train(ref, task, 40, ref_state)
+    ref_state, ref_moments = training.TrainState(**settings_), per_tensor_moments(ref)
+    ref_trace = per_tensor_train(ref, task, 40, ref_state, ref_moments)
     assert np.array_equal(trace, ref_trace)
-    assert_same_run(adapter, state, ref, ref_state)
+    assert_same_run(adapter, state, ref, ref_state, ref_moments)
 
 
 def test_train_makes_one_adamw_update_per_step(monkeypatch):
@@ -498,12 +511,10 @@ def test_train_resumes_in_place_bit_for_bit():
     cfg = small_cfg(d=16, K=2, r=4, seed=31)
     adapter = adapters.build_adapter("smoa", cfg, task.w0)
     state = training.TrainState.for_adapter(adapter, learning_rate=1e-2)
-    objects = [id(t) for t in adapter.A + adapter.B + state.m_A + state.v_A
-               + state.m_B + state.v_B]
+    objects = [id(t) for t in adapter.A + adapter.B + (adapter.params, state.m, state.v)]
     first = training.train(adapter, task, 7, state)
     second = training.train(adapter, task, 13, state)
-    assert [id(t) for t in adapter.A + adapter.B + state.m_A + state.v_A
-            + state.m_B + state.v_B] == objects
+    assert [id(t) for t in adapter.A + adapter.B + (adapter.params, state.m, state.v)] == objects
 
     ref = adapters.build_adapter("smoa", cfg, task.w0)
     ref_state = training.TrainState.for_adapter(ref, learning_rate=1e-2)
@@ -511,7 +522,7 @@ def test_train_resumes_in_place_bit_for_bit():
     assert np.array_equal(first, single[:8])
     assert second[0] == single[7]
     assert np.array_equal(second, single[7:])
-    assert_same_run(adapter, state, ref, ref_state)
+    assert_same_run(adapter, state, ref, ref_state, flat_moments(ref, ref_state))
 
 
 def test_train_divergence_writes_back_the_updates_made():
@@ -522,8 +533,8 @@ def test_train_divergence_writes_back_the_updates_made():
         with pytest.raises(training.DivergenceError, match="step 1"):
             training.train(adapter, task, 10, state)
         ref = adapters.build_adapter("smoa", small_cfg(seed=20), task.w0)
-        ref_state = training.TrainState.for_adapter(ref, learning_rate=1e200)
-        per_tensor_train(ref, task, 10, ref_state)
+        ref_state, ref_moments = training.TrainState(learning_rate=1e200), per_tensor_moments(ref)
+        per_tensor_train(ref, task, 10, ref_state, ref_moments)
     assert state.step == 1
-    assert_same_run(adapter, state, ref, ref_state)
+    assert_same_run(adapter, state, ref, ref_state, ref_moments)
 
