@@ -21,7 +21,6 @@ from .adapters import (
     randomize_factors,
     save_adapter,
     subspace_ranks,
-    trainable_parameter_count,
 )
 from .errors import FormatError, NumericalError, SmoaError, ValidationError
 from .matrix_io import (

@@ -25,10 +25,9 @@ import numpy as np
 
 from . import matrix_io
 from .errors import FormatError, ValidationError
-from .matrix_io import FULL_MATRIX, METHOD_NAMES, RunConfig, validate_matrix
+from .matrix_io import FULL_MATRIX, METHODS, RunConfig, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, modulation_tensor, partition
 
-METHODS = METHOD_NAMES
 _MASKED = ("smoa", "hadamard_w0")
 
 
@@ -103,7 +102,7 @@ class Block(NamedTuple):
         return update
 
 
-@dataclass
+@dataclass(eq=False)
 class Adapter:
     """Any adapter: K scaled, optionally masked B_k A_k blocks on a layout.
 
@@ -116,6 +115,7 @@ class Adapter:
     A_0, B_0, A_1, B_1, ...  The constructor copies the given factors into
     it and makes A and B tuples of reshaped views of it, so writing into
     adapter.A[k] writes params, and adapter.A[k] cannot be rebound.
+    Adapters compare by identity.
     """
 
     kind: str
@@ -262,10 +262,6 @@ def param_count(method: str, cfg: RunConfig) -> int:
     return sum(rk * sum(layout.block_shape(k)) for k, rk in enumerate(ranks))
 
 
-def trainable_parameter_count(adapter) -> int:
-    return adapter.params.size
-
-
 def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> None:
     """Fill every A_k and B_k with i.i.d. Gaussian entries, in place.
 
@@ -316,9 +312,7 @@ def save_adapter(adapter, prefix) -> list[Path]:
         manifest["index_sets"] = [s.tolist() for s in adapter.partition.index_sets]
         manifest["shares"] = adapter.partition.shares.tolist()
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
-    with open(manifest_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matrix_io.write_json(manifest, manifest_path)
     written.append(manifest_path)
     return written
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import warnings
 
@@ -101,9 +100,7 @@ def _cmd_analyze(args) -> int:
             "cumulative_energy": [float(e) for e in energy],
             "empty_subspaces": [k + 1 for k in empty],
         }
-        with open(args.json, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        matrix_io.write_json(payload, args.json)
         print(f"wrote {args.json}")
     return 0
 
@@ -163,7 +160,7 @@ def _cmd_train(args) -> int:
         trace = training.train(adapter, task, cfg.steps, state)
         training.write_loss_trace(trace, f"{args.out_prefix}.seed{seed}.loss.csv")
         adapters.save_adapter(adapter, f"{args.out_prefix}.seed{seed}")
-        count = adapters.trainable_parameter_count(adapter)
+        count = adapter.params.size
         initials.append(trace[0])
         finals.append(trace[-1])
         print(f"seed {seed}: initial loss {trace[0]:.6e}, final loss {trace[-1]:.6e}")
@@ -182,7 +179,7 @@ def _cmd_gradcheck(args) -> int:
     task = training.make_task(args.d, max(1, args.d // 2), 2 * args.d, 0.0, args.seed)
     adapter = adapters.build_adapter(args.method, cfg, task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)
-    report = training.grad_check(adapter, task.w0, task, seed=args.seed,
+    report = training.grad_check(adapter, task, seed=args.seed,
                                  corrupt_for_testing=args.inject_corruption)
     role, k, i, j = report.worst
     print(f"checked {report.n_checked} entries")

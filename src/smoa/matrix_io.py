@@ -29,7 +29,7 @@ _HEADER = struct.Struct("<4sBII")
 REPORT_HEADER = "method,d,r,K,seed,param_count,numerical_rank,frobenius_error"
 
 MODES = ("budget", "flexible")
-METHOD_NAMES = ("smoa", "lora", "block_lora", "hadamard_w0")
+METHODS = ("smoa", "lora", "block_lora", "hadamard_w0")
 FULL_MATRIX = ("lora", "hadamard_w0")  # one full-matrix block; these methods ignore K
 
 
@@ -179,8 +179,14 @@ def read_config(path) -> RunConfig:
 
 
 def write_config(cfg: RunConfig, path) -> None:
+    write_json(asdict(cfg), path)
+
+
+def write_json(obj, path) -> None:
+    """Write obj as ASCII JSON with sorted keys, a two-space indent and a
+    trailing newline, the form of every JSON file the package writes."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -213,9 +219,9 @@ class SweepConfig:
                 raise ValidationError(f"{name} must be a list, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in self.methods:
-            if name not in METHOD_NAMES:
+            if name not in METHODS:
                 raise ValidationError(
-                    f"unknown method {name!r}, expected one of {METHOD_NAMES}"
+                    f"unknown method {name!r}, expected one of {METHODS}"
                 )
         _check_field("d", self.d, int, 1)
         _check_field("n_seeds", self.n_seeds, int, 0)
@@ -270,7 +276,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("d", 1), ("target_rank", 1), ("n_samples", 1), ("seed", 0),
-                          ("steps", 1)):
+                          ("K", 1), ("steps", 1)):
             _check_field(name, getattr(self, name), int, low)
         for name, low in (("noise_std", 0), ("learning_rate", None), ("beta1", 0), ("beta2", 0),
                           ("epsilon", None), ("weight_decay", 0)):

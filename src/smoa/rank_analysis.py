@@ -8,6 +8,10 @@ rank r below both block dimensions has the nonzero singular values of
 the r x r core s (R_B R_A^T), where R_B and R_A are the triangular QR
 factors of B and A^T; every other block gets a full SVD of its update.
 
+``theoretical_bound`` reads the rank bound off the same blocks: each
+block's factor rank times the rank of its mask, capped by the block's
+dimensions, summed and capped by min(d_out, d_in).
+
 Sweeps fill the adapter factors with seeded Gaussian entries before
 measuring: the zero-init state has rank 0 by construction, and the point
 of the sweep is the achievable rank of the update.  Rows record the
@@ -28,17 +32,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .adapters import (Adapter, Block, block_layout, build_adapter, delta, param_count,
-                       randomize_factors, subspace_ranks)
+from .adapters import Adapter, Block, build_adapter, delta, param_count, randomize_factors
 from .errors import NumericalError, ValidationError
-from .matrix_io import (FULL_MATRIX, METHOD_NAMES, RunConfig, SweepConfig, validate_matrix,
-                        write_report)
-from .spectral import EnergyPartition
+from .matrix_io import (FULL_MATRIX, METHODS, RunConfig, SweepConfig, validate_matrix,
+                        write_json, write_report)
 from .training import random_weight
 
 logger = logging.getLogger(__name__)
 
-_METHOD_INDEX = {m: i for i, m in enumerate(METHOD_NAMES)}
+_METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
 
 
 def numerical_rank(m, tol_factor: float = 1e-10) -> int:
@@ -90,35 +92,28 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def theoretical_bound(method: str, cfg: RunConfig,
-                      partition: EnergyPartition | None = None,
-                      w0_rank: int | None = None) -> int:
-    """Rank upper bound for the update a method can produce under cfg.
+def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
+    """Rank upper bound for any update the adapter's blocks can produce.
 
-    For the subspace method the per-block Hadamard bound |I_k| * r_k is
-    tightened by the block dimensions and summed; full-matrix baselines
-    use their defining constraints (r for the plain low-rank update,
-    r * rank(W0) capped by the matrix dimensions for the Hadamard one,
-    where w0_rank defaults to full rank).
+    A Hadamard product has rank at most the product of its factors'
+    ranks, so block k of rank r_k reaches at most r_k * q_k, capped by
+    the block's dimensions: q_k is 1 for an unmasked block, |I_k| for a
+    block masked by the k-th modulation tensor (the adapter has a
+    partition), and rank(W0) for a block masked by W0, where w0_rank
+    defaults to full rank.  The blocks are disjoint, so their bounds add,
+    and the sum is capped by min(d_out, d_in).
     """
-    p = min(cfg.d_out, cfg.d_in)
-    if method == "lora":
-        return cfg.r
-    if method == "hadamard_w0":
-        reference_rank = p if w0_rank is None else w0_rank
-        return min(cfg.d_out, cfg.d_in, cfg.r * reference_rank)
-    layout = block_layout(cfg.d_out, cfg.d_in, cfg.K)
-    ranks = subspace_ranks(cfg)
-    if method == "block_lora":
-        return min(p, sum(min(*layout.block_shape(k), ranks[k]) for k in range(cfg.K)))
-    if method == "smoa":
-        if partition is None:
-            raise ValidationError("the smoa bound requires the energy partition")
-        sizes = partition.sizes
-        return min(p, sum(
-            min(*layout.block_shape(k), sizes[k] * ranks[k]) for k in range(cfg.K)
-        ))
-    raise ValidationError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
+    p = min(adapter.shape)
+    total = 0
+    for k, blk in enumerate(adapter.blocks()):
+        if blk.mask is None:
+            q = 1
+        elif adapter.partition is not None:
+            q = adapter.partition.sizes[k]
+        else:
+            q = p if w0_rank is None else w0_rank
+        total += min(blk.row1 - blk.row0, blk.col1 - blk.col0, blk.A.shape[0] * q)
+    return min(p, total)
 
 
 @dataclass(frozen=True)
@@ -153,9 +148,7 @@ class RankReport:
         write_report(self.rows, path)
 
     def write_sidecar(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.metadata, path)
 
 
 def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
@@ -212,8 +205,7 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     randomize_factors(adapter, fill)
                     update = delta(adapter)
                     measured = numerical_rank(adapter, tol_factor)
-                    bound = theoretical_bound(method, run_seed, partition=adapter.partition,
-                                              w0_rank=w0_ranks[seed])
+                    bound = theoretical_bound(adapter, w0_rank=w0_ranks[seed])
                     rows.append(RankRecord(
                         method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
                         numerical_rank=measured, rank_upper_bound=bound,

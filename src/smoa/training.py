@@ -238,7 +238,7 @@ class GradCheckReport:
         return self.max_rel_error <= self.tol
 
 
-def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6,
+def grad_check(adapter, task: LinearTask, h: float = 1e-5, tol: float = 1e-6,
                sample_limit: int = 512, n_samples: int = 256, seed: int = 0,
                corrupt_for_testing: bool = False) -> GradCheckReport:
     """Compare analytic factor gradients against central finite differences.
@@ -258,7 +258,7 @@ def grad_check(adapter, w0, task: LinearTask, h: float = 1e-5, tol: float = 1e-6
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValidationError(f"step h must be in [1e-7, 1e-3], got {h}")
-    w0, x = _check_host(adapter, w0, task.inputs)
+    w0, x = _check_host(adapter, task.w0, task.inputs)
     blocks = adapter.blocks()
     base = x @ w0.T
     resid = _add_update(blocks, x, base.copy()) - task.targets

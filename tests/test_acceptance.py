@@ -158,7 +158,7 @@ def test_criterion_4_gradient_check():
                 for method in METHODS:
                     adapter = build_adapter(method, cfg, task.w0)
                     randomize_factors(adapter, np.random.default_rng([d, K, r, 5]), std=0.5)
-                    rep = grad_check(adapter, task.w0, task)
+                    rep = grad_check(adapter, task)
                     if rep.max_rel_error > worst:
                         worst = rep.max_rel_error
                         worst_case = (method, d, K, r)

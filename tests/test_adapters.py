@@ -66,7 +66,7 @@ def test_param_count_matches_built_adapter(method, mode):
     cfg = cfg64(K=4, r=8, mode=mode)
     w0 = random_weight(64, 64, np.random.default_rng(1))
     adapter = adapters.build_adapter(method, cfg, w0)
-    assert adapters.param_count(method, cfg) == adapters.trainable_parameter_count(adapter)
+    assert adapters.param_count(method, cfg) == adapter.params.size
 
 
 @pytest.mark.parametrize("method", adapters.METHODS)
@@ -172,6 +172,21 @@ def test_adapter_rejects_rank_zero_block(method):
         dataclasses.replace(adapter, A=A, B=B)
 
 
+def test_smoa_adapter_without_partition_is_rejected():
+    adapter = adapters.build_adapter("smoa", cfg64(), random_weight(64, 64,
+                                                                    np.random.default_rng(3)))
+    with pytest.raises(ValidationError, match="partition if and only if it is smoa"):
+        dataclasses.replace(adapter, partition=None)
+
+
+def test_adapters_compare_by_identity():
+    w0 = random_weight(64, 64, np.random.default_rng(3))
+    first, second = (adapters.build_adapter("lora", cfg64(K=1, seed=seed), w0)
+                     for seed in (0, 1))
+    assert first != second
+    assert first == first
+
+
 def test_lora_achieves_exact_rank():
     cfg = RunConfig(d_out=128, d_in=128, K=1, r=8, seed=2)
     w0 = random_weight(128, 128, np.random.default_rng(31))
@@ -267,7 +282,7 @@ def assert_factors_view_params(adapter):
         for t in (a, b):
             assert_array_equal(t.ravel(), np.arange(start, start + t.size))
             start += t.size
-    assert start == adapter.params.size == adapters.trainable_parameter_count(adapter)
+    assert start == adapter.params.size
     assert adapter.params.dtype == np.float64
 
 

@@ -234,6 +234,24 @@ def test_train_bad_field_value_exits_1(capsys, tmp_path, field, value, message):
     assert message in err
 
 
+@pytest.mark.parametrize("method", ["lora", "smoa"])
+@pytest.mark.parametrize("value, message", [
+    ("two", "K must be of type int"),
+    (0, "K must be ≥ 1"),
+    (-3, "K must be ≥ 1"),
+    (True, "K must be of type int"),
+    (1.5, "K must be of type int"),
+])
+def test_train_bad_k_exits_1_for_every_method(capsys, tmp_path, method, value, message):
+    # full-matrix methods ignore K, but a malformed K is still rejected at load
+    cfg = write_train_config(tmp_path, K=value)
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", method,
+                           "--out-prefix", str(tmp_path / "run"))
+    assert code == 1
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
 def test_train_is_deterministic(capsys, tmp_path):
     cfg = write_train_config(tmp_path)
     run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoa import adapters, rank_analysis
 from smoa.errors import FormatError, ValidationError
-from smoa.matrix_io import FULL_MATRIX, METHOD_NAMES, RunConfig
+from smoa.matrix_io import FULL_MATRIX, METHODS, RunConfig
 from smoa.spectral import EmptySubspaceWarning, EnergyPartition
 from smoa.training import random_weight
 
@@ -51,46 +52,66 @@ def fake_partition(sizes):
     return EnergyPartition(K=len(sizes), index_sets=sets, shares=shares)
 
 
+def reference_bound(method, cfg, partition=None, w0_rank=None):
+    """The per-method bound table, from the config alone: r for lora,
+    min(d_out, d_in, r * rank(W0)) for hadamard_w0, and the capped sum of
+    min(rows_k, cols_k, r_k) or min(rows_k, cols_k, |I_k| * r_k) over the
+    K-block layout for block_lora and smoa."""
+    p = min(cfg.d_out, cfg.d_in)
+    if method == "lora":
+        return cfg.r
+    if method == "hadamard_w0":
+        return min(cfg.d_out, cfg.d_in, cfg.r * (p if w0_rank is None else w0_rank))
+    layout = adapters.block_layout(cfg.d_out, cfg.d_in, cfg.K)
+    ranks = adapters.subspace_ranks(cfg)
+    sizes = partition.sizes if method == "smoa" else (1,) * cfg.K
+    return min(p, sum(min(*layout.block_shape(k), sizes[k] * ranks[k]) for k in range(cfg.K)))
+
+
+def built(method, **kwargs):
+    cfg = RunConfig(seed=0, **kwargs)
+    w0 = random_weight(cfg.d_out, cfg.d_in, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        return adapters.build_adapter(method, cfg, w0)
+
+
 def test_bound_lora_is_r():
-    cfg = RunConfig(d_out=64, d_in=64, K=1, r=8, seed=0)
-    assert rank_analysis.theoretical_bound("lora", cfg) == 8
+    adapter = built("lora", d_out=64, d_in=64, K=1, r=8)
+    assert rank_analysis.theoretical_bound(adapter) == 8
+
+
+def test_bound_lora_is_capped_by_the_smaller_dimension():
+    # the per-method table gives r = 10, but a product of 8x10 and 10x6
+    # factors has rank at most 6
+    adapter = built("lora", d_out=8, d_in=6, K=1, r=10)
+    assert reference_bound("lora", RunConfig(d_out=8, d_in=6, K=1, r=10, seed=0)) == 10
+    assert rank_analysis.theoretical_bound(adapter) == 6
 
 
 def test_bound_hadamard_uses_reference_rank():
-    cfg = RunConfig(d_out=128, d_in=128, K=1, r=8, seed=0)
-    assert rank_analysis.theoretical_bound("hadamard_w0", cfg) == 128
-    assert rank_analysis.theoretical_bound("hadamard_w0", cfg, w0_rank=3) == 24
+    adapter = built("hadamard_w0", d_out=128, d_in=128, K=1, r=8)
+    assert rank_analysis.theoretical_bound(adapter) == 128
+    assert rank_analysis.theoretical_bound(adapter, w0_rank=3) == 24
 
 
 def test_bound_block_lora_sums_block_ranks():
-    cfg = RunConfig(d_out=64, d_in=64, K=2, r=16, seed=0)
-    assert rank_analysis.theoretical_bound("block_lora", cfg) == 16
+    adapter = built("block_lora", d_out=64, d_in=64, K=2, r=16)
+    assert rank_analysis.theoretical_bound(adapter) == 16
 
 
 def test_bound_smoa_tightened_by_block_dims():
     # per-block min(rows, cols, |I_k| * r_k): min(32, 40) + min(32, 472)
-    cfg = RunConfig(d_out=64, d_in=64, K=2, r=16, seed=0)
-    part = fake_partition([5, 59])
-    assert rank_analysis.theoretical_bound("smoa", cfg, partition=part) == 64
+    adapter = built("smoa", d_out=64, d_in=64, K=2, r=16)
+    adapter = dataclasses.replace(adapter, partition=fake_partition([5, 59]))
+    assert rank_analysis.theoretical_bound(adapter) == 64
 
 
 def test_bound_smoa_degenerates_to_plain_rank_with_singletons():
     # every index set a singleton and r_k = 1: the bound collapses to r
-    cfg = RunConfig(d_out=16, d_in=16, K=16, r=16, seed=0)
-    part = fake_partition([1] * 16)
-    assert rank_analysis.theoretical_bound("smoa", cfg, partition=part) == 16
-
-
-def test_bound_smoa_requires_partition():
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
-    with pytest.raises(ValidationError, match="partition"):
-        rank_analysis.theoretical_bound("smoa", cfg)
-
-
-def test_bound_rejects_unknown_method():
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
-    with pytest.raises(ValidationError, match="unknown method"):
-        rank_analysis.theoretical_bound("dora", cfg)
+    adapter = built("smoa", d_out=16, d_in=16, K=16, r=16)
+    adapter = dataclasses.replace(adapter, partition=fake_partition([1] * 16))
+    assert rank_analysis.theoretical_bound(adapter) == 16
 
 
 def test_sweep_lora_rows_have_exact_rank():
@@ -224,7 +245,7 @@ def acceptance_sweep_adapters():
     d = 128
     for seed in range(20):
         w0 = random_weight(d, d, np.random.default_rng([d, seed]))
-        for index, method in enumerate(METHOD_NAMES):
+        for index, method in enumerate(METHODS):
             for r in (2, 4, 8, 16):
                 for K in (1, 2, 4):
                     if K > r:
@@ -235,11 +256,22 @@ def acceptance_sweep_adapters():
                     adapter = adapters.build_adapter(method, cfg, w0)
                     adapters.randomize_factors(adapter,
                                                np.random.default_rng([seed, index, r, K]))
-                    yield (method, r, K, seed), adapter
+                    yield (method, r, K, seed), cfg, adapter
 
 
 def test_block_rank_equals_dense_rank_on_every_acceptance_sweep_row():
-    rows = [(key, *both_ranks(adapter)) for key, adapter in acceptance_sweep_adapters()]
+    rows = [(key, *both_ranks(adapter)) for key, _, adapter in acceptance_sweep_adapters()]
+    assert len(rows) == 880
+    assert [row for row in rows if row[1] != row[2]] == []
+
+
+def test_bound_equals_reference_on_every_acceptance_sweep_row():
+    w0_ranks = [rank_analysis.numerical_rank(random_weight(128, 128,
+                                                           np.random.default_rng([128, seed])))
+                for seed in range(20)]
+    rows = [(key, rank_analysis.theoretical_bound(adapter, w0_ranks[key[3]]),
+             reference_bound(key[0], cfg, adapter.partition, w0_ranks[key[3]]))
+            for key, cfg, adapter in acceptance_sweep_adapters()]
     assert len(rows) == 880
     assert [row for row in rows if row[1] != row[2]] == []
 
@@ -264,7 +296,7 @@ def test_block_ranks_share_one_threshold(tiny):
     assert both_ranks(adapter) == (4, 4)
 
 
-@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("method", METHODS)
 def test_block_rank_of_zero_init_adapter_is_zero(method):
     cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
@@ -309,7 +341,7 @@ def test_block_rank_rejects_nonfinite_mask(method):
         rank_analysis.numerical_rank(adapter)
 
 
-@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d_out=st.integers(2, 32),
        d_in=st.integers(2, 32), k_pick=st.integers(1, 8),
@@ -341,6 +373,11 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
     assert block == dense
     if zeroed == "all":
         assert block == 0
-    bound = rank_analysis.theoretical_bound(method, cfg, partition=adapter.partition,
-                                            w0_rank=rank_analysis.numerical_rank(w0))
+    w0_rank = rank_analysis.numerical_rank(w0)
+    bound = rank_analysis.theoretical_bound(adapter, w0_rank)
+    reference = reference_bound(method, cfg, adapter.partition, w0_rank)
+    if method == "lora" and r > min(d_out, d_in):
+        assert bound == min(d_out, d_in) < reference
+    else:
+        assert bound == reference
     assert block <= bound

@@ -150,7 +150,7 @@ def test_grad_check_passes(method):
     task = training.make_task(16, 8, 32, 0.0, seed=10)
     adapter = adapters.build_adapter(method, small_cfg(d=16, K=2, r=4, seed=10), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(11), std=0.5)
-    report = training.grad_check(adapter, task.w0, task)
+    report = training.grad_check(adapter, task)
     assert report.passed
     assert report.max_rel_error <= 1e-6
 
@@ -162,7 +162,7 @@ def test_grad_check_at_exact_optimum_is_zero():
     adapter = adapters.build_adapter("smoa", small_cfg(seed=12), base.w0)
     targets = training.forward(adapter, base.w0, base.inputs)
     task = dataclasses.replace(base, targets=targets)
-    report = training.grad_check(adapter, base.w0, task)
+    report = training.grad_check(adapter, task)
     assert report.max_rel_error == 0.0
 
 
@@ -170,7 +170,7 @@ def test_grad_check_flags_corruption():
     task = training.make_task(8, 4, 16, 0.0, seed=13)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=13), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(14), std=0.5)
-    report = training.grad_check(adapter, task.w0, task, corrupt_for_testing=True)
+    report = training.grad_check(adapter, task, corrupt_for_testing=True)
     assert not report.passed
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-3)
 
@@ -179,7 +179,7 @@ def test_grad_check_subsamples_large_adapters():
     task = training.make_task(32, 8, 40, 0.0, seed=15)
     adapter = adapters.build_adapter("smoa", small_cfg(d=32, K=2, r=8, seed=15), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(16), std=0.5)
-    report = training.grad_check(adapter, task.w0, task)
+    report = training.grad_check(adapter, task)
     assert report.n_checked == 256  # 1024 trainable entries, sampled
     assert report.passed
 
@@ -188,7 +188,7 @@ def test_grad_check_rejects_bad_step():
     task = training.make_task(8, 2, 10, 0.0, seed=17)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=17), task.w0)
     with pytest.raises(ValidationError, match="step h"):
-        training.grad_check(adapter, task.w0, task, h=1e-2)
+        training.grad_check(adapter, task, h=1e-2)
 
 
 def test_train_stays_at_optimum_for_zero_update_task():
