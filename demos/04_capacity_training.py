@@ -14,36 +14,40 @@ import numpy as np
 
 from smoa import (
     RunConfig,
-    TrainState,
     build_adapter,
     make_task,
     param_count,
-    train,
+    train_many,
 )
 
 STEPS = 2000
 SEEDS = (0, 1, 2)
 
-finals = {"smoa": [], "lora": []}
-for seed in SEEDS:
-    task = make_task(d=64, target_rank=48, n_samples=128, noise_std=0.0,
-                     seed=seed, target_blocks=2)
+tasks = [make_task(d=64, target_rank=48, n_samples=128, noise_std=0.0,
+                   seed=seed, target_blocks=2) for seed in SEEDS]
+configs = {
+    "smoa": [RunConfig(d_out=64, d_in=64, K=2, r=16, seed=seed) for seed in SEEDS],
+    "lora": [RunConfig(d_out=64, d_in=64, K=1, r=8, seed=seed) for seed in SEEDS],
+}
+# one call per method trains every seed in lockstep (lr 1e-3, full batch);
+# each seed's trace is the one it would reach trained alone
+traces = {
+    method: train_many([build_adapter(method, cfg, task.w0) for cfg, task in zip(cfgs, tasks)],
+                       tasks, STEPS)
+    for method, cfgs in configs.items()
+}
+
+for i, seed in enumerate(SEEDS):
     print(f"--- seed {seed} ---")
-    for method, cfg in (
-        ("smoa", RunConfig(d_out=64, d_in=64, K=2, r=16, seed=seed)),
-        ("lora", RunConfig(d_out=64, d_in=64, K=1, r=8, seed=seed)),
-    ):
-        adapter = build_adapter(method, cfg, task.w0)
-        state = TrainState.for_adapter(adapter)  # lr 1e-3, full batch
-        trace = train(adapter, task, STEPS, state)
-        finals[method].append(trace[-1])
-        print(f"{method:5s} ({param_count(method, cfg)} params): "
+    for method, cfgs in configs.items():
+        trace = traces[method][i]
+        print(f"{method:5s} ({param_count(method, cfgs[i])} params): "
               f"loss {trace[0]:.4f} -> {trace[-1]:.4f} "
               f"(checkpoints: {trace[0]:.3f}, {trace[500]:.3f}, "
               f"{trace[1000]:.3f}, {trace[2000]:.3f})")
 
-smoa_med = float(np.median(finals["smoa"]))
-lora_med = float(np.median(finals["lora"]))
+smoa_med = float(np.median(traces["smoa"][:, -1]))
+lora_med = float(np.median(traces["lora"][:, -1]))
 print(f"\nmedian final loss: subspace-modulated {smoa_med:.4f}, "
       f"plain low-rank {lora_med:.4f}")
 print(f"the structured adapter ends {(1 - smoa_med / lora_med) * 100:.0f}% lower "

@@ -66,6 +66,7 @@ from .training import (
     mse,
     random_weight,
     train,
+    train_many,
     write_loss_trace,
 )
 

@@ -8,7 +8,8 @@ the blocks are disjoint, the ranks of the per-block updates add.  The
 methods differ only in their layout and masks:
 
 * ``smoa``         K diagonal blocks, block k masked by the same block of
-                   the k-th subspace's modulation tensor
+                   the k-th subspace's modulation tensor, built from the
+                   block's rows of U and columns of Vt alone
 * ``lora``         one full-matrix block, unmasked
 * ``block_lora``   K unmasked diagonal blocks (rank r/K each)
 * ``hadamard_w0``  one full-matrix block masked by a frozen copy of W0
@@ -26,7 +27,7 @@ import numpy as np
 from . import matrix_io
 from .errors import FormatError, ValidationError
 from .matrix_io import FULL_MATRIX, METHODS, RunConfig, validate_matrix
-from .spectral import EnergyPartition, cumulative_energy, decompose, modulation_tensor, partition
+from .spectral import EnergyPartition, cumulative_energy, decompose, partition
 
 _MASKED = ("smoa", "hadamard_w0")
 
@@ -82,7 +83,9 @@ class Block(NamedTuple):
     """One additive update block: rows [row0, row1) x cols [col0, col1).
 
     mask is the frozen Hadamard factor for the block, or None for an
-    implicit all-ones mask.
+    implicit all-ones mask.  A, B and mask may carry the same leading
+    axes, one entry per member of a stack of adapters trained together;
+    scale is shared.
     """
 
     row0: int
@@ -94,9 +97,11 @@ class Block(NamedTuple):
     B: np.ndarray
     scale: float
 
-    def update(self) -> np.ndarray:
-        """The block's rows x cols update, scale * (B @ A), masked if it has a mask."""
-        update = self.scale * (self.B @ self.A)
+    def update(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The block's rows x cols update, scale * (B @ A), masked if it has
+        a mask; written into out when given."""
+        update = np.matmul(self.B, self.A, out=out)
+        update *= self.scale
         if self.mask is not None:
             update *= self.mask
         return update
@@ -174,17 +179,22 @@ class Adapter:
         return tuple(t.shape for pair in zip(self.A, self.B) for t in pair)
 
     def factor_views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Reshaped views of a params-sized buffer: the A_k views, then the B_k views."""
+        """Reshaped views of a buffer laid out like params along its last
+        axis: the A_k views, then the B_k views, each with flat's leading axes."""
         views, start = [], 0
         for rows, cols in self.factor_shapes:
-            views.append(flat[start:start + rows * cols].reshape(rows, cols))
+            views.append(flat[..., start:start + rows * cols].reshape(*flat.shape[:-1], rows, cols))
             start += rows * cols
         return tuple(views[0::2]), tuple(views[1::2])
 
-    def blocks(self) -> list[Block]:
+    def blocks(self, params: np.ndarray | None = None, masks=None) -> list[Block]:
+        """The adapter's blocks over its own factors and masks, or over a
+        stack of params-laid-out buffers and the matching stacked masks."""
+        A, B = (self.A, self.B) if params is None else self.factor_views(params)
+        masks = self.masks if masks is None else masks
         return [
             Block(*self.layout.row_ranges[k], *self.layout.col_ranges[k],
-                  self.masks[k], self.A[k], self.B[k], self.scale[k])
+                  masks[k], A[k], B[k], self.scale[k])
             for k in range(self.layout.K)
         ]
 
@@ -204,8 +214,10 @@ def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
 
     A_k entries are i.i.d. Gaussian(0, init_std^2) from the config seed;
     B_k starts at zero, so the initial update is exactly zero.  ``smoa``
-    decomposes w0 and partitions its spectrum for its masks.  Masks are
-    frozen (marked read-only).
+    decomposes w0 and partitions its spectrum for its masks: block k's
+    mask is (U[rows_k, I_k] * sigma[I_k]) @ Vt[I_k, cols_k], the block of
+    the k-th modulation tensor, without forming the full tensor (zeros for
+    an empty I_k).  Masks are frozen (marked read-only).
     """
     layout, ranks = _plan(method, cfg)
     w0 = validate_matrix(w0)
@@ -224,7 +236,8 @@ def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
         (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
         mask = None
         if method == "smoa":
-            mask = np.ascontiguousarray(modulation_tensor(dec, part, k)[r0:r1, c0:c1])
+            idx = part.index_sets[k]
+            mask = (dec.U[r0:r1, idx] * dec.sigma[idx]) @ dec.Vt[idx, c0:c1]
         elif method == "hadamard_w0":
             mask = w0[r0:r1, c0:c1].copy()
         if mask is not None:

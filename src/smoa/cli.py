@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -145,29 +146,29 @@ def _cmd_train(args) -> int:
     cfg = matrix_io.read_train_config(args.config)
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be ≥ 1, got {args.seeds}")
-    initials, finals = [], []
-    count = None
-    for offset in range(args.seeds):
-        seed = cfg.seed + offset
+    Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
+    seeds = range(cfg.seed, cfg.seed + args.seeds)
+    tasks, runs, states = [], [], []
+    for seed in seeds:
         task = training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std,
                                   seed, target_blocks=cfg.target_blocks)
         run_cfg = dataclasses.replace(cfg.run_config(args.method), seed=seed)
         adapter = adapters.build_adapter(args.method, run_cfg, task.w0)
-        state = training.TrainState.for_adapter(
+        tasks.append(task)
+        runs.append(adapter)
+        states.append(training.TrainState.for_adapter(
             adapter, learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
             epsilon=cfg.epsilon, weight_decay=cfg.weight_decay,
-        )
-        trace = training.train(adapter, task, cfg.steps, state)
+        ))
+    traces = training.train_many(runs, tasks, cfg.steps, states)
+    for seed, adapter, trace in zip(seeds, runs, traces):
         training.write_loss_trace(trace, f"{args.out_prefix}.seed{seed}.loss.csv")
         adapters.save_adapter(adapter, f"{args.out_prefix}.seed{seed}")
-        count = adapter.params.size
-        initials.append(trace[0])
-        finals.append(trace[-1])
         print(f"seed {seed}: initial loss {trace[0]:.6e}, final loss {trace[-1]:.6e}")
-    print(f"trainable parameters: {count}")
+    print(f"trainable parameters: {runs[0].params.size}")
     if args.seeds > 1:
-        print(f"median initial loss: {np.median(initials):.6e}")
-        print(f"median final loss: {np.median(finals):.6e}")
+        print(f"median initial loss: {np.median(traces[:, 0]):.6e}")
+        print(f"median final loss: {np.median(traces[:, -1]):.6e}")
     print(f"wrote loss traces and adapters under prefix {args.out_prefix}")
     return 0
 

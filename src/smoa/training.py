@@ -18,23 +18,36 @@ is a block of the matching dense product, so the results equal those of
 a dense step bit for bit wherever the BLAS computes a block of a product
 as it computes the whole.
 
-The host output x @ w0^T (n d_out d_in) is computed once per train or
-grad_check call; a step adds O(n d_out) elementwise work on the output.
+One block step serves forward, backward, grad_check and training.  It
+indexes the trailing two axes only, so the same calls run on one
+adapter's 2-D arrays and on stacks of S runs, shaped (S, ...), that
+train_many advances in lockstep: one set of numpy calls per step for all
+S runs.  numpy's stacked matmul makes, for each member, the BLAS call the
+2-D product makes, and every other operation is elementwise or reduces
+one member's entries in the same order, so each run's results equal
+those of training it alone, bit for bit.
+
+The host output x @ w0^T (n d_out d_in) is computed once per train,
+train_many or grad_check call; a step adds O(n d_out) elementwise work
+on the output: each block's product writes its rows of one output
+buffer, and one add of the host output finishes the forward.  train_many
+allocates that buffer, which then takes the squared residual, the
+residual and each block's update buffer once per call.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
-with A_k and B_k as reshaped views of it.  train lays the gradients out
-in a buffer of the same layout, and the TrainState holds both AdamW
-moments that way, so one AdamW update over the whole buffer runs per
-step, whatever K is, and updates the factors in place.  AdamW is
-elementwise, so every entry goes through the same operations as in a
-per-tensor update and the results are the same bit for bit.  Nothing is
-copied in or out: when train returns or raises, adapter.params and the
-TrainState moments hold every update made, and state.step counts them.
+with A_k and B_k as reshaped views of it.  Training lays the gradients
+out in a buffer of the same layout, and the TrainState holds both AdamW
+moments that way, so one AdamW update over the whole (S, p) stack runs
+per step, whatever K and S are.  AdamW is elementwise, so every entry
+goes through the same operations as in a per-tensor update.  A single
+run trains adapter.params and its moments in place; several runs are
+copied into stacked buffers and written back when train_many returns or
+raises, so either way every adapter and TrainState then holds every
+update made, and state.step counts them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +171,35 @@ def _check_host(adapter, w0, x) -> tuple[np.ndarray, np.ndarray]:
     return w0, x
 
 
-def _add_update(blocks, x, out) -> np.ndarray:
-    """Add x @ delta^T into out block by block and return out.
+def _step_buffers(blocks, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Buffers for a step on n samples, with the leading stack axes of the
+    blocks' factors: one for the update's output x @ delta^T, and per
+    block one for its update U_k, which the backward pass reuses for G_k."""
+    out = np.empty(blocks[0].A.shape[:-2] + (n, blocks[-1].row1))
+    return out, [np.empty(blk.B.shape[:-1] + blk.A.shape[-1:]) for blk in blocks]
 
-    Block k adds x[:, cols_k] @ U_k^T to out[:, rows_k], where U_k is the
-    block's own update; the full update matrix is never formed.
+
+def _add_update(blocks, x, base, bufs, out=None) -> np.ndarray:
+    """base + x @ delta^T, written into out when given.
+
+    Block k writes x[..., cols_k] @ U_k^T, where U_k is the block's own
+    update, into its rows of the output buffer; the blocks' row ranges
+    cover the output, so one add then finishes every entry, and the full
+    update matrix is never formed.  bufs come from _step_buffers.
     """
-    for blk in blocks:
-        out[:, blk.row0:blk.row1] += x[:, blk.col0:blk.col1] @ blk.update().T
-    return out
+    y, upds = bufs
+    for blk, upd in zip(blocks, upds):
+        blk.update(out=upd)
+        np.matmul(x[..., blk.col0:blk.col1], upd.swapaxes(-1, -2),
+                  out=y[..., blk.row0:blk.row1])
+    return np.add(base, y, out=out)
 
 
 def forward(adapter, w0, x) -> np.ndarray:
     """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
     w0, x = _check_host(adapter, w0, x)
-    return _add_update(adapter.blocks(), x, x @ w0.T)
+    blocks = adapter.blocks()
+    return _add_update(blocks, x, x @ w0.T, _step_buffers(blocks, x.shape[0]))
 
 
 @dataclass
@@ -181,29 +208,30 @@ class Gradients:
     B: list[np.ndarray]
 
 
-def _factor_grads(blocks, x, upstream, grads_a, grads_b) -> None:
+def _factor_grads(blocks, x, upstream, grads_a, grads_b, bufs) -> None:
     """Write the factor gradients from each block's own slice of the
     upstream gradient into grads_a and grads_b.
 
-    With u = upstream[:, rows_k] and x_k = x[:, cols_k], block k forms
+    With u = upstream[..., rows_k] and x_k = x[..., cols_k], block k forms
     G_k = u^T x_k, masked where the block has a mask, and takes
     dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
     """
-    for blk, grad_a, grad_b in zip(blocks, grads_a, grads_b):
-        gk = upstream[:, blk.row0:blk.row1].T @ x[:, blk.col0:blk.col1]
+    for blk, grad_a, grad_b, gk in zip(blocks, grads_a, grads_b, bufs[1]):
+        np.matmul(upstream[..., blk.row0:blk.row1].swapaxes(-1, -2),
+                  x[..., blk.col0:blk.col1], out=gk)
         if blk.mask is not None:
             gk *= blk.mask
-        np.matmul(gk, blk.A.T, out=grad_b)
+        np.matmul(gk, blk.A.swapaxes(-1, -2), out=grad_b)
         grad_b *= blk.scale
-        np.matmul(blk.B.T, gk, out=grad_a)
+        np.matmul(blk.B.swapaxes(-1, -2), gk, out=grad_a)
         grad_a *= blk.scale
 
 
-def _gradients(blocks, x, upstream) -> Gradients:
+def _gradients(blocks, x, upstream, bufs) -> Gradients:
     """The factor gradients of the blocks, in new arrays."""
     grads = Gradients(A=[np.empty(blk.A.shape) for blk in blocks],
                       B=[np.empty(blk.B.shape) for blk in blocks])
-    _factor_grads(blocks, x, upstream, grads.A, grads.B)
+    _factor_grads(blocks, x, upstream, grads.A, grads.B, bufs)
     return grads
 
 
@@ -217,7 +245,8 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
             f"upstream gradient shape {upstream.shape} does not match "
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
-    return _gradients(adapter.blocks(), x, upstream)
+    blocks = adapter.blocks()
+    return _gradients(blocks, x, upstream, _step_buffers(blocks, x.shape[0]))
 
 
 def mse(pred: np.ndarray, targets: np.ndarray) -> float:
@@ -260,10 +289,12 @@ def grad_check(adapter, task: LinearTask, h: float = 1e-5, tol: float = 1e-6,
         raise ValidationError(f"step h must be in [1e-7, 1e-3], got {h}")
     w0, x = _check_host(adapter, task.w0, task.inputs)
     blocks = adapter.blocks()
+    bufs = _step_buffers(blocks, x.shape[0])
     base = x @ w0.T
-    resid = _add_update(blocks, x, base.copy()) - task.targets
-    grads = _gradients(blocks, x, (2.0 / resid.size) * resid)
+    resid = _add_update(blocks, x, base, bufs) - task.targets
+    grads = _gradients(blocks, x, (2.0 / resid.size) * resid, bufs)
     offset = 2.0 * (base - task.targets)
+    zero = np.zeros_like(offset)
 
     entries = []
     for k in range(len(adapter.A)):
@@ -288,9 +319,9 @@ def grad_check(adapter, task: LinearTask, h: float = 1e-5, tol: float = 1e-6,
         tensor = adapter.A[k] if role == "A" else adapter.B[k]
         orig = tensor[i, j]
         tensor[i, j] = orig + h
-        plus = _add_update(blocks, x, np.zeros_like(offset))
+        plus = _add_update(blocks, x, zero, bufs)
         tensor[i, j] = orig - h
-        minus = _add_update(blocks, x, np.zeros_like(offset))
+        minus = _add_update(blocks, x, zero, bufs)
         tensor[i, j] = orig
         numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * h)
         analytic = getattr(grads, role)[k][i, j]
@@ -358,48 +389,135 @@ def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
     param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
+_OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay", "step")
+
+
+def _lockstep_key(adapter, x, state: TrainState) -> dict:
+    """What the runs of one train_many call must share."""
+    return {"kind": adapter.kind, "layout": adapter.layout,
+            "factor shapes": adapter.factor_shapes, "scales": adapter.scale,
+            "inputs shape": x.shape, **{name: getattr(state, name) for name in _OPTIMIZER_FIELDS}}
+
+
+def _stack(arrays) -> np.ndarray:
+    """The arrays stacked on a new leading axis: a view of the one array
+    when there is one, a copy otherwise."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def train_many(adapters, tasks, steps: int, states=None) -> np.ndarray:
+    """Full-batch AdamW on S adapters, each on its own task, in lockstep;
+    returns the (S, steps + 1) loss traces, row j for run j.
+
+    The runs must share kind, layout, factor shapes and scales, input
+    shape, and optimizer constants and step count; they differ only in
+    their data, factors, masks and moments.  Every run's trace, factors
+    and moments equal those of training it alone with train, bit for
+    bit.  states defaults to fresh TrainState.for_adapter moments.  A
+    mismatched member, a state whose moments do not fit its adapter, or
+    an adapter or state given twice raises ValidationError before any
+    parameter changes.
+
+    A step makes one set of numpy calls on stacked (S, ...) arrays.  One
+    run is trained in place, through views; several are copied into
+    stacked parameter and moment buffers, and the inputs, targets, masks
+    and host outputs are stacked too, so memory grows as O(S n d).  The
+    copies are written back when the call returns or raises, so the
+    adapters and states then hold every update made, state.step counts
+    them, and a later call resumes where this one stopped.  A non-finite
+    loss in any run stops all of them with DivergenceError, which names
+    the step.
+    """
+    if steps < 1:
+        raise ValidationError(f"steps must be ≥ 1, got {steps}")
+    adapters, tasks = list(adapters), list(tasks)
+    states = [TrainState.for_adapter(a) for a in adapters] if states is None else list(states)
+    if not adapters or not len(adapters) == len(tasks) == len(states):
+        raise ValidationError(f"train_many needs one task and one state per adapter, got "
+                              f"{len(adapters)} adapters, {len(tasks)} tasks, {len(states)} states")
+    if len({id(obj) for obj in adapters + states}) != 2 * len(adapters):
+        raise ValidationError("every adapter and every TrainState must be given once")
+    hosts, xs, targets = [], [], []
+    for j, (adapter, task, state) in enumerate(zip(adapters, tasks, states)):
+        _check_moments(state, adapter)
+        w0, x = _check_host(adapter, task.w0, task.inputs)
+        target = np.asarray(task.targets, dtype=np.float64)
+        if target.shape != (x.shape[0], w0.shape[0]):
+            raise ValidationError(f"targets must have shape {(x.shape[0], w0.shape[0])}, "
+                                  f"got {target.shape}")
+        key = _lockstep_key(adapter, x, state)
+        if j == 0:
+            first_key = key
+        differ = [name for name in key if key[name] != first_key[name]]
+        if differ:
+            raise ValidationError(f"run {j} differs from run 0 in {', '.join(differ)}")
+        hosts.append(w0)
+        xs.append(x)
+        targets.append(target)
+
+    S, (n, d_out) = len(adapters), targets[0].shape
+    first, state = adapters[0], states[0]
+    base = np.empty((S, n, d_out))
+    for j in range(S):
+        np.matmul(xs[j], hosts[j].T, out=base[j])
+    x, targets = _stack(xs), _stack(targets)
+    masks = [None if first.masks[k] is None else _stack([a.masks[k] for a in adapters])
+             for k in range(first.layout.K)]
+    params = _stack([a.params for a in adapters])
+    m, v = _stack([s.m for s in states]), _stack([s.v for s in states])
+    blocks = first.blocks(params, masks)
+    bufs = _step_buffers(blocks, n)
+    grads = np.empty_like(params)
+    grads_a, grads_b = first.factor_views(grads)
+    resid = np.empty_like(base)
+    sq = bufs[0]  # the update's output is spent once resid holds the forward
+    traces = np.empty((S, steps + 1))
+    t = state.step
+    try:
+        for i in range(steps + 1):
+            _add_update(blocks, x, base, bufs, out=resid)
+            resid -= targets
+            np.square(resid, out=sq)
+            loss = np.mean(sq, axis=(-2, -1))
+            traces[:, i] = loss
+            if not np.isfinite(loss).all():
+                where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
+                raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
+            if i == steps:
+                break
+            resid *= 2.0 / (n * d_out)
+            _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
+            t += 1
+            _adamw_update(params, grads, m, v, t, state)
+    finally:
+        for j, (adapter, run_state) in enumerate(zip(adapters, states)):
+            if S > 1:
+                adapter.params[...] = params[j]
+                run_state.m[...] = m[j]
+                run_state.v[...] = v[j]
+            run_state.step = t
+    return traces
+
+
 def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None) -> np.ndarray:
     """Full-batch AdamW on the adapter factors; returns the loss trace.
 
     The trace has steps+1 entries: trace[i] is the MSE after i updates,
     so trace[0] is the initial loss.  Deterministic for fixed inputs.
     The host weight is validated and its output x @ w0^T computed once;
-    each step adds the block-wise update output to a copy of it.  A
+    each step adds the block-wise update output to it.  A
     state whose moments do not match the adapter's factors raises
     ValidationError before any parameter changes.  Raises
     DivergenceError (with the step index) if the loss leaves the finite
     range.
 
-    A step is one AdamW update over adapter.params, a gradient buffer
-    of the same layout and the state's moments, in place, so when the
-    call returns or raises the adapter and the state hold every update
-    made, and a later call resumes where this one stopped.
+    This is train_many on one run: each step is one AdamW update over
+    adapter.params, a gradient buffer of the same layout and the state's
+    moments, in place, so when the call returns or raises the adapter and
+    the state hold every update made, and a later call resumes where this
+    one stopped.
     """
-    if steps < 1:
-        raise ValidationError(f"steps must be ≥ 1, got {steps}")
-    if state is None:
-        state = TrainState.for_adapter(adapter)
-    _check_moments(state, adapter)
-    w0, x = _check_host(adapter, task.w0, task.inputs)
-    base = x @ w0.T
-    blocks = adapter.blocks()
-    grads = np.empty_like(adapter.params)
-    grads_a, grads_b = adapter.factor_views(grads)
-    trace = np.empty(steps + 1)
-    for i in range(steps + 1):
-        resid = _add_update(blocks, x, base.copy())
-        resid -= task.targets
-        loss = float(np.mean(resid ** 2))
-        trace[i] = loss
-        if not math.isfinite(loss):
-            raise DivergenceError(f"training diverged: non-finite loss at step {i}")
-        if i == steps:
-            break
-        resid *= 2.0 / resid.size
-        _factor_grads(blocks, x, resid, grads_a, grads_b)
-        state.step += 1
-        _adamw_update(adapter.params, grads, state.m, state.v, state.step, state)
-    return trace
+    return train_many([adapter], [task], steps, None if state is None else [state])[0]
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

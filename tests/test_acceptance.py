@@ -15,7 +15,6 @@ import pytest
 from smoa import (
     METHODS,
     RunConfig,
-    TrainState,
     build_adapter,
     cumulative_energy,
     decompose,
@@ -27,10 +26,10 @@ from smoa import (
     numerical_rank,
     param_count,
     partition,
-    train,
     randomize_factors,
     random_weight,
     rank_sweep,
+    train_many,
     write_loss_trace,
 )
 
@@ -64,19 +63,14 @@ def sweep():
 
 
 def _run_capacity():
-    finals = {"smoa": [], "lora": []}
-    traces = {"smoa": [], "lora": []}
-    for seed in CAPACITY_SEEDS:
-        task = make_task(64, 48, 128, 0.0, seed, target_blocks=2)
-        for method, cfg in (
-            ("smoa", RunConfig(d_out=64, d_in=64, K=2, r=16, seed=seed)),
-            ("lora", RunConfig(d_out=64, d_in=64, K=1, r=8, seed=seed)),
-        ):
-            adapter = build_adapter(method, cfg, task.w0)
-            state = TrainState.for_adapter(adapter)
-            trace = train(adapter, task, CAPACITY_STEPS, state)
-            finals[method].append(trace[-1])
-            traces[method].append(trace)
+    # one lockstep train_many call per method trains all five seeds
+    tasks = [make_task(64, 48, 128, 0.0, seed, target_blocks=2) for seed in CAPACITY_SEEDS]
+    finals, traces = {}, {}
+    for method, K, r in (("smoa", 2, 16), ("lora", 1, 8)):
+        runs = [build_adapter(method, RunConfig(d_out=64, d_in=64, K=K, r=r, seed=seed), task.w0)
+                for seed, task in zip(CAPACITY_SEEDS, tasks)]
+        traces[method] = train_many(runs, tasks, CAPACITY_STEPS)
+        finals[method] = traces[method][:, -1]
     return finals, traces
 
 

@@ -14,7 +14,7 @@ from smoa import adapters
 from smoa.errors import FormatError, ValidationError
 from smoa.matrix_io import RunConfig
 from smoa.rank_analysis import numerical_rank
-from smoa.spectral import EmptySubspaceWarning
+from smoa.spectral import EmptySubspaceWarning, decompose, modulation_tensor
 from smoa.training import random_weight
 
 
@@ -101,6 +101,30 @@ def test_build_smoa_deterministic():
         assert a.tobytes() == b.tobytes()
     for a, b in zip(first.masks, second.masks):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d_out=st.integers(2, 40), d_in=st.integers(2, 40), k_pick=st.integers(1, 6),
+       seed=st.integers(0, 2**16), spiked=st.booleans())
+def test_smoa_masks_equal_blocks_of_the_modulation_tensors(d_out, d_in, k_pick, seed, spiked):
+    # build_adapter forms each mask from the block's singular triples alone;
+    # a different GEMM split may round differently, so the reference slice
+    # of the full tensor is matched to 1e-14 of the block's largest entry
+    K = min(k_pick, d_out, d_in)
+    rng = np.random.default_rng(seed)
+    w0 = random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    if spiked:
+        w0[0] *= 100.0  # empties the leading subspaces
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        adapter = adapters.build_adapter("smoa", RunConfig(d_out=d_out, d_in=d_in, K=K, r=K,
+                                                           seed=seed), w0)
+    dec = decompose(w0)
+    for k, mask in enumerate(adapter.masks):
+        (r0, r1), (c0, c1) = adapter.layout.row_ranges[k], adapter.layout.col_ranges[k]
+        ref = modulation_tensor(dec, adapter.partition, k)[r0:r1, c0:c1]
+        assert mask.shape == ref.shape and mask.flags.c_contiguous
+        assert_allclose(mask, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_mod_blocks_are_frozen():

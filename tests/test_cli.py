@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoa import matrix_io, rank_analysis
+from smoa import matrix_io, rank_analysis, training
 from smoa.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -269,6 +269,67 @@ def test_train_multiple_seeds_prints_medians(capsys, tmp_path):
     assert code == 0
     assert "median final loss" in out
     assert (tmp_path / "multi.seed5.loss.csv").exists()
+
+
+def written_files(folder):
+    """The bytes of every file a train run wrote under the prefix exp."""
+    return {p.name: p.read_bytes() for p in folder.glob("exp.*")}
+
+
+def test_train_seeds_run_together_write_what_each_seed_writes_alone(capsys, tmp_path):
+    # the seeds are trained in one stacked call; that must not couple them
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    cfg = write_train_config(tmp_path, steps=60, noise_std=0.01, weight_decay=0.01)
+    code, out, _ = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                           "--out-prefix", str(together / "exp"), "--seeds", "3")
+    assert code == 0
+    lines = []
+    for seed in (3, 4, 5):
+        cfg = write_train_config(tmp_path, steps=60, noise_std=0.01, weight_decay=0.01, seed=seed)
+        code, single, _ = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                                  "--out-prefix", str(alone / "exp"))
+        assert code == 0
+        lines.append(single.splitlines()[0])
+    assert out.splitlines()[:3] == lines
+    # per seed: the loss trace, the manifest, A0, B0, A1, B1 and two mask blocks
+    assert len(written_files(together)) == 3 * 8
+    assert written_files(together) == written_files(alone)
+
+
+def test_train_out_prefix_in_missing_directory(capsys, tmp_path):
+    cfg = write_train_config(tmp_path, steps=20)
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                           "--out-prefix", str(tmp_path / "new" / "nested" / "exp"))
+    assert (code, err) == (0, "")
+    code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                         "--out-prefix", str(tmp_path / "exp"))
+    assert code == 0
+    nested = written_files(tmp_path / "new" / "nested")
+    assert len(nested) == 8
+    assert nested == written_files(tmp_path)
+
+
+def test_train_uncreatable_out_prefix_exits_3_before_training(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(training, "train_many", lambda *args: pytest.fail("trained"))
+    cfg = write_train_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                             "--out-prefix", str(tmp_path / "file" / "exp"))
+    assert (code, out) == (3, "")
+    assert "i/o error" in err
+
+
+def test_train_divergence_exits_2_and_writes_nothing(capsys, tmp_path):
+    # one diverging seed stops every seed of the call: no seed writes files
+    cfg = write_train_config(tmp_path, learning_rate=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                                 "--out-prefix", str(tmp_path / "run"), "--seeds", "3")
+    assert (code, out) == (2, "")
+    assert "numerical error: training diverged: non-finite loss at step 1" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
 
 
 def test_gradcheck_passes(capsys):

@@ -538,3 +538,159 @@ def test_train_divergence_writes_back_the_updates_made():
     assert state.step == 1
     assert_same_run(adapter, state, ref, ref_state, ref_moments)
 
+
+
+# train_many: S runs of one structure in one stacked step.  Each run must
+# equal training it alone with train, bit for bit.
+
+def rectangular_task(d_out, d_in, n, seed):
+    """A hand-built planted task on a d_out x d_in weight."""
+    rng = np.random.default_rng(seed)
+    w0 = training.random_weight(d_out, d_in, rng)
+    target = 0.1 * rng.standard_normal((d_out, d_in))
+    x = rng.standard_normal((n, d_in))
+    return training.LinearTask(w0=w0, target_delta=target, inputs=x,
+                               targets=x @ (w0 + target).T, noise_std=0.0,
+                               target_rank=min(d_out, d_in))
+
+
+def lockstep_runs(method, d_out, d_in, K, n, S, seed, **state_kwargs):
+    """S fresh adapters with randomized factors, their tasks and states."""
+    runs, tasks, states = [], [], []
+    for j in range(S):
+        task = rectangular_task(d_out, d_in, n, seed + j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySubspaceWarning)
+            adapter = adapters.build_adapter(
+                method, RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + 1, seed=seed + j), task.w0)
+        adapters.randomize_factors(adapter, np.random.default_rng([seed, j]), std=0.3)
+        runs.append(adapter)
+        tasks.append(task)
+        states.append(training.TrainState.for_adapter(adapter, **state_kwargs))
+    return runs, tasks, states
+
+
+def run_bytes(adapter, state):
+    return adapter.params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(adapters.METHODS), K=st.integers(2, 4), q_out=st.integers(1, 3),
+       q_in=st.integers(1, 3), rem=st.integers(0, 8), n=st.integers(1, 9), S=st.integers(1, 3),
+       weight_decay=st.sampled_from([0.0, 0.01]), seed=st.integers(0, 2**16))
+def test_train_many_equals_train_per_run_bit_for_bit(method, K, q_out, q_in, rem, n, S,
+                                                     weight_decay, seed):
+    # K divides neither side: d = K q + a remainder in [1, K - 1]
+    d_out, d_in = K * q_out + 1 + rem % (K - 1), K * q_in + 1 + (rem // 3) % (K - 1)
+    kwargs = dict(learning_rate=1e-2, weight_decay=weight_decay)
+    runs, tasks, states = lockstep_runs(method, d_out, d_in, K, n, S, seed, **kwargs)
+    traces = training.train_many(runs, tasks, 12, states)
+    assert traces.shape == (S, 13)
+    refs, _, ref_states = lockstep_runs(method, d_out, d_in, K, n, S, seed, **kwargs)
+    for j in range(S):
+        ref_trace = training.train(refs[j], tasks[j], 12, ref_states[j])
+        assert traces[j].tobytes() == ref_trace.tobytes()
+        assert run_bytes(runs[j], states[j]) == run_bytes(refs[j], ref_states[j])
+
+
+def test_train_many_resumes_in_place_bit_for_bit():
+    runs, tasks, states = lockstep_runs("smoa", 13, 10, 3, 7, 3, 32, learning_rate=1e-2)
+    objects = [id(t) for a, s in zip(runs, states) for t in (a.params, s.m, s.v) + a.A + a.B]
+    first = training.train_many(runs, tasks, 7, states)
+    second = training.train_many(runs, tasks, 13, states)
+    assert [id(t) for a, s in zip(runs, states)
+            for t in (a.params, s.m, s.v) + a.A + a.B] == objects
+
+    refs, _, ref_states = lockstep_runs("smoa", 13, 10, 3, 7, 3, 32, learning_rate=1e-2)
+    single = training.train_many(refs, tasks, 20, ref_states)
+    assert np.array_equal(first, single[:, :8])
+    assert np.array_equal(second, single[:, 7:])
+    for run, state, ref, ref_state in zip(runs, states, refs, ref_states):
+        assert run_bytes(run, state) == run_bytes(ref, ref_state)
+        assert state.step == 20
+
+
+def test_train_many_divergence_writes_back_every_run():
+    runs, tasks, states = lockstep_runs("block_lora", 8, 8, 2, 10, 2, 33, learning_rate=1e200)
+    refs, _, ref_states = lockstep_runs("block_lora", 8, 8, 2, 10, 2, 33, learning_rate=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(training.DivergenceError, match="step 1 in run 0"):
+            training.train_many(runs, tasks, 10, states)
+        for ref, task, ref_state in zip(refs, tasks, ref_states):
+            with pytest.raises(training.DivergenceError, match="step 1"):
+                training.train(ref, task, 10, ref_state)
+    for run, state, ref, ref_state in zip(runs, states, refs, ref_states):
+        assert state.step == 1
+        assert run_bytes(run, state) == run_bytes(ref, ref_state)
+
+
+def test_train_many_names_the_diverging_run():
+    runs, tasks, states = lockstep_runs("smoa", 8, 8, 2, 10, 3, 34)
+    tasks[2] = dataclasses.replace(tasks[2], targets=np.full_like(tasks[2].targets, 1e200))
+    before = [run_bytes(a, s) for a, s in zip(runs, states)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(training.DivergenceError, match="step 0 in run 2"):
+            training.train_many(runs, tasks, 10, states)
+    assert [run_bytes(a, s) for a, s in zip(runs, states)] == before
+
+
+def _mismatch(case, runs, tasks, states):
+    """Make run 1 of a 2-run lockstep call differ from run 0 in one way."""
+    task = tasks[1]
+    if case == "kind":  # block_lora has smoa's factor shapes and scales
+        runs[1] = adapters.build_adapter("block_lora", small_cfg(seed=36), task.w0)
+        states[1] = training.TrainState.for_adapter(runs[1])
+    elif case == "factor shapes":
+        runs[1] = adapters.build_adapter("smoa", small_cfg(r=6, seed=36), task.w0)
+        states[1] = training.TrainState.for_adapter(runs[1])
+    elif case == "scales":
+        runs[1] = adapters.build_adapter("smoa", small_cfg(alpha=8.0, seed=36), task.w0)
+        states[1] = training.TrainState.for_adapter(runs[1])
+    elif case == "inputs shape":
+        tasks[1] = dataclasses.replace(task, inputs=task.inputs[:5], targets=task.targets[:5])
+    elif case == "targets":
+        tasks[1] = dataclasses.replace(task, targets=task.targets[:, :4])
+    elif case == "learning_rate":
+        states[1].learning_rate = 1e-2
+    elif case == "step":
+        states[1].step = 3
+    elif case == "moments":
+        states[1].m = states[1].m[:-1].copy()
+    elif case == "same adapter":
+        runs[1], states[1] = runs[0], training.TrainState.for_adapter(runs[0])
+    elif case == "same state":
+        states[1] = states[0]
+    elif case == "lengths":
+        del tasks[1]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("kind", "run 1 differs from run 0 in kind"),
+    ("factor shapes", "run 1 differs from run 0 in factor shapes"),
+    ("scales", "run 1 differs from run 0 in scales"),
+    ("inputs shape", "run 1 differs from run 0 in inputs shape"),
+    ("targets", "targets must have shape"),
+    ("learning_rate", "run 1 differs from run 0 in learning_rate"),
+    ("step", "run 1 differs from run 0 in step"),
+    ("moments", "TrainState.m must be a float64 array"),
+    ("same adapter", "given once"),
+    ("same state", "given once"),
+    ("lengths", "one task and one state per adapter"),
+])
+def test_train_many_rejects_mismatched_runs_before_any_update(case, message):
+    runs, tasks, states = [], [], []
+    for j in range(2):
+        tasks.append(training.make_task(8, 2, 10, 0.0, seed=35 + j))
+        runs.append(adapters.build_adapter("smoa", small_cfg(seed=35 + j), tasks[j].w0))
+        adapters.randomize_factors(runs[j], np.random.default_rng(j))
+        states.append(training.TrainState.for_adapter(runs[j]))
+    _mismatch(case, runs, tasks, states)
+    before = [(a.params.tobytes(), s.step) for a, s in zip(runs, states)]
+    with pytest.raises(ValidationError, match=message):
+        training.train_many(runs, tasks, 3, states)
+    assert [(a.params.tobytes(), s.step) for a, s in zip(runs, states)] == before
+
+
+def test_train_many_rejects_an_empty_call():
+    with pytest.raises(ValidationError, match="one task and one state per adapter"):
+        training.train_many([], [], 3)
