@@ -29,11 +29,9 @@ from .matrix_io import (
     RunConfig,
     SweepConfig,
     TrainConfig,
-    read_config,
     read_matrix,
     read_sweep_config,
     read_train_config,
-    write_config,
     write_matrix,
     write_report,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,7 @@ class RunConfig:
 
     `r` is the total rank budget in budget mode and the per-subspace rank
     in flexible mode.  `alpha` defaults to `r` and `init_std` to 0.02
-    when omitted from a config file.
+    when omitted.
     """
 
     d_out: int
@@ -172,14 +172,6 @@ class RunConfig:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.init_std <= 0:
             raise ValidationError(f"init_std must be positive, got {self.init_std}")
-
-
-def read_config(path) -> RunConfig:
-    return config_from_dict(RunConfig, _load_json(path))
-
-
-def write_config(cfg: RunConfig, path) -> None:
-    write_json(asdict(cfg), path)
 
 
 def write_json(obj, path) -> None:
@@ -229,18 +221,14 @@ class SweepConfig:
         for name in ("r_values", "K_values"):
             for value in getattr(self, name):
                 _check_field(f"every entry of {name}", value, int, 1)
+        for name in ("methods", "r_values", "K_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{name} must not repeat an entry, got {list(values)}")
         _check_field("tol_factor", self.tol_factor, float)
         _check_field("budget_match", self.budget_match, bool)
         if self.tol_factor <= 0:
             raise ValidationError(f"tol_factor must be positive, got {self.tol_factor}")
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods), "d": self.d,
-            "r_values": list(self.r_values), "K_values": list(self.K_values),
-            "n_seeds": self.n_seeds, "base_seed": self.base_seed,
-            "tol_factor": self.tol_factor, "budget_match": self.budget_match,
-        }
 
 
 def read_sweep_config(path) -> SweepConfig:

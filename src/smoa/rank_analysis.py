@@ -27,7 +27,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -213,9 +213,10 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     ))
 
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
-    config_blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    config = asdict(cfg)
+    config_blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     metadata = {
-        "config": cfg.to_dict(),
+        "config": config,
         "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
         "tolerance_factor": tol_factor,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -35,10 +35,6 @@ class SpectralDecomposition:
     sigma: np.ndarray
     Vt: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.U.shape[0], self.Vt.shape[1])
-
 
 @dataclass(frozen=True)
 class EnergyPartition:
@@ -137,12 +133,10 @@ def modulation_tensor(dec: SpectralDecomposition, part: EnergyPartition, k: int)
 
     Only the singular triples whose indices fall in the k-th set
     contribute; the result has numerical rank equal to the number of
-    above-tolerance singular values in that set.
+    above-tolerance singular values in that set, and is zero for an empty
+    set.
     """
     if not 0 <= k < part.K:
         raise ValidationError(f"subspace index must be in [0, {part.K}), got {k}")
     idx = part.index_sets[k]
-    d_out, d_in = dec.shape
-    if idx.size == 0:
-        return np.zeros((d_out, d_in))
     return (dec.U[:, idx] * dec.sigma[idx]) @ dec.Vt[idx, :]

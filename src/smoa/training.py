@@ -35,15 +35,16 @@ allocates that buffer, which then takes the squared residual, the
 residual and each block's update buffer once per call.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
-with A_k and B_k as reshaped views of it.  Training lays the gradients
-out in a buffer of the same layout, and the TrainState holds both AdamW
-moments that way, so one AdamW update over the whole (S, p) stack runs
-per step, whatever K and S are.  AdamW is elementwise, so every entry
-goes through the same operations as in a per-tensor update.  A single
-run trains adapter.params and its moments in place; several runs are
-copied into stacked buffers and written back when train_many returns or
-raises, so either way every adapter and TrainState then holds every
-update made, and state.step counts them.
+with A_k and B_k as reshaped views of it.  Gradients are laid out in one
+buffer of the same layout: backward returns views of it, grad_check
+perturbs params[e] and reads entry e of it, and the TrainState holds
+both AdamW moments that way, so one AdamW update over the whole (S, p)
+stack runs per step, whatever K and S are.  AdamW is elementwise, so
+every entry goes through the same operations as in a per-tensor update.
+A single run trains adapter.params and its moments in place; several
+runs are copied into stacked buffers and written back when train_many
+returns or raises, so either way every adapter and TrainState then holds
+every update made, and state.step counts them.
 """
 
 from __future__ import annotations
@@ -90,16 +91,13 @@ class LinearTask:
     """Regression task whose optimal update is a known planted matrix.
 
     targets = inputs @ (w0 + target_delta)^T + Gaussian noise.  The
-    planted target_delta is hidden from the learner; its numerical rank
-    equals target_rank.
+    planted target_delta is hidden from the learner.
     """
 
     w0: np.ndarray
     target_delta: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
-    noise_std: float
-    target_rank: int
 
 
 def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
@@ -146,8 +144,7 @@ def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
     target.setflags(write=False)
     inputs.setflags(write=False)
     targets.setflags(write=False)
-    return LinearTask(w0=w0, target_delta=target, inputs=inputs, targets=targets,
-                      noise_std=noise_std, target_rank=target_rank)
+    return LinearTask(w0=w0, target_delta=target, inputs=inputs, targets=targets)
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -204,8 +201,11 @@ def forward(adapter, w0, x) -> np.ndarray:
 
 @dataclass
 class Gradients:
-    A: list[np.ndarray]
-    B: list[np.ndarray]
+    """The factor gradients dA_k and dB_k, as reshaped views of one flat
+    buffer laid out like adapter.params."""
+
+    A: tuple[np.ndarray, ...]
+    B: tuple[np.ndarray, ...]
 
 
 def _factor_grads(blocks, x, upstream, grads_a, grads_b, bufs) -> None:
@@ -227,14 +227,6 @@ def _factor_grads(blocks, x, upstream, grads_a, grads_b, bufs) -> None:
         grad_a *= blk.scale
 
 
-def _gradients(blocks, x, upstream, bufs) -> Gradients:
-    """The factor gradients of the blocks, in new arrays."""
-    grads = Gradients(A=[np.empty(blk.A.shape) for blk in blocks],
-                      B=[np.empty(blk.B.shape) for blk in blocks])
-    _factor_grads(blocks, x, upstream, grads.A, grads.B, bufs)
-    return grads
-
-
 def backward(adapter, w0, x, upstream_grad) -> Gradients:
     """Gradients of the trainable factors given the loss gradient w.r.t.
     the forward output."""
@@ -246,7 +238,9 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
     blocks = adapter.blocks()
-    return _gradients(blocks, x, upstream, _step_buffers(blocks, x.shape[0]))
+    grads = Gradients(*adapter.factor_views(np.empty_like(adapter.params)))
+    _factor_grads(blocks, x, upstream, grads.A, grads.B, _step_buffers(blocks, x.shape[0]))
+    return grads
 
 
 def mse(pred: np.ndarray, targets: np.ndarray) -> float:
@@ -267,71 +261,79 @@ class GradCheckReport:
         return self.max_rel_error <= self.tol
 
 
-def grad_check(adapter, task: LinearTask, h: float = 1e-5, tol: float = 1e-6,
-               sample_limit: int = 512, n_samples: int = 256, seed: int = 0,
+_H = 1e-5  # finite-difference step
+_TOL = 1e-6  # largest relative error that passes
+_CHECK_ALL_UP_TO = 512  # adapters with more entries are subsampled
+_N_SAMPLED = 256
+
+
+def _factor_entry(adapter, e: int) -> tuple[str, int, int, int]:
+    """The (role, subspace, row, col) of entry e of adapter.params."""
+    e = int(e)
+    for f, (rows, cols) in enumerate(adapter.factor_shapes):
+        if e < rows * cols:
+            return ("A", "B")[f % 2], f // 2, *divmod(e, cols)
+        e -= rows * cols
+
+
+def grad_check(adapter, task: LinearTask, seed: int = 0,
                corrupt_for_testing: bool = False) -> GradCheckReport:
     """Compare analytic factor gradients against central finite differences.
 
-    Every trainable entry is perturbed by +-h when the adapter holds at
-    most sample_limit entries; larger adapters use a seeded subsample of
-    n_samples entries.  With p+- the outputs at +-h and t the targets,
-    the numeric derivative is mean((p+ - p-)(p+ + p- - 2t)) / 2h, which
-    equals (mse(p+) - mse(p-)) / 2h without subtracting two nearly equal
-    losses; p+ - p- is taken between the update outputs alone, so the
-    frozen host output cancels exactly.  Relative error is
-    |a - n| / max(|a|, |n|, 1e-8).  Failures are report entries, never
+    Entries are positions in adapter.params.  Each is perturbed by
+    +-h = 1e-5 when the adapter holds at most 512 entries; larger adapters
+    use a seeded subsample of 256 positions.  With p+- the outputs at +-h
+    and t the targets, the numeric derivative is
+    mean((p+ - p-)(p+ + p- - 2t)) / 2h, which equals
+    (mse(p+) - mse(p-)) / 2h without subtracting two nearly equal losses;
+    p+ - p- is taken between the update outputs alone, so the frozen host
+    output cancels exactly.  Relative error is |a - n| / max(|a|, |n|, 1e-8)
+    and passes at most 1e-6.  The report names the worst entry as
+    (role, subspace, row, col).  Failures are report entries, never
     exceptions.
 
-    corrupt_for_testing flips the sign of the largest analytic gradient
-    before comparing, to verify the checker itself catches bad gradients.
+    corrupt_for_testing flips the sign of the first checked entry of
+    largest |analytic gradient| before comparing, to verify the checker
+    itself catches bad gradients.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValidationError(f"step h must be in [1e-7, 1e-3], got {h}")
     w0, x = _check_host(adapter, task.w0, task.inputs)
+    params = adapter.params
     blocks = adapter.blocks()
     bufs = _step_buffers(blocks, x.shape[0])
     base = x @ w0.T
     resid = _add_update(blocks, x, base, bufs) - task.targets
-    grads = _gradients(blocks, x, (2.0 / resid.size) * resid, bufs)
+    grad = np.empty_like(params)
+    _factor_grads(blocks, x, (2.0 / resid.size) * resid, *adapter.factor_views(grad), bufs)
     offset = 2.0 * (base - task.targets)
     zero = np.zeros_like(offset)
 
-    entries = []
-    for k in range(len(adapter.A)):
-        for (role, tensor) in (("A", adapter.A[k]), ("B", adapter.B[k])):
-            rows, cols = tensor.shape
-            entries.extend((role, k, i, j) for i in range(rows) for j in range(cols))
-    if len(entries) > sample_limit:
+    entries = np.arange(params.size)
+    if params.size > _CHECK_ALL_UP_TO:
         picker = np.random.default_rng(seed)
-        chosen = picker.choice(len(entries), size=n_samples, replace=False)
-        entries = [entries[i] for i in sorted(chosen)]
-
+        entries = np.sort(picker.choice(params.size, _N_SAMPLED, replace=False))
     if corrupt_for_testing:
-        flat = [(abs(getattr(grads, role)[k][i, j]), (role, k, i, j))
-                for (role, k, i, j) in entries]
-        _, (role, k, i, j) = max(flat)
-        getattr(grads, role)[k][i, j] *= -1.0
+        grad[entries[np.argmax(np.abs(grad[entries]))]] *= -1.0
 
     max_rel = 0.0
     worst = entries[0]
     worst_a = worst_n = 0.0
-    for (role, k, i, j) in entries:
-        tensor = adapter.A[k] if role == "A" else adapter.B[k]
-        orig = tensor[i, j]
-        tensor[i, j] = orig + h
+    for e in entries:
+        orig = params[e]
+        params[e] = orig + _H
         plus = _add_update(blocks, x, zero, bufs)
-        tensor[i, j] = orig - h
+        params[e] = orig - _H
         minus = _add_update(blocks, x, zero, bufs)
-        tensor[i, j] = orig
-        numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * h)
-        analytic = getattr(grads, role)[k][i, j]
+        params[e] = orig
+        numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
+        analytic = grad[e]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         if rel > max_rel:
             max_rel = rel
-            worst = (role, k, i, j)
+            worst = e
             worst_a, worst_n = analytic, numeric
-    return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries), worst=worst,
-                           worst_analytic=worst_a, worst_numeric=worst_n, tol=tol)
+    return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries),
+                           worst=_factor_entry(adapter, worst), worst_analytic=worst_a,
+                           worst_numeric=worst_n, tol=_TOL)
 
 
 @dataclass
@@ -405,6 +407,7 @@ def _stack(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_many(adapters, tasks, steps: int, states=None) -> np.ndarray:
     """Full-batch AdamW on S adapters, each on its own task, in lockstep;
     returns the (S, steps + 1) loss traces, row j for run j.
@@ -426,7 +429,8 @@ def train_many(adapters, tasks, steps: int, states=None) -> np.ndarray:
     adapters and states then hold every update made, state.step counts
     them, and a later call resumes where this one stopped.  A non-finite
     loss in any run stops all of them with DivergenceError, which names
-    the step.
+    the step; numpy's overflow and invalid-value warnings on the way there
+    are silenced, so the error is the one report of a divergence.
     """
     if steps < 1:
         raise ValidationError(f"steps must be ≥ 1, got {steps}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,22 @@ def test_rank_bench_nan_tolerance_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rank-bench", "--config", str(cfg), "--out", str(out_csv))
     assert code == 1
     assert "tol_factor must be finite" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("methods", ["smoa", "smoa"]),
+    ("r_values", [2, 2]),
+    ("K_values", [1, 1]),
+])
+def test_rank_bench_repeated_entry_exits_1(capsys, tmp_path, field, value):
+    # a repeated entry once wrote every row of its cells twice and exited 0
+    cell = {"methods": ["smoa"], "d": 8, "r_values": [2], "K_values": [1], "n_seeds": 1}
+    cfg = write_sweep_config(tmp_path, **{**cell, field: value})
+    out_csv = tmp_path / "r.csv"
+    code, _, err = run_cli(capsys, "rank-bench", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert f"{field} must not repeat an entry" in err
     assert not out_csv.exists()
 
 
@@ -330,6 +347,18 @@ def test_train_divergence_exits_2_and_writes_nothing(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "numerical error: training diverged: non-finite loss at step 1" in err
     assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
+
+
+def test_train_divergence_reports_one_line_under_warnings_as_errors(capsys, tmp_path):
+    # numpy's overflow warning once reached stderr ahead of the error line,
+    # and under -W error::RuntimeWarning it escaped as a traceback
+    cfg = write_train_config(tmp_path, learning_rate=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                                 "--out-prefix", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    assert err == "smoa train: numerical error: training diverged: non-finite loss at step 1\n"
 
 
 def test_gradcheck_passes(capsys):

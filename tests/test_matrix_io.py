@@ -139,10 +139,8 @@ def test_non_2d_rejected():
         matrix_io.validate_matrix(np.zeros(3))
 
 
-def test_config_defaults(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"d_out":64,"d_in":64,"K":2,"r":16,"seed":7}')
-    cfg = matrix_io.read_config(path)
+def test_config_defaults():
+    cfg = config_from_dict(RunConfig, {"d_out": 64, "d_in": 64, "K": 2, "r": 16, "seed": 7})
     assert cfg.alpha == 16.0
     assert cfg.mode == "budget"
     assert cfg.init_std == 0.02
@@ -188,13 +186,6 @@ def test_config_flexible_allows_r_below_k():
         {"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0, "mode": "flexible"}
     )
     assert cfg.r == 2
-
-
-def test_config_roundtrip(tmp_path):
-    cfg = matrix_io.RunConfig(d_out=16, d_in=8, K=2, r=4, seed=3, alpha=2.5)
-    path = tmp_path / "cfg.json"
-    matrix_io.write_config(cfg, path)
-    assert matrix_io.read_config(path) == cfg
 
 
 def test_write_report_header_and_rows(tmp_path):

@@ -46,7 +46,6 @@ def test_make_task_shapes_and_scales():
 def test_make_task_plants_exact_rank(rank):
     task = training.make_task(32, rank, 40, 0.0, seed=rank)
     assert numerical_rank(task.target_delta) == rank
-    assert task.target_rank == rank
 
 
 def test_make_task_block_support():
@@ -184,18 +183,11 @@ def test_grad_check_subsamples_large_adapters():
     assert report.passed
 
 
-def test_grad_check_rejects_bad_step():
-    task = training.make_task(8, 2, 10, 0.0, seed=17)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=17), task.w0)
-    with pytest.raises(ValidationError, match="step h"):
-        training.grad_check(adapter, task, h=1e-2)
-
-
 def test_train_stays_at_optimum_for_zero_update_task():
     base = training.make_task(8, 1, 16, 0.0, seed=18)
     zero_delta = np.zeros_like(base.target_delta)
     task = dataclasses.replace(
-        base, target_delta=zero_delta, targets=base.inputs @ base.w0.T, target_rank=0
+        base, target_delta=zero_delta, targets=base.inputs @ base.w0.T
     )
     adapter = adapters.build_adapter("smoa", small_cfg(seed=18), base.w0)
     trace = training.train(adapter, task, 50)
@@ -550,8 +542,7 @@ def rectangular_task(d_out, d_in, n, seed):
     target = 0.1 * rng.standard_normal((d_out, d_in))
     x = rng.standard_normal((n, d_in))
     return training.LinearTask(w0=w0, target_delta=target, inputs=x,
-                               targets=x @ (w0 + target).T, noise_std=0.0,
-                               target_rank=min(d_out, d_in))
+                               targets=x @ (w0 + target).T)
 
 
 def lockstep_runs(method, d_out, d_in, K, n, S, seed, **state_kwargs):
@@ -694,3 +685,46 @@ def test_train_many_rejects_mismatched_runs_before_any_update(case, message):
 def test_train_many_rejects_an_empty_call():
     with pytest.raises(ValidationError, match="one task and one state per adapter"):
         training.train_many([], [], 3)
+
+
+# backward, grad_check and training share one gradient layout: that of
+# adapter.params.
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(adapters.METHODS), K=st.integers(2, 4), q_out=st.integers(1, 3),
+       q_in=st.integers(1, 3), rem=st.integers(0, 8), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
+    # K divides neither side: d = K q + a remainder in [1, K - 1]
+    d_out, d_in = K * q_out + 1 + rem % (K - 1), K * q_in + 1 + (rem // 3) % (K - 1)
+    (adapter,), (task,), _ = lockstep_runs(method, d_out, d_in, K, n, 1, seed)
+    factors = adapter.params.copy()
+
+    # the entry the report names for flat index e is params[e]
+    adapter.params[...] = np.arange(adapter.params.size)
+    for e in range(adapter.params.size):
+        role, k, i, j = training._factor_entry(adapter, e)
+        assert getattr(adapter, role)[k][i, j] == e
+    adapter.params[...] = factors
+
+    # backward returns views of one buffer laid out like params
+    rng = np.random.default_rng(seed)
+    x, upstream = rng.standard_normal((n, d_in)), rng.standard_normal((n, d_out))
+    grads = training.backward(adapter, task.w0, x, upstream)
+    flat = grads.A[0].base
+    assert flat.shape == adapter.params.shape
+    assert all(g.base is flat for g in grads.A + grads.B)
+    assert_array_equal(np.concatenate([g.ravel() for pair in zip(grads.A, grads.B)
+                                       for g in pair]), flat)
+    assert_matches_dense(adapter, task.w0, x, upstream)
+
+    # a corrupted check names the flipped entry and reports its flipped value
+    resid = training.forward(adapter, task.w0, task.inputs) - task.targets
+    grads = training.backward(adapter, task.w0, task.inputs, (2.0 / resid.size) * resid)
+    flat = grads.A[0].base
+    report = training.grad_check(adapter, task, corrupt_for_testing=True)
+    flipped = int(np.argmax(np.abs(flat)))
+    assert report.worst == training._factor_entry(adapter, flipped)
+    assert report.worst_analytic == -flat[flipped]
+    assert not report.passed
+    assert adapter.params.tobytes() == factors.tobytes()
