@@ -12,36 +12,25 @@ capped at 8.
 
 import numpy as np
 
-from smoa import (
-    RunConfig,
-    build_adapter,
-    make_task,
-    param_count,
-    train_many,
-)
+from smoa import TrainConfig, param_count, train_seeds
 
 STEPS = 2000
 SEEDS = (0, 1, 2)
 
-tasks = [make_task(d=64, target_rank=48, n_samples=128, noise_std=0.0,
-                   seed=seed, target_blocks=2) for seed in SEEDS]
 configs = {
-    "smoa": [RunConfig(d_out=64, d_in=64, K=2, r=16, seed=seed) for seed in SEEDS],
-    "lora": [RunConfig(d_out=64, d_in=64, K=1, r=8, seed=seed) for seed in SEEDS],
+    method: TrainConfig(d=64, target_rank=48, n_samples=128, seed=SEEDS[0], target_blocks=2,
+                        r=r, K=K, steps=STEPS)
+    for method, r, K in (("smoa", 16, 2), ("lora", 8, 1))
 }
-# one call per method trains every seed in lockstep (lr 1e-3, full batch);
-# each seed's trace is the one it would reach trained alone
-traces = {
-    method: train_many([build_adapter(method, cfg, task.w0) for cfg, task in zip(cfgs, tasks)],
-                       tasks, STEPS)
-    for method, cfgs in configs.items()
-}
+# one call per method builds and trains every seed in lockstep (lr 1e-3,
+# full batch); each seed's trace is the one it would reach trained alone
+traces = {method: train_seeds(method, cfg, len(SEEDS))[1] for method, cfg in configs.items()}
 
 for i, seed in enumerate(SEEDS):
     print(f"--- seed {seed} ---")
-    for method, cfgs in configs.items():
+    for method, cfg in configs.items():
         trace = traces[method][i]
-        print(f"{method:5s} ({param_count(method, cfgs[i])} params): "
+        print(f"{method:5s} ({param_count(method, cfg.run_config(method))} params): "
               f"loss {trace[0]:.4f} -> {trace[-1]:.4f} "
               f"(checkpoints: {trace[0]:.3f}, {trace[500]:.3f}, "
               f"{trace[1000]:.3f}, {trace[2000]:.3f})")

@@ -64,7 +64,7 @@ from .training import (
     mse,
     random_weight,
     train,
-    train_many,
+    train_seeds,
     write_loss_trace,
 )
 

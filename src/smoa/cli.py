@@ -11,7 +11,6 @@ repeated invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -148,19 +147,7 @@ def _cmd_train(args) -> int:
         raise ValidationError(f"--seeds must be ≥ 1, got {args.seeds}")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     seeds = range(cfg.seed, cfg.seed + args.seeds)
-    tasks, runs, states = [], [], []
-    for seed in seeds:
-        task = training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std,
-                                  seed, target_blocks=cfg.target_blocks)
-        run_cfg = dataclasses.replace(cfg.run_config(args.method), seed=seed)
-        adapter = adapters.build_adapter(args.method, run_cfg, task.w0)
-        tasks.append(task)
-        runs.append(adapter)
-        states.append(training.TrainState.for_adapter(
-            adapter, learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-            epsilon=cfg.epsilon, weight_decay=cfg.weight_decay,
-        ))
-    traces = training.train_many(runs, tasks, cfg.steps, states)
+    runs, traces = training.train_seeds(args.method, cfg, args.seeds)
     for seed, adapter, trace in zip(seeds, runs, traces):
         training.write_loss_trace(trace, f"{args.out_prefix}.seed{seed}.loss.csv")
         adapters.save_adapter(adapter, f"{args.out_prefix}.seed{seed}")

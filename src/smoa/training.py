@@ -20,19 +20,19 @@ as it computes the whole.
 
 One block step serves forward, backward, grad_check and training.  It
 indexes the trailing two axes only, so the same calls run on one
-adapter's 2-D arrays and on stacks of S runs, shaped (S, ...), that
-train_many advances in lockstep: one set of numpy calls per step for all
-S runs.  numpy's stacked matmul makes, for each member, the BLAS call the
-2-D product makes, and every other operation is elementwise or reduces
-one member's entries in the same order, so each run's results equal
-those of training it alone, bit for bit.
+adapter's 2-D arrays and on stacks of S runs, shaped (S, ...): one set
+of numpy calls per step for all S runs.  numpy's stacked matmul makes,
+for each member, the BLAS call the 2-D product makes, and every other
+operation is elementwise or reduces one member's entries in the same
+order, so each run's results equal those of training it alone, bit for
+bit.
 
-The host output x @ w0^T (n d_out d_in) is computed once per train,
-train_many or grad_check call; a step adds O(n d_out) elementwise work
-on the output: each block's product writes its rows of one output
-buffer, and one add of the host output finishes the forward.  train_many
-allocates that buffer, which then takes the squared residual, the
-residual and each block's update buffer once per call.
+The host output x @ w0^T (n d_out d_in) is computed once per run; a
+step adds O(n d_out) elementwise work on the output: each block's
+product writes its rows of one output buffer, and one add of the host
+output finishes the forward.  That buffer (which then takes the squared
+residual), the residual and each block's update buffer are allocated
+once per call.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
 with A_k and B_k as reshaped views of it.  Gradients are laid out in one
@@ -41,21 +41,23 @@ perturbs params[e] and reads entry e of it, and the TrainState holds
 both AdamW moments that way, so one AdamW update over the whole (S, p)
 stack runs per step, whatever K and S are.  AdamW is elementwise, so
 every entry goes through the same operations as in a per-tensor update.
-A single run trains adapter.params and its moments in place; several
-runs are copied into stacked buffers and written back when train_many
-returns or raises, so either way every adapter and TrainState then holds
-every update made, and state.step counts them.
+train runs the step on [None] views of one adapter's params and moments,
+in place.  train_seeds builds its seeds' tasks and adapters straight
+into stacked inputs, targets, host outputs, masks and params, so it
+holds O(S n d) stacked arrays and no task, and it copies each trained
+row into the adapter it returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import block_layout
+from .adapters import Adapter, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
-from .matrix_io import validate_matrix
+from .matrix_io import TrainConfig, validate_matrix
 
 
 class DivergenceError(NumericalError):
@@ -166,6 +168,17 @@ def _check_host(adapter, w0, x) -> tuple[np.ndarray, np.ndarray]:
             f"weight shape {w0.shape} does not match adapter shape {adapter.shape}"
         )
     return w0, x
+
+
+def _check_task(adapter, task: LinearTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_check_host on the task's weight and inputs, and the targets checked
+    against the output shape; returns all three as float64 arrays."""
+    w0, x = _check_host(adapter, task.w0, task.inputs)
+    targets = np.asarray(task.targets, dtype=np.float64)
+    if targets.shape != (x.shape[0], w0.shape[0]):
+        raise ValidationError(f"targets must have shape {(x.shape[0], w0.shape[0])}, "
+                              f"got {targets.shape}")
+    return w0, x, targets
 
 
 def _step_buffers(blocks, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -296,15 +309,15 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     largest |analytic gradient| before comparing, to verify the checker
     itself catches bad gradients.
     """
-    w0, x = _check_host(adapter, task.w0, task.inputs)
+    w0, x, targets = _check_task(adapter, task)
     params = adapter.params
     blocks = adapter.blocks()
     bufs = _step_buffers(blocks, x.shape[0])
     base = x @ w0.T
-    resid = _add_update(blocks, x, base, bufs) - task.targets
+    resid = _add_update(blocks, x, base, bufs) - targets
     grad = np.empty_like(params)
     _factor_grads(blocks, x, (2.0 / resid.size) * resid, *adapter.factor_views(grad), bufs)
-    offset = 2.0 * (base - task.targets)
+    offset = 2.0 * (base - targets)
     zero = np.zeros_like(offset)
 
     entries = np.arange(params.size)
@@ -391,115 +404,43 @@ def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
     param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
-_OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay", "step")
-
-
-def _lockstep_key(adapter, x, state: TrainState) -> dict:
-    """What the runs of one train_many call must share."""
-    return {"kind": adapter.kind, "layout": adapter.layout,
-            "factor shapes": adapter.factor_shapes, "scales": adapter.scale,
-            "inputs shape": x.shape, **{name: getattr(state, name) for name in _OPTIMIZER_FIELDS}}
-
-
-def _stack(arrays) -> np.ndarray:
-    """The arrays stacked on a new leading axis: a view of the one array
-    when there is one, a copy otherwise."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def train_many(adapters, tasks, steps: int, states=None) -> np.ndarray:
-    """Full-batch AdamW on S adapters, each on its own task, in lockstep;
-    returns the (S, steps + 1) loss traces, row j for run j.
+def _train_runs(adapter, x, base, targets, masks, params, m, v, state: TrainState,
+                steps: int) -> np.ndarray:
+    """Full-batch AdamW, in place, on S runs of the adapter's structure
+    whose arrays carry the run axis first; returns the (S, steps + 1) traces.
 
-    The runs must share kind, layout, factor shapes and scales, input
-    shape, and optimizer constants and step count; they differ only in
-    their data, factors, masks and moments.  Every run's trace, factors
-    and moments equal those of training it alone with train, bit for
-    bit.  states defaults to fresh TrainState.for_adapter moments.  A
-    mismatched member, a state whose moments do not fit its adapter, or
-    an adapter or state given twice raises ValidationError before any
-    parameter changes.
-
-    A step makes one set of numpy calls on stacked (S, ...) arrays.  One
-    run is trained in place, through views; several are copied into
-    stacked parameter and moment buffers, and the inputs, targets, masks
-    and host outputs are stacked too, so memory grows as O(S n d).  The
-    copies are written back when the call returns or raises, so the
-    adapters and states then hold every update made, state.step counts
-    them, and a later call resumes where this one stopped.  A non-finite
-    loss in any run stops all of them with DivergenceError, which names
-    the step; numpy's overflow and invalid-value warnings on the way there
-    are silenced, so the error is the one report of a divergence.
+    x is (S, n, d_in), base (the host outputs) and targets (S, n, d_out),
+    masks[k] (S, rows_k, cols_k) or None, and params, m and v (S, p).
+    state gives the optimizer constants, and state.step counts the updates
+    as they are made.  A non-finite loss in any run stops all of them with
+    DivergenceError, which names the step, and for S > 1 the run; numpy's
+    overflow and invalid-value warnings on the way there are silenced, so
+    the error is the one report of a divergence.
     """
-    if steps < 1:
-        raise ValidationError(f"steps must be ≥ 1, got {steps}")
-    adapters, tasks = list(adapters), list(tasks)
-    states = [TrainState.for_adapter(a) for a in adapters] if states is None else list(states)
-    if not adapters or not len(adapters) == len(tasks) == len(states):
-        raise ValidationError(f"train_many needs one task and one state per adapter, got "
-                              f"{len(adapters)} adapters, {len(tasks)} tasks, {len(states)} states")
-    if len({id(obj) for obj in adapters + states}) != 2 * len(adapters):
-        raise ValidationError("every adapter and every TrainState must be given once")
-    hosts, xs, targets = [], [], []
-    for j, (adapter, task, state) in enumerate(zip(adapters, tasks, states)):
-        _check_moments(state, adapter)
-        w0, x = _check_host(adapter, task.w0, task.inputs)
-        target = np.asarray(task.targets, dtype=np.float64)
-        if target.shape != (x.shape[0], w0.shape[0]):
-            raise ValidationError(f"targets must have shape {(x.shape[0], w0.shape[0])}, "
-                                  f"got {target.shape}")
-        key = _lockstep_key(adapter, x, state)
-        if j == 0:
-            first_key = key
-        differ = [name for name in key if key[name] != first_key[name]]
-        if differ:
-            raise ValidationError(f"run {j} differs from run 0 in {', '.join(differ)}")
-        hosts.append(w0)
-        xs.append(x)
-        targets.append(target)
-
-    S, (n, d_out) = len(adapters), targets[0].shape
-    first, state = adapters[0], states[0]
-    base = np.empty((S, n, d_out))
-    for j in range(S):
-        np.matmul(xs[j], hosts[j].T, out=base[j])
-    x, targets = _stack(xs), _stack(targets)
-    masks = [None if first.masks[k] is None else _stack([a.masks[k] for a in adapters])
-             for k in range(first.layout.K)]
-    params = _stack([a.params for a in adapters])
-    m, v = _stack([s.m for s in states]), _stack([s.v for s in states])
-    blocks = first.blocks(params, masks)
+    S, n, d_out = base.shape
+    blocks = adapter.blocks(params, masks)
     bufs = _step_buffers(blocks, n)
     grads = np.empty_like(params)
-    grads_a, grads_b = first.factor_views(grads)
+    grads_a, grads_b = adapter.factor_views(grads)
     resid = np.empty_like(base)
     sq = bufs[0]  # the update's output is spent once resid holds the forward
     traces = np.empty((S, steps + 1))
-    t = state.step
-    try:
-        for i in range(steps + 1):
-            _add_update(blocks, x, base, bufs, out=resid)
-            resid -= targets
-            np.square(resid, out=sq)
-            loss = np.mean(sq, axis=(-2, -1))
-            traces[:, i] = loss
-            if not np.isfinite(loss).all():
-                where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
-                raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
-            if i == steps:
-                break
-            resid *= 2.0 / (n * d_out)
-            _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
-            t += 1
-            _adamw_update(params, grads, m, v, t, state)
-    finally:
-        for j, (adapter, run_state) in enumerate(zip(adapters, states)):
-            if S > 1:
-                adapter.params[...] = params[j]
-                run_state.m[...] = m[j]
-                run_state.v[...] = v[j]
-            run_state.step = t
+    for i in range(steps + 1):
+        _add_update(blocks, x, base, bufs, out=resid)
+        resid -= targets
+        np.square(resid, out=sq)
+        loss = np.mean(sq, axis=(-2, -1))
+        traces[:, i] = loss
+        if not np.isfinite(loss).all():
+            where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
+            raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
+        if i == steps:
+            break
+        resid *= 2.0 / (n * d_out)
+        _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
+        state.step += 1
+        _adamw_update(params, grads, m, v, state.step, state)
     return traces
 
 
@@ -508,20 +449,72 @@ def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None
 
     The trace has steps+1 entries: trace[i] is the MSE after i updates,
     so trace[0] is the initial loss.  Deterministic for fixed inputs.
-    The host weight is validated and its output x @ w0^T computed once;
-    each step adds the block-wise update output to it.  A
-    state whose moments do not match the adapter's factors raises
-    ValidationError before any parameter changes.  Raises
-    DivergenceError (with the step index) if the loss leaves the finite
-    range.
+    The host output x @ w0^T is computed once; each step adds the
+    block-wise update output to it.  A task that does not fit the adapter,
+    or a state whose moments do not match its factors, raises
+    ValidationError before any parameter changes.  Raises DivergenceError
+    (with the step index) if the loss leaves the finite range.
 
-    This is train_many on one run: each step is one AdamW update over
-    adapter.params, a gradient buffer of the same layout and the state's
-    moments, in place, so when the call returns or raises the adapter and
-    the state hold every update made, and a later call resumes where this
-    one stopped.
+    Each step is one AdamW update over adapter.params, a gradient buffer of
+    the same layout and the state's moments, in place, so when the call
+    returns or raises the adapter and the state hold every update made,
+    state.step counts them, and a later call resumes where this one stopped.
     """
-    return train_many([adapter], [task], steps, None if state is None else [state])[0]
+    if steps < 1:
+        raise ValidationError(f"steps must be ≥ 1, got {steps}")
+    state = TrainState.for_adapter(adapter) if state is None else state
+    _check_moments(state, adapter)
+    w0, x, targets = _check_task(adapter, task)
+    masks = [None if mask is None else mask[None] for mask in adapter.masks]
+    return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
+                       adapter.params[None], state.m[None], state.v[None], state, steps)[0]
+
+
+def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapter], np.ndarray]:
+    """Train method's adapters on the planted tasks of seeds cfg.seed, ...,
+    cfg.seed + n_seeds - 1 in one stacked step; returns the adapters and
+    the (n_seeds, cfg.steps + 1) loss traces, in seed order.
+
+    Run j is make_task and build_adapter at its seed, then train with cfg's
+    optimizer settings, and its trace and factors equal that bit for bit.
+    Each seed is written straight into stacked (S, ...) inputs, targets,
+    host outputs x @ w0^T, masks and params, and its task is dropped once
+    its rows are written: the call holds O(S n d) stacked arrays and no
+    task.  The runs share kind, layout, ranks, scales and optimizer
+    constants by construction.  A divergence raises DivergenceError as
+    train does, naming the run when there are several.
+    """
+    if n_seeds < 1:
+        raise ValidationError(f"n_seeds must be ≥ 1, got {n_seeds}")
+    shape = (n_seeds, cfg.n_samples, cfg.d)
+    x, base, targets = np.empty(shape), np.empty(shape), np.empty(shape)
+    runs = []
+    for j in range(n_seeds):
+        seed = cfg.seed + j
+        task = make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std, seed,
+                         target_blocks=cfg.target_blocks)
+        x[j], targets[j], w0 = task.inputs, task.targets, task.w0
+        np.matmul(task.inputs, w0.T, out=base[j])
+        del task  # the build below can reuse the memory of the task's arrays
+        adapter = build_adapter(method, dataclasses.replace(cfg.run_config(method), seed=seed),
+                                w0)
+        del w0
+        if j == 0:
+            params = np.empty((n_seeds, adapter.params.size))
+            masks = [None if mask is None else np.empty((n_seeds, *mask.shape))
+                     for mask in adapter.masks]
+        params[j] = adapter.params
+        for stack, mask in zip(masks, adapter.masks):
+            if stack is not None:
+                stack[j] = mask
+        runs.append(adapter)
+    state = TrainState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                       epsilon=cfg.epsilon, weight_decay=cfg.weight_decay)
+    traces = _train_runs(runs[0], x, base, targets, masks, params, np.zeros_like(params),
+                         np.zeros_like(params), state, cfg.steps)
+    for adapter, trained in zip(runs, params):
+        adapter.params[...] = trained
+    return runs, traces
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

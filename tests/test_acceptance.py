@@ -8,13 +8,16 @@ scratch and compares output bytes.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from smoa import (
     METHODS,
+    EmptySubspaceWarning,
     RunConfig,
+    TrainConfig,
     build_adapter,
     cumulative_energy,
     decompose,
@@ -29,7 +32,7 @@ from smoa import (
     randomize_factors,
     random_weight,
     rank_sweep,
-    train_many,
+    train_seeds,
     write_loss_trace,
 )
 
@@ -37,7 +40,7 @@ SWEEP_KWARGS = dict(methods=list(METHODS), d=128, r_values=[2, 4, 8, 16],
                     K_values=[1, 2, 4], n_seeds=20, tol_factor=1e-10,
                     budget_match=True, base_seed=0)
 
-CAPACITY_SEEDS = (0, 1, 2, 3, 4)
+CAPACITY_SEEDS = (0, 1, 2, 3, 4)  # consecutive: train_seeds runs cfg.seed onwards
 CAPACITY_STEPS = 2000
 
 GRID_DIMS = (8, 16)
@@ -63,13 +66,12 @@ def sweep():
 
 
 def _run_capacity():
-    # one lockstep train_many call per method trains all five seeds
-    tasks = [make_task(64, 48, 128, 0.0, seed, target_blocks=2) for seed in CAPACITY_SEEDS]
+    # one train_seeds call per method builds and trains all five seeds
     finals, traces = {}, {}
     for method, K, r in (("smoa", 2, 16), ("lora", 1, 8)):
-        runs = [build_adapter(method, RunConfig(d_out=64, d_in=64, K=K, r=r, seed=seed), task.w0)
-                for seed, task in zip(CAPACITY_SEEDS, tasks)]
-        traces[method] = train_many(runs, tasks, CAPACITY_STEPS)
+        cfg = TrainConfig(d=64, target_rank=48, n_samples=128, seed=CAPACITY_SEEDS[0],
+                          target_blocks=2, r=r, K=K, steps=CAPACITY_STEPS)
+        _, traces[method] = train_seeds(method, cfg, len(CAPACITY_SEEDS))
         finals[method] = traces[method][:, -1]
     return finals, traces
 
@@ -90,7 +92,10 @@ def test_criterion_1_partition_suite():
             energy = cumulative_energy(dec.sigma)
             slack = dec.sigma[0] / dec.sigma.sum()
             for K in (1, 2, 4, 8):
-                part = partition(energy, K)
+                with warnings.catch_warnings(record=True):
+                    # at d=16 the leading direction leaves I_1 empty for K=8
+                    warnings.simplefilter("always", EmptySubspaceWarning)
+                    part = partition(energy, K)
                 covered = np.concatenate(list(part.index_sets))
                 assert np.array_equal(np.sort(covered), np.arange(d)), "cover failed"
                 for s in part.index_sets:
@@ -113,7 +118,10 @@ def test_criterion_2_reconstruction_identity():
         for seed in range(50):
             w0 = random_weight(d, d, np.random.default_rng(1000 + seed))
             dec = decompose(w0)
-            part = partition(cumulative_energy(dec.sigma), ks[seed % 4])
+            with warnings.catch_warnings(record=True):
+                # at d=16 the leading direction leaves I_1 empty for K=8
+                warnings.simplefilter("always", EmptySubspaceWarning)
+                part = partition(cumulative_energy(dec.sigma), ks[seed % 4])
             total = sum(modulation_tensor(dec, part, k) for k in range(part.K))
             err = np.linalg.norm(total - w0) / np.linalg.norm(w0)
             assert err <= 1e-9, f"reconstruction error {err:.2e} at d={d} seed={seed}"
@@ -203,14 +211,16 @@ def test_criterion_6_rank_ordering(sweep):
 
 
 def test_criterion_7_degeneracy():
-    # equal singular values with K = p: every index set is a singleton,
-    # blocks are 1x1, and the measured rank cannot exceed r
+    # equal singular values with K = p: blocks are 1x1, and the measured
+    # rank cannot exceed r; rounding in the cumulative energy leaves I_1
+    # empty, which warns
     d = 16
     ranks = []
     for seed in range(20):
         w0 = random_weight(d, d, np.random.default_rng(2000 + seed), spectrum="equal")
         cfg = RunConfig(d_out=d, d_in=d, K=d, r=d, seed=seed)
-        adapter = build_adapter("smoa", cfg, w0)
+        with pytest.warns(EmptySubspaceWarning, match="I_1"):
+            adapter = build_adapter("smoa", cfg, w0)
         randomize_factors(adapter, np.random.default_rng(3000 + seed))
         measured = numerical_rank(delta(adapter))
         ranks.append(measured)

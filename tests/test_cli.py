@@ -329,7 +329,7 @@ def test_train_out_prefix_in_missing_directory(capsys, tmp_path):
 
 
 def test_train_uncreatable_out_prefix_exits_3_before_training(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(training, "train_many", lambda *args: pytest.fail("trained"))
+    monkeypatch.setattr(training, "train_seeds", lambda *args: pytest.fail("trained"))
     cfg = write_train_config(tmp_path)
     (tmp_path / "file").write_text("")
     code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",

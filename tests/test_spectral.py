@@ -155,7 +155,11 @@ def test_partition_properties_on_random_weights(d, K):
     for seed in range(10):
         dec = spectral.decompose(random_weight(d, d, np.random.default_rng(seed)))
         energy = spectral.cumulative_energy(dec.sigma)
-        part = spectral.partition(energy, K)
+        with warnings.catch_warnings(record=True) as caught:
+            # at d=16 the leading direction leaves I_1 empty for K=8
+            warnings.simplefilter("always", spectral.EmptySubspaceWarning)
+            part = spectral.partition(energy, K)
+        assert len(caught) == (1 if part.empty_sets() else 0)
         covered = np.concatenate([s for s in part.index_sets])
         assert_array_equal(np.sort(covered), np.arange(d))
         for s in part.index_sets:
