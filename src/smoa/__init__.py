@@ -56,7 +56,6 @@ from .training import (
     GradCheckReport,
     Gradients,
     LinearTask,
-    TrainState,
     backward,
     forward,
     grad_check,

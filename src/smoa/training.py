@@ -37,15 +37,16 @@ once per call.
 The adapter's factors live in one flat float64 buffer, adapter.params,
 with A_k and B_k as reshaped views of it.  Gradients are laid out in one
 buffer of the same layout: backward returns views of it, grad_check
-perturbs params[e] and reads entry e of it, and the TrainState holds
-both AdamW moments that way, so one AdamW update over the whole (S, p)
-stack runs per step, whatever K and S are.  AdamW is elementwise, so
-every entry goes through the same operations as in a per-tensor update.
-train runs the step on [None] views of one adapter's params and moments,
-in place.  train_seeds builds its seeds' tasks and adapters straight
-into stacked inputs, targets, host outputs, masks and params, so it
-holds O(S n d) stacked arrays and no task, and it copies each trained
-row into the adapter it returns.
+perturbs params[e] and reads entry e of it, and training keeps both AdamW
+moments that way, so one AdamW update over the whole (S, p) stack runs
+per step, whatever K and S are.  AdamW is elementwise, so every entry
+goes through the same operations as in a per-tensor update.  The step
+count and the optimizer constants come from a validated TrainConfig;
+the moments start at zero in every call.  train runs the step on [None]
+views of one adapter's params, in place.  train_seeds builds its seeds'
+tasks and adapters straight into stacked inputs, targets, host outputs,
+masks and params, so it holds O(S n d) stacked arrays and no task, and
+it copies each trained row into the adapter it returns.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .adapters import Adapter, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
-from .matrix_io import TrainConfig, validate_matrix
+from .matrix_io import TrainConfig, _check_field, validate_matrix
 
 
 class DivergenceError(NumericalError):
@@ -349,84 +350,41 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
                            worst_numeric=worst_n, tol=_TOL)
 
 
-@dataclass
-class TrainState:
-    """Optimizer constants plus the two AdamW moments of an adapter's factors.
-
-    Defaults follow the usual decoupled-weight-decay setup: beta1=0.9,
-    beta2=0.999, epsilon=1e-8, weight_decay=0, learning rate 1e-3.
-    m and v are flat float64 buffers laid out like adapter.params, and
-    factor_shapes holds the factor shapes they were made for.  for_adapter
-    makes the zeroed moments; a bare TrainState() has none, and train
-    rejects it.
-    """
-
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    factor_shapes: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def for_adapter(cls, adapter, **kwargs) -> "TrainState":
-        return cls(**kwargs, m=np.zeros_like(adapter.params), v=np.zeros_like(adapter.params),
-                   factor_shapes=adapter.factor_shapes)
-
-
-def _check_moments(state: TrainState, adapter) -> None:
-    """Raise ValidationError unless state was made for factors of the
-    adapter's shapes and both moments are float64 arrays of params' shape,
-    which train updates in place."""
-    if state.factor_shapes != adapter.factor_shapes:
-        raise ValidationError(f"TrainState was made for factor shapes {state.factor_shapes}, "
-                              f"but the adapter factors have {adapter.factor_shapes}")
-    for name in ("m", "v"):
-        moment = getattr(state, name)
-        if not (isinstance(moment, np.ndarray) and moment.dtype == np.float64
-                and moment.shape == adapter.params.shape):
-            raise ValidationError(f"TrainState.{name} must be a float64 array of "
-                                  f"{adapter.params.size} entries")
-
-
-def _adamw_update(param, grad, m, v, t, state: TrainState) -> None:
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    if state.weight_decay:
-        param *= 1.0 - state.learning_rate * state.weight_decay
-    param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+def _adamw_update(param, grad, m, v, t, cfg: TrainConfig) -> None:
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    if cfg.weight_decay:
+        param *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _train_runs(adapter, x, base, targets, masks, params, m, v, state: TrainState,
-                steps: int) -> np.ndarray:
-    """Full-batch AdamW, in place, on S runs of the adapter's structure
-    whose arrays carry the run axis first; returns the (S, steps + 1) traces.
+def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> np.ndarray:
+    """cfg.steps full-batch AdamW updates, in place, on S runs of the
+    adapter's structure whose arrays carry the run axis first; returns the
+    (S, cfg.steps + 1) traces.
 
     x is (S, n, d_in), base (the host outputs) and targets (S, n, d_out),
-    masks[k] (S, rows_k, cols_k) or None, and params, m and v (S, p).
-    state gives the optimizer constants, and state.step counts the updates
-    as they are made.  A non-finite loss in any run stops all of them with
-    DivergenceError, which names the step, and for S > 1 the run; numpy's
-    overflow and invalid-value warnings on the way there are silenced, so
-    the error is the one report of a divergence.
+    masks[k] (S, rows_k, cols_k) or None, and params (S, p).  cfg gives
+    the step count and the optimizer constants; the moments start at zero.
+    A non-finite loss in any run stops all of them with DivergenceError,
+    which names the step, and for S > 1 the run; numpy's overflow and
+    invalid-value warnings on the way there are silenced, so the error is
+    the one report of a divergence.
     """
     S, n, d_out = base.shape
     blocks = adapter.blocks(params, masks)
     bufs = _step_buffers(blocks, n)
-    grads = np.empty_like(params)
+    grads, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     grads_a, grads_b = adapter.factor_views(grads)
     resid = np.empty_like(base)
     sq = bufs[0]  # the update's output is spent once resid holds the forward
-    traces = np.empty((S, steps + 1))
-    for i in range(steps + 1):
+    traces = np.empty((S, cfg.steps + 1))
+    for i in range(cfg.steps + 1):
         _add_update(blocks, x, base, bufs, out=resid)
         resid -= targets
         np.square(resid, out=sq)
@@ -435,39 +393,36 @@ def _train_runs(adapter, x, base, targets, masks, params, m, v, state: TrainStat
         if not np.isfinite(loss).all():
             where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
             raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
-        if i == steps:
+        if i == cfg.steps:
             break
         resid *= 2.0 / (n * d_out)
         _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
-        state.step += 1
-        _adamw_update(params, grads, m, v, state.step, state)
+        _adamw_update(params, grads, m, v, i + 1, cfg)
     return traces
 
 
-def train(adapter, task: LinearTask, steps: int, state: TrainState | None = None) -> np.ndarray:
-    """Full-batch AdamW on the adapter factors; returns the loss trace.
+def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
+    """cfg.steps full-batch AdamW updates of the adapter factors, with
+    cfg's optimizer settings; returns the loss trace.
 
-    The trace has steps+1 entries: trace[i] is the MSE after i updates,
-    so trace[0] is the initial loss.  Deterministic for fixed inputs.
-    The host output x @ w0^T is computed once; each step adds the
-    block-wise update output to it.  A task that does not fit the adapter,
-    or a state whose moments do not match its factors, raises
-    ValidationError before any parameter changes.  Raises DivergenceError
-    (with the step index) if the loss leaves the finite range.
+    train reads cfg.steps, learning_rate, beta1, beta2, epsilon and
+    weight_decay and nothing else, so the task and the adapter need not
+    come from cfg.  The trace has cfg.steps + 1 entries: trace[i] is the
+    MSE after i updates, so trace[0] is the initial loss.  Deterministic
+    for fixed inputs.  The host output x @ w0^T is computed once; each step
+    adds the block-wise update output to it.  A task that does not fit the
+    adapter raises ValidationError before any parameter changes.  Raises
+    DivergenceError (with the step index) if the loss leaves the finite
+    range.
 
-    Each step is one AdamW update over adapter.params, a gradient buffer of
-    the same layout and the state's moments, in place, so when the call
-    returns or raises the adapter and the state hold every update made,
-    state.step counts them, and a later call resumes where this one stopped.
+    Each step is one AdamW update over adapter.params, in place, from
+    zeroed moments, so when the call returns or raises the adapter holds
+    every update made.
     """
-    if steps < 1:
-        raise ValidationError(f"steps must be ≥ 1, got {steps}")
-    state = TrainState.for_adapter(adapter) if state is None else state
-    _check_moments(state, adapter)
     w0, x, targets = _check_task(adapter, task)
     masks = [None if mask is None else mask[None] for mask in adapter.masks]
     return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
-                       adapter.params[None], state.m[None], state.v[None], state, steps)[0]
+                       adapter.params[None], cfg)[0]
 
 
 def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapter], np.ndarray]:
@@ -475,17 +430,17 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     cfg.seed + n_seeds - 1 in one stacked step; returns the adapters and
     the (n_seeds, cfg.steps + 1) loss traces, in seed order.
 
-    Run j is make_task and build_adapter at its seed, then train with cfg's
-    optimizer settings, and its trace and factors equal that bit for bit.
-    Each seed is written straight into stacked (S, ...) inputs, targets,
-    host outputs x @ w0^T, masks and params, and its task is dropped once
-    its rows are written: the call holds O(S n d) stacked arrays and no
-    task.  The runs share kind, layout, ranks, scales and optimizer
-    constants by construction.  A divergence raises DivergenceError as
-    train does, naming the run when there are several.
+    Run j is make_task and build_adapter at its seed, then train with cfg,
+    and its trace and factors equal that bit for bit.  Each seed is written
+    straight into stacked (S, ...) inputs, targets, host outputs x @ w0^T,
+    masks and params, and its task is dropped once its rows are written:
+    the call holds O(S n d) stacked arrays and no task.  Each returned
+    adapter's masks are read-only views of its rows of the stacked masks,
+    so every mask is held once.  The runs share kind, layout, ranks, scales
+    and cfg by construction.  A divergence raises DivergenceError as train
+    does, naming the run when there are several.
     """
-    if n_seeds < 1:
-        raise ValidationError(f"n_seeds must be ≥ 1, got {n_seeds}")
+    _check_field("n_seeds", n_seeds, int, 1)
     shape = (n_seeds, cfg.n_samples, cfg.d)
     x, base, targets = np.empty(shape), np.empty(shape), np.empty(shape)
     runs = []
@@ -504,14 +459,16 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             masks = [None if mask is None else np.empty((n_seeds, *mask.shape))
                      for mask in adapter.masks]
         params[j] = adapter.params
+        views = []
         for stack, mask in zip(masks, adapter.masks):
             if stack is not None:
                 stack[j] = mask
+                mask = stack[j]
+                mask.setflags(write=False)
+            views.append(mask)
+        adapter.masks = tuple(views)  # frees the seed's own copies
         runs.append(adapter)
-    state = TrainState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-                       epsilon=cfg.epsilon, weight_decay=cfg.weight_decay)
-    traces = _train_runs(runs[0], x, base, targets, masks, params, np.zeros_like(params),
-                         np.zeros_like(params), state, cfg.steps)
+    traces = _train_runs(runs[0], x, base, targets, masks, params, cfg)
     for adapter, trained in zip(runs, params):
         adapter.params[...] = trained
     return runs, traces

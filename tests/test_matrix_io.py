@@ -249,6 +249,17 @@ def test_configs_reject_non_finite_floats(make):
         make()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 0.0), ("learning_rate", -1.0), ("beta1", 1.0), ("beta2", 2.0),
+    ("beta2", -0.1), ("epsilon", 0.0), ("weight_decay", -0.1),
+])
+def test_train_config_rejects_finite_optimizer_settings_out_of_range(name, value):
+    # training reads these settings unchecked, so TrainConfig is the one
+    # place that keeps each inside AdamW's domain
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        TrainConfig(d=8, target_rank=2, n_samples=8, seed=0, **{name: value})
+
+
 def test_train_config_run_config_ignores_k_for_full_matrix_methods():
     cfg = config_from_dict(TrainConfig, 
         {"d": 64, "target_rank": 8, "n_samples": 64, "seed": 1, "r": 8, "K": 2}

@@ -18,6 +18,12 @@ def small_cfg(d=8, K=2, r=4, seed=0, **kwargs):
     return RunConfig(d_out=d, d_in=d, K=K, r=r, seed=seed, **kwargs)
 
 
+def train_cfg(steps, **settings):
+    """A TrainConfig for train, which reads only the step count and the
+    optimizer settings; its task fields are placeholders."""
+    return TrainConfig(d=1, target_rank=1, n_samples=1, seed=0, steps=steps, **settings)
+
+
 def test_random_weight_norm_and_spectrum():
     w = training.random_weight(64, 64, np.random.default_rng(0))
     assert_allclose(np.linalg.norm(w), 64.0, rtol=1e-12)
@@ -190,7 +196,7 @@ def test_train_stays_at_optimum_for_zero_update_task():
         base, target_delta=zero_delta, targets=base.inputs @ base.w0.T
     )
     adapter = adapters.build_adapter("smoa", small_cfg(seed=18), base.w0)
-    trace = training.train(adapter, task, 50)
+    trace = training.train(adapter, task, train_cfg(50))
     assert trace[0] == 0.0
     assert np.all(trace <= trace[0] + 1e-30)
 
@@ -201,7 +207,7 @@ def test_train_converges_on_realizable_task():
     task = training.make_task(64, 4, 128, 0.0, seed=7)
     adapter = adapters.build_adapter("lora", RunConfig(d_out=64, d_in=64, K=1, r=8, seed=7),
                                      task.w0)
-    trace = training.train(adapter, task, 2000)
+    trace = training.train(adapter, task, train_cfg(2000))
     assert trace[-1] <= 1e-4 * trace[0]
 
 
@@ -209,7 +215,7 @@ def test_train_is_bitwise_deterministic():
     def run():
         task = training.make_task(16, 4, 32, 0.0, seed=19)
         adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=19), task.w0)
-        return training.train(adapter, task, 100)
+        return training.train(adapter, task, train_cfg(100))
 
     assert run().tobytes() == run().tobytes()
 
@@ -218,13 +224,10 @@ def test_train_diverged_loss_raises_with_step():
     base = training.make_task(8, 2, 10, 0.0, seed=20)
     task = dataclasses.replace(base, targets=np.full_like(base.targets, 1e200))
     adapter = adapters.build_adapter("smoa", small_cfg(seed=20), base.w0)
-    state = training.TrainState.for_adapter(adapter)
     before = [t.tobytes() for t in adapter.A + adapter.B]
     with pytest.raises(training.DivergenceError, match="step 0"):
-        training.train(adapter, task, 10, state)
+        training.train(adapter, task, train_cfg(10))
     assert [t.tobytes() for t in adapter.A + adapter.B] == before
-    assert state.step == 0
-    assert not state.m.any() and not state.v.any()
 
 
 def test_train_preserves_frozen_tensors():
@@ -232,7 +235,7 @@ def test_train_preserves_frozen_tensors():
     adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=21), task.w0)
     w0_before = task.w0.tobytes()
     mods_before = [m.tobytes() for m in adapter.masks]
-    training.train(adapter, task, 200)
+    training.train(adapter, task, train_cfg(200))
     assert task.w0.tobytes() == w0_before
     assert [m.tobytes() for m in adapter.masks] == mods_before
 
@@ -241,76 +244,20 @@ def test_train_loss_drops_tenfold_on_realizable_task():
     task = training.make_task(32, 4, 64, 0.0, seed=22)
     adapter = adapters.build_adapter("lora", RunConfig(d_out=32, d_in=32, K=1, r=8, seed=22),
                                      task.w0)
-    trace = training.train(adapter, task, 2000)
+    trace = training.train(adapter, task, train_cfg(2000))
     assert trace[-1] <= trace[0] / 10.0
 
 
 def test_train_rejects_zero_steps():
-    task = training.make_task(8, 2, 10, 0.0, seed=23)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=23), task.w0)
-    with pytest.raises(ValidationError, match="steps"):
-        training.train(adapter, task, 0)
-
-
-def test_train_state_moments_match_tensors():
-    task = training.make_task(8, 2, 10, 0.0, seed=24)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=24), task.w0)
-    state = training.TrainState.for_adapter(adapter, learning_rate=0.01)
-    assert state.m.shape == state.v.shape == adapter.params.shape
-    pairs = zip(adapter.A, adapter.B)
-    assert state.factor_shapes == tuple(t.shape for a, b in pairs for t in (a, b))
-    training.train(adapter, task, 5, state)
-    assert state.step == 5
+    # train takes its step count from a TrainConfig, which checks it
+    with pytest.raises(ValidationError, match="steps must be ≥ 1, got 0"):
+        train_cfg(0)
 
 
 def test_write_loss_trace_format(tmp_path):
     path = tmp_path / "loss.csv"
     training.write_loss_trace(np.array([1.0, 0.5]), path)
     assert path.read_text() == "step,loss\n0,1\n1,0.5\n"
-
-
-def test_train_rejects_bare_state():
-    task = training.make_task(8, 2, 10, 0.0, seed=25)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
-    with pytest.raises(ValidationError, match="TrainState was made for factor shapes"):
-        training.train(adapter, task, 3, training.TrainState())
-
-
-def shortened(moment):
-    return moment[:-1].copy()
-
-
-@pytest.mark.parametrize("convert", [np.ndarray.tolist, lambda m: m.astype(np.float32),
-                                     shortened])
-def test_train_rejects_moments_it_cannot_write_back(convert):
-    task = training.make_task(8, 2, 10, 0.0, seed=25)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
-    state = training.TrainState.for_adapter(adapter)
-    state.v = convert(state.v)
-    before = [t.tobytes() for t in adapter.A + adapter.B]
-    with pytest.raises(ValidationError, match="TrainState.v must be a float64 array"):
-        training.train(adapter, task, 3, state)
-    assert [t.tobytes() for t in adapter.A + adapter.B] == before
-    assert state.step == 0
-
-
-@pytest.mark.parametrize("other_cfg", [
-    dict(K=1, r=4),  # one moment per factor where the adapter has two
-    dict(K=2, r=6),  # the same K, other factor shapes
-    dict(method="lora", K=1, r=2),  # other factor shapes, the same 32 entries
-])
-def test_train_rejects_state_of_another_adapter(other_cfg):
-    task = training.make_task(8, 2, 10, 0.0, seed=25)
-    adapter = adapters.build_adapter("smoa", small_cfg(seed=25), task.w0)
-    other_cfg = dict(other_cfg)
-    other = adapters.build_adapter(other_cfg.pop("method", "smoa"),
-                                   small_cfg(seed=25, **other_cfg), task.w0)
-    state = training.TrainState.for_adapter(other)
-    before = [t.tobytes() for t in adapter.A + adapter.B]
-    with pytest.raises(ValidationError, match="TrainState"):
-        training.train(adapter, task, 3, state)
-    assert [t.tobytes() for t in adapter.A + adapter.B] == before
-    assert state.step == 0
 
 
 # Dense reference for the block-wise step: the full update matrix, the
@@ -406,11 +353,11 @@ def test_train_trace_matches_dense_reference_loop(method):
     # trace to rtol 1e-9 (bit-identical on OpenBLAS 0.3.31)
     task = training.make_task(16, 6, 40, 0.0, seed=28, target_blocks=2)
     cfg = small_cfg(d=16, K=2, r=4, seed=28)
+    settings_ = train_cfg(20)
     adapter = adapters.build_adapter(method, cfg, task.w0)
-    trace = training.train(adapter, task, 20)
+    trace = training.train(adapter, task, settings_)
 
     ref = adapters.build_adapter(method, cfg, task.w0)
-    state = training.TrainState()
     m_a, v_a, m_b, v_b = per_tensor_moments(ref)
     ref_trace = []
     for step in range(1, 22):
@@ -421,8 +368,8 @@ def test_train_trace_matches_dense_reference_loop(method):
         upstream = (2.0 / pred.size) * (pred - task.targets)
         grads_a, grads_b = dense_backward(ref, task.inputs, upstream)
         for k in range(len(ref.A)):
-            training._adamw_update(ref.A[k], grads_a[k], m_a[k], v_a[k], step, state)
-            training._adamw_update(ref.B[k], grads_b[k], m_b[k], v_b[k], step, state)
+            training._adamw_update(ref.A[k], grads_a[k], m_a[k], v_a[k], step, settings_)
+            training._adamw_update(ref.B[k], grads_b[k], m_b[k], v_b[k], step, settings_)
     assert_allclose(trace, ref_trace, rtol=1e-9)
     for got, want in zip(adapter.A + adapter.B, ref.A + ref.B):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -439,37 +386,19 @@ def per_tensor_moments(adapter):
             for tensors in (adapter.A, adapter.A, adapter.B, adapter.B)]
 
 
-def flat_moments(adapter, state):
-    """A TrainState's flat moments as per-tensor views: m_A, v_A, m_B, v_B."""
-    (m_a, m_b), (v_a, v_b) = adapter.factor_views(state.m), adapter.factor_views(state.v)
-    return [m_a, v_a, m_b, v_b]
-
-
-def per_tensor_train(adapter, task, steps, state, moments):
-    m_a, v_a, m_b, v_b = moments
+def per_tensor_train(adapter, task, cfg):
+    m_a, v_a, m_b, v_b = per_tensor_moments(adapter)
     trace = []
-    for i in range(steps + 1):
+    for i in range(cfg.steps + 1):
         resid = training.forward(adapter, task.w0, task.inputs) - task.targets
         trace.append(float(np.mean(resid ** 2)))
-        if i == steps or not np.isfinite(trace[-1]):
+        if i == cfg.steps or not np.isfinite(trace[-1]):
             break
         grads = training.backward(adapter, task.w0, task.inputs, resid * (2.0 / resid.size))
-        state.step += 1
         for k in range(len(adapter.A)):
-            training._adamw_update(adapter.A[k], grads.A[k], m_a[k], v_a[k], state.step, state)
-            training._adamw_update(adapter.B[k], grads.B[k], m_b[k], v_b[k], state.step, state)
+            training._adamw_update(adapter.A[k], grads.A[k], m_a[k], v_a[k], i + 1, cfg)
+            training._adamw_update(adapter.B[k], grads.B[k], m_b[k], v_b[k], i + 1, cfg)
     return np.array(trace)
-
-
-def assert_same_run(adapter, state, ref, ref_state, ref_moments):
-    assert state.step == ref_state.step
-    for name in ("A", "B"):
-        for got, want in zip(getattr(adapter, name), getattr(ref, name)):
-            assert np.array_equal(got, want)
-    for have, want in zip(flat_moments(adapter, state), ref_moments, strict=True):
-        assert len(have) == len(want)
-        for got, expected in zip(have, want):
-            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("method, weight_decay", [
@@ -480,16 +409,18 @@ def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
     # K=3 at d=16 gives blocks of 6, 5 and 5 rows and columns
     task = training.make_task(16, 6, 40, 0.01, seed=29, target_blocks=3)
     cfg = small_cfg(d=16, K=3, r=6, seed=29)
-    settings_ = dict(learning_rate=1e-2, weight_decay=weight_decay)
+    settings_ = train_cfg(40, learning_rate=1e-2, weight_decay=weight_decay)
     adapter = adapters.build_adapter(method, cfg, task.w0)
-    state = training.TrainState.for_adapter(adapter, **settings_)
-    trace = training.train(adapter, task, 40, state)
+    objects = adapter.A + adapter.B + (adapter.params,)
+    trace = training.train(adapter, task, settings_)
+    # train updates the adapter's own buffer, through the views it hands out
+    assert all(a is b for a, b in zip(adapter.A + adapter.B + (adapter.params,), objects,
+                                      strict=True))
 
     ref = adapters.build_adapter(method, cfg, task.w0)
-    ref_state, ref_moments = training.TrainState(**settings_), per_tensor_moments(ref)
-    ref_trace = per_tensor_train(ref, task, 40, ref_state, ref_moments)
+    ref_trace = per_tensor_train(ref, task, settings_)
     assert np.array_equal(trace, ref_trace)
-    assert_same_run(adapter, state, ref, ref_state, ref_moments)
+    assert adapter.params.tobytes() == ref.params.tobytes()
 
 
 def test_train_makes_one_adamw_update_per_step(monkeypatch):
@@ -499,45 +430,28 @@ def test_train_makes_one_adamw_update_per_step(monkeypatch):
                         lambda *args: calls.append(args[4]) or update(*args))
     task = training.make_task(16, 4, 32, 0.0, seed=30)
     adapter = adapters.build_adapter("smoa", small_cfg(d=16, K=4, r=8, seed=30), task.w0)
-    training.train(adapter, task, 5)
+    training.train(adapter, task, train_cfg(5))
     assert calls == [1, 2, 3, 4, 5]
-
-
-def test_train_resumes_in_place_bit_for_bit():
-    task = training.make_task(16, 4, 32, 0.0, seed=31, target_blocks=2)
-    cfg = small_cfg(d=16, K=2, r=4, seed=31)
-    adapter = adapters.build_adapter("smoa", cfg, task.w0)
-    state = training.TrainState.for_adapter(adapter, learning_rate=1e-2)
-    objects = [id(t) for t in adapter.A + adapter.B + (adapter.params, state.m, state.v)]
-    first = training.train(adapter, task, 7, state)
-    second = training.train(adapter, task, 13, state)
-    assert [id(t) for t in adapter.A + adapter.B + (adapter.params, state.m, state.v)] == objects
-
-    ref = adapters.build_adapter("smoa", cfg, task.w0)
-    ref_state = training.TrainState.for_adapter(ref, learning_rate=1e-2)
-    single = training.train(ref, task, 20, ref_state)
-    assert np.array_equal(first, single[:8])
-    assert second[0] == single[7]
-    assert np.array_equal(second, single[7:])
-    assert_same_run(adapter, state, ref, ref_state, flat_moments(ref, ref_state))
 
 
 def test_train_divergence_writes_back_the_updates_made():
     task = training.make_task(8, 2, 10, 0.0, seed=20)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=20), task.w0)
-    state = training.TrainState.for_adapter(adapter, learning_rate=1e200)
+    before = adapter.params.tobytes()
+    settings_ = train_cfg(10, learning_rate=1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(training.DivergenceError, match="step 1"):
-            training.train(adapter, task, 10, state)
+            training.train(adapter, task, settings_)
         ref = adapters.build_adapter("smoa", small_cfg(seed=20), task.w0)
-        ref_state, ref_moments = training.TrainState(learning_rate=1e200), per_tensor_moments(ref)
-        per_tensor_train(ref, task, 10, ref_state, ref_moments)
-    assert state.step == 1
-    assert_same_run(adapter, state, ref, ref_state, ref_moments)
+        ref_trace = per_tensor_train(ref, task, settings_)
+    # the one update made before the loss left the finite range
+    assert len(ref_trace) == 2 and not np.isfinite(ref_trace[1])
+    assert adapter.params.tobytes() != before
+    assert adapter.params.tobytes() == ref.params.tobytes()
 
 
 @pytest.mark.parametrize("run", [
-    lambda adapter, task: training.train(adapter, task, 3),
+    lambda adapter, task: training.train(adapter, task, train_cfg(3)),
     lambda adapter, task: training.grad_check(adapter, task),
 ], ids=["train", "grad_check"])
 def test_targets_of_the_wrong_shape_raise_validation_error(run):
@@ -579,9 +493,7 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
             warnings.simplefilter("ignore", EmptySubspaceWarning)
             alone = adapters.build_adapter(
                 method, dataclasses.replace(cfg.run_config(method), seed=seed + j), task.w0)
-        state = training.TrainState.for_adapter(alone, learning_rate=1e-2,
-                                                weight_decay=weight_decay)
-        assert traces[j].tobytes() == training.train(alone, task, 12, state).tobytes()
+        assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
         assert run.params.tobytes() == alone.params.tobytes()
         assert ([None if m is None else m.tobytes() for m in run.masks]
                 == [None if m is None else m.tobytes() for m in alone.masks])
@@ -608,6 +520,9 @@ def test_train_seeds_rejects_no_seeds():
     cfg = TrainConfig(d=8, target_rank=2, n_samples=10, seed=0)
     with pytest.raises(ValidationError, match="n_seeds must be ≥ 1, got 0"):
         training.train_seeds("smoa", cfg, 0)
+    for n_seeds in (2.0, True, "2"):
+        with pytest.raises(ValidationError, match="n_seeds must be of type int"):
+            training.train_seeds("smoa", cfg, n_seeds)
 
 
 # backward, grad_check and training share one gradient layout: that of
