@@ -29,7 +29,8 @@ w0 = random_weight(64, 64, rng)
 print("=== construction and the zero-init guarantee ===")
 cfg = RunConfig(d_out=64, d_in=64, K=2, r=16, seed=42)
 adapter = build_adapter("smoa", cfg, w0)
-print(f"subspace ranks: {adapter.r_per_subspace}, scales: {adapter.scale}")
+scales = tuple(blk.scale for blk in adapter.blocks)
+print(f"subspace ranks: {adapter.r_per_subspace}, scales: {scales}")
 print(f"update is exactly zero at init: {not np.any(delta(adapter))}")
 print(f"merge returns the host weight bit-for-bit: "
       f"{merge(adapter, w0).tobytes() == w0.tobytes()}")

@@ -11,7 +11,7 @@ out the toolkit.
 from .adapters import (
     METHODS,
     Adapter,
-    BlockLayout,
+    Block,
     block_layout,
     build_adapter,
     delta,

@@ -1,11 +1,12 @@
 """Adapters: scaled, optionally masked low-rank blocks over a frozen weight.
 
-Every method is one ``Adapter``: K blocks on disjoint row/column ranges,
-where block k holds trainable factors B_k (rows_k x r_k) and A_k
-(r_k x cols_k) and adds s_k (B_k A_k) with s_k = alpha / r_k,
-Hadamard-multiplied by a frozen mask where the block has one.  Because
-the blocks are disjoint, the ranks of the per-block updates add.  The
-methods differ only in their layout and masks:
+Every method is one ``Adapter``: its kind and K ``Block``s, which tile
+the weight in the K-block layout of block_layout.  Block k owns
+rows [row0, row1) and cols [col0, col1), holds trainable factors B_k
+(rows_k x r_k) and A_k (r_k x cols_k) and adds s_k (B_k A_k) with
+s_k = alpha / r_k, Hadamard-multiplied by its frozen mask where it has
+one.  Because the blocks are disjoint, the ranks of the per-block updates
+add.  The methods differ only in their layout and masks:
 
 * ``smoa``         K diagonal blocks, block k masked by the same block of
                    the k-th subspace's modulation tensor, built from the
@@ -26,40 +27,20 @@ import numpy as np
 
 from . import matrix_io
 from .errors import FormatError, ValidationError
-from .matrix_io import FULL_MATRIX, METHODS, RunConfig, validate_matrix
+from .matrix_io import FULL_MATRIX, METHODS, RunConfig, _check_field, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, partition
 
 _MASKED = ("smoa", "hadamard_w0")
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Contiguous half-open row/column intervals covering the weight shape.
-
-    Interval sizes differ by at most one; the first d mod K intervals on
-    each axis take the extra element.
-    """
-
-    row_ranges: tuple[tuple[int, int], ...]
-    col_ranges: tuple[tuple[int, int], ...]
-
-    @property
-    def K(self) -> int:
-        return len(self.row_ranges)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.row_ranges[-1][1], self.col_ranges[-1][1])
-
-    def block_shape(self, k: int) -> tuple[int, int]:
-        (r0, r1), (c0, c1) = self.row_ranges[k], self.col_ranges[k]
-        return (r1 - r0, c1 - c0)
-
-
-def block_layout(d_out: int, d_in: int, K: int) -> BlockLayout:
+def block_layout(d_out: int, d_in: int, K: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The (row0, row1, col0, col1) of each block of the K-block layout of a
+    d_out x d_in weight: contiguous half-open row and column intervals that
+    cover the shape, whose sizes differ by at most one; the first d mod K
+    intervals on each axis take the extra element."""
     if K < 1 or K > min(d_out, d_in):
         raise ValidationError(f"K must be in [1, min(d_out, d_in)], got K={K}")
-    return BlockLayout(row_ranges=_axis_ranges(d_out, K), col_ranges=_axis_ranges(d_in, K))
+    return tuple(rows + cols for rows, cols in zip(_axis_ranges(d_out, K), _axis_ranges(d_in, K)))
 
 
 def _axis_ranges(n: int, K: int) -> tuple[tuple[int, int], ...]:
@@ -109,98 +90,97 @@ class Block(NamedTuple):
 
 @dataclass(eq=False)
 class Adapter:
-    """Any adapter: K scaled, optionally masked B_k A_k blocks on a layout.
+    """Any adapter: a kind and K scaled, optionally masked B_k A_k blocks.
 
-    masks[k] is block k's frozen, read-only Hadamard mask, or None: the
+    Block k's mask is its frozen, read-only Hadamard mask, or None: the
     block of the k-th modulation tensor for ``smoa``, the W0 copy for
     ``hadamard_w0``.  partition is the energy partition behind the smoa
-    masks.  The constructor rejects any adapter whose parts disagree.
+    masks.  The constructor rejects any adapter whose parts disagree, and
+    any whose blocks do not tile their shape in the K-block layout of
+    block_layout: a gap, an overlap or a shifted range raises
+    ValidationError.
 
     The trainable state is one flat float64 buffer, params, laid out
     A_0, B_0, A_1, B_1, ...  The constructor copies the given factors into
-    it and makes A and B tuples of reshaped views of it, so writing into
-    adapter.A[k] writes params, and adapter.A[k] cannot be rebound.
-    Adapters compare by identity.
+    it and stores blocks whose A and B are reshaped views of it, so writing
+    into adapter.blocks[k].A writes params.  blocks is a tuple of named
+    tuples, so no factor can be rebound.  Adapters compare by identity.
     """
 
     kind: str
-    layout: BlockLayout
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
-    masks: tuple[np.ndarray | None, ...]
-    scale: tuple[float, ...]
+    blocks: tuple[Block, ...]
     partition: EnergyPartition | None = None
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in METHODS:
             raise ValidationError(f"unknown method {self.kind!r}, expected one of {METHODS}")
-        K = self.layout.K
-        counts = (len(self.A), len(self.B), len(self.masks), len(self.scale))
-        if counts != (K,) * 4:
-            raise ValidationError(
-                f"a {K}-block layout needs {K} of each of A, B, masks and scale, got {counts}"
-            )
-        if not all(np.isfinite(s) and s > 0 for s in self.scale):
-            raise ValidationError(f"every scale must be finite and positive, got {self.scale}")
-        for k, (a, b, mask) in enumerate(zip(self.A, self.B, self.masks)):
-            rows, cols = self.layout.block_shape(k)
-            rk = a.shape[0]
+        K = len(self.blocks)
+        ranges = [blk[:4] for blk in self.blocks]
+        for blk_range in ranges:
+            for bound in blk_range:
+                _check_field("every block bound", bound, int)
+        shape = (ranges[-1][1], ranges[-1][3]) if ranges else (0, 0)
+        if not 1 <= K <= min(shape) or tuple(ranges) != block_layout(*shape, K):
+            raise ValidationError(f"the block ranges {ranges} are not the {K}-block layout "
+                                  f"of a {shape[0]}x{shape[1]} weight")
+        for k, blk in enumerate(self.blocks):
+            _check_field("every scale", blk.scale, float)
+            if blk.scale <= 0:
+                raise ValidationError(f"every scale must be finite and positive, got {blk.scale}")
+            rows, cols = blk.row1 - blk.row0, blk.col1 - blk.col0
+            rk = blk.A.shape[0]
             if rk < 1:
                 raise ValidationError(f"{self.kind} block {k} has rank {rk}, must be ≥ 1")
             want = ((rk, cols), (rows, rk), (rows, cols) if self.kind in _MASKED else None)
-            have = (a.shape, b.shape, None if mask is None else mask.shape)
+            have = (blk.A.shape, blk.B.shape, None if blk.mask is None else blk.mask.shape)
             if have != want:
                 raise ValidationError(f"{self.kind} block {k} is {rows}x{cols}, so its A, B and "
                                       f"mask shapes must be {want}, got {have}")
         if (self.partition is not None) != (self.kind == "smoa"):
             raise ValidationError("an adapter has an energy partition if and only if it is smoa")
         if self.partition is not None:
-            sets, p = self.partition.index_sets, min(self.shape)
+            sets, p = self.partition.index_sets, min(shape)
             if (len(sets) != K or np.shape(self.partition.shares) != (K,)
                     or not np.array_equal(np.concatenate(sets), np.arange(p))):
                 raise ValidationError(f"the partition must split 0..{p - 1} into {K} contiguous "
                                       f"index sets in order, with one share each")
-        self.params = np.concatenate([np.ravel(t) for pair in zip(self.A, self.B) for t in pair],
+        self.params = np.concatenate([np.ravel(t) for blk in self.blocks for t in (blk.A, blk.B)],
                                      dtype=np.float64)
-        self.A, self.B = self.factor_views(self.params)
+        self.blocks = self.over(self.params)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.layout.shape
+        return (self.blocks[-1].row1, self.blocks[-1].col1)
 
     @property
     def r_per_subspace(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.A)
-
-    @property
-    def factor_shapes(self) -> tuple[tuple[int, int], ...]:
-        """The shapes of A_0, B_0, A_1, B_1, ..., in the order of params."""
-        return tuple(t.shape for pair in zip(self.A, self.B) for t in pair)
+        return tuple(blk.A.shape[0] for blk in self.blocks)
 
     def factor_views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
         """Reshaped views of a buffer laid out like params along its last
         axis: the A_k views, then the B_k views, each with flat's leading axes."""
         views, start = [], 0
-        for rows, cols in self.factor_shapes:
-            views.append(flat[..., start:start + rows * cols].reshape(*flat.shape[:-1], rows, cols))
-            start += rows * cols
+        for blk in self.blocks:
+            for rows, cols in (blk.A.shape, blk.B.shape):
+                views.append(flat[..., start:start + rows * cols]
+                             .reshape(*flat.shape[:-1], rows, cols))
+                start += rows * cols
         return tuple(views[0::2]), tuple(views[1::2])
 
-    def blocks(self, params: np.ndarray | None = None, masks=None) -> list[Block]:
-        """The adapter's blocks over its own factors and masks, or over a
-        stack of params-laid-out buffers and the matching stacked masks."""
-        A, B = (self.A, self.B) if params is None else self.factor_views(params)
-        masks = self.masks if masks is None else masks
-        return [
-            Block(*self.layout.row_ranges[k], *self.layout.col_ranges[k],
-                  masks[k], A[k], B[k], self.scale[k])
-            for k in range(self.layout.K)
-        ]
+    def over(self, params: np.ndarray, masks=None) -> tuple[Block, ...]:
+        """The adapter's blocks over a buffer laid out like params along its
+        last axis, such as a stack of params, and over masks[k] in place of
+        block k's own mask when masks is given."""
+        A, B = self.factor_views(params)
+        if masks is None:
+            masks = [blk.mask for blk in self.blocks]
+        return tuple(blk._replace(mask=mask, A=a, B=b)
+                     for blk, mask, a, b in zip(self.blocks, masks, A, B))
 
 
-def _plan(method: str, cfg: RunConfig) -> tuple[BlockLayout, tuple[int, ...]]:
-    """The block layout and per-block ranks of a method under cfg: one
+def _plan(method: str, cfg: RunConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The block ranges and per-block ranks of a method under cfg: one
     block of rank r for the full-matrix methods, the K-way split otherwise."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -231,9 +211,8 @@ def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
         dec = decompose(w0)
         part = partition(cumulative_energy(dec.sigma), cfg.K)
     rng = np.random.default_rng(cfg.seed)
-    masks, A, B = [], [], []
-    for k in range(layout.K):
-        (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
+    blocks = []
+    for k, ((r0, r1, c0, c1), rk) in enumerate(zip(layout, ranks)):
         mask = None
         if method == "smoa":
             idx = part.index_sets[k]
@@ -242,18 +221,16 @@ def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
             mask = w0[r0:r1, c0:c1].copy()
         if mask is not None:
             mask.setflags(write=False)
-        masks.append(mask)
-        A.append(rng.normal(0.0, cfg.init_std, size=(ranks[k], c1 - c0)))
-        B.append(np.zeros((r1 - r0, ranks[k])))
-    return Adapter(kind=method, layout=layout, A=A, B=B, masks=tuple(masks),
-                   scale=tuple(cfg.alpha / rk for rk in ranks), partition=part)
+        A = rng.normal(0.0, cfg.init_std, size=(rk, c1 - c0))
+        blocks.append(Block(r0, r1, c0, c1, mask, A, np.zeros((r1 - r0, rk)), cfg.alpha / rk))
+    return Adapter(kind=method, blocks=blocks, partition=part)
 
 
 def delta(adapter) -> np.ndarray:
     """Assemble the full update matrix from the adapter's blocks."""
     d_out, d_in = adapter.shape
     out = np.zeros((d_out, d_in))
-    for blk in adapter.blocks():
+    for blk in adapter.blocks:
         out[blk.row0:blk.row1, blk.col0:blk.col1] += blk.update()
     return out
 
@@ -272,7 +249,7 @@ def param_count(method: str, cfg: RunConfig) -> int:
     """Closed-form trainable-entry count for a method under cfg:
     sum_k r_k * (rows_k + cols_k), which the built adapter matches exactly."""
     layout, ranks = _plan(method, cfg)
-    return sum(rk * sum(layout.block_shape(k)) for k, rk in enumerate(ranks))
+    return sum(rk * (r1 - r0 + c1 - c0) for (r0, r1, c0, c1), rk in zip(layout, ranks))
 
 
 def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> None:
@@ -302,23 +279,23 @@ def save_adapter(adapter, prefix) -> list[Path]:
         tensors.append({"role": role, "subspace": k, "shape": list(arr.shape), "file": name})
         written.append(prefix.parent / name)
 
-    for k in range(len(adapter.A)):
-        _emit("A", k, adapter.A[k])
-        _emit("B", k, adapter.B[k])
+    for k, blk in enumerate(adapter.blocks):
+        _emit("A", k, blk.A)
+        _emit("B", k, blk.B)
     role = _mask_role(adapter.kind)
-    for k, mask in enumerate(adapter.masks):
-        if mask is not None:
-            _emit(role, k, mask)
+    for k, blk in enumerate(adapter.blocks):
+        if blk.mask is not None:
+            _emit(role, k, blk.mask)
 
     manifest = {
         "kind": adapter.kind,
         "d_out": adapter.shape[0],
         "d_in": adapter.shape[1],
-        "K": adapter.layout.K,
-        "row_ranges": [list(rr) for rr in adapter.layout.row_ranges],
-        "col_ranges": [list(cr) for cr in adapter.layout.col_ranges],
+        "K": len(adapter.blocks),
+        "row_ranges": [[blk.row0, blk.row1] for blk in adapter.blocks],
+        "col_ranges": [[blk.col0, blk.col1] for blk in adapter.blocks],
         "r_per_subspace": list(adapter.r_per_subspace),
-        "scale": list(adapter.scale),
+        "scale": [blk.scale for blk in adapter.blocks],
         "tensors": tensors,
     }
     if adapter.partition is not None:
@@ -338,8 +315,11 @@ def _mask_role(kind: str) -> str:
 def load_adapter(prefix) -> Adapter:
     """Read an adapter written by save_adapter.
 
-    A manifest that is not valid JSON, is not an object, lacks a key or a
-    tensor entry the adapter needs, lists a tensor entry twice or one the
+    The blocks are built from the manifest's ranges, so the constructor
+    rejects ranges that do not tile the K-block layout.  A manifest that
+    is not valid JSON, is not an object, lacks a key or a tensor entry the
+    adapter needs, holds a value of the wrong type (a float d_out, d_in,
+    K or rank, a bool scale), lists a tensor entry twice or one the
     adapter has no place for, or disagrees with its tensors or with itself
     raises FormatError.
     """
@@ -364,19 +344,22 @@ def load_adapter(prefix) -> Adapter:
 
 
 def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
-    K = manifest["K"]
-    layout = block_layout(manifest["d_out"], manifest["d_in"], K)
-    ranges = [[list(rr) for rr in layout.row_ranges], [list(cr) for cr in layout.col_ranges]]
-    if ranges != [manifest["row_ranges"], manifest["col_ranges"]]:
-        raise FormatError(f"row and column ranges are not the {K}-block layout {ranges} "
-                          f"of a {layout.shape[0]}x{layout.shape[1]} weight")
-    role = _mask_role(manifest["kind"])
+    kind, K = manifest["kind"], manifest["K"]
+    for name in ("d_out", "d_in", "K"):
+        _check_field(name, manifest[name], int, 1)
+    for name in ("row_ranges", "col_ranges", "r_per_subspace", "scale"):
+        if len(manifest[name]) != K:
+            raise FormatError(f"{name} must have one entry per block, K={K}, "
+                              f"got {manifest[name]}")
+    for rk in manifest["r_per_subspace"]:
+        _check_field("every entry of r_per_subspace", rk, int, 1)
+    role = _mask_role(kind)
     by_role: dict[tuple[str, int], np.ndarray] = {}
     for entry in manifest["tensors"]:
         key = (entry["role"], entry["subspace"])
         if key[0] not in ("A", "B", role) or key[1] not in range(K):
             raise FormatError(f"unexpected tensor entry {key[0]}{key[1]} "
-                              f"for a {K}-block {manifest['kind']} adapter")
+                              f"for a {K}-block {kind} adapter")
         if key in by_role:
             raise FormatError(f"tensor entry {key[0]}{key[1]} is listed twice")
         arr = matrix_io.read_matrix(folder / entry["file"])
@@ -385,21 +368,22 @@ def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
                 f"tensor {entry['file']} has shape {list(arr.shape)}, "
                 f"manifest says {entry['shape']}"
             )
+        if key[0] == role:
+            arr.setflags(write=False)
         by_role[key] = arr
-    masks = tuple(by_role.get((role, k)) for k in range(K))
-    for mask in masks:
-        if mask is not None:
-            mask.setflags(write=False)
     part = None
     if "index_sets" in manifest or "shares" in manifest:
         part = EnergyPartition(
             K=K, index_sets=tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"]),
             shares=np.asarray(manifest["shares"]))
-    adapter = Adapter(kind=manifest["kind"], layout=layout,
-                      A=[by_role[("A", k)] for k in range(K)],
-                      B=[by_role[("B", k)] for k in range(K)],
-                      masks=masks, scale=tuple(manifest["scale"]), partition=part)
-    if list(adapter.r_per_subspace) != manifest["r_per_subspace"]:
-        raise FormatError(f"r_per_subspace does not match the factor ranks "
-                          f"{list(adapter.r_per_subspace)}")
+    blocks = [Block(*manifest["row_ranges"][k], *manifest["col_ranges"][k],
+                    by_role.get((role, k)), by_role[("A", k)], by_role[("B", k)],
+                    manifest["scale"][k])
+              for k in range(K)]
+    adapter = Adapter(kind=kind, blocks=blocks, partition=part)
+    have = (*adapter.shape, list(adapter.r_per_subspace))
+    want = (manifest["d_out"], manifest["d_in"], manifest["r_per_subspace"])
+    if have != want:
+        raise FormatError(f"the blocks give d_out, d_in and r_per_subspace {have}, "
+                          f"the manifest says {want}")
     return adapter

@@ -143,6 +143,7 @@ def _cmd_rank_bench(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = matrix_io.read_train_config(args.config)
+    cfg.run_config(args.method)  # checks K against d and r before any file is made
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be ≥ 1, got {args.seeds}")
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)

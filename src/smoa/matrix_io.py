@@ -119,17 +119,20 @@ def _read_csv(path: Path) -> np.ndarray:
     return arr
 
 
-def _check_field(name: str, value, kind: type, low: int | None = None) -> None:
-    """Raise ValidationError unless value is a kind (int, float or bool) and
-    at least low, if given.  A bool passes only as bool, since JSON true/false
-    would otherwise pass as the integers 1/0; an int passes as a float.  A
-    float must be finite: Python's json reads NaN and Infinity, and NaN
-    passes every ordered comparison check."""
+def _check_field(name: str, value, kind: type, low: int | None = None,
+                 high: int | None = None) -> None:
+    """Raise ValidationError unless value is a kind (int, float or bool), at
+    least low, if given, and at most high, if given with low.  A bool passes
+    only as bool, since JSON true/false would otherwise pass as the integers
+    1/0; an int passes as a float.  A float must be finite: Python's json
+    reads NaN and Infinity, and NaN passes every ordered comparison check."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValidationError(f"{name} must be in [{low}, {high}], got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be ≥ {low}, got {value!r}")
 
@@ -263,22 +266,14 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("target_rank", 1), ("n_samples", 1), ("seed", 0),
-                          ("K", 1), ("steps", 1)):
+        for name, low in (("d", 1), ("n_samples", 1), ("seed", 0), ("K", 1), ("steps", 1)):
             _check_field(name, getattr(self, name), int, low)
         for name, low in (("noise_std", 0), ("learning_rate", None), ("beta1", 0), ("beta2", 0),
                           ("epsilon", None), ("weight_decay", 0)):
             _check_field(name, getattr(self, name), float, low)
-        if self.target_rank > self.d:
-            raise ValidationError(
-                f"target_rank must be in [1, {self.d}], got {self.target_rank}"
-            )
+        _check_field("target_rank", self.target_rank, int, 1, self.d)
         if self.target_blocks is not None:
-            _check_field("target_blocks", self.target_blocks, int, 1)
-            if self.target_blocks > self.d:
-                raise ValidationError(
-                    f"target_blocks must be in [1, {self.d}], got {self.target_blocks}"
-                )
+            _check_field("target_blocks", self.target_blocks, int, 1, self.d)
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
@@ -287,6 +282,7 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be in [0, 1), got {value}")
         if self.epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        self.run_config("lora")  # checks r, mode, alpha and init_std; lora ignores K
 
     def run_config(self, method: str) -> RunConfig:
         """Adapter construction config for this task; full-matrix methods

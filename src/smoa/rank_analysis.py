@@ -61,7 +61,7 @@ def numerical_rank(m, tol_factor: float = 1e-10) -> int:
         raise ValidationError(f"tol_factor must be finite and positive, got {tol_factor}")
     if isinstance(m, Adapter):
         shape = m.shape
-        s = np.concatenate([_block_singular_values(blk) for blk in m.blocks()])
+        s = np.concatenate([_block_singular_values(blk) for blk in m.blocks])
     else:
         arr = validate_matrix(m)
         shape = arr.shape
@@ -105,7 +105,7 @@ def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
     """
     p = min(adapter.shape)
     total = 0
-    for k, blk in enumerate(adapter.blocks()):
+    for k, blk in enumerate(adapter.blocks):
         if blk.mask is None:
             q = 1
         elif adapter.partition is not None:

@@ -35,11 +35,12 @@ residual), the residual and each block's update buffer are allocated
 once per call.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
-with A_k and B_k as reshaped views of it.  Gradients are laid out in one
-buffer of the same layout: backward returns views of it, grad_check
-perturbs params[e] and reads entry e of it, and training keeps both AdamW
-moments that way, so one AdamW update over the whole (S, p) stack runs
-per step, whatever K and S are.  AdamW is elementwise, so every entry
+and each block's A and B are reshaped views of it; Adapter.over gives
+the same blocks over a stack of params and masks.  Gradients are laid
+out in one buffer of the same layout: backward returns views of it,
+grad_check perturbs params[e] and reads entry e of it, and training keeps
+both AdamW moments that way, so one AdamW update over the whole (S, p)
+stack runs per step, whatever K and S are.  AdamW is elementwise, so every entry
 goes through the same operations as in a per-tensor update.  The step
 count and the optimizer constants come from a validated TrainConfig;
 the moments start at zero in every call.  train runs the step on [None]
@@ -112,14 +113,16 @@ def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
     tenth of the weight's.  With target_blocks=k the outer products are
     confined to the k diagonal blocks of the standard block layout (rank
     split evenly across blocks), so the update lives on the support that
-    blocked adapters can reach; the default plants a dense update.
+    blocked adapters can reach; the default plants a dense update.  An
+    argument of the wrong type or out of range raises ValidationError.
     """
-    if target_rank < 1 or target_rank > d:
-        raise ValidationError(f"target_rank must be in [1, {d}], got {target_rank}")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be ≥ 1, got {n_samples}")
-    if noise_std < 0:
-        raise ValidationError(f"noise_std must be ≥ 0, got {noise_std}")
+    _check_field("d", d, int, 1)
+    _check_field("target_rank", target_rank, int, 1, d)
+    _check_field("n_samples", n_samples, int, 1)
+    _check_field("noise_std", noise_std, float, 0)
+    _check_field("seed", seed, int, 0)
+    if target_blocks is not None:
+        _check_field("target_blocks", target_blocks, int, 1, d)
     rng = np.random.default_rng(seed)
     w0 = random_weight(d, d, rng)
     target = np.zeros((d, d))
@@ -127,10 +130,8 @@ def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
         for _ in range(target_rank):
             target += np.outer(_unit(rng, d), _unit(rng, d))
     else:
-        layout = block_layout(d, d, target_blocks)
         base, extra = divmod(target_rank, target_blocks)
-        for k in range(target_blocks):
-            (r0, r1), (c0, c1) = layout.row_ranges[k], layout.col_ranges[k]
+        for k, (r0, r1, c0, c1) in enumerate(block_layout(d, d, target_blocks)):
             rk = base + (1 if k < extra else 0)
             if rk > min(r1 - r0, c1 - c0):
                 raise ValidationError(
@@ -209,7 +210,7 @@ def _add_update(blocks, x, base, bufs, out=None) -> np.ndarray:
 def forward(adapter, w0, x) -> np.ndarray:
     """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
     w0, x = _check_host(adapter, w0, x)
-    blocks = adapter.blocks()
+    blocks = adapter.blocks
     return _add_update(blocks, x, x @ w0.T, _step_buffers(blocks, x.shape[0]))
 
 
@@ -251,7 +252,7 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
             f"upstream gradient shape {upstream.shape} does not match "
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
-    blocks = adapter.blocks()
+    blocks = adapter.blocks
     grads = Gradients(*adapter.factor_views(np.empty_like(adapter.params)))
     _factor_grads(blocks, x, upstream, grads.A, grads.B, _step_buffers(blocks, x.shape[0]))
     return grads
@@ -284,10 +285,11 @@ _N_SAMPLED = 256
 def _factor_entry(adapter, e: int) -> tuple[str, int, int, int]:
     """The (role, subspace, row, col) of entry e of adapter.params."""
     e = int(e)
-    for f, (rows, cols) in enumerate(adapter.factor_shapes):
-        if e < rows * cols:
-            return ("A", "B")[f % 2], f // 2, *divmod(e, cols)
-        e -= rows * cols
+    for k, blk in enumerate(adapter.blocks):
+        for role, factor in (("A", blk.A), ("B", blk.B)):
+            if e < factor.size:
+                return role, k, *divmod(e, factor.shape[1])
+            e -= factor.size
 
 
 def grad_check(adapter, task: LinearTask, seed: int = 0,
@@ -312,7 +314,7 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     """
     w0, x, targets = _check_task(adapter, task)
     params = adapter.params
-    blocks = adapter.blocks()
+    blocks = adapter.blocks
     bufs = _step_buffers(blocks, x.shape[0])
     base = x @ w0.T
     resid = _add_update(blocks, x, base, bufs) - targets
@@ -377,7 +379,7 @@ def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> n
     the one report of a divergence.
     """
     S, n, d_out = base.shape
-    blocks = adapter.blocks(params, masks)
+    blocks = adapter.over(params, masks)
     bufs = _step_buffers(blocks, n)
     grads, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     grads_a, grads_b = adapter.factor_views(grads)
@@ -420,7 +422,7 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     every update made.
     """
     w0, x, targets = _check_task(adapter, task)
-    masks = [None if mask is None else mask[None] for mask in adapter.masks]
+    masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
     return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
                        adapter.params[None], cfg)[0]
 
@@ -435,10 +437,11 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     straight into stacked (S, ...) inputs, targets, host outputs x @ w0^T,
     masks and params, and its task is dropped once its rows are written:
     the call holds O(S n d) stacked arrays and no task.  Each returned
-    adapter's masks are read-only views of its rows of the stacked masks,
-    so every mask is held once.  The runs share kind, layout, ranks, scales
-    and cfg by construction.  A divergence raises DivergenceError as train
-    does, naming the run when there are several.
+    adapter's blocks hold read-only views of its rows of the stacked masks,
+    rebound with Adapter.over, so every mask is held once.  The runs share
+    kind, layout, ranks, scales and cfg by construction.  A divergence
+    raises DivergenceError as train does, naming the run when there are
+    several.
     """
     _check_field("n_seeds", n_seeds, int, 1)
     shape = (n_seeds, cfg.n_samples, cfg.d)
@@ -456,17 +459,18 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
         del w0
         if j == 0:
             params = np.empty((n_seeds, adapter.params.size))
-            masks = [None if mask is None else np.empty((n_seeds, *mask.shape))
-                     for mask in adapter.masks]
+            masks = [None if blk.mask is None else np.empty((n_seeds, *blk.mask.shape))
+                     for blk in adapter.blocks]
         params[j] = adapter.params
         views = []
-        for stack, mask in zip(masks, adapter.masks):
+        for stack, blk in zip(masks, adapter.blocks):
+            mask = blk.mask
             if stack is not None:
                 stack[j] = mask
                 mask = stack[j]
                 mask.setflags(write=False)
             views.append(mask)
-        adapter.masks = tuple(views)  # frees the seed's own copies
+        adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
         runs.append(adapter)
     traces = _train_runs(runs[0], x, base, targets, masks, params, cfg)
     for adapter, trained in zip(runs, params):

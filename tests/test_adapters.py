@@ -15,7 +15,7 @@ from smoa.errors import FormatError, ValidationError
 from smoa.matrix_io import RunConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning, decompose, modulation_tensor
-from smoa.training import random_weight
+from smoa.training import forward, random_weight
 
 
 def cfg64(**kwargs):
@@ -26,15 +26,15 @@ def cfg64(**kwargs):
 
 def test_block_layout_even_split():
     layout = adapters.block_layout(64, 64, 2)
-    assert layout.row_ranges == ((0, 32), (32, 64))
-    assert layout.col_ranges == ((0, 32), (32, 64))
+    assert [(r0, r1) for r0, r1, _, _ in layout] == [(0, 32), (32, 64)]
+    assert [(c0, c1) for _, _, c0, c1 in layout] == [(0, 32), (32, 64)]
 
 
 def test_block_layout_remainder_goes_first():
     layout = adapters.block_layout(7, 5, 3)
-    assert layout.row_ranges == ((0, 3), (3, 5), (5, 7))
-    assert layout.col_ranges == ((0, 2), (2, 4), (4, 5))
-    assert layout.shape == (7, 5)
+    assert [(r0, r1) for r0, r1, _, _ in layout] == [(0, 3), (3, 5), (5, 7)]
+    assert [(c0, c1) for _, _, c0, c1 in layout] == [(0, 2), (2, 4), (4, 5)]
+    assert (layout[-1][1], layout[-1][3]) == (7, 5)
 
 
 def test_block_layout_rejects_bad_k():
@@ -85,11 +85,12 @@ def test_build_smoa_shapes_and_scale():
     w0 = random_weight(64, 64, np.random.default_rng(3))
     adapter = adapters.build_adapter("smoa", cfg, w0)
     assert adapter.r_per_subspace == (8, 8)
-    assert adapter.scale == (2.0, 2.0)  # alpha=r=16 over r_k=8
-    for k in range(2):
-        assert adapter.A[k].shape == (8, 32)
-        assert adapter.B[k].shape == (32, 8)
-        assert not np.any(adapter.B[k])
+    assert [blk.scale for blk in adapter.blocks] == [2.0, 2.0]  # alpha=r=16 over r_k=8
+    assert len(adapter.blocks) == 2
+    for blk in adapter.blocks:
+        assert blk.A.shape == (8, 32)
+        assert blk.B.shape == (32, 8)
+        assert not np.any(blk.B)
 
 
 def test_build_smoa_deterministic():
@@ -97,10 +98,9 @@ def test_build_smoa_deterministic():
     w0 = random_weight(64, 64, np.random.default_rng(4))
     first = adapters.build_adapter("smoa", cfg, w0)
     second = adapters.build_adapter("smoa", cfg, w0)
-    for a, b in zip(first.A, second.A):
-        assert a.tobytes() == b.tobytes()
-    for a, b in zip(first.masks, second.masks):
-        assert a.tobytes() == b.tobytes()
+    for a, b in zip(first.blocks, second.blocks):
+        assert a.A.tobytes() == b.A.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -120,8 +120,7 @@ def test_smoa_masks_equal_blocks_of_the_modulation_tensors(d_out, d_in, k_pick, 
         adapter = adapters.build_adapter("smoa", RunConfig(d_out=d_out, d_in=d_in, K=K, r=K,
                                                            seed=seed), w0)
     dec = decompose(w0)
-    for k, mask in enumerate(adapter.masks):
-        (r0, r1), (c0, c1) = adapter.layout.row_ranges[k], adapter.layout.col_ranges[k]
+    for k, (r0, r1, c0, c1, mask, *_) in enumerate(adapter.blocks):
         ref = modulation_tensor(dec, adapter.partition, k)[r0:r1, c0:c1]
         assert mask.shape == ref.shape and mask.flags.c_contiguous
         assert_allclose(mask, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
@@ -131,7 +130,7 @@ def test_mod_blocks_are_frozen():
     w0 = random_weight(64, 64, np.random.default_rng(0))
     adapter = adapters.build_adapter("smoa", cfg64(), w0)
     with pytest.raises(ValueError):
-        adapter.masks[0][0, 0] = 1.0
+        adapter.blocks[0].mask[0, 0] = 1.0
 
 
 def test_delta_hand_case():
@@ -139,8 +138,8 @@ def test_delta_hand_case():
     # itself, so the masked product keeps only the (0, 0) entry
     w0 = np.diag([3.0, 2.0])
     adapter = adapters.build_adapter("smoa", RunConfig(d_out=2, d_in=2, K=1, r=1, seed=0), w0)
-    adapter.A[0][...] = [[1.0, 1.0]]
-    adapter.B[0][...] = [[1.0], [0.0]]
+    adapter.blocks[0].A[...] = [[1.0, 1.0]]
+    adapter.blocks[0].B[...] = [[1.0], [0.0]]
     assert_allclose(adapters.delta(adapter), [[3.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
@@ -151,7 +150,7 @@ def test_delta_rank_additivity():
     adapters.randomize_factors(adapter, np.random.default_rng(12))
     update = adapters.delta(adapter)
     block_ranks = []
-    for blk in adapter.blocks():
+    for blk in adapter.blocks:
         block = blk.scale * (blk.B @ blk.A) * blk.mask
         block_ranks.append(numerical_rank(block))
     assert numerical_rank(update) == sum(block_ranks)
@@ -185,15 +184,47 @@ def test_build_baseline_rejects_unknown_kind():
         adapters.build_adapter("dora", cfg64(), np.zeros((64, 64)))
 
 
+def _unmasked_blocks(ranges):
+    rng = np.random.default_rng(0)
+    return [adapters.Block(r0, r1, c0, c1, None, rng.standard_normal((1, int(c1 - c0))),
+                           rng.standard_normal((int(r1 - r0), 1)), 1.0)
+            for r0, r1, c0, c1 in ranges]
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ([(0, 3, 0, 3), (5, 8, 5, 8)], "not the 2-block layout of a 8x8"),  # gap at rows/cols 3-4
+    ([(0, 5, 0, 5), (3, 8, 3, 8)], "not the 2-block layout of a 8x8"),  # overlap
+    ([(0, 5, 0, 5), (5, 8, 5, 8)], "not the 2-block layout of a 8x8"),  # uneven split
+    ([(1, 5, 1, 5), (5, 9, 5, 9)], "not the 2-block layout of a 9x9"),  # shifted by one
+    ([(0, 8, 0, 8), (8, 8, 8, 8)], "not the 2-block layout of a 8x8"),  # empty last block
+    ([(0, 0, 0, 0)], "not the 1-block layout of a 0x0"),
+    ([], "not the 0-block layout"),
+    ([(0, 4, 0, 4), (4, 8.0, 4, 8)], "every block bound must be of type int"),
+], ids=["gap", "overlap", "uneven", "shifted", "empty-block", "empty-shape", "no-blocks",
+        "float-bound"])
+def test_adapter_rejects_blocks_that_do_not_tile(ranges, message):
+    with pytest.raises(ValidationError, match=message):
+        adapters.Adapter(kind="block_lora", blocks=_unmasked_blocks(ranges))
+
+
+def test_adapter_on_the_layout_forwards_its_delta():
+    # the d=8 layout that the gap and overlap cases above break
+    adapter = adapters.Adapter(kind="block_lora",
+                               blocks=_unmasked_blocks(adapters.block_layout(8, 8, 2)))
+    x = np.random.default_rng(1).standard_normal((5, 8))
+    assert_allclose(forward(adapter, np.zeros((8, 8)), x), x @ adapters.delta(adapter).T,
+                    rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("method", adapters.METHODS)
 def test_adapter_rejects_rank_zero_block(method):
     # a rank-0 block has a 0-column B, which write_matrix cannot save
     adapter = adapters.build_adapter(method, cfg64(K=2, r=4),
                                      random_weight(64, 64, np.random.default_rng(3)))
-    A, B = list(adapter.A), list(adapter.B)
-    A[-1], B[-1] = A[-1][:0], B[-1][:, :0]
+    blocks = list(adapter.blocks)
+    blocks[-1] = blocks[-1]._replace(A=blocks[-1].A[:0], B=blocks[-1].B[:, :0])
     with pytest.raises(ValidationError, match="has rank 0, must be ≥ 1"):
-        dataclasses.replace(adapter, A=A, B=B)
+        dataclasses.replace(adapter, blocks=blocks)
 
 
 def test_smoa_adapter_without_partition_is_rejected():
@@ -243,9 +274,9 @@ def test_hadamard_reference_is_frozen_copy():
     w0 = random_weight(8, 8, np.random.default_rng(61))
     adapter = adapters.build_adapter("hadamard_w0", cfg, w0)
     w0[0, 0] += 1.0
-    assert adapter.masks[0][0, 0] != w0[0, 0]
+    assert adapter.blocks[0].mask[0, 0] != w0[0, 0]
     with pytest.raises(ValueError):
-        adapter.masks[0][0, 0] = 0.0
+        adapter.blocks[0].mask[0, 0] = 0.0
 
 
 def test_hadamard_rank_bound_property():
@@ -265,7 +296,7 @@ def test_subspace_rank_bound():
         w0 = random_weight(24, 24, np.random.default_rng(seed))
         adapter = adapters.build_adapter("smoa", cfg, w0)
         adapters.randomize_factors(adapter, np.random.default_rng(seed + 100))
-        for k, blk in enumerate(adapter.blocks()):
+        for k, blk in enumerate(adapter.blocks):
             block = blk.scale * (blk.B @ blk.A) * blk.mask
             bound = adapter.partition.sizes[k] * adapter.r_per_subspace[k]
             assert numerical_rank(block) <= bound
@@ -296,7 +327,7 @@ def test_save_load_roundtrip(method, tmp_path):
     assert loaded.kind == adapter.kind
     assert adapters.delta(loaded).tobytes() == adapters.delta(adapter).tobytes()
     assert loaded.r_per_subspace == tuple(adapter.r_per_subspace)
-    assert loaded.scale == tuple(adapter.scale)
+    assert [blk.scale for blk in loaded.blocks] == [blk.scale for blk in adapter.blocks]
 
 
 def assert_factors_view_params(adapter):
@@ -304,8 +335,8 @@ def assert_factors_view_params(adapter):
     # every factor, at its offset
     adapter.params[...] = np.arange(adapter.params.size)
     start = 0
-    for a, b in zip(adapter.A, adapter.B):
-        for t in (a, b):
+    for blk in adapter.blocks:
+        for t in (blk.A, blk.B):
             assert_array_equal(t.ravel(), np.arange(start, start + t.size))
             start += t.size
     assert start == adapter.params.size
@@ -320,8 +351,9 @@ def test_factors_are_views_of_params(method, tmp_path):
     assert_factors_view_params(adapter)
     adapters.save_adapter(adapter, tmp_path / "ckpt")
     assert_factors_view_params(adapters.load_adapter(tmp_path / "ckpt"))
-    A = [np.ones(a.shape) for a in adapter.A]
-    replaced = dataclasses.replace(adapter, A=A)
+    A = [np.ones(blk.A.shape) for blk in adapter.blocks]
+    replaced = dataclasses.replace(adapter, blocks=[blk._replace(A=a)
+                                                    for blk, a in zip(adapter.blocks, A)])
     assert_factors_view_params(replaced)
     assert not np.shares_memory(replaced.params, adapter.params)
     assert all(np.all(a == 1.0) for a in A)  # the constructor copied them
@@ -331,9 +363,9 @@ def test_factors_cannot_be_rebound():
     adapter = adapters.build_adapter("smoa", cfg64(), random_weight(64, 64,
                                                                     np.random.default_rng(6)))
     with pytest.raises(TypeError):
-        adapter.A[0] = np.zeros(adapter.A[0].shape)
-    with pytest.raises(TypeError):
-        adapter.B[1] = np.zeros(adapter.B[1].shape)
+        adapter.blocks[0] = adapter.blocks[0]._replace(A=np.zeros(adapter.blocks[0].A.shape))
+    with pytest.raises(AttributeError):
+        adapter.blocks[1].B = np.zeros(adapter.blocks[1].B.shape)
 
 
 @pytest.mark.parametrize("method", adapters.METHODS)
@@ -343,9 +375,9 @@ def test_randomize_factors_equals_per_tensor_draws(method):
     adapter = adapters.build_adapter(method, cfg64(K=3, r=9), w0)
     adapters.randomize_factors(adapter, np.random.default_rng(8), std=0.3)
     rng = np.random.default_rng(8)
-    for a, b in zip(adapter.A, adapter.B):
-        assert_array_equal(a, rng.normal(0.0, 0.3, size=a.shape))
-        assert_array_equal(b, rng.normal(0.0, 0.3, size=b.shape))
+    for blk in adapter.blocks:
+        assert_array_equal(blk.A, rng.normal(0.0, 0.3, size=blk.A.shape))
+        assert_array_equal(blk.B, rng.normal(0.0, 0.3, size=blk.B.shape))
 
 
 def test_randomize_factors_is_seed_deterministic():
@@ -356,7 +388,7 @@ def test_randomize_factors_is_seed_deterministic():
     adapters.randomize_factors(first, np.random.default_rng(9))
     adapters.randomize_factors(second, np.random.default_rng(9))
     assert adapters.delta(first).tobytes() == adapters.delta(second).tobytes()
-    assert np.any(first.B[0])
+    assert np.any(first.blocks[0].B)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -440,13 +472,22 @@ def _drop_tensor(role):
     ("smoa", _drop_tensor("mod_block"), "mask shapes must be"),
     ("lora", lambda m: m.update(kind="smoa"), "mask shapes must be"),
     ("smoa", lambda m: m.update(row_ranges=[[0, 5], [5, 8]]), "not the 2-block layout"),
-    ("smoa", lambda m: m.update(K=1), "not the 1-block layout"),
-    ("smoa", lambda m: m.update(d_out=9), "not the 2-block layout"),
-    ("smoa", lambda m: m.update(scale=[1.0]), "needs 2 of each"),
+    ("smoa", lambda m: m.update(row_ranges=[[0, 4.0], [4, 8]]),
+     "every block bound must be of type int, got 4.0"),
+    ("smoa", lambda m: m.update(K=1), "row_ranges must have one entry per block, K=1"),
+    ("smoa", lambda m: m.update(d_out=9), "the blocks give d_out, d_in and r_per_subspace"),
+    ("smoa", lambda m: m.update(d_out=8.0), "d_out must be of type int, got 8.0"),
+    ("smoa", lambda m: m.update(d_in=8.0), "d_in must be of type int, got 8.0"),
+    ("smoa", lambda m: m.update(scale=[1.0]), "scale must have one entry per block, K=2"),
     ("smoa", lambda m: m.update(kind="dora"), "unknown method"),
-    ("smoa", lambda m: m.update(K="2"), "not supported"),
+    ("smoa", lambda m: m.update(K="2"), "K must be of type int, got '2'"),
+    ("smoa", lambda m: m.update(K=2.0), "K must be of type int, got 2.0"),
     ("smoa", lambda m: m.update(scale=2.0), "float"),
-    ("smoa", lambda m: m.update(scale=[float("nan"), 2.0]), "finite and positive"),
+    ("smoa", lambda m: m.update(scale=[float("nan"), 2.0]), "every scale must be finite"),
+    ("smoa", lambda m: m.update(scale=[2.0, True]), "every scale must be of type float"),
+    ("smoa", lambda m: m.update(scale=[2.0, -2.0]), "every scale must be finite and positive"),
+    ("smoa", lambda m: m.update(r_per_subspace=[2.0, 2]),
+     "every entry of r_per_subspace must be of type int"),
     ("smoa", lambda m: m["tensors"][0].update(shape=[2, 5]), "manifest says"),
     ("smoa", lambda m: m.update(r_per_subspace=[2, 3]), "r_per_subspace"),
     ("smoa", lambda m: m.update(index_sets=m["index_sets"][:1]), "partition"),
@@ -462,8 +503,9 @@ def _drop_tensor(role):
     ("lora", lambda m: m["tensors"].append(dict(m["tensors"][0], role="reference")),
      "unexpected tensor entry reference0 for a 1-block lora adapter"),
 ], ids=["hadamard-without-reference", "smoa-without-masks", "lora-as-smoa",
-        "shifted-row-ranges", "K-1-on-K-2", "d_out", "short-scale", "unknown-kind",
-        "string-K", "scalar-scale", "nan-scale",
+        "shifted-row-ranges", "float-row-range", "K-1-on-K-2", "d_out", "float-d_out",
+        "float-d_in", "short-scale", "unknown-kind", "string-K", "float-K", "scalar-scale",
+        "nan-scale", "bool-scale", "negative-scale", "float-rank",
         "tensor-shape", "r_per_subspace", "index-set-count", "index-sets-overlap",
         "short-shares", "partition-on-block-lora", "duplicate-entry", "entry-beyond-K",
         "mask-role-of-another-kind"])

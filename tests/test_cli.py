@@ -269,6 +269,27 @@ def test_train_bad_k_exits_1_for_every_method(capsys, tmp_path, method, value, m
     assert [p.name for p in tmp_path.iterdir()] == ["train.json"]
 
 
+@pytest.mark.parametrize("method, field, value, message", [
+    ("lora", "r", "4", "r must be of type int, got '4'"),
+    ("lora", "r", 0, "r must be ≥ 1, got 0"),
+    ("lora", "mode", "bogus", "mode must be one of"),
+    ("lora", "alpha", -1.0, "alpha must be positive"),
+    ("lora", "alpha", True, "alpha must be of type float"),
+    ("lora", "init_std", 0.0, "init_std must be positive"),
+    # a K that only the blocked methods use is checked against d and r
+    ("smoa", "K", 20, "K must be ≤ min(d_out, d_in) = 16, got K=20"),
+    ("block_lora", "r", 1, "r must be ≥ K in budget mode, got r=1, K=2"),
+])
+def test_train_bad_adapter_field_exits_1_before_creating_the_out_dir(capsys, tmp_path, method,
+                                                                     field, value, message):
+    cfg = write_train_config(tmp_path, **{field: value})
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", method,
+                           "--out-prefix", str(tmp_path / "out" / "run"))
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_is_deterministic(capsys, tmp_path):
     cfg = write_train_config(tmp_path)
     run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",

@@ -65,7 +65,8 @@ def reference_bound(method, cfg, partition=None, w0_rank=None):
     layout = adapters.block_layout(cfg.d_out, cfg.d_in, cfg.K)
     ranks = adapters.subspace_ranks(cfg)
     sizes = partition.sizes if method == "smoa" else (1,) * cfg.K
-    return min(p, sum(min(*layout.block_shape(k), sizes[k] * ranks[k]) for k in range(cfg.K)))
+    return min(p, sum(min(r1 - r0, c1 - c0, sizes[k] * ranks[k])
+                      for k, (r0, r1, c0, c1) in enumerate(layout)))
 
 
 def built(method, **kwargs):
@@ -292,7 +293,7 @@ def test_block_ranks_share_one_threshold(tiny):
     adapter = adapters.build_adapter("block_lora", cfg, random_weight(32, 32,
                                                                       np.random.default_rng(1)))
     adapters.randomize_factors(adapter, np.random.default_rng(2))
-    adapter.B[tiny][...] *= 1e-12
+    adapter.blocks[tiny].B[...] *= 1e-12
     assert both_ranks(adapter) == (4, 4)
 
 
@@ -322,7 +323,7 @@ def test_block_rank_rejects_nonfinite_factors_like_dense_path(method, tensor, va
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
                                                                 np.random.default_rng(6)))
     adapters.randomize_factors(adapter, np.random.default_rng(7))
-    getattr(adapter, tensor)[-1][0, 0] = value
+    getattr(adapter.blocks[-1], tensor)[0, 0] = value
     for m in (adapter, adapters.delta(adapter)):
         with pytest.raises(FormatError, match="non-finite"):
             rank_analysis.numerical_rank(m)
@@ -334,9 +335,9 @@ def test_block_rank_rejects_nonfinite_mask(method):
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
                                                                 np.random.default_rng(8)))
     adapters.randomize_factors(adapter, np.random.default_rng(9))
-    mask = adapter.masks[-1].copy()
+    mask = adapter.blocks[-1].mask.copy()
     mask[0, 0] = np.nan
-    adapter.masks = adapter.masks[:-1] + (mask,)
+    adapter.blocks = adapter.blocks[:-1] + (adapter.blocks[-1]._replace(mask=mask),)
     with pytest.raises(FormatError, match="non-finite"):
         rank_analysis.numerical_rank(adapter)
 
@@ -365,10 +366,11 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
         adapter = adapters.build_adapter(method, cfg, w0)
     adapters.randomize_factors(adapter, rng)
     if zeroed == "all":
-        for factor in adapter.A + adapter.B:
-            factor *= 0.0
+        for blk in adapter.blocks:
+            blk.A[...] *= 0.0
+            blk.B[...] *= 0.0
     elif zeroed == "one block":
-        adapter.B[int(rng.integers(len(adapter.B)))][...] = 0.0
+        adapter.blocks[int(rng.integers(len(adapter.blocks)))].B[...] = 0.0
     block, dense = both_ranks(adapter)
     assert block == dense
     if zeroed == "all":

@@ -84,6 +84,23 @@ def test_make_task_validation():
         training.make_task(8, 2, 0, 0.0, 0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(d=8.0), "d must be of type int, got 8.0"),
+    (dict(target_rank=2.0), "target_rank must be of type int, got 2.0"),
+    (dict(n_samples=10.0), "n_samples must be of type int, got 10.0"),
+    (dict(target_blocks=2.0), "target_blocks must be of type int, got 2.0"),
+    (dict(target_blocks="2"), "target_blocks must be of type int, got '2'"),
+    (dict(target_blocks=9), r"target_blocks must be in \[1, 8\], got 9"),
+    (dict(seed=-1), "seed must be ≥ 0, got -1"),
+    (dict(noise_std=float("nan")), "noise_std must be finite"),
+], ids=["float-d", "float-target_rank", "float-n_samples", "float-target_blocks",
+        "string-target_blocks", "target_blocks-above-d", "negative-seed", "nan-noise_std"])
+def test_make_task_rejects_mistyped_arguments(kwargs, message):
+    args = dict(d=8, target_rank=2, n_samples=10, noise_std=0.0, seed=0) | kwargs
+    with pytest.raises(ValidationError, match=message):
+        training.make_task(**args)
+
+
 def test_forward_zero_init_is_host_output():
     task = training.make_task(16, 4, 20, 0.0, seed=1)
     adapter = adapters.build_adapter("smoa", small_cfg(d=16), task.w0)
@@ -224,20 +241,20 @@ def test_train_diverged_loss_raises_with_step():
     base = training.make_task(8, 2, 10, 0.0, seed=20)
     task = dataclasses.replace(base, targets=np.full_like(base.targets, 1e200))
     adapter = adapters.build_adapter("smoa", small_cfg(seed=20), base.w0)
-    before = [t.tobytes() for t in adapter.A + adapter.B]
+    before = [t.tobytes() for t in factors(adapter)]
     with pytest.raises(training.DivergenceError, match="step 0"):
         training.train(adapter, task, train_cfg(10))
-    assert [t.tobytes() for t in adapter.A + adapter.B] == before
+    assert [t.tobytes() for t in factors(adapter)] == before
 
 
 def test_train_preserves_frozen_tensors():
     task = training.make_task(16, 4, 32, 0.0, seed=21)
     adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=21), task.w0)
     w0_before = task.w0.tobytes()
-    mods_before = [m.tobytes() for m in adapter.masks]
+    mods_before = [blk.mask.tobytes() for blk in adapter.blocks]
     training.train(adapter, task, train_cfg(200))
     assert task.w0.tobytes() == w0_before
-    assert [m.tobytes() for m in adapter.masks] == mods_before
+    assert [blk.mask.tobytes() for blk in adapter.blocks] == mods_before
 
 
 def test_train_loss_drops_tenfold_on_realizable_task():
@@ -260,13 +277,18 @@ def test_write_loss_trace_format(tmp_path):
     assert path.read_text() == "step,loss\n0,1\n1,0.5\n"
 
 
+def factors(adapter):
+    """A_0, ..., A_{K-1}, then B_0, ..., B_{K-1}: the blocks' factor views."""
+    return [blk.A for blk in adapter.blocks] + [blk.B for blk in adapter.blocks]
+
+
 # Dense reference for the block-wise step: the full update matrix, the
 # merged-weight forward, and the full upstream^T x gradient sliced to
 # each block.
 
 def dense_delta(adapter):
     out = np.zeros(adapter.shape)
-    for blk in adapter.blocks():
+    for blk in adapter.blocks:
         update = blk.scale * (blk.B @ blk.A)
         if blk.mask is not None:
             update = update * blk.mask
@@ -281,7 +303,7 @@ def dense_forward(adapter, w0, x):
 def dense_backward(adapter, x, upstream):
     g_delta = upstream.T @ x
     grads_a, grads_b = [], []
-    for blk in adapter.blocks():
+    for blk in adapter.blocks:
         gk = g_delta[blk.row0:blk.row1, blk.col0:blk.col1]
         if blk.mask is not None:
             gk = gk * blk.mask
@@ -367,11 +389,11 @@ def test_train_trace_matches_dense_reference_loop(method):
             break
         upstream = (2.0 / pred.size) * (pred - task.targets)
         grads_a, grads_b = dense_backward(ref, task.inputs, upstream)
-        for k in range(len(ref.A)):
-            training._adamw_update(ref.A[k], grads_a[k], m_a[k], v_a[k], step, settings_)
-            training._adamw_update(ref.B[k], grads_b[k], m_b[k], v_b[k], step, settings_)
+        for k, blk in enumerate(ref.blocks):
+            training._adamw_update(blk.A, grads_a[k], m_a[k], v_a[k], step, settings_)
+            training._adamw_update(blk.B, grads_b[k], m_b[k], v_b[k], step, settings_)
     assert_allclose(trace, ref_trace, rtol=1e-9)
-    for got, want in zip(adapter.A + adapter.B, ref.A + ref.B):
+    for got, want in zip(factors(adapter), factors(ref), strict=True):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -382,8 +404,8 @@ def test_train_trace_matches_dense_reference_loop(method):
 
 def per_tensor_moments(adapter):
     """Zeroed moments, one array per tensor: m_A, v_A, m_B, v_B."""
-    return [[np.zeros_like(t) for t in tensors]
-            for tensors in (adapter.A, adapter.A, adapter.B, adapter.B)]
+    return [[np.zeros_like(getattr(blk, role)) for blk in adapter.blocks]
+            for role in ("A", "A", "B", "B")]
 
 
 def per_tensor_train(adapter, task, cfg):
@@ -395,9 +417,9 @@ def per_tensor_train(adapter, task, cfg):
         if i == cfg.steps or not np.isfinite(trace[-1]):
             break
         grads = training.backward(adapter, task.w0, task.inputs, resid * (2.0 / resid.size))
-        for k in range(len(adapter.A)):
-            training._adamw_update(adapter.A[k], grads.A[k], m_a[k], v_a[k], i + 1, cfg)
-            training._adamw_update(adapter.B[k], grads.B[k], m_b[k], v_b[k], i + 1, cfg)
+        for k, blk in enumerate(adapter.blocks):
+            training._adamw_update(blk.A, grads.A[k], m_a[k], v_a[k], i + 1, cfg)
+            training._adamw_update(blk.B, grads.B[k], m_b[k], v_b[k], i + 1, cfg)
     return np.array(trace)
 
 
@@ -411,11 +433,11 @@ def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
     cfg = small_cfg(d=16, K=3, r=6, seed=29)
     settings_ = train_cfg(40, learning_rate=1e-2, weight_decay=weight_decay)
     adapter = adapters.build_adapter(method, cfg, task.w0)
-    objects = adapter.A + adapter.B + (adapter.params,)
+    objects = [adapter.blocks, *factors(adapter), adapter.params]
     trace = training.train(adapter, task, settings_)
     # train updates the adapter's own buffer, through the views it hands out
-    assert all(a is b for a, b in zip(adapter.A + adapter.B + (adapter.params,), objects,
-                                      strict=True))
+    assert all(a is b for a, b in zip([adapter.blocks, *factors(adapter), adapter.params],
+                                      objects, strict=True))
 
     ref = adapters.build_adapter(method, cfg, task.w0)
     ref_trace = per_tensor_train(ref, task, settings_)
@@ -495,8 +517,8 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
                 method, dataclasses.replace(cfg.run_config(method), seed=seed + j), task.w0)
         assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
         assert run.params.tobytes() == alone.params.tobytes()
-        assert ([None if m is None else m.tobytes() for m in run.masks]
-                == [None if m is None else m.tobytes() for m in alone.masks])
+        assert ([None if blk.mask is None else blk.mask.tobytes() for blk in run.blocks]
+                == [None if blk.mask is None else blk.mask.tobytes() for blk in alone.blocks])
 
 
 def test_train_seeds_names_the_step_and_the_diverging_run(monkeypatch):
@@ -557,7 +579,7 @@ def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
     adapter.params[...] = np.arange(adapter.params.size)
     for e in range(adapter.params.size):
         role, k, i, j = training._factor_entry(adapter, e)
-        assert getattr(adapter, role)[k][i, j] == e
+        assert getattr(adapter.blocks[k], role)[i, j] == e
     adapter.params[...] = factors
 
     # backward returns views of one buffer laid out like params
