@@ -20,6 +20,7 @@ from .adapters import (
     param_count,
     randomize_factors,
     save_adapter,
+    smoa_masks,
     subspace_ranks,
 )
 from .errors import FormatError, NumericalError, SmoaError, ValidationError

@@ -189,15 +189,36 @@ def _plan(method: str, cfg: RunConfig) -> tuple[tuple[tuple[int, ...], ...], tup
     return block_layout(cfg.d_out, cfg.d_in, cfg.K), subspace_ranks(cfg)
 
 
-def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
+def smoa_masks(w0, K: int) -> tuple[EnergyPartition, tuple[np.ndarray, ...]]:
+    """The frozen state of a K-block smoa adapter over w0: the energy
+    partition of w0's spectrum and the K read-only diagonal mask blocks.
+
+    Block k's mask is (U[rows_k, I_k] * sigma[I_k]) @ Vt[I_k, cols_k], the
+    block of the k-th modulation tensor, formed without the full tensor
+    (zeros for an empty I_k).  The state depends on w0 and K alone, so
+    every smoa adapter over one weight with K blocks can share it.
+    """
+    dec = decompose(w0)
+    layout = block_layout(dec.U.shape[0], dec.Vt.shape[1], K)
+    part = partition(cumulative_energy(dec.sigma), K)
+    masks = []
+    for (r0, r1, c0, c1), idx in zip(layout, part.index_sets):
+        mask = (dec.U[r0:r1, idx] * dec.sigma[idx]) @ dec.Vt[idx, c0:c1]
+        mask.setflags(write=False)
+        masks.append(mask)
+    return part, tuple(masks)
+
+
+def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
     """Build a method's adapter over w0.
 
     A_k entries are i.i.d. Gaussian(0, init_std^2) from the config seed;
     B_k starts at zero, so the initial update is exactly zero.  ``smoa``
-    decomposes w0 and partitions its spectrum for its masks: block k's
-    mask is (U[rows_k, I_k] * sigma[I_k]) @ Vt[I_k, cols_k], the block of
-    the k-th modulation tensor, without forming the full tensor (zeros for
-    an empty I_k).  Masks are frozen (marked read-only).
+    takes its partition and masks from smoa_state, a smoa_masks(w0, cfg.K)
+    result, when given, and builds them from w0 otherwise; smoa_state for
+    any other method, or with another K, raises ValidationError, and the
+    constructor rejects masks of the wrong shape.  Masks are frozen
+    (marked read-only).
     """
     layout, ranks = _plan(method, cfg)
     w0 = validate_matrix(w0)
@@ -206,21 +227,20 @@ def build_adapter(method: str, cfg: RunConfig, w0) -> Adapter:
         raise ValidationError(
             f"config dims ({cfg.d_out}, {cfg.d_in}) do not match weight shape ({d_out}, {d_in})"
         )
-    part = None
+    if smoa_state is not None and method != "smoa":
+        raise ValidationError(f"an smoa state was given for a {method} adapter")
+    part, masks = None, (None,) * len(layout)
     if method == "smoa":
-        dec = decompose(w0)
-        part = partition(cumulative_energy(dec.sigma), cfg.K)
+        part, masks = smoa_masks(w0, cfg.K) if smoa_state is None else smoa_state
+        if len(masks) != cfg.K:
+            raise ValidationError(f"the smoa state has {len(masks)} masks, "
+                                  f"the config has K={cfg.K}")
+    elif method == "hadamard_w0":
+        masks = (w0.copy(),)
+        masks[0].setflags(write=False)
     rng = np.random.default_rng(cfg.seed)
     blocks = []
-    for k, ((r0, r1, c0, c1), rk) in enumerate(zip(layout, ranks)):
-        mask = None
-        if method == "smoa":
-            idx = part.index_sets[k]
-            mask = (dec.U[r0:r1, idx] * dec.sigma[idx]) @ dec.Vt[idx, c0:c1]
-        elif method == "hadamard_w0":
-            mask = w0[r0:r1, c0:c1].copy()
-        if mask is not None:
-            mask.setflags(write=False)
+    for (r0, r1, c0, c1), rk, mask in zip(layout, ranks, masks):
         A = rng.normal(0.0, cfg.init_std, size=(rk, c1 - c0))
         blocks.append(Block(r0, r1, c0, c1, mask, A, np.zeros((r1 - r0, rk)), cfg.alpha / rk))
     return Adapter(kind=method, blocks=blocks, partition=part)
@@ -320,8 +340,9 @@ def load_adapter(prefix) -> Adapter:
     is not valid JSON, is not an object, lacks a key or a tensor entry the
     adapter needs, holds a value of the wrong type (a float d_out, d_in,
     K or rank, a bool scale), lists a tensor entry twice or one the
-    adapter has no place for, or disagrees with its tensors or with itself
-    raises FormatError.
+    adapter has no place for, lists a partition index that is not a
+    non-negative int or a share that is not a finite, non-negative float,
+    or disagrees with its tensors or with itself raises FormatError.
     """
     prefix = Path(prefix)
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
@@ -373,9 +394,14 @@ def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
         by_role[key] = arr
     part = None
     if "index_sets" in manifest or "shares" in manifest:
+        for index_set in manifest["index_sets"]:
+            for i in index_set:
+                _check_field("every index of index_sets", i, int, 0)
+        for share in manifest["shares"]:
+            _check_field("every share", share, float, 0)
         part = EnergyPartition(
             K=K, index_sets=tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"]),
-            shares=np.asarray(manifest["shares"]))
+            shares=np.asarray(manifest["shares"], dtype=np.float64))
     blocks = [Block(*manifest["row_ranges"][k], *manifest["col_ranges"][k],
                     by_role.get((role, k)), by_role[("A", k)], by_role[("B", k)],
                     manifest["scale"][k])

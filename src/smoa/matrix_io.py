@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,7 +112,10 @@ def _write_csv(arr: np.ndarray, path: Path) -> None:
 
 def _read_csv(path: Path) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a FormatError, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed CSV matrix: {exc}") from exc
     if arr.size == 0:

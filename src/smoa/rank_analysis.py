@@ -12,6 +12,12 @@ factors of B and A^T; every other block gets a full SVD of its update.
 block's factor rank times the rank of its mask, capped by the block's
 dimensions, summed and capped by min(d_out, d_in).
 
+A sweep builds each weight's smoa state, its energy partition and mask
+blocks, once per (weight, K) with smoa_masks and hands it to every smoa
+row of that weight and K; the state depends on the weight and K alone,
+so the rows are bit-identical to fresh builds.  The sweep keeps one
+state at a time.
+
 Sweeps fill the adapter factors with seeded Gaussian entries before
 measuring: the zero-init state has rank 0 by construction, and the point
 of the sweep is the achievable rank of the update.  Rows record the
@@ -32,7 +38,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .adapters import Adapter, Block, build_adapter, delta, param_count, randomize_factors
+from .adapters import (Adapter, Block, build_adapter, delta, param_count, randomize_factors,
+                       smoa_masks)
 from .errors import NumericalError, ValidationError
 from .matrix_io import (FULL_MATRIX, METHODS, RunConfig, SweepConfig, validate_matrix,
                         write_json, write_report)
@@ -157,10 +164,14 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     """Measure update ranks over a (method, r, K, seed) grid at size d.
 
     Every method in a cell sees the same seeded decaying-spectrum weight.
-    Invalid combinations (r < K in budget mode, budgets that cannot be
-    matched within 1%) skip the cell with a logged reason instead of
-    failing the sweep.  Rows are assembled in (method, d, r, K, seed)
-    order.
+    The cells are planned first, in (r, K, method) order: invalid
+    combinations (r < K in budget mode, budgets that cannot be matched
+    within 1%) skip the cell with a logged reason instead of failing the
+    sweep.  The rows are then measured seed by seed and K by K, so each
+    weight's smoa state is built once per K, on its first smoa row, and
+    dropped before the next (seed, K) builds its own.  Each row's factor
+    fill is seeded by (seed, method, r, K) alone, and rows are sorted into
+    (method, d, r, K, seed) order, so the loop order changes no output.
     """
     cfg = SweepConfig(methods=tuple(methods), d=d, r_values=tuple(r_values),
                       K_values=tuple(K_values), n_seeds=n_seeds, base_seed=base_seed,
@@ -171,8 +182,8 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
         weights[seed] = random_weight(d, d, np.random.default_rng([d, seed]))
     w0_ranks = {seed: numerical_rank(w, tol_factor) for seed, w in weights.items()}
 
-    rows: list[RankRecord] = []
     skipped: list[str] = []
+    cells: dict[int, list[tuple[str, int, int, int, int]]] = {}
     for r in cfg.r_values:
         for K in cfg.K_values:
             if K > min(d, r):
@@ -196,21 +207,28 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     skipped.append(reason)
                     logger.info(reason)
                     continue
-                for i in range(cfg.n_seeds):
-                    seed = cfg.base_seed + i
-                    w0 = weights[seed]
-                    run_seed = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=seed)
-                    adapter = build_adapter(method, run_seed, w0)
-                    fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
-                    randomize_factors(adapter, fill)
-                    update = delta(adapter)
-                    measured = numerical_rank(adapter, tol_factor)
-                    bound = theoretical_bound(adapter, w0_rank=w0_ranks[seed])
-                    rows.append(RankRecord(
-                        method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
-                        numerical_rank=measured, rank_upper_bound=bound,
-                        frobenius_norm=float(np.linalg.norm(update)),
-                    ))
+                cells.setdefault(K, []).append((method, r, r_m, k_m, pc))
+
+    rows: list[RankRecord] = []
+    for seed, w0 in weights.items():
+        for K, planned in cells.items():
+            state = None
+            for method, r, r_m, k_m, pc in planned:
+                if method == "smoa" and state is None:
+                    state = smoa_masks(w0, K)
+                run_seed = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=seed)
+                adapter = build_adapter(method, run_seed, w0,
+                                        smoa_state=state if method == "smoa" else None)
+                fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
+                randomize_factors(adapter, fill)
+                update = delta(adapter)
+                measured = numerical_rank(adapter, tol_factor)
+                bound = theoretical_bound(adapter, w0_rank=w0_ranks[seed])
+                rows.append(RankRecord(
+                    method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
+                    numerical_rank=measured, rank_upper_bound=bound,
+                    frobenius_norm=float(np.linalg.norm(update)),
+                ))
 
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
     config = asdict(cfg)

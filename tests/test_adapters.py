@@ -133,6 +133,46 @@ def test_mod_blocks_are_frozen():
         adapter.blocks[0].mask[0, 0] = 1.0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_out=st.integers(2, 24), d_in=st.integers(2, 24), k_pick=st.integers(1, 6),
+       extra_rank=st.integers(0, 5), seed=st.integers(0, 2**16), spiked=st.booleans())
+def test_build_over_a_prebuilt_smoa_state_equals_a_fresh_build(d_out, d_in, k_pick, extra_rank,
+                                                                seed, spiked):
+    K = min(k_pick, d_out, d_in)
+    w0 = random_weight(d_out, d_in, np.random.default_rng(seed))
+    if spiked:
+        w0[0] *= 100.0  # empties the leading subspaces
+    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + extra_rank, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySubspaceWarning)
+        fresh = adapters.build_adapter("smoa", cfg, w0)
+        shared = adapters.build_adapter("smoa", cfg, w0, smoa_state=adapters.smoa_masks(w0, K))
+    assert shared.params.tobytes() == fresh.params.tobytes()
+    assert shared.partition.shares.tobytes() == fresh.partition.shares.tobytes()
+    assert [s.tolist() for s in shared.partition.index_sets] == \
+        [s.tolist() for s in fresh.partition.index_sets]
+    for got, want in zip(shared.blocks, fresh.blocks, strict=True):
+        assert got[:4] == want[:4] and got.scale == want.scale
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert not got.mask.flags.writeable
+
+
+@pytest.mark.parametrize("method, state_dims, message", [
+    ("smoa", (8, 8, 1), "the smoa state has 1 masks, the config has K=2"),
+    ("smoa", (8, 8, 4), "the smoa state has 4 masks, the config has K=2"),
+    ("smoa", (6, 8, 2), "mask shapes must be"),
+    ("smoa", (8, 12, 2), "mask shapes must be"),
+    ("lora", (8, 8, 2), "an smoa state was given for a lora adapter"),
+], ids=["fewer-masks", "more-masks", "fewer-rows", "more-cols", "lora"])
+def test_build_rejects_a_state_that_does_not_fit(method, state_dims, message):
+    d_out, d_in, K = state_dims
+    state = adapters.smoa_masks(random_weight(d_out, d_in, np.random.default_rng(5)), K)
+    w0 = random_weight(8, 8, np.random.default_rng(6))
+    cfg = RunConfig(d_out=8, d_in=8, K=2, r=4, seed=0)
+    with pytest.raises(ValidationError, match=message):
+        adapters.build_adapter(method, cfg, w0, smoa_state=state)
+
+
 def test_delta_hand_case():
     # single subspace on diag(3, 2): the modulation block is the weight
     # itself, so the masked product keeps only the (0, 0) entry
@@ -493,6 +533,15 @@ def _drop_tensor(role):
     ("smoa", lambda m: m.update(index_sets=m["index_sets"][:1]), "partition"),
     ("smoa", lambda m: m.update(index_sets=[[0, 1, 2], [2, 3, 4, 5, 6, 7]]), "partition"),
     ("smoa", lambda m: m.update(shares=[1.0]), "partition"),
+    ("smoa", lambda m: m.update(index_sets=[[0.0, 1.5], m["index_sets"][1]]),
+     "every index of index_sets must be of type int, got 0.0"),
+    ("smoa", lambda m: m.update(index_sets=[[0, True], m["index_sets"][1]]),
+     "every index of index_sets must be of type int, got True"),
+    ("smoa", lambda m: m.update(index_sets=[[-1, 1], m["index_sets"][1]]),
+     "every index of index_sets must be ≥ 0"),
+    ("smoa", lambda m: m.update(shares=["x", "y"]), "every share must be of type float"),
+    ("smoa", lambda m: m.update(shares=[float("nan"), 1.0]), "every share must be finite"),
+    ("smoa", lambda m: m.update(shares=[-3.0, 4.0]), "every share must be ≥ 0"),
     ("block_lora", lambda m: m.update(index_sets=[[0, 1, 2, 3], [4, 5, 6, 7]],
                                       shares=[0.5, 0.5]), "partition"),
     # tensors are listed A0, B0, A1, B1, mod_block0, mod_block1
@@ -507,7 +556,8 @@ def _drop_tensor(role):
         "float-d_in", "short-scale", "unknown-kind", "string-K", "float-K", "scalar-scale",
         "nan-scale", "bool-scale", "negative-scale", "float-rank",
         "tensor-shape", "r_per_subspace", "index-set-count", "index-sets-overlap",
-        "short-shares", "partition-on-block-lora", "duplicate-entry", "entry-beyond-K",
+        "short-shares", "float-index", "bool-index", "negative-index", "string-shares",
+        "nan-share", "negative-share", "partition-on-block-lora", "duplicate-entry", "entry-beyond-K",
         "mask-role-of-another-kind"])
 def test_load_adapter_inconsistent_manifest_is_format_error(tmp_path, method, corrupt,
                                                             message):

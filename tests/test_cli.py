@@ -54,6 +54,15 @@ def test_analyze_missing_input_exits_3(capsys, tmp_path):
     assert "i/o error" in err
 
 
+def test_analyze_empty_csv_exits_3(capsys, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path), "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert err == f"smoa analyze: i/o error: {path}: empty CSV matrix\n"
+
+
 def test_analyze_empty_subspace_diagnostic(capsys, tmp_path):
     path = tmp_path / "spike.smoa"
     matrix_io.write_matrix(np.diag([100.0, 1.0, 1.0]), path)

@@ -129,6 +129,16 @@ def test_malformed_csv_rejected(tmp_path):
         matrix_io.read_matrix(path)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n# no rows\n"])
+def test_empty_csv_is_format_error_without_a_warning(tmp_path, text):
+    # numpy's "input contained no data" warning is an error under the test
+    # settings, so this fails unless read_matrix keeps it from the caller
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="empty CSV matrix"):
+        matrix_io.read_matrix(path)
+
+
 def test_missing_file_is_format_error(tmp_path):
     with pytest.raises(FormatError, match="cannot read"):
         matrix_io.read_matrix(tmp_path / "nope.smoa")

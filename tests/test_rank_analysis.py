@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from smoa import adapters, rank_analysis
 from smoa.errors import FormatError, ValidationError
 from smoa.matrix_io import FULL_MATRIX, METHODS, RunConfig
-from smoa.spectral import EmptySubspaceWarning, EnergyPartition
+from smoa.spectral import EmptySubspaceWarning, EnergyPartition, decompose
 from smoa.training import random_weight
 
 
@@ -158,6 +158,56 @@ def test_sweep_rows_are_sorted_and_deterministic():
     assert first.rows == second.rows
     keys = [(row.method, row.d, row.r, row.K, row.seed) for row in first.rows]
     assert keys == sorted(keys)
+
+
+def _reference_sweep_rows(methods, d, r_values, K_values, n_seeds):
+    """rank_sweep's rows from a fresh build_adapter call per row, in the
+    (r, K, method, seed) order, sorted as rank_sweep sorts them."""
+    weights = [random_weight(d, d, np.random.default_rng([d, seed])) for seed in range(n_seeds)]
+    rows = []
+    for r in r_values:
+        for K in K_values:
+            if K > min(d, r):
+                continue
+            budget = adapters.param_count("smoa", RunConfig(d_out=d, d_in=d, K=K, r=r, seed=0))
+            for method in methods:
+                full = method in FULL_MATRIX
+                k_m, r_m = (1, r // K) if full else (K, r)
+                pc = adapters.param_count(method, RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=0))
+                if abs(pc - budget) > 0.01 * budget:
+                    continue
+                for seed, w0 in enumerate(weights):
+                    run = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=seed)
+                    adapter = adapters.build_adapter(method, run, w0)
+                    adapters.randomize_factors(
+                        adapter, np.random.default_rng([seed, METHODS.index(method), r, K]))
+                    rows.append(rank_analysis.RankRecord(
+                        method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
+                        numerical_rank=rank_analysis.numerical_rank(adapter),
+                        rank_upper_bound=rank_analysis.theoretical_bound(
+                            adapter, w0_rank=rank_analysis.numerical_rank(w0)),
+                        frobenius_norm=float(np.linalg.norm(adapters.delta(adapter)))))
+    return sorted(rows, key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
+
+
+def test_sweep_decomposes_each_weight_once_per_k_and_matches_fresh_builds(monkeypatch):
+    calls = []
+
+    def counting_decompose(w0):
+        calls.append(w0.shape)
+        return decompose(w0)
+
+    kwargs = dict(methods=list(METHODS), d=16, r_values=[2, 4], K_values=[1, 2], n_seeds=3)
+    monkeypatch.setattr(adapters, "decompose", counting_decompose)
+    report = rank_analysis.rank_sweep(**kwargs)
+    monkeypatch.undo()
+    # one smoa state per (seed, K): 3 seeds x 2 K, not one per smoa row (12)
+    assert len(calls) == 6
+    want = _reference_sweep_rows(**kwargs)
+    assert len(report.rows) == len(want) == 48
+    for got, row in zip(report.rows, want):
+        assert dataclasses.astuple(got) == dataclasses.astuple(row)
+        assert got.frobenius_norm.hex() == row.frobenius_norm.hex()
 
 
 def test_sweep_same_weight_across_methods_per_seed():
