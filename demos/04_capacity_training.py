@@ -19,8 +19,8 @@ SEEDS = (0, 1, 2)
 
 configs = {
     method: TrainConfig(d=64, target_rank=48, n_samples=128, seed=SEEDS[0], target_blocks=2,
-                        r=r, K=K, steps=STEPS)
-    for method, r, K in (("smoa", 16, 2), ("lora", 8, 1))
+                        r=r, K=2, steps=STEPS)
+    for method, r in (("smoa", 16), ("lora", 8))  # lora ignores K
 }
 # one call per method builds and trains every seed in lockstep (lr 1e-3,
 # full batch); each seed's trace is the one it would reach trained alone
@@ -30,7 +30,7 @@ for i, seed in enumerate(SEEDS):
     print(f"--- seed {seed} ---")
     for method, cfg in configs.items():
         trace = traces[method][i]
-        print(f"{method:5s} ({param_count(method, cfg.run_config(method))} params): "
+        print(f"{method:5s} ({param_count(method, cfg.run_config(), (cfg.d, cfg.d))} params): "
               f"loss {trace[0]:.4f} -> {trace[-1]:.4f} "
               f"(checkpoints: {trace[0]:.3f}, {trace[500]:.3f}, "
               f"{trace[1000]:.3f}, {trace[2000]:.3f})")

@@ -9,6 +9,7 @@ out the toolkit.
 """
 
 from .adapters import (
+    FULL_MATRIX,
     METHODS,
     Adapter,
     Block,
@@ -25,7 +26,6 @@ from .adapters import (
 )
 from .errors import FormatError, NumericalError, SmoaError, ValidationError
 from .matrix_io import (
-    FULL_MATRIX,
     REPORT_HEADER,
     RunConfig,
     SweepConfig,

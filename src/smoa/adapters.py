@@ -14,12 +14,17 @@ add.  The methods differ only in their layout and masks:
 * ``lora``         one full-matrix block, unmasked
 * ``block_lora``   K unmasked diagonal blocks (rank r/K each)
 * ``hadamard_w0``  one full-matrix block masked by a frozen copy of W0
+
+An adapter's plan, its block ranges and ranks, follows from the method,
+the RunConfig and the weight's shape; _plan alone makes and checks it.
+The full-matrix methods of FULL_MATRIX ignore K.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,37 +32,40 @@ import numpy as np
 
 from . import matrix_io
 from .errors import FormatError, ValidationError
-from .matrix_io import FULL_MATRIX, METHODS, RunConfig, _check_field, validate_matrix
+from .matrix_io import METHODS, RunConfig, _check_field, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, partition
 
+FULL_MATRIX = ("lora", "hadamard_w0")  # one full-matrix block; these methods ignore K
 _MASKED = ("smoa", "hadamard_w0")
+
+
+def _split(n: int, K: int) -> tuple[int, ...]:
+    """n split into K non-increasing parts that differ by at most one: the
+    first n mod K parts take one more."""
+    base, extra = divmod(n, K)
+    return tuple(base + (1 if k < extra else 0) for k in range(K))
 
 
 def block_layout(d_out: int, d_in: int, K: int) -> tuple[tuple[int, int, int, int], ...]:
     """The (row0, row1, col0, col1) of each block of the K-block layout of a
     d_out x d_in weight: contiguous half-open row and column intervals that
-    cover the shape, whose sizes differ by at most one; the first d mod K
-    intervals on each axis take the extra element."""
-    if K < 1 or K > min(d_out, d_in):
-        raise ValidationError(f"K must be in [1, min(d_out, d_in)], got K={K}")
-    return tuple(rows + cols for rows, cols in zip(_axis_ranges(d_out, K), _axis_ranges(d_in, K)))
-
-
-def _axis_ranges(n: int, K: int) -> tuple[tuple[int, int], ...]:
-    base, extra = divmod(n, K)
-    edges = [0]
-    for k in range(K):
-        edges.append(edges[-1] + base + (1 if k < extra else 0))
-    return tuple((edges[k], edges[k + 1]) for k in range(K))
+    cover the shape, whose sizes are the _split of each axis into K."""
+    if K < 1:
+        raise ValidationError(f"K must be ≥ 1, got K={K}")
+    if K > min(d_out, d_in):
+        raise ValidationError(f"K must be ≤ min(d_out, d_in) = {min(d_out, d_in)}, got K={K}")
+    rows, cols = (tuple(accumulate(_split(n, K), initial=0)) for n in (d_out, d_in))
+    return tuple((rows[k], rows[k + 1], cols[k], cols[k + 1]) for k in range(K))
 
 
 def subspace_ranks(cfg: RunConfig) -> tuple[int, ...]:
-    """Per-subspace ranks: r split across K in budget mode (first r mod K
-    subspaces take one extra unit), r for every subspace in flexible mode."""
+    """Per-subspace ranks: the _split of r across K in budget mode, which
+    needs r ≥ K, and r for every subspace in flexible mode."""
     if cfg.mode == "flexible":
         return (cfg.r,) * cfg.K
-    base, extra = divmod(cfg.r, cfg.K)
-    return tuple(base + (1 if k < extra else 0) for k in range(cfg.K))
+    if cfg.r < cfg.K:
+        raise ValidationError(f"r must be ≥ K in budget mode, got r={cfg.r}, K={cfg.K}")
+    return _split(cfg.r, cfg.K)
 
 
 class Block(NamedTuple):
@@ -179,14 +187,17 @@ class Adapter:
                      for blk, mask, a, b in zip(self.blocks, masks, A, B))
 
 
-def _plan(method: str, cfg: RunConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The block ranges and per-block ranks of a method under cfg: one
-    block of rank r for the full-matrix methods, the K-way split otherwise."""
+def _plan(method: str, cfg: RunConfig,
+          shape: tuple[int, int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The block ranges and per-block ranks of a method under cfg over a
+    weight of this shape: one block of rank r for the full-matrix methods,
+    which ignore K, the K-block layout with subspace_ranks otherwise.  A
+    bad method, K or budget r raises ValidationError here."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
     if method in FULL_MATRIX:
-        return block_layout(cfg.d_out, cfg.d_in, 1), (cfg.r,)
-    return block_layout(cfg.d_out, cfg.d_in, cfg.K), subspace_ranks(cfg)
+        return block_layout(*shape, 1), (cfg.r,)
+    return block_layout(*shape, cfg.K), subspace_ranks(cfg)
 
 
 def smoa_masks(w0, K: int) -> tuple[EnergyPartition, tuple[np.ndarray, ...]]:
@@ -210,7 +221,7 @@ def smoa_masks(w0, K: int) -> tuple[EnergyPartition, tuple[np.ndarray, ...]]:
 
 
 def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
-    """Build a method's adapter over w0.
+    """Build a method's adapter over w0, planned over w0's shape.
 
     A_k entries are i.i.d. Gaussian(0, init_std^2) from the config seed;
     B_k starts at zero, so the initial update is exactly zero.  ``smoa``
@@ -220,13 +231,8 @@ def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
     constructor rejects masks of the wrong shape.  Masks are frozen
     (marked read-only).
     """
-    layout, ranks = _plan(method, cfg)
     w0 = validate_matrix(w0)
-    d_out, d_in = w0.shape
-    if (cfg.d_out, cfg.d_in) != (d_out, d_in):
-        raise ValidationError(
-            f"config dims ({cfg.d_out}, {cfg.d_in}) do not match weight shape ({d_out}, {d_in})"
-        )
+    layout, ranks = _plan(method, cfg, w0.shape)
     if smoa_state is not None and method != "smoa":
         raise ValidationError(f"an smoa state was given for a {method} adapter")
     part, masks = None, (None,) * len(layout)
@@ -265,10 +271,11 @@ def merge(adapter, w0) -> np.ndarray:
     return w0 + delta(adapter)
 
 
-def param_count(method: str, cfg: RunConfig) -> int:
-    """Closed-form trainable-entry count for a method under cfg:
-    sum_k r_k * (rows_k + cols_k), which the built adapter matches exactly."""
-    layout, ranks = _plan(method, cfg)
+def param_count(method: str, cfg: RunConfig, shape: tuple[int, int]) -> int:
+    """Closed-form trainable-entry count for a method under cfg over a
+    weight of this shape: sum_k r_k * (rows_k + cols_k), which the adapter
+    build_adapter makes over such a weight matches exactly."""
+    layout, ranks = _plan(method, cfg, shape)
     return sum(rk * (r1 - r0 + c1 - c0) for (r0, r1, c0, c1), rk in zip(layout, ranks))
 
 
@@ -400,7 +407,7 @@ def _adapter_from_manifest(manifest: dict, folder: Path) -> Adapter:
         for share in manifest["shares"]:
             _check_field("every share", share, float, 0)
         part = EnergyPartition(
-            K=K, index_sets=tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"]),
+            index_sets=tuple(np.asarray(s, dtype=int) for s in manifest["index_sets"]),
             shares=np.asarray(manifest["shares"], dtype=np.float64))
     blocks = [Block(*manifest["row_ranges"][k], *manifest["col_ranges"][k],
                     by_role.get((role, k)), by_role[("A", k)], by_role[("B", k)],

@@ -143,10 +143,11 @@ def _cmd_rank_bench(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = matrix_io.read_train_config(args.config)
-    cfg.run_config(args.method)  # checks K against d and r before any file is made
+    adapters.param_count(args.method, cfg.run_config(), (cfg.d, cfg.d))  # plan before any file
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be ≥ 1, got {args.seeds}")
-    Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
+    # every output is the prefix plus a suffix; Path(prefix).parent loses "sub" of "adir/sub/"
+    Path(f"{args.out_prefix}.seed").parent.mkdir(parents=True, exist_ok=True)
     seeds = range(cfg.seed, cfg.seed + args.seeds)
     runs, traces = training.train_seeds(args.method, cfg, args.seeds)
     for seed, adapter, trace in zip(seeds, runs, traces):
@@ -163,8 +164,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     mode = "budget" if args.r >= args.k else "flexible"
-    cfg = matrix_io.RunConfig(d_out=args.d, d_in=args.d, K=args.k, r=args.r,
-                              seed=args.seed, mode=mode)
+    cfg = matrix_io.RunConfig(K=args.k, r=args.r, seed=args.seed, mode=mode)
     task = training.make_task(args.d, max(1, args.d // 2), 2 * args.d, 0.0, args.seed)
     adapter = adapters.build_adapter(args.method, cfg, task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)

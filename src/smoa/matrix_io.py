@@ -31,7 +31,6 @@ REPORT_HEADER = "method,d,r,K,seed,param_count,numerical_rank,frobenius_error"
 
 MODES = ("budget", "flexible")
 METHODS = ("smoa", "lora", "block_lora", "hadamard_w0")
-FULL_MATRIX = ("lora", "hadamard_w0")  # one full-matrix block; these methods ignore K
 
 
 def validate_matrix(m) -> np.ndarray:
@@ -147,11 +146,10 @@ class RunConfig:
 
     `r` is the total rank budget in budget mode and the per-subspace rank
     in flexible mode.  `alpha` defaults to `r` and `init_std` to 0.02
-    when omitted.
+    when omitted.  The weight's shape is not part of the config: the
+    adapter plan over that shape checks K against it, and r against K.
     """
 
-    d_out: int
-    d_in: int
     K: int
     r: int
     seed: int
@@ -160,17 +158,11 @@ class RunConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
-        for name in ("d_out", "d_in", "K", "r"):
+        for name in ("K", "r"):
             _check_field(name, getattr(self, name), int, 1)
         _check_field("seed", self.seed, int, 0)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.K > min(self.d_out, self.d_in):
-            raise ValidationError(
-                f"K must be ≤ min(d_out, d_in) = {min(self.d_out, self.d_in)}, got K={self.K}"
-            )
-        if self.mode == "budget" and self.r < self.K:
-            raise ValidationError(f"r must be ≥ K in budget mode, got r={self.r}, K={self.K}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", float(self.r))
         for name in ("alpha", "init_std"):
@@ -286,14 +278,11 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be in [0, 1), got {value}")
         if self.epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        self.run_config("lora")  # checks r, mode, alpha and init_std; lora ignores K
+        self.run_config()  # checks r, mode, alpha and init_std
 
-    def run_config(self, method: str) -> RunConfig:
-        """Adapter construction config for this task; full-matrix methods
-        ignore K."""
-        effective_k = 1 if method in FULL_MATRIX else self.K
-        return RunConfig(d_out=self.d, d_in=self.d, K=effective_k, r=self.r,
-                         seed=self.seed, mode=self.mode, alpha=self.alpha,
+    def run_config(self) -> RunConfig:
+        """Adapter construction config for this task's d x d weight."""
+        return RunConfig(K=self.K, r=self.r, seed=self.seed, mode=self.mode, alpha=self.alpha,
                          init_std=self.init_std)
 
 

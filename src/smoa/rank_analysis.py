@@ -38,11 +38,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .adapters import (Adapter, Block, build_adapter, delta, param_count, randomize_factors,
-                       smoa_masks)
+from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_count,
+                       randomize_factors, smoa_masks)
 from .errors import NumericalError, ValidationError
-from .matrix_io import (FULL_MATRIX, METHODS, RunConfig, SweepConfig, validate_matrix,
-                        write_json, write_report)
+from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix, write_json, write_report
 from .training import random_weight
 
 logger = logging.getLogger(__name__)
@@ -192,32 +191,26 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 skipped.append(reason)
                 logger.info(reason)
                 continue
-            reference = param_count("smoa", RunConfig(d_out=d, d_in=d, K=K, r=r, seed=0))
+            reference = param_count("smoa", RunConfig(K=K, r=r, seed=0), (d, d))
             for method in cfg.methods:
-                if budget_match and method in FULL_MATRIX:
-                    r_m = r // K
-                else:
-                    r_m = r
-                k_m = 1 if method in FULL_MATRIX else K
-                run = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=0)
-                pc = param_count(method, run)
+                r_m = r // K if budget_match and method in FULL_MATRIX else r
+                pc = param_count(method, RunConfig(K=K, r=r_m, seed=0), (d, d))
                 if budget_match and abs(pc - reference) > 0.01 * reference:
                     reason = (f"(method={method}, d={d}, r={r}, K={K}): skipped, "
                               f"parameter count {pc} not within 1% of budget {reference}")
                     skipped.append(reason)
                     logger.info(reason)
                     continue
-                cells.setdefault(K, []).append((method, r, r_m, k_m, pc))
+                cells.setdefault(K, []).append((method, r, r_m, pc))
 
     rows: list[RankRecord] = []
     for seed, w0 in weights.items():
         for K, planned in cells.items():
             state = None
-            for method, r, r_m, k_m, pc in planned:
+            for method, r, r_m, pc in planned:
                 if method == "smoa" and state is None:
                     state = smoa_masks(w0, K)
-                run_seed = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=seed)
-                adapter = build_adapter(method, run_seed, w0,
+                adapter = build_adapter(method, RunConfig(K=K, r=r_m, seed=seed), w0,
                                         smoa_state=state if method == "smoa" else None)
                 fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
                 randomize_factors(adapter, fill)

@@ -42,12 +42,15 @@ class EnergyPartition:
 
     index_sets holds 0-based indices into sigma; sets are contiguous runs
     and their union is {0, ..., p-1}.  shares are the fractions of total
-    spectral energy per set and sum to 1.
+    spectral energy per set and sum to 1.  K is the number of sets.
     """
 
-    K: int
     index_sets: tuple[np.ndarray, ...]
     shares: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return len(self.index_sets)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -116,7 +119,7 @@ def partition(E, K: int) -> EnergyPartition:
     index_sets = tuple(np.flatnonzero(bins == k) for k in range(K))
     per_index = np.diff(E, prepend=0.0)
     shares = np.array([per_index[s].sum() if len(s) else 0.0 for s in index_sets])
-    part = EnergyPartition(K=int(K), index_sets=index_sets, shares=shares)
+    part = EnergyPartition(index_sets=index_sets, shares=shares)
     empty = part.empty_sets()
     if empty:
         warnings.warn(

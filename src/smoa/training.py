@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import Adapter, block_layout, build_adapter
+from .adapters import Adapter, _split, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, validate_matrix
 
@@ -130,9 +130,8 @@ def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
         for _ in range(target_rank):
             target += np.outer(_unit(rng, d), _unit(rng, d))
     else:
-        base, extra = divmod(target_rank, target_blocks)
-        for k, (r0, r1, c0, c1) in enumerate(block_layout(d, d, target_blocks)):
-            rk = base + (1 if k < extra else 0)
+        ranks = _split(target_rank, target_blocks)
+        for k, ((r0, r1, c0, c1), rk) in enumerate(zip(block_layout(d, d, target_blocks), ranks)):
             if rk > min(r1 - r0, c1 - c0):
                 raise ValidationError(
                     f"block {k} of size {(r1 - r0, c1 - c0)} cannot carry planted rank {rk}"
@@ -454,8 +453,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
         x[j], targets[j], w0 = task.inputs, task.targets, task.w0
         np.matmul(task.inputs, w0.T, out=base[j])
         del task  # the build below can reuse the memory of the task's arrays
-        adapter = build_adapter(method, dataclasses.replace(cfg.run_config(method), seed=seed),
-                                w0)
+        adapter = build_adapter(method, dataclasses.replace(cfg.run_config(), seed=seed), w0)
         del w0
         if j == 0:
             params = np.empty((n_seeds, adapter.params.size))

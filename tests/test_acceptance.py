@@ -52,10 +52,10 @@ def _report(criterion, ok, detail):
     print(f"criterion {criterion:2d} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
 
 
-def _grid_config(d, K, r, seed):
+def _grid_config(K, r, seed):
     # budget mode needs r >= K; the K > r corners of the grid run flexible
     mode = "budget" if r >= K else "flexible"
-    return RunConfig(d_out=d, d_in=d, K=K, r=r, seed=seed, mode=mode)
+    return RunConfig(K=K, r=r, seed=seed, mode=mode)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_criterion_3_zero_init_identity():
         w0 = random_weight(d, d, np.random.default_rng(d))
         for K in GRID_K:
             for r in GRID_R:
-                cfg = _grid_config(d, K, r, seed=7)
+                cfg = _grid_config(K, r, seed=7)
                 for method in METHODS:
                     adapter = build_adapter(method, cfg, w0)
                     update = delta(adapter)
@@ -156,7 +156,7 @@ def test_criterion_4_gradient_check():
         for K in GRID_K:
             for r in GRID_R:
                 task = make_task(d, max(1, d // 2), 2 * d, 0.0, seed=d * 100 + K * 10 + r)
-                cfg = _grid_config(d, K, r, seed=11)
+                cfg = _grid_config(K, r, seed=11)
                 for method in METHODS:
                     adapter = build_adapter(method, cfg, task.w0)
                     randomize_factors(adapter, np.random.default_rng([d, K, r, 5]), std=0.5)
@@ -218,7 +218,7 @@ def test_criterion_7_degeneracy():
     ranks = []
     for seed in range(20):
         w0 = random_weight(d, d, np.random.default_rng(2000 + seed), spectrum="equal")
-        cfg = RunConfig(d_out=d, d_in=d, K=d, r=d, seed=seed)
+        cfg = RunConfig(K=d, r=d, seed=seed)
         with pytest.warns(EmptySubspaceWarning, match="I_1"):
             adapter = build_adapter("smoa", cfg, w0)
         randomize_factors(adapter, np.random.default_rng(3000 + seed))
@@ -230,9 +230,8 @@ def test_criterion_7_degeneracy():
 
 
 def test_criterion_8_parameter_accounting():
-    budget = param_count("smoa", RunConfig(d_out=64, d_in=64, K=2, r=16, seed=0))
-    flexible = param_count("smoa", RunConfig(d_out=64, d_in=64, K=2, r=16, seed=0,
-                                             mode="flexible"))
+    budget = param_count("smoa", RunConfig(K=2, r=16, seed=0), (64, 64))
+    flexible = param_count("smoa", RunConfig(K=2, r=16, seed=0, mode="flexible"), (64, 64))
     ok = budget == 1024 and flexible == 2048
     _report(8, ok, f"budget count {budget} == 2dr/K, flexible count {flexible} == 2rd")
     assert budget == 1024

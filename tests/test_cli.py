@@ -288,6 +288,8 @@ def test_train_bad_k_exits_1_for_every_method(capsys, tmp_path, method, value, m
     # a K that only the blocked methods use is checked against d and r
     ("smoa", "K", 20, "K must be ≤ min(d_out, d_in) = 16, got K=20"),
     ("block_lora", "r", 1, "r must be ≥ K in budget mode, got r=1, K=2"),
+    ("block_lora", "K", 17, "K must be ≤ min(d_out, d_in) = 16, got K=17"),
+    ("smoa", "r", 1, "r must be ≥ K in budget mode, got r=1, K=2"),
 ])
 def test_train_bad_adapter_field_exits_1_before_creating_the_out_dir(capsys, tmp_path, method,
                                                                      field, value, message):
@@ -358,6 +360,16 @@ def test_train_out_prefix_in_missing_directory(capsys, tmp_path):
     assert nested == written_files(tmp_path)
 
 
+def test_train_out_prefix_ending_in_a_slash_writes_into_that_directory(capsys, tmp_path):
+    # the outputs are the prefix plus a suffix, so they go into adir/sub
+    cfg = write_train_config(tmp_path, steps=20)
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                           "--out-prefix", f"{tmp_path / 'adir' / 'sub'}/")
+    assert (code, err) == (0, "")
+    written = sorted(p.name for p in (tmp_path / "adir" / "sub").iterdir())
+    assert len(written) == 8 and ".seed3.loss.csv" in written
+
+
 def test_train_uncreatable_out_prefix_exits_3_before_training(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(training, "train_seeds", lambda *args: pytest.fail("trained"))
     cfg = write_train_config(tmp_path)
@@ -404,6 +416,31 @@ def test_gradcheck_passes_all_baselines(capsys, method):
     code, _, _ = run_cli(capsys, "gradcheck", "--d", "8", "--k", "2", "--r", "4",
                          "--method", method)
     assert code == 0
+
+
+@pytest.mark.parametrize("method", ["lora", "hadamard_w0"])
+def test_full_matrix_methods_ignore_k_in_gradcheck_and_train(capsys, tmp_path, method):
+    # one full-matrix block has no K to check against d or r
+    code, out, err = run_cli(capsys, "gradcheck", "--d", "8", "--k", "20", "--r", "4",
+                             "--method", method)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "gradcheck", "--d", "8", "--k", "2", "--r", "4",
+                          "--method", method)[1]
+    for K, folder in ((20, "k20"), (2, "k2")):
+        cfg = write_train_config(tmp_path, K=K, r=1, steps=20)
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", method,
+                               "--out-prefix", str(tmp_path / folder / "exp"))
+        assert (code, err) == (0, "")
+    assert written_files(tmp_path / "k20") == written_files(tmp_path / "k2")
+
+
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_gradcheck_blocked_methods_reject_k_above_d(capsys, method):
+    code, out, err = run_cli(capsys, "gradcheck", "--d", "8", "--k", "20", "--r", "4",
+                             "--method", method)
+    assert (code, out) == (1, "")
+    assert err == ("smoa gradcheck: validation error: "
+                   "K must be ≤ min(d_out, d_in) = 8, got K=20\n")
 
 
 def test_gradcheck_corruption_exits_2(capsys):

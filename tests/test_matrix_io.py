@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import matrix_io
 from smoa.errors import FormatError, ValidationError
+from smoa.adapters import FULL_MATRIX, build_adapter, param_count
 from smoa.matrix_io import RunConfig, SweepConfig, TrainConfig, config_from_dict
 from smoa.rank_analysis import RankRecord
 
@@ -150,7 +151,7 @@ def test_non_2d_rejected():
 
 
 def test_config_defaults():
-    cfg = config_from_dict(RunConfig, {"d_out": 64, "d_in": 64, "K": 2, "r": 16, "seed": 7})
+    cfg = config_from_dict(RunConfig, {"K": 2, "r": 16, "seed": 7})
     assert cfg.alpha == 16.0
     assert cfg.mode == "budget"
     assert cfg.init_std == 0.02
@@ -158,7 +159,7 @@ def test_config_defaults():
 
 def test_config_rejects_k_zero():
     with pytest.raises(ValidationError, match="K must be ≥ 1"):
-        config_from_dict(RunConfig, {"d_out": 4, "d_in": 4, "K": 0, "r": 2, "seed": 0})
+        config_from_dict(RunConfig, {"K": 0, "r": 2, "seed": 0})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -169,33 +170,40 @@ def test_config_rejects_k_zero():
     ("alpha", "x", "alpha must be of type float"),
 ])
 def test_config_rejects_wrong_types(field, value, message):
-    raw = {"d_out": 4, "d_in": 4, "K": 1, "r": 2, "seed": 0, field: value}
+    raw = {"K": 1, "r": 2, "seed": 0, field: value}
     with pytest.raises(ValidationError, match=message):
         config_from_dict(RunConfig, raw)
 
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ValidationError, match="unknown config field"):
-        config_from_dict(RunConfig, 
-            {"d_out": 4, "d_in": 4, "K": 1, "r": 2, "seed": 0, "rnak": 3}
-        )
+        config_from_dict(RunConfig, {"K": 1, "r": 2, "seed": 0, "rnak": 3})
+
+
+# A RunConfig holds no shape, so the plan over the weight's shape, in
+# param_count and build_adapter alike, checks K against it and r against K.
+
+def assert_plan_rejects(cfg, shape, message):
+    for method in ("smoa", "block_lora"):
+        with pytest.raises(ValidationError, match=message):
+            param_count(method, cfg, shape)
+        with pytest.raises(ValidationError, match=message):
+            build_adapter(method, cfg, np.ones(shape))
 
 
 def test_config_rejects_k_above_dims():
-    with pytest.raises(ValidationError, match="min\\(d_out, d_in\\)"):
-        config_from_dict(RunConfig, {"d_out": 4, "d_in": 8, "K": 5, "r": 5, "seed": 0})
+    cfg = config_from_dict(RunConfig, {"K": 5, "r": 5, "seed": 0})
+    assert_plan_rejects(cfg, (4, 8), "K must be ≤ min\\(d_out, d_in\\) = 4, got K=5")
 
 
 def test_config_rejects_budget_r_below_k():
-    with pytest.raises(ValidationError, match="r must be ≥ K"):
-        config_from_dict(RunConfig, {"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0})
+    cfg = config_from_dict(RunConfig, {"K": 4, "r": 2, "seed": 0})
+    assert_plan_rejects(cfg, (8, 8), "r must be ≥ K in budget mode, got r=2, K=4")
 
 
 def test_config_flexible_allows_r_below_k():
-    cfg = config_from_dict(RunConfig, 
-        {"d_out": 8, "d_in": 8, "K": 4, "r": 2, "seed": 0, "mode": "flexible"}
-    )
-    assert cfg.r == 2
+    cfg = config_from_dict(RunConfig, {"K": 4, "r": 2, "seed": 0, "mode": "flexible"})
+    assert param_count("smoa", cfg, (8, 8)) == 4 * 2 * (2 + 2)
 
 
 def test_write_report_header_and_rows(tmp_path):
@@ -250,8 +258,8 @@ def test_train_config_strict_and_defaults():
                                   learning_rate=float("-inf")),
     lambda: matrix_io.TrainConfig(d=8, target_rank=2, n_samples=8, seed=0,
                                   noise_std=float("nan")),
-    lambda: matrix_io.RunConfig(d_out=4, d_in=4, K=1, r=2, seed=0, alpha=float("inf")),
-    lambda: matrix_io.RunConfig(d_out=4, d_in=4, K=1, r=2, seed=0, init_std=float("nan")),
+    lambda: matrix_io.RunConfig(K=1, r=2, seed=0, alpha=float("inf")),
+    lambda: matrix_io.RunConfig(K=1, r=2, seed=0, init_std=float("nan")),
 ], ids=["sweep-tol-nan", "sweep-tol-inf", "train-beta1-nan", "train-weight-decay-inf",
         "train-lr-minus-inf", "train-noise-nan", "run-alpha-inf", "run-init-std-nan"])
 def test_configs_reject_non_finite_floats(make):
@@ -274,5 +282,8 @@ def test_train_config_run_config_ignores_k_for_full_matrix_methods():
     cfg = config_from_dict(TrainConfig, 
         {"d": 64, "target_rank": 8, "n_samples": 64, "seed": 1, "r": 8, "K": 2}
     )
-    assert cfg.run_config("lora").K == 1
-    assert cfg.run_config("smoa").K == 2
+    run = cfg.run_config()
+    assert run.K == 2
+    assert param_count("smoa", run, (64, 64)) == 2 * 4 * (32 + 32)
+    for method in FULL_MATRIX:  # one rank-8 block over the whole weight
+        assert param_count(method, run, (64, 64)) == 8 * (64 + 64)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from smoa import adapters, rank_analysis
 from smoa.errors import FormatError, ValidationError
-from smoa.matrix_io import FULL_MATRIX, METHODS, RunConfig
+from smoa.adapters import FULL_MATRIX
+from smoa.matrix_io import METHODS, RunConfig
 from smoa.spectral import EmptySubspaceWarning, EnergyPartition, decompose
 from smoa.training import random_weight
 
@@ -49,29 +50,29 @@ def fake_partition(sizes):
     edges = np.cumsum([0] + list(sizes))
     sets = tuple(np.arange(edges[k], edges[k + 1]) for k in range(len(sizes)))
     shares = np.array([s / float(edges[-1]) for s in sizes])
-    return EnergyPartition(K=len(sizes), index_sets=sets, shares=shares)
+    return EnergyPartition(index_sets=sets, shares=shares)
 
 
-def reference_bound(method, cfg, partition=None, w0_rank=None):
-    """The per-method bound table, from the config alone: r for lora,
+def reference_bound(method, cfg, shape, partition=None, w0_rank=None):
+    """The per-method bound table, from the config and shape alone: r for lora,
     min(d_out, d_in, r * rank(W0)) for hadamard_w0, and the capped sum of
     min(rows_k, cols_k, r_k) or min(rows_k, cols_k, |I_k| * r_k) over the
     K-block layout for block_lora and smoa."""
-    p = min(cfg.d_out, cfg.d_in)
+    p = min(shape)
     if method == "lora":
         return cfg.r
     if method == "hadamard_w0":
-        return min(cfg.d_out, cfg.d_in, cfg.r * (p if w0_rank is None else w0_rank))
-    layout = adapters.block_layout(cfg.d_out, cfg.d_in, cfg.K)
+        return min(p, cfg.r * (p if w0_rank is None else w0_rank))
+    layout = adapters.block_layout(*shape, cfg.K)
     ranks = adapters.subspace_ranks(cfg)
     sizes = partition.sizes if method == "smoa" else (1,) * cfg.K
     return min(p, sum(min(r1 - r0, c1 - c0, sizes[k] * ranks[k])
                       for k, (r0, r1, c0, c1) in enumerate(layout)))
 
 
-def built(method, **kwargs):
+def built(method, d_out, d_in, **kwargs):
     cfg = RunConfig(seed=0, **kwargs)
-    w0 = random_weight(cfg.d_out, cfg.d_in, np.random.default_rng(0))
+    w0 = random_weight(d_out, d_in, np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
         return adapters.build_adapter(method, cfg, w0)
@@ -86,7 +87,7 @@ def test_bound_lora_is_capped_by_the_smaller_dimension():
     # the per-method table gives r = 10, but a product of 8x10 and 10x6
     # factors has rank at most 6
     adapter = built("lora", d_out=8, d_in=6, K=1, r=10)
-    assert reference_bound("lora", RunConfig(d_out=8, d_in=6, K=1, r=10, seed=0)) == 10
+    assert reference_bound("lora", RunConfig(K=1, r=10, seed=0), (8, 6)) == 10
     assert rank_analysis.theoretical_bound(adapter) == 6
 
 
@@ -169,15 +170,14 @@ def _reference_sweep_rows(methods, d, r_values, K_values, n_seeds):
         for K in K_values:
             if K > min(d, r):
                 continue
-            budget = adapters.param_count("smoa", RunConfig(d_out=d, d_in=d, K=K, r=r, seed=0))
+            budget = adapters.param_count("smoa", RunConfig(K=K, r=r, seed=0), (d, d))
             for method in methods:
-                full = method in FULL_MATRIX
-                k_m, r_m = (1, r // K) if full else (K, r)
-                pc = adapters.param_count(method, RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=0))
+                r_m = r // K if method in FULL_MATRIX else r
+                pc = adapters.param_count(method, RunConfig(K=K, r=r_m, seed=0), (d, d))
                 if abs(pc - budget) > 0.01 * budget:
                     continue
                 for seed, w0 in enumerate(weights):
-                    run = RunConfig(d_out=d, d_in=d, K=k_m, r=r_m, seed=seed)
+                    run = RunConfig(K=K, r=r_m, seed=seed)
                     adapter = adapters.build_adapter(method, run, w0)
                     adapters.randomize_factors(
                         adapter, np.random.default_rng([seed, METHODS.index(method), r, K]))
@@ -272,8 +272,8 @@ def test_flexible_rank_non_decreasing_in_k(r):
         ranks = []
         for seed in range(5):
             w0 = random_weight(d, d, np.random.default_rng([d, seed]))
-            cfg = RunConfig(d_out=d, d_in=d, K=K, r=r, seed=seed, mode="flexible")
-            assert adapters.param_count("smoa", cfg) == 2 * r * d
+            cfg = RunConfig(K=K, r=r, seed=seed, mode="flexible")
+            assert adapters.param_count("smoa", cfg, w0.shape) == 2 * r * d
             adapter = adapters.build_adapter("smoa", cfg, w0)
             adapters.randomize_factors(adapter, np.random.default_rng([seed, K, r]))
             ranks.append(rank_analysis.numerical_rank(adapters.delta(adapter)))
@@ -301,9 +301,7 @@ def acceptance_sweep_adapters():
                 for K in (1, 2, 4):
                     if K > r:
                         continue
-                    full = method in FULL_MATRIX
-                    cfg = RunConfig(d_out=d, d_in=d, K=1 if full else K,
-                                    r=r // K if full else r, seed=seed)
+                    cfg = RunConfig(K=K, r=r // K if method in FULL_MATRIX else r, seed=seed)
                     adapter = adapters.build_adapter(method, cfg, w0)
                     adapters.randomize_factors(adapter,
                                                np.random.default_rng([seed, index, r, K]))
@@ -321,14 +319,14 @@ def test_bound_equals_reference_on_every_acceptance_sweep_row():
                                                            np.random.default_rng([128, seed])))
                 for seed in range(20)]
     rows = [(key, rank_analysis.theoretical_bound(adapter, w0_ranks[key[3]]),
-             reference_bound(key[0], cfg, adapter.partition, w0_ranks[key[3]]))
+             reference_bound(key[0], cfg, adapter.shape, adapter.partition, w0_ranks[key[3]]))
             for key, cfg, adapter in acceptance_sweep_adapters()]
     assert len(rows) == 880
     assert [row for row in rows if row[1] != row[2]] == []
 
 
 def test_block_rank_of_lora_is_r():
-    cfg = RunConfig(d_out=40, d_in=24, K=1, r=6, seed=0)
+    cfg = RunConfig(K=1, r=6, seed=0)
     adapter = adapters.build_adapter("lora", cfg, random_weight(40, 24,
                                                                 np.random.default_rng(2)))
     adapters.randomize_factors(adapter, np.random.default_rng(3))
@@ -339,7 +337,7 @@ def test_block_rank_of_lora_is_r():
 def test_block_ranks_share_one_threshold(tiny):
     # a block 1e-12 times smaller than the other falls below the global
     # threshold, wherever it sits in the layout
-    cfg = RunConfig(d_out=32, d_in=32, K=2, r=8, seed=0)
+    cfg = RunConfig(K=2, r=8, seed=0)
     adapter = adapters.build_adapter("block_lora", cfg, random_weight(32, 32,
                                                                       np.random.default_rng(1)))
     adapters.randomize_factors(adapter, np.random.default_rng(2))
@@ -349,14 +347,14 @@ def test_block_ranks_share_one_threshold(tiny):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_block_rank_of_zero_init_adapter_is_zero(method):
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    cfg = RunConfig(K=2, r=4, seed=0)
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
                                                                 np.random.default_rng(4)))
     assert both_ranks(adapter) == (0, 0)
 
 
 def test_block_rank_rejects_bad_tolerance():
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    cfg = RunConfig(K=2, r=4, seed=0)
     adapter = adapters.build_adapter("smoa", cfg, random_weight(16, 16,
                                                                 np.random.default_rng(5)))
     with pytest.raises(ValidationError, match="tol_factor"):
@@ -369,7 +367,7 @@ def test_block_rank_rejects_bad_tolerance():
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_block_rank_rejects_nonfinite_factors_like_dense_path(method, tensor, value):
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    cfg = RunConfig(K=2, r=4, seed=0)
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
                                                                 np.random.default_rng(6)))
     adapters.randomize_factors(adapter, np.random.default_rng(7))
@@ -381,7 +379,7 @@ def test_block_rank_rejects_nonfinite_factors_like_dense_path(method, tensor, va
 
 @pytest.mark.parametrize("method", ["smoa", "hadamard_w0"])
 def test_block_rank_rejects_nonfinite_mask(method):
-    cfg = RunConfig(d_out=16, d_in=16, K=2, r=4, seed=0)
+    cfg = RunConfig(K=2, r=4, seed=0)
     adapter = adapters.build_adapter(method, cfg, random_weight(16, 16,
                                                                 np.random.default_rng(8)))
     adapters.randomize_factors(adapter, np.random.default_rng(9))
@@ -410,7 +408,7 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
     w0 = random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
     if spiked:
         w0[0] *= 100.0
-    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=r, seed=seed, mode=mode)
+    cfg = RunConfig(K=K, r=r, seed=seed, mode=mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
         adapter = adapters.build_adapter(method, cfg, w0)
@@ -427,7 +425,7 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
         assert block == 0
     w0_rank = rank_analysis.numerical_rank(w0)
     bound = rank_analysis.theoretical_bound(adapter, w0_rank)
-    reference = reference_bound(method, cfg, adapter.partition, w0_rank)
+    reference = reference_bound(method, cfg, w0.shape, adapter.partition, w0_rank)
     if method == "lora" and r > min(d_out, d_in):
         assert bound == min(d_out, d_in) < reference
     else:

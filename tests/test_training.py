@@ -14,8 +14,8 @@ from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning
 
 
-def small_cfg(d=8, K=2, r=4, seed=0, **kwargs):
-    return RunConfig(d_out=d, d_in=d, K=K, r=r, seed=seed, **kwargs)
+def small_cfg(K=2, r=4, seed=0, **kwargs):
+    return RunConfig(K=K, r=r, seed=seed, **kwargs)
 
 
 def train_cfg(steps, **settings):
@@ -103,7 +103,7 @@ def test_make_task_rejects_mistyped_arguments(kwargs, message):
 
 def test_forward_zero_init_is_host_output():
     task = training.make_task(16, 4, 20, 0.0, seed=1)
-    adapter = adapters.build_adapter("smoa", small_cfg(d=16), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(), task.w0)
     assert_array_equal(training.forward(adapter, task.w0, task.inputs),
                        task.inputs @ task.w0.T)
 
@@ -120,7 +120,7 @@ def test_forward_identity_probe():
 @pytest.mark.parametrize("method", adapters.METHODS)
 def test_forward_matches_merged_weight(method):
     task = training.make_task(16, 4, 20, 0.0, seed=3)
-    adapter = adapters.build_adapter(method, small_cfg(d=16), task.w0)
+    adapter = adapters.build_adapter(method, small_cfg(), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(4), std=0.2)
     via_merge = task.inputs @ adapters.merge(adapter, task.w0).T
     out = training.forward(adapter, task.w0, task.inputs)
@@ -149,7 +149,7 @@ def test_backward_empty_subspace_gets_zero_grads():
     w0 = np.diag([100.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
-        adapter = adapters.build_adapter("smoa", RunConfig(d_out=3, d_in=3, K=3, r=3, seed=0), w0)
+        adapter = adapters.build_adapter("smoa", RunConfig(K=3, r=3, seed=0), w0)
     adapters.randomize_factors(adapter, np.random.default_rng(6))
     x = np.random.default_rng(7).standard_normal((5, 3))
     upstream = np.random.default_rng(8).standard_normal((5, 3))
@@ -170,7 +170,7 @@ def test_backward_rejects_bad_upstream_shape():
 @pytest.mark.parametrize("method", adapters.METHODS)
 def test_grad_check_passes(method):
     task = training.make_task(16, 8, 32, 0.0, seed=10)
-    adapter = adapters.build_adapter(method, small_cfg(d=16, K=2, r=4, seed=10), task.w0)
+    adapter = adapters.build_adapter(method, small_cfg(K=2, r=4, seed=10), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(11), std=0.5)
     report = training.grad_check(adapter, task)
     assert report.passed
@@ -199,7 +199,7 @@ def test_grad_check_flags_corruption():
 
 def test_grad_check_subsamples_large_adapters():
     task = training.make_task(32, 8, 40, 0.0, seed=15)
-    adapter = adapters.build_adapter("smoa", small_cfg(d=32, K=2, r=8, seed=15), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(K=2, r=8, seed=15), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(16), std=0.5)
     report = training.grad_check(adapter, task)
     assert report.n_checked == 256  # 1024 trainable entries, sampled
@@ -222,8 +222,7 @@ def test_train_converges_on_realizable_task():
     # rank-4 planted update, adapter capacity 8: recorded trajectory
     # reaches ~7e-6 of the initial loss by step 2000 at lr 1e-3
     task = training.make_task(64, 4, 128, 0.0, seed=7)
-    adapter = adapters.build_adapter("lora", RunConfig(d_out=64, d_in=64, K=1, r=8, seed=7),
-                                     task.w0)
+    adapter = adapters.build_adapter("lora", RunConfig(K=1, r=8, seed=7), task.w0)
     trace = training.train(adapter, task, train_cfg(2000))
     assert trace[-1] <= 1e-4 * trace[0]
 
@@ -231,7 +230,7 @@ def test_train_converges_on_realizable_task():
 def test_train_is_bitwise_deterministic():
     def run():
         task = training.make_task(16, 4, 32, 0.0, seed=19)
-        adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=19), task.w0)
+        adapter = adapters.build_adapter("smoa", small_cfg(seed=19), task.w0)
         return training.train(adapter, task, train_cfg(100))
 
     assert run().tobytes() == run().tobytes()
@@ -249,7 +248,7 @@ def test_train_diverged_loss_raises_with_step():
 
 def test_train_preserves_frozen_tensors():
     task = training.make_task(16, 4, 32, 0.0, seed=21)
-    adapter = adapters.build_adapter("smoa", small_cfg(d=16, seed=21), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(seed=21), task.w0)
     w0_before = task.w0.tobytes()
     mods_before = [blk.mask.tobytes() for blk in adapter.blocks]
     training.train(adapter, task, train_cfg(200))
@@ -259,8 +258,7 @@ def test_train_preserves_frozen_tensors():
 
 def test_train_loss_drops_tenfold_on_realizable_task():
     task = training.make_task(32, 4, 64, 0.0, seed=22)
-    adapter = adapters.build_adapter("lora", RunConfig(d_out=32, d_in=32, K=1, r=8, seed=22),
-                                     task.w0)
+    adapter = adapters.build_adapter("lora", RunConfig(K=1, r=8, seed=22), task.w0)
     trace = training.train(adapter, task, train_cfg(2000))
     assert trace[-1] <= trace[0] / 10.0
 
@@ -337,7 +335,7 @@ def test_blockwise_step_matches_dense_reference(method, d_out, d_in, k_pick, r_e
     w0 = training.random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
     if spiked:
         w0[0] *= 100.0
-    cfg = RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + r_extra, seed=seed)
+    cfg = RunConfig(K=K, r=K + r_extra, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
         adapter = adapters.build_adapter(method, cfg, w0)
@@ -351,8 +349,7 @@ def test_blockwise_step_matches_dense_reference_with_empty_subspaces(method):
     w0 = np.diag([100.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
-        adapter = adapters.build_adapter(method, RunConfig(d_out=3, d_in=3, K=3, r=3, seed=0),
-                                         w0)
+        adapter = adapters.build_adapter(method, RunConfig(K=3, r=3, seed=0), w0)
     if method == "smoa":
         assert adapter.partition.empty_sets()
     rng = np.random.default_rng(26)
@@ -363,7 +360,7 @@ def test_blockwise_step_matches_dense_reference_with_empty_subspaces(method):
 
 def test_forward_rejects_adapter_of_another_shape():
     task = training.make_task(8, 2, 10, 0.0, seed=27)
-    adapter = adapters.build_adapter("smoa", small_cfg(d=6), training.random_weight(
+    adapter = adapters.build_adapter("smoa", small_cfg(), training.random_weight(
         6, 6, np.random.default_rng(27)))
     with pytest.raises(ValidationError, match="adapter shape"):
         training.forward(adapter, task.w0, task.inputs)
@@ -374,7 +371,7 @@ def test_train_trace_matches_dense_reference_loop(method):
     # 20 AdamW steps through the dense step agree with the block-wise
     # trace to rtol 1e-9 (bit-identical on OpenBLAS 0.3.31)
     task = training.make_task(16, 6, 40, 0.0, seed=28, target_blocks=2)
-    cfg = small_cfg(d=16, K=2, r=4, seed=28)
+    cfg = small_cfg(K=2, r=4, seed=28)
     settings_ = train_cfg(20)
     adapter = adapters.build_adapter(method, cfg, task.w0)
     trace = training.train(adapter, task, settings_)
@@ -430,7 +427,7 @@ def per_tensor_train(adapter, task, cfg):
 def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
     # K=3 at d=16 gives blocks of 6, 5 and 5 rows and columns
     task = training.make_task(16, 6, 40, 0.01, seed=29, target_blocks=3)
-    cfg = small_cfg(d=16, K=3, r=6, seed=29)
+    cfg = small_cfg(K=3, r=6, seed=29)
     settings_ = train_cfg(40, learning_rate=1e-2, weight_decay=weight_decay)
     adapter = adapters.build_adapter(method, cfg, task.w0)
     objects = [adapter.blocks, *factors(adapter), adapter.params]
@@ -451,7 +448,7 @@ def test_train_makes_one_adamw_update_per_step(monkeypatch):
     monkeypatch.setattr(training, "_adamw_update",
                         lambda *args: calls.append(args[4]) or update(*args))
     task = training.make_task(16, 4, 32, 0.0, seed=30)
-    adapter = adapters.build_adapter("smoa", small_cfg(d=16, K=4, r=8, seed=30), task.w0)
+    adapter = adapters.build_adapter("smoa", small_cfg(K=4, r=8, seed=30), task.w0)
     training.train(adapter, task, train_cfg(5))
     assert calls == [1, 2, 3, 4, 5]
 
@@ -514,7 +511,7 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySubspaceWarning)
             alone = adapters.build_adapter(
-                method, dataclasses.replace(cfg.run_config(method), seed=seed + j), task.w0)
+                method, dataclasses.replace(cfg.run_config(), seed=seed + j), task.w0)
         assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
         assert run.params.tobytes() == alone.params.tobytes()
         assert ([None if blk.mask is None else blk.mask.tobytes() for blk in run.blocks]
@@ -571,7 +568,7 @@ def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
         adapter = adapters.build_adapter(
-            method, RunConfig(d_out=d_out, d_in=d_in, K=K, r=K + 1, seed=seed), task.w0)
+            method, RunConfig(K=K, r=K + 1, seed=seed), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng([seed, 0]), std=0.3)
     factors = adapter.params.copy()
 
