@@ -24,17 +24,32 @@ from .errors import FormatError, NumericalError, ValidationError
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except ValidationError as exc:
-        print(f"smoa {args.command}: validation error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"smoa {args.command}: numerical error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
-        print(f"smoa {args.command}: i/o error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", spectral.EmptySubspaceWarning)
+        warnings.showwarning = _warning_printer(args.command, warnings.showwarning)
+        try:
+            return args.handler(args)
+        except ValidationError as exc:
+            print(f"smoa {args.command}: validation error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"smoa {args.command}: numerical error: {exc}", file=sys.stderr)
+            return 2
+        except (FormatError, OSError) as exc:
+            print(f"smoa {args.command}: i/o error: {exc}", file=sys.stderr)
+            return 3
+
+
+def _warning_printer(command: str, show):
+    """A warnings.showwarning that prints an EmptySubspaceWarning as one
+    line in the CLI's words, instead of the library source line it names,
+    and hands every other warning to show."""
+    def printer(message, category, filename, lineno, file=None, line=None):
+        if issubclass(category, spectral.EmptySubspaceWarning):
+            print(f"smoa {command}: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+    return printer
 
 
 def _build_parser() -> argparse.ArgumentParser:

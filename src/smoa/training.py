@@ -389,7 +389,7 @@ def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> n
         _add_update(blocks, x, base, bufs, out=resid)
         resid -= targets
         np.square(resid, out=sq)
-        loss = np.mean(sq, axis=(-2, -1))
+        loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
         traces[:, i] = loss
         if not np.isfinite(loss).all():
             where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""

@@ -443,6 +443,20 @@ def test_gradcheck_blocked_methods_reject_k_above_d(capsys, method):
                    "K must be ≤ min(d_out, d_in) = 8, got K=20\n")
 
 
+def test_train_and_gradcheck_report_an_empty_subspace_in_one_line(capsys, tmp_path):
+    # the raw warning named a library source line and printed that line's text
+    code, out, err = run_cli(capsys, "gradcheck", "--d", "7", "--k", "7", "--r", "7",
+                             "--method", "smoa")
+    assert (code, err) == (0, "smoa gradcheck: warning: empty subspace index set(s): I_1\n")
+    assert out.startswith("checked 14 entries\n")
+    cfg = write_train_config(tmp_path, d=6, target_rank=2, n_samples=12, r=6, K=6, steps=5)
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                             "--out-prefix", str(tmp_path / "run"), "--seeds", "3")
+    assert (code, err) == (0, "smoa train: warning: empty subspace index set(s): I_1\n")
+    assert out.startswith("seed 3: initial loss")
+    assert len(list(tmp_path.glob("run.seed*.loss.csv"))) == 3
+
+
 def test_gradcheck_corruption_exits_2(capsys):
     code, _, err = run_cli(capsys, "gradcheck", "--d", "8", "--k", "2", "--r", "4",
                            "--method", "smoa", "--inject-corruption")
