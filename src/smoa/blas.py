@@ -4,10 +4,16 @@ numpy's bundled OpenBLAS keeps one thread count for the whole process,
 and numpy exports no call to set it, so ``one_thread`` sets it through
 the library's own symbols, looked up through numpy's linalg extension,
 which links the BLAS.  The count is process-global: every thread of the
-process sees the pin while the block runs.  Pinning changes speed only,
-never results, for the calls it is used around: values-only SVDs and QR
-give the same bits at any thread count.  ``PINNABLE`` is False where
-numpy links another BLAS, and then ``one_thread`` does nothing.
+process sees the pin while the block runs.  A pinned block computes what
+it computes at one thread, whatever the caller's count.  For values-only
+SVDs, QR and GEMMs those are the same bits at any count, so the pin
+changes only their speed.  BLAS sums such as ``np.linalg.norm`` and the
+singular vectors of a full SVD from d=256 up can change in their last
+bits with the count, so a pinned block that computes them gives the
+one-thread bits where an unpinned one would give the caller's.
+``PINNABLE`` is False where numpy links another BLAS, and then
+``one_thread`` does nothing.  ``one_thread()`` also decorates a function,
+which then runs whole at one thread on every call.
 """
 
 from __future__ import annotations

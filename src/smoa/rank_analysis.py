@@ -11,6 +11,16 @@ It forms every spectrum at one BLAS thread (blas.one_thread): a 128 x 128
 values-only SVD takes about half the time there that it takes at two
 threads, and gives the same bits at any count.
 
+rank_sweep runs whole at one BLAS thread, from the weight build to the
+last row: random_weight, decompose and the mask products, build_adapter,
+delta, numerical_rank (whose own pin is then a no-op) and the norm
+column.  At d=128 each of these calls is faster at one thread than at
+two, and larger sweeps are no slower.  A sweep's bytes are therefore
+those of one thread at any caller's count.  Left at the caller's count,
+the norm column (np.linalg.norm sums through BLAS) would move in its
+last bits, and from d=256 up so would decompose's singular vectors, and
+with them the smoa masks; no rank or bound depends on the count.
+
 ``theoretical_bound`` reads the rank bound off the same blocks: each
 block's factor rank times the rank of its mask, capped by the block's
 dimensions, summed and capped by min(d_out, d_in).
@@ -162,6 +172,7 @@ class RankReport:
         write_json(self.metadata, path)
 
 
+@one_thread()
 def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                tol_factor: float = 1e-10, budget_match: bool = True,
                base_seed: int = 0) -> RankReport:
@@ -176,6 +187,8 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     dropped before the next (seed, K) builds its own.  Each row's factor
     fill is seeded by (seed, method, r, K) alone, and rows are sorted into
     (method, d, r, K, seed) order, so the loop order changes no output.
+    The whole sweep runs at one BLAS thread, so its rows do not depend on
+    the caller's thread count.
     """
     cfg = SweepConfig(methods=tuple(methods), d=d, r_values=tuple(r_values),
                       K_values=tuple(K_values), n_seeds=n_seeds, base_seed=base_seed,

@@ -48,18 +48,43 @@ views of one adapter's params, in place.  train_seeds builds its seeds'
 tasks and adapters straight into stacked inputs, targets, host outputs,
 masks and params, so it holds O(S n d) stacked arrays and no task, and
 it copies each trained row into the adapter it returns.
+
+The step loop runs at one BLAS thread (blas.one_thread) when each run's
+host product is small, n d_out d_in <= 2**22, and at the caller's count
+above.  The step's products split their output, not their sums, across
+threads, and every output of all four methods was bit-identical either
+way at d = 64, 96 and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d,
+median of 9 in ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy
+2.4.6, OpenBLAS 0.3.31):
+
+    d     n     n d^2     smoa K=2 r=16    lora r=8
+    64    128   2^19      0.14 / 0.15      0.14 / 0.14
+    128   256   2^22      0.50 / 0.50      0.55 / 0.58
+    192   384   2^23.75   1.13 / 1.46      1.37 / 1.75
+    256   512   2^25      2.24 / 2.73      3.43 / 4.99
+
+Up to d=128 one thread is within 5% of two and takes half the CPU time;
+from d=192 up one thread takes 22-45% longer.  A small step at two
+threads also waits on its second thread whenever another process holds
+that core, which slowed the d=64 step 10-50x.  The capacity task
+(2^19) thus trains at one thread and d=512 (2^28) at the caller's count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adapters import Adapter, _split, block_layout, build_adapter
+from .blas import one_thread
 from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, validate_matrix
+
+
+_ONE_THREAD_MAX_SIZE = 2**22  # largest n * d_out * d_in trained at one BLAS thread
 
 
 class DivergenceError(NumericalError):
@@ -385,20 +410,22 @@ def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> n
     resid = np.empty_like(base)
     sq = bufs[0]  # the update's output is spent once resid holds the forward
     traces = np.empty((S, cfg.steps + 1))
-    for i in range(cfg.steps + 1):
-        _add_update(blocks, x, base, bufs, out=resid)
-        resid -= targets
-        np.square(resid, out=sq)
-        loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
-        traces[:, i] = loss
-        if not np.isfinite(loss).all():
-            where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
-            raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
-        if i == cfg.steps:
-            break
-        resid *= 2.0 / (n * d_out)
-        _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
-        _adamw_update(params, grads, m, v, i + 1, cfg)
+    small = n * d_out * x.shape[-1] <= _ONE_THREAD_MAX_SIZE
+    with one_thread() if small else contextlib.nullcontext():
+        for i in range(cfg.steps + 1):
+            _add_update(blocks, x, base, bufs, out=resid)
+            resid -= targets
+            np.square(resid, out=sq)
+            loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
+            traces[:, i] = loss
+            if not np.isfinite(loss).all():
+                where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
+                raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
+            if i == cfg.steps:
+                break
+            resid *= 2.0 / (n * d_out)
+            _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
+            _adamw_update(params, grads, m, v, i + 1, cfg)
     return traces
 
 

@@ -1,5 +1,3 @@
-import contextlib
-import json
 import warnings
 from unittest import mock
 
@@ -9,27 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoa import adapters, blas, rank_analysis
-from smoa.cli import main
 from smoa.errors import NumericalError
 from smoa.matrix_io import METHODS, RunConfig
 from smoa.spectral import EmptySubspaceWarning
 from smoa.training import random_weight
 
-requires_pin = pytest.mark.skipif(
-    not blas.PINNABLE,
-    reason="numpy's BLAS is not its bundled OpenBLAS, so there is no thread count to set")
-
-
-@contextlib.contextmanager
-def blas_threads(n):
-    """Set the BLAS thread count to n for the block, with the setter seen on entry."""
-    set_threads, get_threads = blas._set_threads, blas._get_threads
-    previous = get_threads()
-    set_threads(n)
-    try:
-        yield
-    finally:
-        set_threads(previous)
+from conftest import blas_threads, requires_pin
 
 
 @requires_pin
@@ -60,6 +43,17 @@ def test_nested_one_thread_pins_once():
 
 
 @requires_pin
+def test_one_thread_decorates_a_function_that_runs_pinned_on_every_call():
+    @blas.one_thread()
+    def threads_inside():
+        return blas._get_threads()
+
+    with blas_threads(2):
+        assert [threads_inside(), blas._get_threads(), threads_inside()] == [1, 2, 1]
+    assert blas._get_threads() == 2
+
+
+@requires_pin
 def test_one_thread_does_nothing_at_one_thread():
     with blas_threads(1):
         with blas.one_thread() as pinned:
@@ -73,32 +67,6 @@ def test_one_thread_is_a_no_op_without_a_thread_setter(monkeypatch):
         monkeypatch.setattr(blas, "_set_threads", None)
         with blas.one_thread() as pinned:
             assert (pinned, blas._get_threads()) == (False, 2)
-
-
-@requires_pin
-def test_rank_bench_writes_the_same_bytes_with_and_without_the_pin(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"methods": list(METHODS), "d": 32, "r_values": [2, 4, 8, 16],
-                               "K_values": [1, 2, 4], "n_seeds": 2}))
-    seen = []
-    spectrum = rank_analysis._singular_values
-    monkeypatch.setattr(rank_analysis, "_singular_values",
-                        lambda arr: seen.append(blas._get_threads()) or spectrum(arr))
-    outputs = []
-    with blas_threads(2):
-        for name in ("pinned", "unpinned"):
-            if name == "unpinned":
-                monkeypatch.setattr(blas, "_set_threads", None)
-            seen.clear()
-            code = main(["rank-bench", "--config", str(cfg), "--out", str(tmp_path / name)])
-            out = capsys.readouterr().out.replace(str(tmp_path / name), "")
-            outputs.append((code, out, (tmp_path / name).read_bytes(), set(seen)))
-    (code_a, out_a, csv_a, seen_a), (code_b, out_b, csv_b, seen_b) = outputs
-    assert (code_a, code_b) == (0, 0)
-    assert (seen_a, seen_b) == ({1}, {2})
-    assert csv_a.count(b"\n") == 1 + 2 * 44  # r=2 skips K=4
-    assert csv_a == csv_b
-    assert out_a == out_b
 
 
 @requires_pin

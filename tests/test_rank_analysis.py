@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoa import adapters, rank_analysis
+from smoa import adapters, blas, rank_analysis
+from smoa.cli import main
 from smoa.errors import FormatError, ValidationError
 from smoa.adapters import FULL_MATRIX
 from smoa.matrix_io import METHODS, RunConfig
 from smoa.spectral import EmptySubspaceWarning, EnergyPartition, decompose
 from smoa.training import random_weight
+
+from conftest import blas_threads, requires_pin
 
 
 def test_numerical_rank_identity():
@@ -431,3 +435,41 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
     else:
         assert bound == reference
     assert block <= bound
+
+
+@requires_pin
+def test_rank_bench_writes_the_same_bytes_at_one_and_two_blas_threads(capsys, tmp_path,
+                                                                     monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"methods": list(METHODS), "d": 128, "r_values": [2, 4, 8, 16],
+                               "K_values": [1, 2, 4], "n_seeds": 1}))
+    seen = []
+    for module, name in ((rank_analysis, "_singular_values"), (adapters, "decompose")):
+        spectrum = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda arr, spectrum=spectrum:
+                            seen.append(blas._get_threads()) or spectrum(arr))
+    outputs = []
+    for threads in (1, 2):
+        seen.clear()
+        out_csv = tmp_path / f"threads{threads}.csv"
+        with blas_threads(threads):
+            code = main(["rank-bench", "--config", str(cfg), "--out", str(out_csv)])
+        out = capsys.readouterr().out.replace(str(out_csv), "")
+        outputs.append((code, out, out_csv.read_bytes(), set(seen)))
+    (code_1, out_1, csv_1, seen_1), (code_2, out_2, csv_2, seen_2) = outputs
+    assert (code_1, code_2) == (0, 0)
+    # every spectrum of the sweep, the decompositions included, sees one thread
+    assert (seen_1, seen_2) == ({1}, {1})
+    assert csv_1.count(b"\n") == 1 + 44  # r=2 skips K=4
+    assert csv_1 == csv_2
+    assert out_1 == out_2
+
+
+def test_weight_rank_equals_the_count_of_its_decomposition_sigma():
+    # the 20 weights of the d=128 acceptance sweep
+    d = 128
+    for seed in range(20):
+        w = random_weight(d, d, np.random.default_rng([d, seed]))
+        sigma = decompose(w).sigma
+        want = np.count_nonzero(sigma > 1e-10 * sigma.max() * d)
+        assert rank_analysis.numerical_rank(w) == want

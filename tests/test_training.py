@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from smoa import adapters, training
+from smoa import adapters, blas, training
 from smoa.errors import ValidationError
 from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning
+
+from conftest import blas_threads, requires_pin
 
 
 def small_cfg(K=2, r=4, seed=0, **kwargs):
@@ -600,3 +602,42 @@ def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
     assert report.worst_analytic == -flat[flipped]
     assert not report.passed
     assert adapter.params.tobytes() == factors.tobytes()
+
+
+def _threads_in_factor_grads(monkeypatch):
+    """Record the BLAS thread count at every _factor_grads call."""
+    seen = []
+    factor_grads = training._factor_grads
+    monkeypatch.setattr(training, "_factor_grads",
+                        lambda *args: seen.append(blas._get_threads()) or factor_grads(*args))
+    return seen
+
+
+@requires_pin
+@pytest.mark.parametrize("method, r, K", [("smoa", 16, 2), ("lora", 8, 1)])
+def test_capacity_steps_run_at_one_thread_with_the_bytes_of_the_caller_count(
+        monkeypatch, method, r, K):
+    cfg = TrainConfig(d=64, target_rank=48, n_samples=128, seed=0, target_blocks=2,
+                      r=r, K=K, steps=100)
+    assert cfg.n_samples * cfg.d * cfg.d <= training._ONE_THREAD_MAX_SIZE
+    seen = _threads_in_factor_grads(monkeypatch)
+    with blas_threads(2):
+        pinned_runs, pinned = training.train_seeds(method, cfg, 2)
+        pinned_seen = set(seen)
+        seen.clear()
+        monkeypatch.setattr(blas, "_set_threads", None)
+        unpinned_runs, unpinned = training.train_seeds(method, cfg, 2)
+    assert (pinned_seen, set(seen)) == ({1}, {2})
+    assert pinned.tobytes() == unpinned.tobytes()
+    for a, b in zip(pinned_runs, unpinned_runs):
+        assert a.params.tobytes() == b.params.tobytes()
+
+
+@requires_pin
+def test_larger_steps_run_at_the_caller_count(monkeypatch):
+    cfg = TrainConfig(d=256, target_rank=8, n_samples=512, seed=0, r=8, K=2, steps=1)
+    assert cfg.n_samples * cfg.d * cfg.d > training._ONE_THREAD_MAX_SIZE
+    seen = _threads_in_factor_grads(monkeypatch)
+    with blas_threads(2):
+        training.train_seeds("smoa", cfg, 1)
+    assert seen == [2]
