@@ -11,6 +11,7 @@ repeated invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -122,11 +123,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_rank_bench(args) -> int:
     cfg = matrix_io.read_sweep_config(args.config)
-    report = rank_analysis.rank_sweep(
-        methods=cfg.methods, d=cfg.d, r_values=cfg.r_values, K_values=cfg.K_values,
-        n_seeds=cfg.n_seeds, tol_factor=cfg.tol_factor, budget_match=cfg.budget_match,
-        base_seed=cfg.base_seed,
-    )
+    report = rank_analysis.rank_sweep(**dataclasses.asdict(cfg))
     skipped = report.metadata["skipped"]
     if not report.rows and skipped:
         raise ValidationError(skipped[0])
@@ -191,12 +188,8 @@ def _cmd_gradcheck(args) -> int:
     print(f"worst entry: {role}[{k}][{i},{j}] analytic {report.worst_analytic:.6e} "
           f"numeric {report.worst_numeric:.6e}")
     if not report.passed:
-        print(
-            f"gradient check failed at {role}[{k}][{i},{j}]: relative error "
-            f"{report.max_rel_error:.6e} exceeds {report.tol:g}",
-            file=sys.stderr,
-        )
-        return 2
+        raise NumericalError(f"gradient check failed at {role}[{k}][{i},{j}]: relative error "
+                             f"{report.max_rel_error:.6e} exceeds {report.tol:g}")
     return 0
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -238,9 +238,9 @@ def read_sweep_config(path) -> SweepConfig:
 class TrainConfig:
     """Planted-task definition plus adapter and optimizer settings.
 
-    target_blocks=None plants a dense random update; an integer confines
-    the planted update to that many diagonal blocks (rank split evenly),
-    the support blocked adapters can actually reach.
+    target_blocks confines the planted update to that many diagonal blocks
+    (rank split evenly), the support blocked adapters can actually reach;
+    the default, 1, is one block over the whole matrix, a dense update.
     """
 
     d: int
@@ -248,7 +248,7 @@ class TrainConfig:
     n_samples: int
     seed: int
     noise_std: float = 0.0
-    target_blocks: int | None = None
+    target_blocks: int = 1
     r: int = 8
     K: int = 2
     mode: str = "budget"
@@ -268,8 +268,7 @@ class TrainConfig:
                           ("epsilon", None), ("weight_decay", 0)):
             _check_field(name, getattr(self, name), float, low)
         _check_field("target_rank", self.target_rank, int, 1, self.d)
-        if self.target_blocks is not None:
-            _check_field("target_blocks", self.target_blocks, int, 1, self.d)
+        _check_field("target_blocks", self.target_blocks, int, 1, self.d)
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
@@ -295,13 +294,18 @@ _CONFIG_NAMES = {RunConfig: "config", SweepConfig: "sweep config", TrainConfig: 
 
 def config_from_dict(cls, raw: dict):
     """Strict construction of a RunConfig, SweepConfig or TrainConfig:
-    unknown keys are rejected to catch typos."""
+    unknown keys are rejected to catch typos, and a missing required key
+    is a ValidationError like any other bad field."""
     name = _CONFIG_NAMES[cls]
     if not isinstance(raw, dict):
         raise ValidationError(f"{name} must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValidationError(f"unknown {name} field(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValidationError(f"missing {name} field(s): {', '.join(missing)}")
     return cls(**raw)
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -57,8 +56,6 @@ from .blas import one_thread
 from .errors import NumericalError, ValidationError
 from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix, write_json, write_report
 from .training import random_weight
-
-logger = logging.getLogger(__name__)
 
 _METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
 
@@ -181,14 +178,14 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     Every method in a cell sees the same seeded decaying-spectrum weight.
     The cells are planned first, in (r, K, method) order: invalid
     combinations (r < K in budget mode, budgets that cannot be matched
-    within 1%) skip the cell with a logged reason instead of failing the
-    sweep.  The rows are then measured seed by seed and K by K, so each
-    weight's smoa state is built once per K, on its first smoa row, and
-    dropped before the next (seed, K) builds its own.  Each row's factor
-    fill is seeded by (seed, method, r, K) alone, and rows are sorted into
-    (method, d, r, K, seed) order, so the loop order changes no output.
-    The whole sweep runs at one BLAS thread, so its rows do not depend on
-    the caller's thread count.
+    within 1%) skip the cell, with a reason in metadata["skipped"],
+    instead of failing the sweep.  The rows are then measured seed by
+    seed and K by K, so each weight's smoa state is built once per K, on
+    its first smoa row, and dropped before the next (seed, K) builds its
+    own.  Each row's factor fill is seeded by (seed, method, r, K) alone,
+    and rows are sorted into (method, d, r, K, seed) order, so the loop
+    order changes no output.  The whole sweep runs at one BLAS thread, so
+    its rows do not depend on the caller's thread count.
     """
     cfg = SweepConfig(methods=tuple(methods), d=d, r_values=tuple(r_values),
                       K_values=tuple(K_values), n_seeds=n_seeds, base_seed=base_seed,
@@ -207,7 +204,6 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 reason = (f"(d={d}, r={r}, K={K}): skipped, r must be ≥ K in budget mode"
                           if K <= d else f"(d={d}, r={r}, K={K}): skipped, K exceeds d")
                 skipped.append(reason)
-                logger.info(reason)
                 continue
             reference = param_count("smoa", RunConfig(K=K, r=r, seed=0), (d, d))
             for method in cfg.methods:
@@ -217,7 +213,6 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     reason = (f"(method={method}, d={d}, r={r}, K={K}): skipped, "
                               f"parameter count {pc} not within 1% of budget {reference}")
                     skipped.append(reason)
-                    logger.info(reason)
                     continue
                 cells.setdefault(K, []).append((method, r, r_m, pc))
 

@@ -43,11 +43,13 @@ both AdamW moments that way, so one AdamW update over the whole (S, p)
 stack runs per step, whatever K and S are.  AdamW is elementwise, so every entry
 goes through the same operations as in a per-tensor update.  The step
 count and the optimizer constants come from a validated TrainConfig;
-the moments start at zero in every call.  train runs the step on [None]
-views of one adapter's params, in place.  train_seeds builds its seeds'
+the moments start at zero in every call.  train runs the step on a
+[None] view of one adapter's params, in place, and on the adapter's own
+masks, which broadcast over the run axis.  train_seeds builds its seeds'
 tasks and adapters straight into stacked inputs, targets, host outputs,
-masks and params, so it holds O(S n d) stacked arrays and no task, and
-it copies each trained row into the adapter it returns.
+masks and params, so it holds O(S n d) stacked arrays and no task; each
+adapter it returns holds views of its rows of the stacked params and
+masks, so the step trains the returned adapters in place.
 
 The step loop runs at one BLAS thread (blas.one_thread) when each run's
 host product is small, n d_out d_in <= 2**22, and at the caller's count
@@ -130,39 +132,36 @@ class LinearTask:
 
 
 def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
-              seed: int, target_blocks: int | None = None) -> LinearTask:
+              seed: int, target_blocks: int = 1) -> LinearTask:
     """Build a planted-update task on a d x d decaying-spectrum weight.
 
     The planted update is a sum of target_rank outer products of
     unit-norm Gaussian vectors, rescaled so its Frobenius norm is one
-    tenth of the weight's.  With target_blocks=k the outer products are
-    confined to the k diagonal blocks of the standard block layout (rank
-    split evenly across blocks), so the update lives on the support that
-    blocked adapters can reach; the default plants a dense update.  An
-    argument of the wrong type or out of range raises ValidationError.
+    tenth of the weight's.  The outer products are confined to the
+    target_blocks diagonal blocks of the standard block layout (rank
+    split evenly across blocks), so with several blocks the update lives
+    on the support that blocked adapters can reach; the default, one
+    block covering the whole matrix, plants a dense update.  An argument
+    of the wrong type or out of range, None included, raises
+    ValidationError.
     """
     _check_field("d", d, int, 1)
     _check_field("target_rank", target_rank, int, 1, d)
     _check_field("n_samples", n_samples, int, 1)
     _check_field("noise_std", noise_std, float, 0)
     _check_field("seed", seed, int, 0)
-    if target_blocks is not None:
-        _check_field("target_blocks", target_blocks, int, 1, d)
+    _check_field("target_blocks", target_blocks, int, 1, d)
     rng = np.random.default_rng(seed)
     w0 = random_weight(d, d, rng)
     target = np.zeros((d, d))
-    if target_blocks is None:
-        for _ in range(target_rank):
-            target += np.outer(_unit(rng, d), _unit(rng, d))
-    else:
-        ranks = _split(target_rank, target_blocks)
-        for k, ((r0, r1, c0, c1), rk) in enumerate(zip(block_layout(d, d, target_blocks), ranks)):
-            if rk > min(r1 - r0, c1 - c0):
-                raise ValidationError(
-                    f"block {k} of size {(r1 - r0, c1 - c0)} cannot carry planted rank {rk}"
-                )
-            for _ in range(rk):
-                target[r0:r1, c0:c1] += np.outer(_unit(rng, r1 - r0), _unit(rng, c1 - c0))
+    ranks = _split(target_rank, target_blocks)
+    for k, ((r0, r1, c0, c1), rk) in enumerate(zip(block_layout(d, d, target_blocks), ranks)):
+        if rk > min(r1 - r0, c1 - c0):
+            raise ValidationError(
+                f"block {k} of size {(r1 - r0, c1 - c0)} cannot carry planted rank {rk}"
+            )
+        for _ in range(rk):
+            target[r0:r1, c0:c1] += np.outer(_unit(rng, r1 - r0), _unit(rng, c1 - c0))
     target *= 0.1 * np.linalg.norm(w0) / np.linalg.norm(target)
     inputs = rng.standard_normal((n_samples, d))
     targets = inputs @ (w0 + target).T
@@ -395,12 +394,13 @@ def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> n
     (S, cfg.steps + 1) traces.
 
     x is (S, n, d_in), base (the host outputs) and targets (S, n, d_out),
-    masks[k] (S, rows_k, cols_k) or None, and params (S, p).  cfg gives
-    the step count and the optimizer constants; the moments start at zero.
-    A non-finite loss in any run stops all of them with DivergenceError,
-    which names the step, and for S > 1 the run; numpy's overflow and
-    invalid-value warnings on the way there are silenced, so the error is
-    the one report of a divergence.
+    and params (S, p).  masks[k] is (S, rows_k, cols_k) or None; masks
+    None means the adapter's own masks, which broadcast over the runs.
+    cfg gives the step count and the optimizer constants; the moments
+    start at zero.  A non-finite loss in any run stops all of them with
+    DivergenceError, which names the step, and for S > 1 the run; numpy's
+    overflow and invalid-value warnings on the way there are silenced, so
+    the error is the one report of a divergence.
     """
     S, n, d_out = base.shape
     blocks = adapter.over(params, masks)
@@ -448,8 +448,7 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     every update made.
     """
     w0, x, targets = _check_task(adapter, task)
-    masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
-    return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
+    return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], None,
                        adapter.params[None], cfg)[0]
 
 
@@ -463,11 +462,12 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     straight into stacked (S, ...) inputs, targets, host outputs x @ w0^T,
     masks and params, and its task is dropped once its rows are written:
     the call holds O(S n d) stacked arrays and no task.  Each returned
-    adapter's blocks hold read-only views of its rows of the stacked masks,
-    rebound with Adapter.over, so every mask is held once.  The runs share
-    kind, layout, ranks, scales and cfg by construction.  A divergence
-    raises DivergenceError as train does, naming the run when there are
-    several.
+    adapter's params is its row of the stacked params, which the step
+    trains in place, and its blocks, rebound with Adapter.over, hold views
+    of that row and read-only views of its rows of the stacked masks, so
+    every factor and mask is held once.  The runs share kind, layout,
+    ranks, scales and cfg by construction.  A divergence raises
+    DivergenceError as train does, naming the run when there are several.
     """
     _check_field("n_seeds", n_seeds, int, 1)
     shape = (n_seeds, cfg.n_samples, cfg.d)
@@ -487,6 +487,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             masks = [None if blk.mask is None else np.empty((n_seeds, *blk.mask.shape))
                      for blk in adapter.blocks]
         params[j] = adapter.params
+        adapter.params = params[j]
         views = []
         for stack, blk in zip(masks, adapter.blocks):
             mask = blk.mask
@@ -497,10 +498,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             views.append(mask)
         adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
         runs.append(adapter)
-    traces = _train_runs(runs[0], x, base, targets, masks, params, cfg)
-    for adapter, trained in zip(runs, params):
-        adapter.params[...] = trained
-    return runs, traces
+    return runs, _train_runs(runs[0], x, base, targets, masks, params, cfg)
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

@@ -301,6 +301,16 @@ def test_train_bad_adapter_field_exits_1_before_creating_the_out_dir(capsys, tmp
     assert not (tmp_path / "out").exists()
 
 
+def test_train_null_target_blocks_exits_1_before_creating_the_out_dir(capsys, tmp_path):
+    # the dense plant is target_blocks 1, so null is a mistyped count
+    cfg = write_train_config(tmp_path, target_blocks=None)
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
+                           "--out-prefix", str(tmp_path / "out" / "run"))
+    assert code == 1
+    assert "target_blocks must be of type int" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_is_deterministic(capsys, tmp_path):
     cfg = write_train_config(tmp_path)
     run_cli(capsys, "train", "--config", str(cfg), "--method", "smoa",
@@ -462,6 +472,31 @@ def test_gradcheck_corruption_exits_2(capsys):
                            "--method", "smoa", "--inject-corruption")
     assert code == 2
     assert "gradient check failed" in err
+
+
+def test_gradcheck_failure_ends_stderr_with_one_cli_error_line(capsys):
+    code, out, err = run_cli(capsys, "gradcheck", "--d", "1", "--k", "1", "--r", "1",
+                             "--method", "smoa", "--inject-corruption")
+    assert code == 2
+    assert out.startswith("checked 2 entries\n")
+    assert err == ("smoa gradcheck: numerical error: gradient check failed at A[0][0,0]: "
+                   "relative error 2.000000e+00 exceeds 1e-06\n")
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("rank-bench", {"methods": ["lora"], "d": 4, "r_values": [2], "n_seeds": 1},
+     "missing sweep config field(s): K_values"),
+    ("train", {"d": 4, "target_rank": 2, "seed": 0}, "missing train config field(s): n_samples"),
+])
+def test_config_missing_a_required_field_exits_1_and_writes_nothing(capsys, tmp_path, command,
+                                                                   config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    extra = (["--out", str(tmp_path / "out" / "r.csv")] if command == "rank-bench" else
+             ["--method", "lora", "--out-prefix", str(tmp_path / "out" / "run")])
+    code, _, err = run_cli(capsys, command, "--config", str(path), *extra)
+    assert (code, err) == (1, f"smoa {command}: validation error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -180,6 +181,19 @@ def test_config_rejects_unknown_field():
         config_from_dict(RunConfig, {"K": 1, "r": 2, "seed": 0, "rnak": 3})
 
 
+
+@pytest.mark.parametrize("cls, raw, message", [
+    (RunConfig, {"K": 1, "seed": 0}, "missing config field(s): r"),
+    (SweepConfig, {"methods": [], "d": 4, "n_seeds": 1},
+     "missing sweep config field(s): r_values, K_values"),
+    (TrainConfig, {"d": 4, "target_rank": 2, "n_samples": 8, "steps": 5},
+     "missing train config field(s): seed"),
+])
+def test_config_rejects_missing_required_field(cls, raw, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        config_from_dict(cls, raw)
+
+
 # A RunConfig holds no shape, so the plan over the weight's shape, in
 # param_count and build_adapter alike, checks K against it and r against K.
 
@@ -238,7 +252,7 @@ def test_train_config_strict_and_defaults():
     assert cfg.steps == 2000
     assert cfg.learning_rate == 1e-3
     assert cfg.noise_std == 0.0
-    assert cfg.target_blocks is None
+    assert cfg.target_blocks == 1
     with pytest.raises(ValidationError, match="unknown train config"):
         config_from_dict(TrainConfig, {**raw, "stepz": 10})
     with pytest.raises(ValidationError, match="target_rank"):

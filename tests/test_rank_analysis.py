@@ -296,35 +296,44 @@ def both_ranks(adapter, tol_factor=1e-10):
 def acceptance_sweep_adapters():
     """Every adapter of the d=128 acceptance sweep (4 methods, r in
     {2, 4, 8, 16}, K in {1, 2, 4}, 20 seeds), built and filled as
-    rank_sweep builds and fills them."""
+    rank_sweep builds and fills them: each (seed, K) smoa state is built
+    once, with smoa_masks, and shared by that weight's smoa adapters."""
     d = 128
     for seed in range(20):
         w0 = random_weight(d, d, np.random.default_rng([d, seed]))
+        states = {K: adapters.smoa_masks(w0, K) for K in (1, 2, 4)}
         for index, method in enumerate(METHODS):
             for r in (2, 4, 8, 16):
                 for K in (1, 2, 4):
                     if K > r:
                         continue
                     cfg = RunConfig(K=K, r=r // K if method in FULL_MATRIX else r, seed=seed)
-                    adapter = adapters.build_adapter(method, cfg, w0)
+                    adapter = adapters.build_adapter(
+                        method, cfg, w0, smoa_state=states[K] if method == "smoa" else None)
                     adapters.randomize_factors(adapter,
                                                np.random.default_rng([seed, index, r, K]))
                     yield (method, r, K, seed), cfg, adapter
 
 
-def test_block_rank_equals_dense_rank_on_every_acceptance_sweep_row():
-    rows = [(key, *both_ranks(adapter)) for key, _, adapter in acceptance_sweep_adapters()]
+@pytest.fixture(scope="module")
+def acceptance_sweep():
+    """The 880 acceptance-sweep adapters, built once for the tests below."""
+    return list(acceptance_sweep_adapters())
+
+
+def test_block_rank_equals_dense_rank_on_every_acceptance_sweep_row(acceptance_sweep):
+    rows = [(key, *both_ranks(adapter)) for key, _, adapter in acceptance_sweep]
     assert len(rows) == 880
     assert [row for row in rows if row[1] != row[2]] == []
 
 
-def test_bound_equals_reference_on_every_acceptance_sweep_row():
+def test_bound_equals_reference_on_every_acceptance_sweep_row(acceptance_sweep):
     w0_ranks = [rank_analysis.numerical_rank(random_weight(128, 128,
                                                            np.random.default_rng([128, seed])))
                 for seed in range(20)]
     rows = [(key, rank_analysis.theoretical_bound(adapter, w0_ranks[key[3]]),
              reference_bound(key[0], cfg, adapter.shape, adapter.partition, w0_ranks[key[3]]))
-            for key, cfg, adapter in acceptance_sweep_adapters()]
+            for key, cfg, adapter in acceptance_sweep]
     assert len(rows) == 880
     assert [row for row in rows if row[1] != row[2]] == []
 

@@ -64,6 +64,38 @@ def test_make_task_block_support():
     assert_allclose(np.linalg.norm(task.target_delta), 0.1 * np.linalg.norm(task.w0), rtol=1e-12)
 
 
+# The dense plant as make_task drew it before its default became the
+# 1-block layout: target_rank outer products over the whole matrix.
+
+def dense_plant_reference(d, target_rank, n_samples, noise_std, seed):
+    def unit(n):
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    rng = np.random.default_rng(seed)
+    w0 = training.random_weight(d, d, rng)
+    target = np.zeros((d, d))
+    for _ in range(target_rank):
+        target += np.outer(unit(d), unit(d))
+    target *= 0.1 * np.linalg.norm(w0) / np.linalg.norm(target)
+    inputs = rng.standard_normal((n_samples, d))
+    targets = inputs @ (w0 + target).T
+    if noise_std > 0:
+        targets = targets + rng.normal(0.0, noise_std, size=targets.shape)
+    return w0, target, inputs, targets
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.01])
+@pytest.mark.parametrize("d", [1, 5, 16, 64])
+def test_make_task_default_plant_equals_the_dense_reference_bit_for_bit(d, noise_std):
+    for rank in sorted({1, max(1, d // 2), d}):
+        for seed in range(3):
+            task = training.make_task(d, rank, 2 * d + 1, noise_std, seed)
+            want = dense_plant_reference(d, rank, 2 * d + 1, noise_std, seed)
+            got = (task.w0, task.target_delta, task.inputs, task.targets)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (rank, seed)
+
+
 def test_make_task_noise_changes_targets():
     clean = training.make_task(16, 4, 30, 0.0, seed=6)
     noisy = training.make_task(16, 4, 30, 0.5, seed=6)
@@ -95,8 +127,10 @@ def test_make_task_validation():
     (dict(target_blocks=9), r"target_blocks must be in \[1, 8\], got 9"),
     (dict(seed=-1), "seed must be ≥ 0, got -1"),
     (dict(noise_std=float("nan")), "noise_std must be finite"),
+    (dict(target_blocks=None), "target_blocks must be of type int, got None"),
 ], ids=["float-d", "float-target_rank", "float-n_samples", "float-target_blocks",
-        "string-target_blocks", "target_blocks-above-d", "negative-seed", "nan-noise_std"])
+        "string-target_blocks", "target_blocks-above-d", "negative-seed", "nan-noise_std",
+        "none-target_blocks"])
 def test_make_task_rejects_mistyped_arguments(kwargs, message):
     args = dict(d=8, target_rank=2, n_samples=10, noise_std=0.0, seed=0) | kwargs
     with pytest.raises(ValidationError, match=message):
@@ -500,7 +534,7 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
     # K does not divide d: d = K q + a remainder in [1, K - 1]
     d = K * q + 1 + rem % (K - 1)
     cfg = TrainConfig(d=d, target_rank=max(1, d // 2), n_samples=n, seed=seed,
-                      noise_std=noise_std, target_blocks=2 if blocked else None, r=K + r_extra,
+                      noise_std=noise_std, target_blocks=2 if blocked else 1, r=K + r_extra,
                       K=K, steps=12, learning_rate=1e-2, weight_decay=weight_decay)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptySubspaceWarning)
