@@ -181,7 +181,6 @@ def test_config_rejects_unknown_field():
         config_from_dict(RunConfig, {"K": 1, "r": 2, "seed": 0, "rnak": 3})
 
 
-
 @pytest.mark.parametrize("cls, raw, message", [
     (RunConfig, {"K": 1, "seed": 0}, "missing config field(s): r"),
     (SweepConfig, {"methods": [], "d": 4, "n_seeds": 1},
