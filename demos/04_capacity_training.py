@@ -30,7 +30,7 @@ for i, seed in enumerate(SEEDS):
     print(f"--- seed {seed} ---")
     for method, cfg in configs.items():
         trace = traces[method][i]
-        print(f"{method:5s} ({param_count(method, cfg.run_config(), (cfg.d, cfg.d))} params): "
+        print(f"{method:5s} ({param_count(method, cfg, (cfg.d, cfg.d))} params): "
               f"loss {trace[0]:.4f} -> {trace[-1]:.4f} "
               f"(checkpoints: {trace[0]:.3f}, {trace[500]:.3f}, "
               f"{trace[1000]:.3f}, {trace[2000]:.3f})")

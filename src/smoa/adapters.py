@@ -22,7 +22,6 @@ The full-matrix methods of FULL_MATRIX ignore K.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -344,20 +343,17 @@ def load_adapter(prefix) -> Adapter:
 
     The blocks are built from the manifest's ranges, so the constructor
     rejects ranges that do not tile the K-block layout.  A manifest that
-    is not valid JSON, is not an object, lacks a key or a tensor entry the
-    adapter needs, holds a value of the wrong type (a float d_out, d_in,
-    K or rank, a bool scale), lists a tensor entry twice or one the
-    adapter has no place for, lists a partition index that is not a
-    non-negative int or a share that is not a finite, non-negative float,
-    or disagrees with its tensors or with itself raises FormatError.
+    cannot be read (a missing one included), is not valid JSON, is not an
+    object, lacks a key or a tensor entry the adapter needs, holds a value
+    of the wrong type (a float d_out, d_in, K or rank, a bool scale), lists
+    a tensor entry twice or one the adapter has no place for, lists a
+    partition index that is not a non-negative int or a share that is not
+    a finite, non-negative float, or disagrees with its tensors or with
+    itself raises FormatError.
     """
     prefix = Path(prefix)
     manifest_path = prefix.parent / f"{prefix.name}.manifest.json"
-    try:
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    manifest = matrix_io._load_json(manifest_path)
     if not isinstance(manifest, dict):
         raise FormatError(
             f"{manifest_path}: manifest must be a JSON object, got {type(manifest).__name__}"

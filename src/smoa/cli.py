@@ -147,15 +147,14 @@ def _cmd_rank_bench(args) -> int:
             file=sys.stderr,
         )
     if violations:
-        print(f"{len(violations)} of {len(report.rows)} rows violate their rank bound",
-              file=sys.stderr)
-        return 2
+        raise NumericalError(
+            f"{len(violations)} of {len(report.rows)} rows violate their rank bound")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = matrix_io.read_train_config(args.config)
-    adapters.param_count(args.method, cfg.run_config(), (cfg.d, cfg.d))  # plan before any file
+    adapters.param_count(args.method, cfg, (cfg.d, cfg.d))  # plan before any file
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be ≥ 1, got {args.seeds}")
     # every output is the prefix plus a suffix; Path(prefix).parent loses "sub" of "adir/sub/"

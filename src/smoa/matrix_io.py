@@ -8,6 +8,12 @@ significant digits, which preserves 64-bit values exactly.
 
 Report CSV files carry the fixed header row
 ``method,d,r,K,seed,param_count,numerical_rank,frobenius_error``.
+
+Configs and adapter manifests are JSON, read by one reader, _load_json,
+which raises FormatError for a file that cannot be read or is not valid
+JSON.  RunConfig holds an adapter's settings; TrainConfig is a RunConfig
+with the planted task's and the optimizer's fields.  Both take keyword
+arguments only and check every field on construction.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ def _check_field(name: str, value, kind: type, low: int | None = None,
         raise ValidationError(f"{name} must be ≥ {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Adapter construction parameters for a single weight matrix.
 
@@ -148,6 +154,7 @@ class RunConfig:
     in flexible mode.  `alpha` defaults to `r` and `init_std` to 0.02
     when omitted.  The weight's shape is not part of the config: the
     adapter plan over that shape checks K against it, and r against K.
+    Every field is passed by keyword.
     """
 
     K: int
@@ -182,11 +189,13 @@ def write_json(obj, path) -> None:
 
 
 def _load_json(path) -> dict:
+    """Parsed JSON of a config or manifest file; FormatError if it cannot
+    be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise FormatError(f"cannot read config from {path}: {exc}") from exc
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{path}: malformed JSON: {exc}") from exc
 
@@ -234,26 +243,25 @@ def read_sweep_config(path) -> SweepConfig:
     return config_from_dict(SweepConfig, _load_json(path))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Planted-task definition plus adapter and optimizer settings.
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(RunConfig):
+    """Planted-task definition plus optimizer settings, over the adapter
+    settings of RunConfig, whose fields and checks it inherits; only the
+    defaults of K and r differ.  The adapter of seed s is built from
+    dataclasses.replace(cfg, seed=s).
 
     target_blocks confines the planted update to that many diagonal blocks
     (rank split evenly), the support blocked adapters can actually reach;
     the default, 1, is one block over the whole matrix, a dense update.
     """
 
+    K: int = 2
+    r: int = 8
     d: int
     target_rank: int
     n_samples: int
-    seed: int
     noise_std: float = 0.0
     target_blocks: int = 1
-    r: int = 8
-    K: int = 2
-    mode: str = "budget"
-    alpha: float | None = None
-    init_std: float = 0.02
     steps: int = 2000
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -262,8 +270,8 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("n_samples", 1), ("seed", 0), ("K", 1), ("steps", 1)):
-            _check_field(name, getattr(self, name), int, low)
+        for name in ("d", "n_samples", "steps"):
+            _check_field(name, getattr(self, name), int, 1)
         for name, low in (("noise_std", 0), ("learning_rate", None), ("beta1", 0), ("beta2", 0),
                           ("epsilon", None), ("weight_decay", 0)):
             _check_field(name, getattr(self, name), float, low)
@@ -277,12 +285,7 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be in [0, 1), got {value}")
         if self.epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        self.run_config()  # checks r, mode, alpha and init_std
-
-    def run_config(self) -> RunConfig:
-        """Adapter construction config for this task's d x d weight."""
-        return RunConfig(K=self.K, r=self.r, seed=self.seed, mode=self.mode, alpha=self.alpha,
-                         init_std=self.init_std)
+        super().__post_init__()
 
 
 def read_train_config(path) -> TrainConfig:

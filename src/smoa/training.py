@@ -42,14 +42,16 @@ grad_check perturbs params[e] and reads entry e of it, and training keeps
 both AdamW moments that way, so one AdamW update over the whole (S, p)
 stack runs per step, whatever K and S are.  AdamW is elementwise, so every entry
 goes through the same operations as in a per-tensor update.  The step
-count and the optimizer constants come from a validated TrainConfig;
-the moments start at zero in every call.  train runs the step on a
-[None] view of one adapter's params, in place, and on the adapter's own
-masks, which broadcast over the run axis.  train_seeds builds its seeds'
-tasks and adapters straight into stacked inputs, targets, host outputs,
-masks and params, so it holds O(S n d) stacked arrays and no task; each
-adapter it returns holds views of its rows of the stacked params and
-masks, so the step trains the returned adapters in place.
+count and the optimizer constants come from a validated TrainConfig,
+which is a RunConfig: train_seeds builds seed s's adapter from
+dataclasses.replace(cfg, seed=s).  The moments start at zero in every
+call.  train runs the step on a [None] view of one adapter's params, in
+place, and on the adapter's own masks, which broadcast over the run
+axis.  train_seeds builds its seeds' tasks and adapters straight into
+stacked inputs, targets, host outputs, masks and params, so it holds
+O(S n d) stacked arrays and no task; each adapter it returns holds views
+of its rows of the stacked params and masks, so the step trains the
+returned adapters in place.
 
 The step loop runs at one BLAS thread (blas.one_thread) when each run's
 host product is small, n d_out d_in <= 2**22, and at the caller's count
@@ -155,11 +157,7 @@ def make_task(d: int, target_rank: int, n_samples: int, noise_std: float,
     w0 = random_weight(d, d, rng)
     target = np.zeros((d, d))
     ranks = _split(target_rank, target_blocks)
-    for k, ((r0, r1, c0, c1), rk) in enumerate(zip(block_layout(d, d, target_blocks), ranks)):
-        if rk > min(r1 - r0, c1 - c0):
-            raise ValidationError(
-                f"block {k} of size {(r1 - r0, c1 - c0)} cannot carry planted rank {rk}"
-            )
+    for (r0, r1, c0, c1), rk in zip(block_layout(d, d, target_blocks), ranks):
         for _ in range(rk):
             target[r0:r1, c0:c1] += np.outer(_unit(rng, r1 - r0), _unit(rng, c1 - c0))
     target *= 0.1 * np.linalg.norm(w0) / np.linalg.norm(target)
@@ -480,7 +478,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
         x[j], targets[j], w0 = task.inputs, task.targets, task.w0
         np.matmul(task.inputs, w0.T, out=base[j])
         del task  # the build below can reuse the memory of the task's arrays
-        adapter = build_adapter(method, dataclasses.replace(cfg.run_config(), seed=seed), w0)
+        adapter = build_adapter(method, dataclasses.replace(cfg, seed=seed), w0)
         del w0
         if j == 0:
             params = np.empty((n_seeds, adapter.params.size))

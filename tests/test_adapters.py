@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -600,6 +601,13 @@ def test_load_adapter_inconsistent_manifest_is_format_error(tmp_path, method, co
     corrupt(manifest)
     path.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=message):
+        adapters.load_adapter(tmp_path / "ckpt")
+
+
+def test_load_adapter_missing_manifest_is_format_error(tmp_path):
+    _saved_manifest(tmp_path).unlink()
+    path = tmp_path / "ckpt.manifest.json"
+    with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(path))}: "):
         adapters.load_adapter(tmp_path / "ckpt")
 
 

@@ -219,7 +219,8 @@ def test_rank_bench_reports_every_bound_violation(capsys, tmp_path, monkeypatch)
                 for method, r, K in (("block_lora", 4, 1), ("block_lora", 4, 2),
                                      ("lora", 2, 2), ("lora", 4, 1))
                 for seed in (0, 1)]
-    assert lines == expected + ["8 of 8 rows violate their rank bound"]
+    assert lines == expected + [
+        "smoa rank-bench: numerical error: 8 of 8 rows violate their rank bound"]
 
 
 def write_train_config(tmp_path, **overrides):

@@ -292,11 +292,14 @@ def test_train_config_rejects_finite_optimizer_settings_out_of_range(name, value
 
 
 def test_train_config_run_config_ignores_k_for_full_matrix_methods():
-    cfg = config_from_dict(TrainConfig, 
+    # a TrainConfig is the RunConfig of its adapters, K included
+    cfg = config_from_dict(TrainConfig,
         {"d": 64, "target_rank": 8, "n_samples": 64, "seed": 1, "r": 8, "K": 2}
     )
-    run = cfg.run_config()
-    assert run.K == 2
-    assert param_count("smoa", run, (64, 64)) == 2 * 4 * (32 + 32)
+    assert isinstance(cfg, RunConfig) and cfg.K == 2
+    w0 = np.random.default_rng(0).standard_normal((64, 64))
+    assert param_count("smoa", cfg, (64, 64)) == 2 * 4 * (32 + 32)
+    assert build_adapter("smoa", cfg, w0).params.size == 2 * 4 * (32 + 32)
     for method in FULL_MATRIX:  # one rank-8 block over the whole weight
-        assert param_count(method, run, (64, 64)) == 8 * (64 + 64)
+        assert param_count(method, cfg, (64, 64)) == 8 * (64 + 64)
+        assert build_adapter(method, cfg, w0).r_per_subspace == (8,)

@@ -547,7 +547,7 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySubspaceWarning)
             alone = adapters.build_adapter(
-                method, dataclasses.replace(cfg.run_config(), seed=seed + j), task.w0)
+                method, dataclasses.replace(cfg, seed=seed + j), task.w0)
         assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
         assert run.params.tobytes() == alone.params.tobytes()
         assert ([None if blk.mask is None else blk.mask.tobytes() for blk in run.blocks]
