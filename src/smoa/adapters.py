@@ -223,7 +223,8 @@ def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
     """Build a method's adapter over w0, planned over w0's shape.
 
     A_k entries are i.i.d. Gaussian(0, init_std^2) from the config seed;
-    B_k starts at zero, so the initial update is exactly zero.  ``smoa``
+    B_k starts at zero, so the initial update is exactly zero.  Block k's
+    scale is alpha / r_k, with alpha = cfg.r when cfg.alpha is None.  ``smoa``
     takes its partition and masks from smoa_state, a smoa_masks(w0, cfg.K)
     result, when given, and builds them from w0 otherwise; smoa_state for
     any other method, or with another K, raises ValidationError, and the
@@ -243,11 +244,12 @@ def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
     elif method == "hadamard_w0":
         masks = (w0.copy(),)
         masks[0].setflags(write=False)
+    alpha = float(cfg.r) if cfg.alpha is None else cfg.alpha
     rng = np.random.default_rng(cfg.seed)
     blocks = []
     for (r0, r1, c0, c1), rk, mask in zip(layout, ranks, masks):
         A = rng.normal(0.0, cfg.init_std, size=(rk, c1 - c0))
-        blocks.append(Block(r0, r1, c0, c1, mask, A, np.zeros((r1 - r0, rk)), cfg.alpha / rk))
+        blocks.append(Block(r0, r1, c0, c1, mask, A, np.zeros((r1 - r0, rk)), alpha / rk))
     return Adapter(kind=method, blocks=blocks, partition=part)
 
 

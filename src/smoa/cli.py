@@ -176,11 +176,13 @@ def _cmd_train(args) -> int:
 def _cmd_gradcheck(args) -> int:
     mode = "budget" if args.r >= args.k else "flexible"
     cfg = matrix_io.RunConfig(K=args.k, r=args.r, seed=args.seed, mode=mode)
-    task = training.make_task(args.d, max(1, args.d // 2), 2 * args.d, 0.0, args.seed)
-    adapter = adapters.build_adapter(args.method, cfg, task.w0)
-    adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)
-    report = training.grad_check(adapter, task, seed=args.seed,
-                                 corrupt_for_testing=args.inject_corruption)
+    n = 2 * args.d
+    with training.one_thread_if_small(n, args.d, args.d):
+        task = training.make_task(args.d, max(1, args.d // 2), n, 0.0, args.seed)
+        adapter = adapters.build_adapter(args.method, cfg, task.w0)
+        adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)
+        report = training.grad_check(adapter, task, seed=args.seed,
+                                     corrupt_for_testing=args.inject_corruption)
     role, k, i, j = report.worst
     print(f"checked {report.n_checked} entries")
     print(f"max relative error: {report.max_rel_error:.6e}")

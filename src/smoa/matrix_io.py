@@ -151,8 +151,10 @@ class RunConfig:
     """Adapter construction parameters for a single weight matrix.
 
     `r` is the total rank budget in budget mode and the per-subspace rank
-    in flexible mode.  `alpha` defaults to `r` and `init_std` to 0.02
-    when omitted.  The weight's shape is not part of the config: the
+    in flexible mode.  An omitted `alpha` stays None and means `r`,
+    resolved where the scales are computed (adapters.build_adapter), so
+    dataclasses.replace(cfg, r=...) rescales with the new r.  `init_std`
+    defaults to 0.02.  The weight's shape is not part of the config: the
     adapter plan over that shape checks K against it, and r against K.
     Every field is passed by keyword.
     """
@@ -170,12 +172,11 @@ class RunConfig:
         _check_field("seed", self.seed, int, 0)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", float(self.r))
-        for name in ("alpha", "init_std"):
-            _check_field(name, getattr(self, name), float)
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None:
+            _check_field("alpha", self.alpha, float)
+            if self.alpha <= 0:
+                raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        _check_field("init_std", self.init_std, float)
         if self.init_std <= 0:
             raise ValidationError(f"init_std must be positive, got {self.init_std}")
 

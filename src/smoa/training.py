@@ -30,9 +30,18 @@ bit.
 The host output x @ w0^T (n d_out d_in) is computed once per run; a
 step adds O(n d_out) elementwise work on the output: each block's
 product writes its rows of one output buffer, and one add of the host
-output finishes the forward.  That buffer (which then takes the squared
-residual), the residual and each block's update buffer are allocated
-once per call.
+output finishes the forward.  A _StepPlan, built once per call of
+forward, backward, grad_check, train or train_seeds, holds every view
+the step reads (each block's columns of the inputs, its rows of the
+output and residual buffers, A_k^T and B_k^T) and every buffer it
+writes: the output buffer (which then takes the squared residual), the
+residual, each block's update buffer, the gradients and, in training,
+AdamW's moments and its two temporaries.  The forward multiplies x_k by
+a transposed view of U_k, OpenBLAS's NT kernel.  A contiguous
+U_k^T = s (A_k^T B_k^T) o M_k^T would run its NN kernel, which is faster
+at the capacity shapes, and A_k^T B_k^T equals (B_k A_k)^T bit for bit;
+but at n = 128 the NN product changed the forward's bits on 1928 of the
+4761 block shapes up to 69 x 69, so it would change what training writes.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
 and each block's A and B are reshaped views of it; Adapter.over gives
@@ -53,13 +62,18 @@ O(S n d) stacked arrays and no task; each adapter it returns holds views
 of its rows of the stacked params and masks, so the step trains the
 returned adapters in place.
 
-The step loop runs at one BLAS thread (blas.one_thread) when each run's
-host product is small, n d_out d_in <= 2**22, and at the caller's count
-above.  The step's products split their output, not their sums, across
-threads, and every output of all four methods was bit-identical either
-way at d = 64, 96 and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d,
-median of 9 in ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy
-2.4.6, OpenBLAS 0.3.31):
+train and train_seeds run whole at one BLAS thread (one_thread_if_small,
+over blas.one_thread) when each run's host product is small,
+n d_out d_in <= 2**22, and at the caller's count above: the task builds,
+x @ w0^T, build_adapter with its decompose, and the steps.  Pinned, a
+call writes the one-thread bytes at any caller's count, so at d <= 128
+with n = 2d it writes the same bytes at 1 and at 2 threads; unpinned,
+make_task's norms (BLAS dots) moved with the count.  The step's products
+split their output, not their sums, across threads, and every step
+output of all four methods was bit-identical either way at d = 64, 96
+and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d, median of 9 in
+ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy 2.4.6, OpenBLAS
+0.3.31):
 
     d     n     n d^2     smoa K=2 r=16    lora r=8
     64    128   2^19      0.14 / 0.15      0.14 / 0.14
@@ -72,6 +86,10 @@ from d=192 up one thread takes 22-45% longer.  A small step at two
 threads also waits on its second thread whenever another process holds
 that core, which slowed the d=64 step 10-50x.  The capacity task
 (2^19) thus trains at one thread and d=512 (2^28) at the caller's count.
+Pinning only the step loop left the builds before it at two threads,
+and OpenBLAS's second thread then spun on while the pinned loop ran:
+each capacity call (5 seeds, 2000 steps) used 0.14-0.17 s more CPU time
+than wall time, and pinned whole it uses none.
 """
 
 from __future__ import annotations
@@ -79,10 +97,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .adapters import Adapter, _split, block_layout, build_adapter
+from .adapters import Adapter, Block, _split, block_layout, build_adapter
 from .blas import one_thread
 from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, validate_matrix
@@ -93,6 +112,13 @@ _ONE_THREAD_MAX_SIZE = 2**22  # largest n * d_out * d_in trained at one BLAS thr
 
 class DivergenceError(NumericalError):
     """Training loss became non-finite."""
+
+
+def one_thread_if_small(n: int, d_out: int, d_in: int):
+    """blas.one_thread() for a run of n samples on a d_out x d_in weight
+    whose host product x @ w0^T, n d_out d_in multiply-adds, is at most
+    2**22, and a context that does nothing above."""
+    return one_thread() if n * d_out * d_in <= _ONE_THREAD_MAX_SIZE else contextlib.nullcontext()
 
 
 def random_weight(d_out: int, d_in: int, rng: np.random.Generator,
@@ -204,35 +230,66 @@ def _check_task(adapter, task: LinearTask) -> tuple[np.ndarray, np.ndarray, np.n
     return w0, x, targets
 
 
-def _step_buffers(blocks, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Buffers for a step on n samples, with the leading stack axes of the
-    blocks' factors: one for the update's output x @ delta^T, and per
-    block one for its update U_k, which the backward pass reuses for G_k."""
-    out = np.empty(blocks[0].A.shape[:-2] + (n, blocks[-1].row1))
-    return out, [np.empty(blk.B.shape[:-1] + blk.A.shape[-1:]) for blk in blocks]
+class _BlockStep(NamedTuple):
+    """One block's views and buffer in a _StepPlan."""
+
+    block: Block
+    x: np.ndarray  # x_k: the block's columns of the inputs
+    y: np.ndarray  # its rows of the update's output, as columns of plan.out
+    u_t: np.ndarray  # u_k^T: its rows of the residual buffer, transposed
+    a_t: np.ndarray  # A_k^T
+    b_t: np.ndarray  # B_k^T
+    upd: np.ndarray  # U_k in the forward, G_k in the backward
+    upd_t: np.ndarray  # U_k^T
+    grad_a: np.ndarray  # dA_k and dB_k: views of plan.grads
+    grad_b: np.ndarray
 
 
-def _add_update(blocks, x, base, bufs, out=None) -> np.ndarray:
+class _StepPlan:
+    """The views and buffers of the block step on inputs x, over params and
+    masks (see Adapter.over), with the leading run axes of params; built
+    once per call.
+
+    out takes the update's output x @ delta^T, resid the residual, which
+    the backward reads as its upstream gradient, and grads the factor
+    gradients, laid out like params.  steps holds each block's _BlockStep.
+    """
+
+    def __init__(self, adapter, x, params, masks=None):
+        lead, n = params.shape[:-1], x.shape[-2]
+        self.out = np.empty(lead + (n, adapter.shape[0]))
+        self.resid = np.empty_like(self.out)
+        self.grads = np.empty_like(params)
+        steps = []
+        for blk, grad_a, grad_b in zip(adapter.over(params, masks),
+                                       *adapter.factor_views(self.grads)):
+            rows, cols = slice(blk.row0, blk.row1), slice(blk.col0, blk.col1)
+            upd = np.empty(lead + (blk.row1 - blk.row0, blk.col1 - blk.col0))
+            steps.append(_BlockStep(blk, x[..., cols], self.out[..., rows],
+                                    self.resid[..., rows].swapaxes(-1, -2),
+                                    blk.A.swapaxes(-1, -2), blk.B.swapaxes(-1, -2),
+                                    upd, upd.swapaxes(-1, -2), grad_a, grad_b))
+        self.steps = tuple(steps)
+
+
+def _add_update(plan: _StepPlan, base, out=None) -> np.ndarray:
     """base + x @ delta^T, written into out when given.
 
-    Block k writes x[..., cols_k] @ U_k^T, where U_k is the block's own
-    update, into its rows of the output buffer; the blocks' row ranges
-    cover the output, so one add then finishes every entry, and the full
-    update matrix is never formed.  bufs come from _step_buffers.
+    Block k writes x_k @ U_k^T, where U_k is the block's own update, into
+    its rows of plan.out; the blocks' row ranges cover the output, so one
+    add then finishes every entry, and the full update matrix is never
+    formed.
     """
-    y, upds = bufs
-    for blk, upd in zip(blocks, upds):
-        blk.update(out=upd)
-        np.matmul(x[..., blk.col0:blk.col1], upd.swapaxes(-1, -2),
-                  out=y[..., blk.row0:blk.row1])
-    return np.add(base, y, out=out)
+    for step in plan.steps:
+        step.block.update(out=step.upd)
+        np.matmul(step.x, step.upd_t, out=step.y)
+    return np.add(base, plan.out, out=out)
 
 
 def forward(adapter, w0, x) -> np.ndarray:
     """x @ w0^T + x @ delta^T, without ever forming the merged weight."""
     w0, x = _check_host(adapter, w0, x)
-    blocks = adapter.blocks
-    return _add_update(blocks, x, x @ w0.T, _step_buffers(blocks, x.shape[0]))
+    return _add_update(_StepPlan(adapter, x, adapter.params), x @ w0.T)
 
 
 @dataclass
@@ -244,22 +301,21 @@ class Gradients:
     B: tuple[np.ndarray, ...]
 
 
-def _factor_grads(blocks, x, upstream, grads_a, grads_b, bufs) -> None:
-    """Write the factor gradients from each block's own slice of the
-    upstream gradient into grads_a and grads_b.
+def _factor_grads(plan: _StepPlan) -> None:
+    """Write the factor gradients into plan.grads, with plan.resid as the
+    upstream gradient.
 
-    With u = upstream[..., rows_k] and x_k = x[..., cols_k], block k forms
-    G_k = u^T x_k, masked where the block has a mask, and takes
-    dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
+    With u its block-k rows, block k forms G_k = u^T x_k, masked where the
+    block has a mask, and takes dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
     """
-    for blk, grad_a, grad_b, gk in zip(blocks, grads_a, grads_b, bufs[1]):
-        np.matmul(upstream[..., blk.row0:blk.row1].swapaxes(-1, -2),
-                  x[..., blk.col0:blk.col1], out=gk)
+    for step in plan.steps:
+        blk, gk, grad_a, grad_b = step.block, step.upd, step.grad_a, step.grad_b
+        np.matmul(step.u_t, step.x, out=gk)
         if blk.mask is not None:
             gk *= blk.mask
-        np.matmul(gk, blk.A.swapaxes(-1, -2), out=grad_b)
+        np.matmul(gk, step.a_t, out=grad_b)
         grad_b *= blk.scale
-        np.matmul(blk.B.swapaxes(-1, -2), gk, out=grad_a)
+        np.matmul(step.b_t, gk, out=grad_a)
         grad_a *= blk.scale
 
 
@@ -273,10 +329,10 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
             f"upstream gradient shape {upstream.shape} does not match "
             f"output shape {(x.shape[0], w0.shape[0])}"
         )
-    blocks = adapter.blocks
-    grads = Gradients(*adapter.factor_views(np.empty_like(adapter.params)))
-    _factor_grads(blocks, x, upstream, grads.A, grads.B, _step_buffers(blocks, x.shape[0]))
-    return grads
+    plan = _StepPlan(adapter, x, adapter.params)
+    plan.resid[...] = upstream
+    _factor_grads(plan)
+    return Gradients(*adapter.factor_views(plan.grads))
 
 
 def mse(pred: np.ndarray, targets: np.ndarray) -> float:
@@ -335,12 +391,13 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     """
     w0, x, targets = _check_task(adapter, task)
     params = adapter.params
-    blocks = adapter.blocks
-    bufs = _step_buffers(blocks, x.shape[0])
+    plan = _StepPlan(adapter, x, params)
     base = x @ w0.T
-    resid = _add_update(blocks, x, base, bufs) - targets
-    grad = np.empty_like(params)
-    _factor_grads(blocks, x, (2.0 / resid.size) * resid, *adapter.factor_views(grad), bufs)
+    resid = _add_update(plan, base, out=plan.resid)
+    resid -= targets
+    resid *= 2.0 / resid.size
+    _factor_grads(plan)
+    grad = plan.grads
     offset = 2.0 * (base - targets)
     zero = np.zeros_like(offset)
 
@@ -357,9 +414,9 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     for e in entries:
         orig = params[e]
         params[e] = orig + _H
-        plus = _add_update(blocks, x, zero, bufs)
+        plus = _add_update(plan, zero)
         params[e] = orig - _H
-        minus = _add_update(blocks, x, zero, bufs)
+        minus = _add_update(plan, zero)
         params[e] = orig
         numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
         analytic = grad[e]
@@ -373,16 +430,27 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
                            worst_numeric=worst_n, tol=_TOL)
 
 
-def _adamw_update(param, grad, m, v, t, cfg: TrainConfig) -> None:
+def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp=None) -> None:
+    """AdamW update t of param, in place, with moments m and v.  tmp is two
+    arrays shaped like param for the temporaries m_hat and v_hat, allocated
+    here when None."""
+    m_hat, v_hat = (np.empty_like(param), np.empty_like(param)) if tmp is None else tmp
+    np.multiply(grad, 1.0 - cfg.beta1, out=m_hat)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += m_hat
+    np.multiply(grad, 1.0 - cfg.beta2, out=m_hat)
+    m_hat *= grad
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
+    v += m_hat
+    np.divide(m, 1.0 - cfg.beta1 ** t, out=m_hat)
+    np.divide(v, 1.0 - cfg.beta2 ** t, out=v_hat)
     if cfg.weight_decay:
         param *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m_hat *= cfg.learning_rate
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += cfg.epsilon
+    m_hat /= v_hat
+    param -= m_hat
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -401,29 +469,26 @@ def _train_runs(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> n
     the error is the one report of a divergence.
     """
     S, n, d_out = base.shape
-    blocks = adapter.over(params, masks)
-    bufs = _step_buffers(blocks, n)
-    grads, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
-    grads_a, grads_b = adapter.factor_views(grads)
-    resid = np.empty_like(base)
-    sq = bufs[0]  # the update's output is spent once resid holds the forward
+    plan = _StepPlan(adapter, x, params, masks)
+    resid = plan.resid
+    sq = plan.out  # the update's output is spent once resid holds the forward
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    tmp = np.empty_like(params), np.empty_like(params)
     traces = np.empty((S, cfg.steps + 1))
-    small = n * d_out * x.shape[-1] <= _ONE_THREAD_MAX_SIZE
-    with one_thread() if small else contextlib.nullcontext():
-        for i in range(cfg.steps + 1):
-            _add_update(blocks, x, base, bufs, out=resid)
-            resid -= targets
-            np.square(resid, out=sq)
-            loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
-            traces[:, i] = loss
-            if not np.isfinite(loss).all():
-                where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
-                raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
-            if i == cfg.steps:
-                break
-            resid *= 2.0 / (n * d_out)
-            _factor_grads(blocks, x, resid, grads_a, grads_b, bufs)
-            _adamw_update(params, grads, m, v, i + 1, cfg)
+    for i in range(cfg.steps + 1):
+        _add_update(plan, base, out=resid)
+        resid -= targets
+        np.square(resid, out=sq)
+        loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
+        traces[:, i] = loss
+        if not np.isfinite(loss).all():
+            where = f" in run {np.flatnonzero(~np.isfinite(loss))[0]}" if S > 1 else ""
+            raise DivergenceError(f"training diverged: non-finite loss at step {i}{where}")
+        if i == cfg.steps:
+            break
+        resid *= 2.0 / (n * d_out)
+        _factor_grads(plan)
+        _adamw_update(params, plan.grads, m, v, i + 1, cfg, tmp)
     return traces
 
 
@@ -446,8 +511,9 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     every update made.
     """
     w0, x, targets = _check_task(adapter, task)
-    return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], None,
-                       adapter.params[None], cfg)[0]
+    with one_thread_if_small(*x.shape, w0.shape[0]):
+        return _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], None,
+                           adapter.params[None], cfg)[0]
 
 
 def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapter], np.ndarray]:
@@ -468,35 +534,36 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     DivergenceError as train does, naming the run when there are several.
     """
     _check_field("n_seeds", n_seeds, int, 1)
-    shape = (n_seeds, cfg.n_samples, cfg.d)
-    x, base, targets = np.empty(shape), np.empty(shape), np.empty(shape)
-    runs = []
-    for j in range(n_seeds):
-        seed = cfg.seed + j
-        task = make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std, seed,
-                         target_blocks=cfg.target_blocks)
-        x[j], targets[j], w0 = task.inputs, task.targets, task.w0
-        np.matmul(task.inputs, w0.T, out=base[j])
-        del task  # the build below can reuse the memory of the task's arrays
-        adapter = build_adapter(method, dataclasses.replace(cfg, seed=seed), w0)
-        del w0
-        if j == 0:
-            params = np.empty((n_seeds, adapter.params.size))
-            masks = [None if blk.mask is None else np.empty((n_seeds, *blk.mask.shape))
-                     for blk in adapter.blocks]
-        params[j] = adapter.params
-        adapter.params = params[j]
-        views = []
-        for stack, blk in zip(masks, adapter.blocks):
-            mask = blk.mask
-            if stack is not None:
-                stack[j] = mask
-                mask = stack[j]
-                mask.setflags(write=False)
-            views.append(mask)
-        adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
-        runs.append(adapter)
-    return runs, _train_runs(runs[0], x, base, targets, masks, params, cfg)
+    with one_thread_if_small(cfg.n_samples, cfg.d, cfg.d):
+        shape = (n_seeds, cfg.n_samples, cfg.d)
+        x, base, targets = np.empty(shape), np.empty(shape), np.empty(shape)
+        runs = []
+        for j in range(n_seeds):
+            seed = cfg.seed + j
+            task = make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std, seed,
+                             target_blocks=cfg.target_blocks)
+            x[j], targets[j], w0 = task.inputs, task.targets, task.w0
+            np.matmul(task.inputs, w0.T, out=base[j])
+            del task  # the build below can reuse the memory of the task's arrays
+            adapter = build_adapter(method, dataclasses.replace(cfg, seed=seed), w0)
+            del w0
+            if j == 0:
+                params = np.empty((n_seeds, adapter.params.size))
+                masks = [None if blk.mask is None else np.empty((n_seeds, *blk.mask.shape))
+                         for blk in adapter.blocks]
+            params[j] = adapter.params
+            adapter.params = params[j]
+            views = []
+            for stack, blk in zip(masks, adapter.blocks):
+                mask = blk.mask
+                if stack is not None:
+                    stack[j] = mask
+                    mask = stack[j]
+                    mask.setflags(write=False)
+                views.append(mask)
+            adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
+            runs.append(adapter)
+        return runs, _train_runs(runs[0], x, base, targets, masks, params, cfg)
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import adapters
 from smoa.errors import FormatError, ValidationError
-from smoa.matrix_io import RunConfig
+from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning, decompose, modulation_tensor
 from smoa.training import forward, random_weight
@@ -132,6 +132,20 @@ def test_build_smoa_shapes_and_scale():
         assert blk.A.shape == (8, 32)
         assert blk.B.shape == (32, 8)
         assert not np.any(blk.B)
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_a_replaced_rank_builds_the_scales_of_a_fresh_config(method):
+    # an omitted alpha means r, also after dataclasses.replace changes r; a given alpha stays
+    w0 = random_weight(16, 16, np.random.default_rng(4))
+    task = dict(d=16, target_rank=4, n_samples=8, seed=0, K=2)
+    fresh = TrainConfig(**task, r=8)
+    replaced = dataclasses.replace(TrainConfig(**task, r=4), r=8)
+    given = dataclasses.replace(TrainConfig(**task, r=4, alpha=2.0), r=8)
+    ranks = adapters.build_adapter(method, fresh, w0).r_per_subspace
+    for cfg, alpha in ((fresh, 8.0), (replaced, 8.0), (given, 2.0)):
+        adapter = adapters.build_adapter(method, cfg, w0)
+        assert [blk.scale for blk in adapter.blocks] == [alpha / rk for rk in ranks]
 
 
 def test_build_smoa_deterministic():

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoa import matrix_io, rank_analysis, training
+from conftest import blas_threads, requires_pin
+from smoa import adapters, matrix_io, rank_analysis, training
 from smoa.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -520,3 +521,30 @@ def test_gradcheck_d256_passes_where_loss_differences_cancelled(capsys, method, 
     code, out, err = run_cli(capsys, "gradcheck", "--d", "256", "--k", "4", "--r", "16",
                              "--method", method, "--seed", str(seed))
     assert code == 0, out + err
+
+
+@requires_pin
+def test_train_and_gradcheck_write_the_same_bytes_at_one_and_two_blas_threads(capsys, tmp_path):
+    # d=128 with n=256 is the largest task run whole at one thread (n d^2 = 2**22).
+    # Unpinned, make_task's norms, BLAS dots, moved with the count at task seeds 2 and 3
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"d": 128, "target_rank": 64, "n_samples": 256, "seed": 2,
+                               "target_blocks": 2, "r": 16, "K": 2, "steps": 5}))
+    outputs = []
+    for threads in (1, 2):
+        out_dir = tmp_path / f"threads{threads}"
+        with blas_threads(threads):
+            for method in ("smoa", "lora"):
+                assert main(["train", "--config", str(cfg), "--method", method,
+                             "--out-prefix", str(out_dir / method), "--seeds", "2"]) == 0
+            for method in adapters.METHODS:
+                assert main(["gradcheck", "--d", "128", "--k", "2", "--r", "8", "--seed", "3",
+                             "--method", method]) == 0
+        out = capsys.readouterr().out.replace(str(out_dir), "")
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        outputs.append((out, files))
+    (out_1, files_1), (out_2, files_2) = outputs
+    # per seed: each method's trace and manifest, smoa's 6 tensors and lora's 2
+    assert len(files_1) == 2 * (2 * 2 + 6 + 2)
+    assert files_1 == files_2
+    assert out_1 == out_2

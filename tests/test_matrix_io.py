@@ -153,7 +153,7 @@ def test_non_2d_rejected():
 
 def test_config_defaults():
     cfg = config_from_dict(RunConfig, {"K": 2, "r": 16, "seed": 7})
-    assert cfg.alpha == 16.0
+    assert cfg.alpha is None  # alpha = r, resolved where build_adapter sets the scales
     assert cfg.mode == "budget"
     assert cfg.init_std == 0.02
 

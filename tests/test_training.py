@@ -456,15 +456,18 @@ def per_tensor_train(adapter, task, cfg):
     return np.array(trace)
 
 
-@pytest.mark.parametrize("method, weight_decay", [
-    *((m, 0.0) for m in adapters.METHODS),
-    ("smoa", 0.05),
-])
-def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay):
+@pytest.mark.parametrize("method, weight_decay, d, n, K, r, steps", [
     # K=3 at d=16 gives blocks of 6, 5 and 5 rows and columns
-    task = training.make_task(16, 6, 40, 0.01, seed=29, target_blocks=3)
-    cfg = small_cfg(K=3, r=6, seed=29)
-    settings_ = train_cfg(40, learning_rate=1e-2, weight_decay=weight_decay)
+    *(pytest.param(m, 0.0, 16, 40, 3, 6, 40, id=f"{m}-0.0") for m in adapters.METHODS),
+    pytest.param("smoa", 0.05, 16, 40, 3, 6, 40, id="smoa-0.05"),
+    # the capacity task's shapes, where OpenBLAS runs its small-matrix kernels
+    pytest.param("smoa", 0.0, 64, 128, 2, 16, 20, id="smoa-capacity"),
+    pytest.param("lora", 0.0, 64, 128, 1, 8, 20, id="lora-capacity"),
+])
+def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay, d, n, K, r, steps):
+    task = training.make_task(d, 6, n, 0.01, seed=29, target_blocks=K)
+    cfg = small_cfg(K=K, r=r, seed=29)
+    settings_ = train_cfg(steps, learning_rate=1e-2, weight_decay=weight_decay)
     adapter = adapters.build_adapter(method, cfg, task.w0)
     objects = [adapter.blocks, *factors(adapter), adapter.params]
     trace = training.train(adapter, task, settings_)
@@ -638,12 +641,17 @@ def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
     assert adapter.params.tobytes() == factors.tobytes()
 
 
-def _threads_in_factor_grads(monkeypatch):
-    """Record the BLAS thread count at every _factor_grads call."""
-    seen = []
-    factor_grads = training._factor_grads
-    monkeypatch.setattr(training, "_factor_grads",
-                        lambda *args: seen.append(blas._get_threads()) or factor_grads(*args))
+def _threads_in(monkeypatch, *targets):
+    """Record the BLAS thread count at every call of each (module, name)
+    in targets, under that name."""
+    seen = {}
+    for module, name in targets:
+        seen[name] = calls = []
+
+        def spy(*args, f=getattr(module, name), calls=calls, **kwargs):
+            calls.append(blas._get_threads())
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -651,17 +659,25 @@ def _threads_in_factor_grads(monkeypatch):
 @pytest.mark.parametrize("method, r, K", [("smoa", 16, 2), ("lora", 8, 1)])
 def test_capacity_steps_run_at_one_thread_with_the_bytes_of_the_caller_count(
         monkeypatch, method, r, K):
+    # the whole call runs pinned: the tasks, the adapters' decompositions and the steps
     cfg = TrainConfig(d=64, target_rank=48, n_samples=128, seed=0, target_blocks=2,
                       r=r, K=K, steps=100)
     assert cfg.n_samples * cfg.d * cfg.d <= training._ONE_THREAD_MAX_SIZE
-    seen = _threads_in_factor_grads(monkeypatch)
+    seen = _threads_in(monkeypatch, (training, "make_task"), (adapters, "decompose"),
+                       (training, "_factor_grads"))
     with blas_threads(2):
         pinned_runs, pinned = training.train_seeds(method, cfg, 2)
-        pinned_seen = set(seen)
-        seen.clear()
+        pinned_seen = {name: set(calls) for name, calls in seen.items()}
+        for calls in seen.values():
+            calls.clear()
         monkeypatch.setattr(blas, "_set_threads", None)
         unpinned_runs, unpinned = training.train_seeds(method, cfg, 2)
-    assert (pinned_seen, set(seen)) == ({1}, {2})
+
+    def expected(threads):  # lora builds no masks, so it decomposes nothing
+        return {"make_task": {threads}, "decompose": {threads} if method == "smoa" else set(),
+                "_factor_grads": {threads}}
+    assert pinned_seen == expected(1)
+    assert {name: set(calls) for name, calls in seen.items()} == expected(2)
     assert pinned.tobytes() == unpinned.tobytes()
     for a, b in zip(pinned_runs, unpinned_runs):
         assert a.params.tobytes() == b.params.tobytes()
@@ -671,7 +687,7 @@ def test_capacity_steps_run_at_one_thread_with_the_bytes_of_the_caller_count(
 def test_larger_steps_run_at_the_caller_count(monkeypatch):
     cfg = TrainConfig(d=256, target_rank=8, n_samples=512, seed=0, r=8, K=2, steps=1)
     assert cfg.n_samples * cfg.d * cfg.d > training._ONE_THREAD_MAX_SIZE
-    seen = _threads_in_factor_grads(monkeypatch)
+    seen = _threads_in(monkeypatch, (training, "make_task"), (training, "_factor_grads"))
     with blas_threads(2):
         training.train_seeds("smoa", cfg, 1)
-    assert seen == [2]
+    assert seen == {"make_task": [2], "_factor_grads": [2]}
