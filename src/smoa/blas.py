@@ -35,6 +35,11 @@ else:
 PINNABLE = _set_threads is not None
 
 
+def threads() -> int:
+    """The BLAS thread count, or 1 where the BLAS offers no thread setter."""
+    return _get_threads() if _set_threads is not None else 1
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the block at one BLAS thread and restore the previous count
@@ -42,7 +47,7 @@ def one_thread():
     does nothing where the BLAS offers no thread setter or the count is
     already 1, so nested blocks pin once.
     """
-    previous = _get_threads() if _set_threads is not None else 1
+    previous = threads()
     if previous == 1:
         yield False
         return

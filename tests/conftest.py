@@ -1,4 +1,5 @@
 import contextlib
+import os
 
 import pytest
 
@@ -19,3 +20,16 @@ def blas_threads(n):
         yield
     finally:
         set_threads(previous)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps the processes it starts: a worker left running or
+    unreaped fails the test that left it."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child process at all
+        return
+    pytest.fail("the test left a child process running" if pid == 0
+                else f"the test left child process {pid} unreaped")

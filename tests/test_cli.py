@@ -392,6 +392,26 @@ def test_train_uncreatable_out_prefix_exits_3_before_training(capsys, tmp_path, 
     assert "i/o error" in err
 
 
+OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+
+
+@pytest.mark.parametrize("seeds", [
+    pytest.param(10**8, marks=pytest.mark.skipif(
+        OVERCOMMIT.exists() and OVERCOMMIT.read_text().strip() == "1",
+        reason="the kernel grants any allocation, so 10**8 seeds would start training")),
+    10**15,
+])
+def test_train_too_many_seeds_to_allocate_exits_1_in_one_line(capsys, tmp_path, seeds):
+    # the stacked inputs of 10**8 seeds at d=64 take 6.5e12 bytes, and numpy's
+    # MemoryError once escaped as a traceback; 10**15 seeds overflow numpy's size
+    cfg = write_train_config(tmp_path, d=64, target_rank=48, n_samples=128)
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--method", "lora",
+                             "--out-prefix", str(tmp_path / "run"), "--seeds", str(seeds))
+    assert (code, out) == (1, "")
+    assert err == (f"smoa train: validation error: {seeds} seeds need {3 * 8 * seeds * 128 * 64:,}"
+                   f" bytes of stacked arrays, more than can be allocated\n")
+
+
 def test_train_divergence_exits_2_and_writes_nothing(capsys, tmp_path):
     # one diverging seed stops every seed of the call: no seed writes files
     cfg = write_train_config(tmp_path, learning_rate=1e200)

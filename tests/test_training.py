@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from smoa import adapters, blas, training
-from smoa.errors import ValidationError
+from smoa.errors import NumericalError, ValidationError
 from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning
@@ -691,3 +695,169 @@ def test_larger_steps_run_at_the_caller_count(monkeypatch):
     with blas_threads(2):
         training.train_seeds("smoa", cfg, 1)
     assert seen == {"make_task": [2], "_factor_grads": [2]}
+
+
+# A small train_seeds call at several BLAS threads splits its runs into
+# contiguous groups: the calling process trains the first, forked workers
+# the others, in place in shared params and traces.
+
+CAPACITY_TASK = dict(d=64, target_rank=48, n_samples=128, target_blocks=2)
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _spy_forks(monkeypatch, fails=False):
+    """The pids of the processes that called os.fork, which raises OSError
+    when fails."""
+    forks, fork = [], os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        if fails:
+            raise OSError("no process to be had")
+        return fork()
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+@requires_pin
+@pytest.mark.parametrize("S", [2, 3, 5])
+@pytest.mark.parametrize("method, r, K", [("smoa", 16, 2), ("lora", 8, 1)])
+def test_train_seeds_writes_the_same_bytes_split_over_processes(monkeypatch, method, r, K, S):
+    cfg = TrainConfig(**CAPACITY_TASK, seed=S, r=r, K=K, steps=30)
+    with blas_threads(1):
+        one_runs, one = training.train_seeds(method, cfg, S)
+    forks = _spy_forks(monkeypatch)
+    with blas_threads(2):
+        split_runs, split = training.train_seeds(method, cfg, S)
+    assert forks == [os.getpid()] * (min(S, 2, CPUS) - 1)
+    _spy_forks(monkeypatch, fails=True)
+    with blas_threads(2):
+        unforked_runs, unforked = training.train_seeds(method, cfg, S)
+    assert split.tobytes() == one.tobytes() == unforked.tobytes()
+    for runs in (split_runs, unforked_runs):
+        assert [run.params.tobytes() for run in runs] == [run.params.tobytes() for run in one_runs]
+
+
+@requires_pin
+def test_train_seeds_forks_only_for_several_small_runs_at_several_threads(monkeypatch):
+    small = TrainConfig(**CAPACITY_TASK, seed=0, steps=2)
+    large = TrainConfig(d=256, target_rank=8, n_samples=512, seed=0, r=8, K=2, steps=1)
+    assert large.n_samples * large.d * large.d > training._ONE_THREAD_MAX_SIZE
+    forks = _spy_forks(monkeypatch)
+    with blas_threads(1):
+        training.train_seeds("smoa", small, 3)
+    with blas_threads(2):
+        training.train_seeds("smoa", small, 1)
+        training.train_seeds("smoa", large, 2)
+        # another interpreter thread could hold a lock the child needs
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            training.train_seeds("smoa", small, 3)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+@requires_pin
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: train_seeds forks no worker")
+def test_train_seeds_silences_the_fork_warning_of_python_3_12(monkeypatch):
+    # Python 3.12 and later warn in the parent after every fork in a process
+    # with another OS thread, such as an idle OpenBLAS worker
+    fork, forks = os.fork, []
+
+    def fork_that_warns():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          f"may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+    monkeypatch.setattr(os, "fork", fork_that_warns)
+    with blas_threads(2), warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        training.train_seeds("lora", TrainConfig(**CAPACITY_TASK, seed=0, steps=2), 2)
+    assert len(forks) == 1
+    assert [str(w.message) for w in shown] == []
+
+
+def _poison_runs(monkeypatch, cfg, n_seeds, steps):
+    """Make run j of train_seeds(cfg, n_seeds) diverge at step steps[j]: its
+    params turn NaN at update steps[j], in whichever process trains it."""
+    inputs = [training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std,
+                                 cfg.seed + j, target_blocks=cfg.target_blocks).inputs.tobytes()
+              for j in range(n_seeds)]
+    train_runs, update, poisoned = training._train_runs, training._adamw_update, {}
+
+    def train_group(adapter, x, *args):
+        runs = [inputs.index(xj.tobytes()) for xj in x]  # the group's runs, by their inputs
+        poisoned.clear()
+        poisoned.update({row: steps[j] for row, j in enumerate(runs) if j in steps})
+        train_runs(adapter, x, *args)
+
+    def poisoning_update(param, grad, m, v, t, cfg, tmp=None):
+        update(param, grad, m, v, t, cfg, tmp)
+        for row, step in poisoned.items():
+            if t == step:
+                param[row] = np.nan
+    monkeypatch.setattr(training, "_train_runs", train_group)
+    monkeypatch.setattr(training, "_adamw_update", poisoning_update)
+
+
+@requires_pin
+@pytest.mark.parametrize("steps, named", [
+    ({1: 5, 3: 2}, "step 2 in run 3"),  # the calling process's group diverges later
+    ({1: 4, 2: 4}, "step 4 in run 1"),  # both groups at one step: the lowest run
+    ({3: 4, 2: 6}, "step 4 in run 3"),  # a later run of one group diverges first
+], ids=["earlier-worker", "same-step", "within-group"])
+def test_train_seeds_names_the_earliest_step_and_its_lowest_run_over_all_groups(
+        monkeypatch, steps, named):
+    cfg = TrainConfig(d=8, target_rank=2, n_samples=10, seed=10, K=2, r=4, steps=10)
+    _poison_runs(monkeypatch, cfg, 4, steps)
+    forks = _spy_forks(monkeypatch)
+    with blas_threads(2):  # runs 0-1 in the calling process, 2-3 in a worker
+        with pytest.raises(training.DivergenceError, match=f"non-finite loss at {named}$"):
+            training.train_seeds("smoa", cfg, 4)
+    assert len(forks) == min(2, CPUS) - 1
+
+
+@requires_pin
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: train_seeds forks no worker")
+def test_train_seeds_names_the_runs_of_a_worker_that_died(monkeypatch):
+    cfg = TrainConfig(**CAPACITY_TASK, seed=0, steps=2)
+    train_runs, caller = training._train_runs, os.getpid()
+
+    def killed_in_a_worker(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        train_runs(*args)
+    monkeypatch.setattr(training, "_train_runs", killed_in_a_worker)
+    with blas_threads(2):
+        with pytest.raises(NumericalError, match="^the worker training runs 2 to 3 was killed "
+                                                 "by signal 9 before it finished$"):
+            training.train_seeds("lora", cfg, 4)
+
+
+@requires_pin
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: train_seeds forks no worker")
+def test_train_seeds_kills_its_workers_when_the_calling_process_raises(monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    caller = os.getpid()
+
+    def raise_in_the_caller(*args):
+        if os.getpid() == caller:
+            raise Interrupted
+        time.sleep(60)  # the worker is still training when the caller raises
+    monkeypatch.setattr(training, "_train_runs", raise_in_the_caller)
+    start = time.monotonic()
+    with blas_threads(2):
+        with pytest.raises(Interrupted):
+            training.train_seeds("lora", TrainConfig(**CAPACITY_TASK, seed=0, steps=2), 2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)
