@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--method", required=True, choices=adapters.METHODS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_gradcheck)
     return parser
 
@@ -181,8 +180,7 @@ def _cmd_gradcheck(args) -> int:
         task = training.make_task(args.d, max(1, args.d // 2), n, 0.0, args.seed)
         adapter = adapters.build_adapter(args.method, cfg, task.w0)
         adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)
-        report = training.grad_check(adapter, task, seed=args.seed,
-                                     corrupt_for_testing=args.inject_corruption)
+        report = training.grad_check(adapter, task, seed=args.seed)
     role, k, i, j = report.worst
     print(f"checked {report.n_checked} entries")
     print(f"max relative error: {report.max_rel_error:.6e}")

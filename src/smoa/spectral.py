@@ -84,14 +84,14 @@ def decompose(w0) -> SpectralDecomposition:
 def cumulative_energy(sigma) -> np.ndarray:
     """Cumulative spectral energy E(i) = sum_{j<=i} sigma_j / sum_j sigma_j.
 
-    sigma must be non-negative, non-increasing, and not all zero.  The
-    ratio uses the running partial sums, so E(p) equals 1.0 exactly.
+    sigma must be finite, non-negative, non-increasing, and not all zero.
+    The ratio uses the running partial sums, so E(p) equals 1.0 exactly.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValidationError("sigma must be a non-empty 1-D vector")
-    if np.any(s < 0):
-        raise ValidationError("sigma must be non-negative")
+    if not (np.isfinite(s).all() and np.all(s >= 0)):
+        raise ValidationError("sigma must be finite and non-negative")
     if np.any(np.diff(s) > 0):
         raise ValidationError("sigma must be non-increasing")
     if s[0] == 0.0:
@@ -103,13 +103,18 @@ def cumulative_energy(sigma) -> np.ndarray:
 def partition(E, K: int) -> EnergyPartition:
     """Split indices into K sets: index i joins set k iff (k-1)/K < E(i) <= k/K.
 
-    Boundaries are evaluated on the computed 64-bit values; an E(i) equal
-    to a boundary goes to the lower set.  Empty sets are permitted and
-    reported via EmptySubspaceWarning, not an error.
+    E must be a cumulative energy: finite, non-decreasing, within [0, 1]
+    and ending at exactly 1, as cumulative_energy returns it; anything
+    else raises ValidationError.  Boundaries are evaluated on the computed
+    64-bit values; an E(i) equal to a boundary goes to the lower set.
+    Empty sets are permitted and reported via EmptySubspaceWarning, not an
+    error.
     """
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 1 or E.size == 0:
         raise ValidationError("E must be a non-empty 1-D vector")
+    if not (np.isfinite(E).all() and E[0] >= 0.0 and E[-1] == 1.0 and np.all(np.diff(E) >= 0)):
+        raise ValidationError("E must be finite, non-decreasing, in [0, 1] and end at 1")
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise ValidationError(f"K must be ≥ 1, got {K!r}")
     if K > E.size:

@@ -162,7 +162,10 @@ def random_weight(d_out: int, d_in: int, rng: np.random.Generator,
     a single spike empties most subspaces).  "equal" gives a flat
     spectrum, used by degeneracy tests.  The result is rescaled so its
     Frobenius norm is sqrt(d_out * d_in), i.e. d for square matrices.
+    Dimensions that are not positive ints raise ValidationError.
     """
+    _check_field("d_out", d_out, int, 1)
+    _check_field("d_in", d_in, int, 1)
     p = min(d_out, d_in)
     if spectrum == "decaying":
         sigma = np.arange(1, p + 1, dtype=np.float64) ** -0.5
@@ -401,8 +404,7 @@ def _factor_entry(adapter, e: int) -> tuple[str, int, int, int]:
             e -= factor.size
 
 
-def grad_check(adapter, task: LinearTask, seed: int = 0,
-               corrupt_for_testing: bool = False) -> GradCheckReport:
+def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     """Compare analytic factor gradients against central finite differences.
 
     Entries are positions in adapter.params.  Each is perturbed by
@@ -415,12 +417,10 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     output cancels exactly.  Relative error is |a - n| / max(|a|, |n|, 1e-8)
     and passes at most 1e-6.  The report names the worst entry as
     (role, subspace, row, col).  Failures are report entries, never
-    exceptions.
-
-    corrupt_for_testing flips the sign of the first checked entry of
-    largest |analytic gradient| before comparing, to verify the checker
-    itself catches bad gradients.
+    exceptions.  seed, which picks the subsample, must be a non-negative
+    int.  tests/test_mutations.py keeps the known faults this check catches.
     """
+    _check_field("seed", seed, int, 0)
     w0, x, targets = _check_task(adapter, task)
     params = adapter.params
     plan = _StepPlan(adapter, x, params)
@@ -429,7 +429,6 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     resid -= targets
     resid *= 2.0 / resid.size
     _factor_grads(plan)
-    grad = plan.grads
     offset = 2.0 * (base - targets)
     zero = np.zeros_like(offset)
 
@@ -437,8 +436,6 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
     if params.size > _CHECK_ALL_UP_TO:
         picker = np.random.default_rng(seed)
         entries = np.sort(picker.choice(params.size, _N_SAMPLED, replace=False))
-    if corrupt_for_testing:
-        grad[entries[np.argmax(np.abs(grad[entries]))]] *= -1.0
 
     max_rel = 0.0
     worst = entries[0]
@@ -451,7 +448,7 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
         minus = _add_update(plan, zero)
         params[e] = orig
         numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
-        analytic = grad[e]
+        analytic = plan.grads[e]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         if rel > max_rel:
             max_rel = rel
@@ -462,11 +459,10 @@ def grad_check(adapter, task: LinearTask, seed: int = 0,
                            worst_numeric=worst_n, tol=_TOL)
 
 
-def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp=None) -> None:
+def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp) -> None:
     """AdamW update t of param, in place, with moments m and v.  tmp is two
-    arrays shaped like param for the temporaries m_hat and v_hat, allocated
-    here when None."""
-    m_hat, v_hat = (np.empty_like(param), np.empty_like(param)) if tmp is None else tmp
+    arrays shaped like param for the temporaries m_hat and v_hat."""
+    m_hat, v_hat = tmp
     np.multiply(grad, 1.0 - cfg.beta1, out=m_hat)
     m *= cfg.beta1
     m += m_hat

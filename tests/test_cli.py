@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import blas_threads, requires_pin
+from conftest import blas_threads, flip_largest_gradient, requires_pin
 from smoa import adapters, matrix_io, rank_analysis, training
 from smoa.cli import main
 
@@ -489,16 +489,18 @@ def test_train_and_gradcheck_report_an_empty_subspace_in_one_line(capsys, tmp_pa
     assert len(list(tmp_path.glob("run.seed*.loss.csv"))) == 3
 
 
-def test_gradcheck_corruption_exits_2(capsys):
+def test_gradcheck_corruption_exits_2(capsys, monkeypatch):
+    flip_largest_gradient(monkeypatch)
     code, _, err = run_cli(capsys, "gradcheck", "--d", "8", "--k", "2", "--r", "4",
-                           "--method", "smoa", "--inject-corruption")
+                           "--method", "smoa")
     assert code == 2
     assert "gradient check failed" in err
 
 
-def test_gradcheck_failure_ends_stderr_with_one_cli_error_line(capsys):
+def test_gradcheck_failure_ends_stderr_with_one_cli_error_line(capsys, monkeypatch):
+    flip_largest_gradient(monkeypatch)
     code, out, err = run_cli(capsys, "gradcheck", "--d", "1", "--k", "1", "--r", "1",
-                             "--method", "smoa", "--inject-corruption")
+                             "--method", "smoa")
     assert code == 2
     assert out.startswith("checked 2 entries\n")
     assert err == ("smoa gradcheck: numerical error: gradient check failed at A[0][0,0]: "

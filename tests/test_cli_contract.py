@@ -110,7 +110,7 @@ def gradcheck_call(draw):
     argv = ["gradcheck", "--method", draw(METHOD)]
     for option, choices in values.items():
         argv += [option, str(draw(st.sampled_from(choices)))]
-    return argv + draw(st.sampled_from([[], ["--inject-corruption"]])), {}
+    return argv, {}
 
 
 @st.composite

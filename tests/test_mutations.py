@@ -1,0 +1,195 @@
+"""Known faults, kept in tier-1: each case patches one private helper of
+smoa with a fault and asserts that a named check fails on it (mutation
+analysis; DeMillo, Lipton & Sayward, IEEE Computer 1978).
+
+The checks:
+
+* ``gradcheck``: ``smoa gradcheck --d 8 --k 2 --r 4`` for one method,
+  which exits 2 when training.grad_check fails;
+* ``rank-bench``: ``smoa rank-bench`` on the d=16 sweep of
+  tests/test_oracle.py, which exits 2 when a row's rank exceeds its
+  theoretical bound;
+* the sweep and train oracles: the CLI on the d=16 sweep and training
+  runs of tests/test_oracle.py, compared with perfbench/oracle.py's
+  outputs through check.compare_dirs.
+
+Each check also runs once without a fault, and must pass then.  Where a
+fault cannot show, the case is left out, with the reason beside the list
+of cases.  A fault that no check catches stays here as an xfail case,
+with its reason, until a check is added.  Moving the AdamW bias
+correction a step early, to t - 1, needs no case: it divides by zero at
+step 1, and every train call then fails loudly.
+"""
+
+import dataclasses
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from smoa import adapters, cli, rank_analysis, training
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import check  # noqa: E402
+import oracle  # noqa: E402
+import workloads  # noqa: E402
+from test_oracle import SWEEP, TRAIN, run_cli  # noqa: E402
+
+
+def db_sign_flipped(monkeypatch):
+    """Block 0's dB leaves _factor_grads with its sign flipped."""
+    factor_grads = training._factor_grads
+
+    def faulty(plan):
+        factor_grads(plan)
+        np.negative(plan.steps[0].grad_b, out=plan.steps[0].grad_b)
+    monkeypatch.setattr(training, "_factor_grads", faulty)
+
+
+def scale_dropped(monkeypatch):
+    """_add_update forms each block's update without its scale s_k."""
+    def faulty(plan, base, out=None):
+        for step in plan.steps:
+            step.block._replace(scale=1.0).update(out=step.upd)  # the fault: scale 1
+            np.matmul(step.x, step.upd_t, out=step.y)
+        return np.add(base, plan.out, out=out)
+    monkeypatch.setattr(training, "_add_update", faulty)
+
+
+def mask_skipped(monkeypatch):
+    """_factor_grads leaves G_k unmasked."""
+    def faulty(plan):
+        for step in plan.steps:
+            blk, gk, grad_a, grad_b = step.block, step.upd, step.grad_a, step.grad_b
+            np.matmul(step.u_t, step.x, out=gk)  # the fault: no gk *= blk.mask
+            np.matmul(gk, step.a_t, out=grad_b)
+            grad_b *= blk.scale
+            np.matmul(step.b_t, gk, out=grad_a)
+            grad_a *= blk.scale
+    monkeypatch.setattr(training, "_factor_grads", faulty)
+
+
+def bias_correction_late(monkeypatch):
+    """AdamW corrects its moments' bias as at step t + 1."""
+    update = training._adamw_update
+    monkeypatch.setattr(training, "_adamw_update",
+                        lambda param, grad, m, v, t, cfg, tmp:
+                        update(param, grad, m, v, t + 1, cfg, tmp))
+
+
+def rank_one_too_high(monkeypatch):
+    """numerical_rank counts one singular value more than lie above its
+    threshold."""
+    rank = rank_analysis.numerical_rank
+    monkeypatch.setattr(rank_analysis, "numerical_rank",
+                        lambda m, tol_factor=1e-10: rank(m, tol_factor) + 1)
+
+
+def boundary_shifted(monkeypatch):
+    """The boundary between the first two sets of every smoa partition
+    moves by one index: I_1 takes the first index of I_2, or, where I_2 is
+    empty, gives its last index to I_2."""
+    partition = adapters.partition
+
+    def faulty(E, K):
+        part = partition(E, K)
+        if part.K == 1:
+            return part
+        sizes = list(part.sizes)
+        move = 1 if sizes[1] else -1
+        sizes[0], sizes[1] = sizes[0] + move, sizes[1] - move
+        sets = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        return dataclasses.replace(part, index_sets=tuple(sets))
+    monkeypatch.setattr(adapters, "partition", faulty)
+
+
+FAULTS = {f.__name__: f for f in (db_sign_flipped, scale_dropped, mask_skipped,
+                                  bias_correction_late, rank_one_too_high, boundary_shifted)}
+
+# kind: (configs, invocations, rtol) of the d=16 runs of tests/test_oracle.py
+RUNS = {
+    "sweep": ({"sweep.json": SWEEP},
+              [["rank-bench", "--config", "../cfg/sweep.json", "--out", "sweep.csv"]],
+              workloads.WORKLOADS["sweep-d128"].rtol),
+    "train": (workloads.configs(TRAIN, 0), workloads.invocations(TRAIN), TRAIN.rtol),
+}
+
+
+@pytest.fixture(scope="module")
+def expected(tmp_path_factory):
+    """The oracle's outputs of the d=16 sweep and train runs, made once."""
+    sweep, train = tmp_path_factory.mktemp("sweep"), tmp_path_factory.mktemp("train")
+    lines = oracle.sweep(SWEEP, sweep)
+    (sweep / "stdout.0.txt").write_text("".join(line + "\n" for line in lines),
+                                        encoding="utf-8")
+    oracle.write_expected(TRAIN, 0, train)
+    return {"sweep": sweep, "train": train}
+
+
+def run_against_the_oracle(kind, expected, tmp_path, monkeypatch):
+    """The exit codes of the d=16 sweep or train runs through the CLI, and
+    check.compare_dirs's problems with their outputs."""
+    configs, invocations, rtol = RUNS[kind]
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    cfg.mkdir()
+    out.mkdir()
+    for name, content in configs.items():
+        (cfg / name).write_text(json.dumps(content), encoding="ascii")
+    monkeypatch.chdir(out)
+    codes = [code for code, _ in run_cli(out, invocations)]
+    return codes, check.compare_dirs(out, expected[kind], rtol=rtol).problems
+
+
+# s_k = alpha / r = 1 for lora and hadamard_w0, so a dropped scale cannot
+# show there; lora and block_lora carry no mask to skip
+GRADCHECK_CASES = [
+    *(("db_sign_flipped", method) for method in adapters.METHODS),
+    ("scale_dropped", "smoa"), ("scale_dropped", "block_lora"),
+    ("mask_skipped", "smoa"), ("mask_skipped", "hadamard_w0"),
+]
+TRAIN_ORACLE_CASES = ["db_sign_flipped", "scale_dropped", "mask_skipped",
+                      "bias_correction_late", "boundary_shifted"]
+SWEEP_ORACLE_CASES = ["rank_one_too_high", "boundary_shifted"]
+
+
+def test_every_fault_has_a_case():
+    cases = {fault for fault, _ in GRADCHECK_CASES}
+    assert cases | set(TRAIN_ORACLE_CASES) | set(SWEEP_ORACLE_CASES) == set(FAULTS)
+
+
+@pytest.mark.parametrize("fault, method",
+                         [(None, method) for method in adapters.METHODS] + GRADCHECK_CASES)
+def test_gradcheck_fails_on_the_fault(fault, method, capsys, monkeypatch):
+    if fault:
+        FAULTS[fault](monkeypatch)
+    code = cli.main(["gradcheck", "--d", "8", "--k", "2", "--r", "4", "--method", method])
+    error = float(re.search(r"max relative error: (\S+)", capsys.readouterr().out).group(1))
+    if fault is None:
+        assert (code, error <= 1e-6) == (0, True)
+    elif fault == "db_sign_flipped":  # the analytic entry is minus the numeric one
+        assert (code, error) == (2, pytest.approx(2.0, rel=1e-3))
+    else:
+        assert (code, error > 1e-6) == (2, True)
+
+
+@pytest.mark.parametrize("fault", [None] + TRAIN_ORACLE_CASES)
+def test_the_train_oracle_fails_on_the_fault(fault, expected, tmp_path, monkeypatch):
+    if fault:
+        FAULTS[fault](monkeypatch)
+    codes, problems = run_against_the_oracle("train", expected, tmp_path, monkeypatch)
+    assert codes == [0, 0]
+    assert (problems != []) == (fault is not None), problems
+
+
+@pytest.mark.parametrize("fault", [None] + SWEEP_ORACLE_CASES)
+def test_the_sweep_oracle_fails_on_the_fault(fault, expected, tmp_path, monkeypatch):
+    if fault:
+        FAULTS[fault](monkeypatch)
+    codes, problems = run_against_the_oracle("sweep", expected, tmp_path, monkeypatch)
+    # rank-bench itself exits 2 once a rank exceeds its bound
+    assert codes == [2 if fault == "rank_one_too_high" else 0]
+    assert (problems != []) == (fault is not None), problems

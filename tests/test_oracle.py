@@ -27,14 +27,16 @@ TRAIN = workloads.Workload("train-d16", kind="train", d=16, rtol=1e-6, train_see
                            steps=200, n_samples=32, target_rank=8)
 
 
-def run_cli(out: Path, invocations) -> None:
-    """Run each argv from out and write its stdout to out/stdout.<i>.txt."""
+def run_cli(out: Path, invocations) -> list[tuple[int, str]]:
+    """Run each argv from out, write its stdout to out/stdout.<i>.txt, and
+    return the (exit code, stderr) of each."""
+    results = []
     for i, argv in enumerate(invocations):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        assert (code, stderr.getvalue()) == (0, ""), argv
+            results.append((cli.main(argv), stderr.getvalue()))
         (out / f"stdout.{i}.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    return results
 
 
 @pytest.fixture
@@ -50,7 +52,8 @@ def dirs(tmp_path, monkeypatch):
 def test_rank_sweep_matches_the_oracle(dirs):
     cfg, out, expected = dirs
     (cfg / "sweep.json").write_text(json.dumps(SWEEP), encoding="ascii")
-    run_cli(out, [["rank-bench", "--config", "../cfg/sweep.json", "--out", "sweep.csv"]])
+    assert run_cli(out, [["rank-bench", "--config", "../cfg/sweep.json",
+                          "--out", "sweep.csv"]]) == [(0, "")]
     lines = oracle.sweep(SWEEP, expected)
     (expected / "stdout.0.txt").write_text("".join(line + "\n" for line in lines),
                                            encoding="utf-8")
@@ -62,6 +65,6 @@ def test_train_matches_the_oracle(dirs):
     cfg, out, expected = dirs
     for name, content in workloads.configs(TRAIN, 0).items():
         (cfg / name).write_text(json.dumps(content), encoding="ascii")
-    run_cli(out, workloads.invocations(TRAIN))
+    assert run_cli(out, workloads.invocations(TRAIN)) == [(0, "")] * 2
     oracle.write_expected(TRAIN, 0, expected)
     assert check.compare_dirs(out, expected, rtol=TRAIN.rtol).problems == []

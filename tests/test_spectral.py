@@ -103,6 +103,10 @@ def test_cumulative_energy_rejects_bad_order():
         spectral.cumulative_energy([1.0, 2.0])
     with pytest.raises(ValidationError, match="non-negative"):
         spectral.cumulative_energy([1.0, -0.5])
+    # NaN returned NaN energies, and inf warned on inf / inf
+    for sigma in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
+            spectral.cumulative_energy(sigma)
 
 
 def test_partition_hand_case():
@@ -142,6 +146,19 @@ def test_partition_trailing_zeros_land_in_last_set():
     assert [s.tolist() for s in part.index_sets] == [[0], [1, 2, 3]]
 
 
+@pytest.mark.parametrize("E", [
+    [0.9, 0.1, 1.0],  # decreasing: the sets would be ({1}, {0, 2}), shares (-0.8, 1.8)
+    [np.nan, 1.0],  # NaN and out-of-range values fell outside every set
+    [0.5, 2.0],
+    [-0.5, 1.0],
+    [0.25, 0.5],  # not ending at 1
+    [0.5, np.inf],
+], ids=["decreasing", "nan", "above-1", "below-0", "short-of-1", "inf"])
+def test_partition_rejects_what_is_not_a_cumulative_energy(E):
+    with pytest.raises(ValidationError, match="non-decreasing, in \\[0, 1\\] and end at 1"):
+        spectral.partition(E, 2)
+
+
 def test_partition_rejects_k_above_p():
     with pytest.raises(ValidationError, match="K must be ≤ 3"):
         spectral.partition([0.5, 0.8, 1.0], 4)
@@ -170,6 +187,32 @@ def test_partition_properties_on_random_weights(d, K):
         for k, s in enumerate(part.index_sets):
             if len(s):
                 assert abs(part.shares[k] - 1.0 / K) <= slack
+
+
+# any float vector: NaN, +-inf, decreasing and out of range included, or
+# a sorted draw from [0, 1] that ends at 1, so both outcomes are common
+ANY_ENERGY = st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 1.0), max_size=39).map(lambda e: sorted(e) + [1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(E=ANY_ENERGY, k_pick=st.integers(1, 40))
+def test_partition_of_any_vector_is_rejected_or_keeps_its_invariants(E, k_pick):
+    K = min(k_pick, len(E))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spectral.EmptySubspaceWarning)
+            part = spectral.partition(E, K)
+    except ValidationError:
+        return
+    assert part.K == K
+    assert_array_equal(np.concatenate(part.index_sets), np.arange(len(E)))
+    for s in part.index_sets:
+        assert_array_equal(np.diff(s), 1)
+    assert np.all(part.shares >= 0.0)
+    assert abs(part.shares.sum() - 1.0) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

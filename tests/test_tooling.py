@@ -1,10 +1,13 @@
 """Static checks of the package source, made with the standard library's
-ast module alone, since no linter is a dependency."""
+ast and argparse modules alone, since no linter is a dependency."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from smoa import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smoa"
 # __init__.py imports names to re-export them, not to read them
@@ -52,3 +55,23 @@ def f(x: np.ndarray) -> None:
         raise Invalid(x)
 """
     assert unused_imports(source) == [(3, "logging"), (6, "FormatError")]
+
+
+def parsers(parser: argparse.ArgumentParser):
+    """parser and every subparser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parsers(sub)
+
+
+def test_the_cli_hides_no_option():
+    # a hidden option is one the shipped CLI takes but its --help never
+    # shows; faults for tests live in tests/test_mutations.py instead
+    found = list(parsers(cli._build_parser()))
+    assert {p.prog for p in found} == {"smoa", "smoa analyze", "smoa rank-bench",
+                                       "smoa train", "smoa gradcheck"}
+    hidden = [(p.prog, action.option_strings or action.dest) for p in found
+              for action in p._actions if action.help == argparse.SUPPRESS]
+    assert hidden == []

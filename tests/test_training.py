@@ -17,7 +17,7 @@ from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning
 
-from conftest import blas_threads, requires_pin
+from conftest import blas_threads, flip_largest_gradient, requires_pin
 
 
 def small_cfg(K=2, r=4, seed=0, **kwargs):
@@ -44,6 +44,17 @@ def test_random_weight_equal_spectrum():
     assert_allclose(sigma, sigma[0], rtol=1e-12)
     with pytest.raises(ValidationError, match="spectrum"):
         training.random_weight(4, 4, np.random.default_rng(0), spectrum="spiky")
+
+
+@pytest.mark.parametrize("d_out, d_in, message", [
+    (4.0, 5, "d_out must be of type int, got 4.0"),
+    (0, 5, "d_out must be ≥ 1, got 0"),
+    (5, True, "d_in must be of type int, got True"),
+    (5, -2, "d_in must be ≥ 1, got -2"),
+], ids=["float-d_out", "zero-d_out", "bool-d_in", "negative-d_in"])
+def test_random_weight_rejects_bad_dimensions(d_out, d_in, message):
+    with pytest.raises(ValidationError, match=message):
+        training.random_weight(d_out, d_in, np.random.default_rng(0))
 
 
 def test_make_task_shapes_and_scales():
@@ -228,13 +239,26 @@ def test_grad_check_at_exact_optimum_is_zero():
     assert report.max_rel_error == 0.0
 
 
-def test_grad_check_flags_corruption():
+def test_grad_check_flags_corruption(monkeypatch):
     task = training.make_task(8, 4, 16, 0.0, seed=13)
     adapter = adapters.build_adapter("smoa", small_cfg(seed=13), task.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(14), std=0.5)
-    report = training.grad_check(adapter, task, corrupt_for_testing=True)
+    flip_largest_gradient(monkeypatch)
+    report = training.grad_check(adapter, task)
     assert not report.passed
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("d, seed, message", [
+    (32, -1, "seed must be ≥ 0, got -1"),  # 1024 entries: the seed picks the sample
+    (8, -1, "seed must be ≥ 0, got -1"),  # 16 entries, all checked
+    (32, 1.0, "seed must be of type int, got 1.0"),
+], ids=["sampled-negative", "unsampled-negative", "float"])
+def test_grad_check_rejects_a_bad_seed(d, seed, message):
+    task = training.make_task(d, 8, 40, 0.0, seed=15)
+    adapter = adapters.build_adapter("smoa", small_cfg(K=2, r=d // 4, seed=15), task.w0)
+    with pytest.raises(ValidationError, match=message):
+        training.grad_check(adapter, task, seed=seed)
 
 
 def test_grad_check_subsamples_large_adapters():
@@ -427,8 +451,8 @@ def test_train_trace_matches_dense_reference_loop(method):
         upstream = (2.0 / pred.size) * (pred - task.targets)
         grads_a, grads_b = dense_backward(ref, task.inputs, upstream)
         for k, blk in enumerate(ref.blocks):
-            training._adamw_update(blk.A, grads_a[k], m_a[k], v_a[k], step, settings_)
-            training._adamw_update(blk.B, grads_b[k], m_b[k], v_b[k], step, settings_)
+            adamw_update(blk.A, grads_a[k], m_a[k], v_a[k], step, settings_)
+            adamw_update(blk.B, grads_b[k], m_b[k], v_b[k], step, settings_)
     assert_allclose(trace, ref_trace, rtol=1e-9)
     for got, want in zip(factors(adapter), factors(ref), strict=True):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -438,6 +462,12 @@ def test_train_trace_matches_dense_reference_loop(method):
 # before the factors and moments lived in one buffer each, built from
 # forward, backward and one AdamW update per tensor with its own moment
 # arrays.  AdamW is elementwise, so train must match it bit for bit.
+
+def adamw_update(param, grad, m, v, t, cfg):
+    """training._adamw_update of one tensor, with its own temporaries."""
+    training._adamw_update(param, grad, m, v, t, cfg, (np.empty_like(param),
+                                                       np.empty_like(param)))
+
 
 def per_tensor_moments(adapter):
     """Zeroed moments, one array per tensor: m_A, v_A, m_B, v_B."""
@@ -455,8 +485,8 @@ def per_tensor_train(adapter, task, cfg):
             break
         grads = training.backward(adapter, task.w0, task.inputs, resid * (2.0 / resid.size))
         for k, blk in enumerate(adapter.blocks):
-            training._adamw_update(blk.A, grads.A[k], m_a[k], v_a[k], i + 1, cfg)
-            training._adamw_update(blk.B, grads.B[k], m_b[k], v_b[k], i + 1, cfg)
+            adamw_update(blk.A, grads.A[k], m_a[k], v_a[k], i + 1, cfg)
+            adamw_update(blk.B, grads.B[k], m_b[k], v_b[k], i + 1, cfg)
     return np.array(trace)
 
 
@@ -637,7 +667,9 @@ def test_gradients_use_the_params_layout(method, K, q_out, q_in, rem, n, seed):
     resid = training.forward(adapter, task.w0, task.inputs) - task.targets
     grads = training.backward(adapter, task.w0, task.inputs, (2.0 / resid.size) * resid)
     flat = grads.A[0].base
-    report = training.grad_check(adapter, task, corrupt_for_testing=True)
+    with pytest.MonkeyPatch.context() as patch:
+        flip_largest_gradient(patch)
+        report = training.grad_check(adapter, task)
     flipped = int(np.argmax(np.abs(flat)))
     assert report.worst == training._factor_entry(adapter, flipped)
     assert report.worst_analytic == -flat[flipped]
@@ -798,7 +830,7 @@ def _poison_runs(monkeypatch, cfg, n_seeds, steps):
         poisoned.update({row: steps[j] for row, j in enumerate(runs) if j in steps})
         train_runs(adapter, x, *args)
 
-    def poisoning_update(param, grad, m, v, t, cfg, tmp=None):
+    def poisoning_update(param, grad, m, v, t, cfg, tmp):
         update(param, grad, m, v, t, cfg, tmp)
         for row, step in poisoned.items():
             if t == step:
