@@ -126,9 +126,9 @@ def _cmd_rank_bench(args) -> int:
     skipped = report.metadata["skipped"]
     if not report.rows and skipped:
         raise ValidationError(skipped[0])
-    report.write_csv(args.out)
+    matrix_io.write_report(report.rows, args.out)
     sidecar = args.out + ".meta.json"
-    report.write_sidecar(sidecar)
+    matrix_io.write_json(report.metadata, sidecar)
     for line in skipped:
         print(f"skipped {line}")
     medians = report.median_ranks()

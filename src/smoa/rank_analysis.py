@@ -25,7 +25,10 @@ with them the smoa masks; no rank or bound depends on the count.
 block's factor rank times the rank of its mask, capped by the block's
 dimensions, summed and capped by min(d_out, d_in).
 
-A sweep builds each weight's smoa state, its energy partition and mask
+A sweep works on one weight at a time: it builds each seed's weight,
+ranks it and measures every row of that weight before it builds the
+next seed's, so it keeps no table of weights or of their ranks.  It
+builds the weight's smoa state, its energy partition and mask
 blocks, once per (weight, K) with smoa_masks and hands it to every smoa
 row of that weight and K; the state depends on the weight and K alone,
 so the rows are bit-identical to fresh builds.  The sweep keeps one
@@ -54,7 +57,7 @@ from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_
                        randomize_factors, smoa_masks)
 from .blas import one_thread
 from .errors import NumericalError, ValidationError
-from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix, write_json, write_report
+from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix
 from .training import random_weight
 
 _METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
@@ -162,12 +165,6 @@ class RankReport:
             cells.setdefault((row.method, row.r, row.K), []).append(row.numerical_rank)
         return {key: float(np.median(vals)) for key, vals in sorted(cells.items())}
 
-    def write_csv(self, path) -> None:
-        write_report(self.rows, path)
-
-    def write_sidecar(self, path) -> None:
-        write_json(self.metadata, path)
-
 
 @one_thread()
 def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
@@ -179,25 +176,21 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     The cells are planned first, in (r, K, method) order: invalid
     combinations (r < K in budget mode, budgets that cannot be matched
     within 1%) skip the cell, with a reason in metadata["skipped"],
-    instead of failing the sweep.  The rows are then measured seed by
-    seed and K by K, so each weight's smoa state is built once per K, on
-    its first smoa row, and dropped before the next (seed, K) builds its
-    own.  Each row's factor fill is seeded by (seed, method, r, K) alone,
-    and rows are sorted into (method, d, r, K, seed) order, so the loop
-    order changes no output.  The whole sweep runs at one BLAS thread, so
-    its rows do not depend on the caller's thread count.
+    instead of failing the sweep.  The rows are then measured one weight
+    at a time: each seed's weight is built and ranked, and its rows are
+    measured K by K before the next seed's weight is built.  Each
+    weight's smoa state is built once per K, on its first smoa row, and
+    dropped before the next (seed, K) builds its own.  Each row's factor
+    fill is seeded by (seed, method, r, K) alone, and rows are sorted into
+    (method, d, r, K, seed) order, so the loop order changes no output.
+    The whole sweep runs at one BLAS thread, so its rows do not depend on
+    the caller's thread count.
     """
     cfg = SweepConfig(methods=tuple(methods), d=d, r_values=tuple(r_values),
                       K_values=tuple(K_values), n_seeds=n_seeds, base_seed=base_seed,
                       tol_factor=tol_factor, budget_match=budget_match)
-    weights = {}
-    for i in range(cfg.n_seeds):
-        seed = cfg.base_seed + i
-        weights[seed] = random_weight(d, d, np.random.default_rng([d, seed]))
-    w0_ranks = {seed: numerical_rank(w, tol_factor) for seed, w in weights.items()}
-
     skipped: list[str] = []
-    cells: dict[int, list[tuple[str, int, int, int, int]]] = {}
+    cells: dict[int, list[tuple[str, int, int, int]]] = {}
     for r in cfg.r_values:
         for K in cfg.K_values:
             if K > min(d, r):
@@ -217,7 +210,9 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 cells.setdefault(K, []).append((method, r, r_m, pc))
 
     rows: list[RankRecord] = []
-    for seed, w0 in weights.items():
+    for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
+        w0 = random_weight(d, d, np.random.default_rng([d, seed]))
+        w0_rank = numerical_rank(w0, tol_factor)
         for K, planned in cells.items():
             state = None
             for method, r, r_m, pc in planned:
@@ -229,7 +224,7 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 randomize_factors(adapter, fill)
                 update = delta(adapter)
                 measured = numerical_rank(adapter, tol_factor)
-                bound = theoretical_bound(adapter, w0_rank=w0_ranks[seed])
+                bound = theoretical_bound(adapter, w0_rank=w0_rank)
                 rows.append(RankRecord(
                     method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
                     numerical_rank=measured, rank_upper_bound=bound,

@@ -84,8 +84,9 @@ def decompose(w0) -> SpectralDecomposition:
 def cumulative_energy(sigma) -> np.ndarray:
     """Cumulative spectral energy E(i) = sum_{j<=i} sigma_j / sum_j sigma_j.
 
-    sigma must be finite, non-negative, non-increasing, and not all zero.
-    The ratio uses the running partial sums, so E(p) equals 1.0 exactly.
+    sigma must be finite, non-negative, non-increasing, and not all zero,
+    and its sum must not overflow float64, else NumericalError.  The ratio
+    uses the running partial sums, so E(p) equals 1.0 exactly.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -96,7 +97,11 @@ def cumulative_energy(sigma) -> np.ndarray:
         raise ValidationError("sigma must be non-increasing")
     if s[0] == 0.0:
         raise NumericalError("degenerate spectrum: all singular values are zero")
-    partial = np.cumsum(s)
+    with np.errstate(over="ignore"):
+        partial = np.cumsum(s)
+    if not np.isfinite(partial[-1]):
+        raise NumericalError(f"spectrum overflows: the sum of its {s.size} singular values "
+                             f"exceeds the float64 range")
     return partial / partial[-1]
 
 
@@ -107,15 +112,18 @@ def partition(E, K: int) -> EnergyPartition:
     and ending at exactly 1, as cumulative_energy returns it; anything
     else raises ValidationError.  Boundaries are evaluated on the computed
     64-bit values; an E(i) equal to a boundary goes to the lower set.
-    Empty sets are permitted and reported via EmptySubspaceWarning, not an
-    error.
+    K must be a Python or numpy int, not a bool; any other type raises
+    ValidationError naming it.  Empty sets are permitted and reported via
+    EmptySubspaceWarning, not an error.
     """
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 1 or E.size == 0:
         raise ValidationError("E must be a non-empty 1-D vector")
     if not (np.isfinite(E).all() and E[0] >= 0.0 and E[-1] == 1.0 and np.all(np.diff(E) >= 0)):
         raise ValidationError("E must be finite, non-decreasing, in [0, 1] and end at 1")
-    if not isinstance(K, (int, np.integer)) or K < 1:
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):  # np.bool_ is no np.integer
+        raise ValidationError(f"K must be an int, got {K!r} of type {type(K).__name__}")
+    if K < 1:
         raise ValidationError(f"K must be ≥ 1, got {K!r}")
     if K > E.size:
         raise ValidationError(f"K must be ≤ {E.size} (number of singular directions), got {K}")

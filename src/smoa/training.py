@@ -68,12 +68,12 @@ n d_out d_in <= 2**22, and at the caller's count above: the task builds,
 x @ w0^T, build_adapter with its decompose, and the steps.  Pinned, a
 call writes the one-thread bytes at any caller's count, so at d <= 128
 with n = 2d it writes the same bytes at 1 and at 2 threads; unpinned,
-make_task's norms (BLAS dots) moved with the count.  The step's products
-split their output, not their sums, across threads, and every step
-output of all four methods was bit-identical either way at d = 64, 96
-and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d, median of 9 in
-ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy 2.4.6, OpenBLAS
-0.3.31):
+make_task's norms (BLAS dots) would move with the count.  The step's
+products split their output, not their sums, across threads, and every
+step output of all four methods was bit-identical either way at d = 64,
+96 and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d, median of 9
+in ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy 2.4.6,
+OpenBLAS 0.3.31):
 
     d     n     n d^2     smoa K=2 r=16    lora r=8
     64    128   2^19      0.14 / 0.15      0.14 / 0.14
@@ -86,26 +86,29 @@ from d=192 up one thread takes 22-45% longer.  A small step at two
 threads also waits on its second thread whenever another process holds
 that core, which slowed the d=64 step 10-50x.  The capacity task
 (2^19) thus trains at one thread and d=512 (2^28) at the caller's count.
-Pinning only the step loop left the builds before it at two threads,
-and OpenBLAS's second thread then spun on while the pinned loop ran:
-each capacity call (5 seeds, 2000 steps) used 0.14-0.17 s more CPU time
-than wall time, and pinned whole it uses none.
+The pin covers the builds too: an OpenBLAS thread left busy by an
+unpinned build spins on while a pinned step loop runs, and costs CPU
+time.
 
 A pinned call leaves the caller's other threads idle, so
-one_thread_if_small also yields how many processes the call may use:
-the caller's count when it pins, 1 otherwise.  train_seeds splits its S
-runs into w contiguous groups (_split), w the least of S, that count and
-the CPUs the process may run on, and forks only where no other
-interpreter thread runs.  The calling process builds every task and
+one_thread_if_small alone decides how many processes a call may use.
+When it pins, that is the lesser of the caller's thread count and the
+CPUs the process may run on.  It is 1 when it does not pin, when the
+caller runs at one thread, where os.fork is missing, and while another
+interpreter thread runs.  train_seeds splits its S runs into w contiguous groups (_split),
+w the least of S and that count.  Every stack of the call, the inputs,
+host outputs, targets, masks, params and traces, lives in an anonymous
+shared mapping (_stacks).  The calling process builds every task and
 adapter, then trains the first group; a forked worker trains each other
-group at one thread, in place in the stacked params and traces, which
-then live in one anonymous shared mapping, and reads the rest
-copy-on-write.  A group's runs compute what the whole stack computes for
-them, so any split writes the same bytes.  On the capacity workload (two
-calls of 5 runs, 2000 steps, split 3 + 2) at 2 threads, 10 alternating
-benchmark pairs took a pass from a median 2.33 s to 1.49 s; the CPU
-time of the process and its workers rose from 2.26 s to 2.62 s (medians
-of 11 pairs), as each process pays the step's per-call cost.
+group at one thread, in place in the shared params and traces, and reads
+the rest of the stacks, which no run writes.  A group's runs compute
+what the whole stack computes for them, so any split writes the same
+bytes.  On the capacity workload (two calls of 5 runs, 2000 steps,
+split 3 + 2) at 2 threads on the box above, 10 alternating benchmark
+pairs measured a pass at a median 1.49 s split and 2.33 s in one
+process; the CPU time of the process and its workers was 2.62 s split
+and 2.26 s in one process (medians of 11 pairs), as each process pays
+the step's per-call cost.
 """
 
 from __future__ import annotations
@@ -143,36 +146,45 @@ def one_thread_if_small(n: int, d_out: int, d_in: int):
     """Run the block under blas.one_thread() when a run of n samples on a
     d_out x d_in weight is small, its host product x @ w0^T, n d_out d_in
     multiply-adds, at most 2**22, and at the caller's BLAS thread count
-    above.  Yields how many processes the block may use: the caller's
-    thread count when it pins, 1 otherwise."""
+    above.
+
+    Yields how many processes the block may use: when it pins, the lesser
+    of the caller's thread count and the CPUs this process may run on;
+    1 when it does not pin, where os.fork is missing, or while another
+    interpreter thread runs.  A fork copies only the calling thread, so a
+    lock another interpreter thread holds stays held in the child; with
+    one interpreter thread the only other OS threads are OpenBLAS's idle
+    workers, and a pinned block makes no BLAS call while it forks.
+    """
     if n * d_out * d_in > _ONE_THREAD_MAX_SIZE:
         yield 1
         return
-    threads = blas.threads()
+    processes = blas.threads()
+    if processes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        processes = min(processes, cpus or 1)
+    else:
+        processes = 1
     with blas.one_thread():
-        yield threads
+        yield processes
 
 
-def random_weight(d_out: int, d_in: int, rng: np.random.Generator,
-                  spectrum: str = "decaying") -> np.ndarray:
-    """Random host weight with a controlled spectrum.
+def random_weight(d_out: int, d_in: int, rng: np.random.Generator) -> np.ndarray:
+    """Random host weight with sigma_i proportional to i**-0.5.
 
-    "decaying" sets sigma_i proportional to i**-0.5, which keeps energy
-    partitions nontrivial (a flat spectrum makes every partition trivial,
-    a single spike empties most subspaces).  "equal" gives a flat
-    spectrum, used by degeneracy tests.  The result is rescaled so its
-    Frobenius norm is sqrt(d_out * d_in), i.e. d for square matrices.
-    Dimensions that are not positive ints raise ValidationError.
+    The decaying spectrum keeps energy partitions nontrivial (a flat
+    spectrum makes every partition trivial, a single spike empties most
+    subspaces).  The result is rescaled so its Frobenius norm is
+    sqrt(d_out * d_in), i.e. d for square matrices.  Dimensions that are
+    not positive ints, and an rng that is not an np.random.Generator,
+    raise ValidationError.
     """
     _check_field("d_out", d_out, int, 1)
     _check_field("d_in", d_in, int, 1)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be an np.random.Generator, got {type(rng).__name__}")
     p = min(d_out, d_in)
-    if spectrum == "decaying":
-        sigma = np.arange(1, p + 1, dtype=np.float64) ** -0.5
-    elif spectrum == "equal":
-        sigma = np.ones(p)
-    else:
-        raise ValidationError(f"spectrum must be 'decaying' or 'equal', got {spectrum!r}")
+    sigma = np.arange(1, p + 1, dtype=np.float64) ** -0.5
     qu, _ = np.linalg.qr(rng.standard_normal((d_out, p)))
     qv, _ = np.linalg.qr(rng.standard_normal((d_in, p)))
     w = (qu * sigma) @ qv.T
@@ -568,27 +580,30 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     Run j is make_task and build_adapter at its seed, then train with cfg,
     and its trace and factors equal that bit for bit.  Each seed is written
     straight into stacked (S, ...) inputs, targets, host outputs x @ w0^T,
-    masks and params, and its task is dropped once its rows are written:
-    the call holds O(S n d) stacked arrays and no task.  Each returned
-    adapter's params is its row of the stacked params, which the step
-    trains in place, and its blocks, rebound with Adapter.over, hold views
-    of that row and read-only views of its rows of the stacked masks, so
-    every factor and mask is held once.  The runs share kind, layout,
-    ranks, scales and cfg by construction.  A stack too large to allocate
-    raises ValidationError naming the seed count and the bytes.
+    masks and params, and its task is dropped before its adapter is
+    built: the call holds O(S n d) stacked arrays and no task.  Each
+    returned adapter's params is its row of the stacked params, which the
+    step trains in place, and its blocks, rebound with Adapter.over, hold
+    views of that row and read-only views of its rows of the stacked
+    masks, so every factor and mask is held once.  The runs share kind,
+    layout, ranks, scales and cfg by construction.
 
-    When one_thread_if_small grants several processes, the stacked params
-    and the traces live in one anonymous shared mapping, which forked
-    workers train in place (see _train_groups); the returned params are
-    then views of that mapping, which a process the caller forks later
-    shares too.  A divergence raises DivergenceError as train does: the
-    earliest step whose loss is non-finite in any run and, when there are
-    several runs, the lowest run diverging at that step, wherever the
-    runs trained.
+    Every stack comes from _stacks, so all of them live in anonymous
+    shared mappings: the inputs, host outputs and targets from one call
+    before the first build, the params, traces and masks from one call
+    after it, once the first adapter gives their shapes.  A stack too
+    large to allocate raises ValidationError naming the seed count and
+    the bytes.  The runs split into as many contiguous groups as
+    one_thread_if_small grants processes, at most n_seeds, and forked
+    workers train all groups but the first in place (see _train_groups);
+    the returned params and masks are views of a shared mapping, which a
+    process the caller forks later shares too.  A divergence raises
+    DivergenceError as train does: the earliest step whose loss is
+    non-finite in any run and, when there are several runs, the lowest
+    run diverging at that step, wherever the runs trained.
     """
     _check_field("n_seeds", n_seeds, int, 1)
-    with one_thread_if_small(cfg.n_samples, cfg.d, cfg.d) as threads:
-        groups = _split(n_seeds, _processes(n_seeds, threads))
+    with one_thread_if_small(cfg.n_samples, cfg.d, cfg.d) as processes:
         x, base, targets = _stacks(n_seeds, [(cfg.n_samples, cfg.d)] * 3)
         runs = []
         for j in range(n_seeds):
@@ -601,52 +616,32 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             adapter = build_adapter(method, dataclasses.replace(cfg, seed=seed), w0)
             del w0
             if j == 0:
-                params, traces = _stacks(n_seeds, [(adapter.params.size,), (cfg.steps + 1,)],
-                                         shared=len(groups) > 1)
-                masks = [None if blk.mask is None else _stacks(n_seeds, [blk.mask.shape])[0]
-                         for blk in adapter.blocks]
+                masked = [blk.mask.shape for blk in adapter.blocks if blk.mask is not None]
+                params, traces, *stacked = _stacks(
+                    n_seeds, [(adapter.params.size,), (cfg.steps + 1,), *masked])
+                masks = [None if blk.mask is None else stacked.pop(0) for blk in adapter.blocks]
             params[j] = adapter.params
             adapter.params = params[j]
-            views = []
-            for stack, blk in zip(masks, adapter.blocks):
-                mask = blk.mask
-                if stack is not None:
-                    stack[j] = mask
-                    mask = stack[j]
-                    mask.setflags(write=False)
-                views.append(mask)
+            views = [None if stack is None else stack[j] for stack in masks]
+            for view, blk in zip(views, adapter.blocks):
+                if view is not None:
+                    view[...] = blk.mask
+                    view.setflags(write=False)
             adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
             runs.append(adapter)
-        _train_groups(runs[0], groups, x, base, targets, masks, params, traces, cfg)
+        _train_groups(runs[0], _split(n_seeds, min(n_seeds, processes)), x, base, targets,
+                      masks, params, traces, cfg)
     _check_finite(traces)
     return runs, traces
 
 
-def _processes(n_runs: int, threads: int) -> int:
-    """How many processes train n_runs stacked runs in a call granted
-    threads BLAS threads: no more than runs, threads or CPUs this process
-    may run on, and 1 where forking is unsafe.
-
-    A fork copies only the calling thread, so a lock another interpreter
-    thread holds stays held in the child; with one interpreter thread the
-    only other OS threads are OpenBLAS's idle workers, and a pinned call
-    makes no BLAS call while it forks.
-    """
-    if threads == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(n_runs, threads, cpus or 1)
-
-
-def _stacks(n_runs: int, shapes, shared: bool = False) -> list[np.ndarray]:
-    """An empty float64 (n_runs, *shape) stack for each shape; with shared,
-    all in one anonymous shared mapping, which forked workers write in
-    place.  Stacks too large to allocate raise ValidationError naming the
-    run count and the bytes."""
+def _stacks(n_runs: int, shapes) -> list[np.ndarray]:
+    """An empty float64 (n_runs, *shape) stack for each shape, all in one
+    anonymous shared mapping, which forked workers write in place.  Stacks
+    too large to allocate raise ValidationError naming the run count and
+    the bytes."""
     sizes = [n_runs * math.prod(shape) for shape in shapes]
     try:
-        if not shared:
-            return [np.empty((n_runs, *shape)) for shape in shapes]
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
     except (MemoryError, OSError, OverflowError, ValueError):  # what numpy and mmap raise
         raise ValidationError(f"{n_runs} seeds need {8 * sum(sizes):,} bytes of stacked arrays, "
@@ -713,10 +708,11 @@ def _train_groups(adapter, groups, x, base, targets, masks, params, traces,
 
 
 def _fork() -> int:
-    """os.fork() for _train_groups, which forks only where _processes allows."""
+    """os.fork() for _train_groups, which forks only where one_thread_if_small
+    grants several processes."""
     with warnings.catch_warnings():
         # Python 3.12 and later warn on every fork in a process with another
-        # OS thread.  Here those are OpenBLAS's idle workers (see _processes),
+        # OS thread.  Here those are OpenBLAS's idle workers (see one_thread_if_small),
         # and the child runs numpy on arrays that exist, at one BLAS thread.
         warnings.filterwarnings(
             "ignore", category=DeprecationWarning,

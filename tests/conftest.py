@@ -11,6 +11,19 @@ requires_pin = pytest.mark.skipif(
     reason="numpy's BLAS is not its bundled OpenBLAS, so there is no thread count to set")
 
 
+def flat_weight(d_out, d_in, rng):
+    """A d_out x d_in weight with a flat spectrum, made from rng with the
+    draws and operations of training.random_weight but sigma_i = 1 in place
+    of i**-0.5.  Degeneracy tests use it: on a flat spectrum, rounding
+    decides the energy partition."""
+    p = min(d_out, d_in)
+    qu, _ = np.linalg.qr(rng.standard_normal((d_out, p)))
+    qv, _ = np.linalg.qr(rng.standard_normal((d_in, p)))
+    w = (qu * np.ones(p)) @ qv.T
+    w *= np.sqrt(d_out * d_in) / np.linalg.norm(w)
+    return w
+
+
 def flip_largest_gradient(monkeypatch):
     """Patch training._factor_grads, through monkeypatch, to flip the sign
     of the first gradient entry of largest magnitude: a known fault that

@@ -34,7 +34,10 @@ from smoa import (
     rank_sweep,
     train_seeds,
     write_loss_trace,
+    write_report,
 )
+
+from conftest import flat_weight
 
 SWEEP_KWARGS = dict(methods=list(METHODS), d=128, r_values=[2, 4, 8, 16],
                     K_values=[1, 2, 4], n_seeds=20, tol_factor=1e-10,
@@ -217,7 +220,7 @@ def test_criterion_7_degeneracy():
     d = 16
     ranks = []
     for seed in range(20):
-        w0 = random_weight(d, d, np.random.default_rng(2000 + seed), spectrum="equal")
+        w0 = flat_weight(d, d, np.random.default_rng(2000 + seed))
         cfg = RunConfig(K=d, r=d, seed=seed)
         with pytest.warns(EmptySubspaceWarning, match="I_1"):
             adapter = build_adapter("smoa", cfg, w0)
@@ -256,8 +259,8 @@ def test_criterion_10_determinism(sweep, capacity, tmp_path):
     _, traces, _ = capacity
     first_csv = tmp_path / "sweep_a.csv"
     second_csv = tmp_path / "sweep_b.csv"
-    report.write_csv(first_csv)
-    rank_sweep(**SWEEP_KWARGS).write_csv(second_csv)
+    write_report(report.rows, first_csv)
+    write_report(rank_sweep(**SWEEP_KWARGS).rows, second_csv)
     sweep_ok = first_csv.read_bytes() == second_csv.read_bytes()
 
     _, repeat_traces = _run_capacity()

@@ -18,6 +18,8 @@ from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning, decompose, modulation_tensor
 from smoa.training import forward, random_weight
 
+from conftest import flat_weight
+
 
 def cfg64(**kwargs):
     base = dict(K=2, r=16, seed=0)
@@ -167,7 +169,7 @@ def test_smoa_masks_equal_blocks_of_the_modulation_tensors(d_out, d_in, k_pick, 
     # of the full tensor is matched to 1e-14 of the block's largest entry
     K = min(k_pick, d_out, d_in)
     rng = np.random.default_rng(seed)
-    w0 = random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    w0 = (flat_weight if spiked else random_weight)(d_out, d_in, rng)
     if spiked:
         w0[0] *= 100.0  # empties the leading subspaces
     with warnings.catch_warnings():
@@ -396,7 +398,7 @@ def test_degenerate_equal_spectrum_collapses_to_plain_rank():
     # on an equal spectrum, rounding in the cumulative energy leaves I_1
     # empty, which warns
     for seed in range(5):
-        w0 = random_weight(16, 16, np.random.default_rng(seed), spectrum="equal")
+        w0 = flat_weight(16, 16, np.random.default_rng(seed))
         cfg = RunConfig(K=16, r=16, seed=seed)
         with pytest.warns(EmptySubspaceWarning, match="I_1"):
             adapter = adapters.build_adapter("smoa", cfg, w0)

@@ -64,6 +64,20 @@ def test_analyze_empty_csv_exits_3(capsys, tmp_path):
     assert err == f"smoa analyze: i/o error: {path}: empty CSV matrix\n"
 
 
+def test_analyze_of_a_spectrum_whose_sum_overflows_exits_2_with_one_line(tmp_path):
+    # run apart, so that numpy's RuntimeWarnings would reach stderr as they
+    # do for a user, not pytest's warning capture
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,0\n0,1e308\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "smoa", "analyze", "--input", str(path),
+                             "--k", "2"], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("smoa analyze: numerical error: spectrum overflows: the sum of its "
+                             "2 singular values exceeds the float64 range\n")
+
+
 def test_analyze_empty_subspace_diagnostic(capsys, tmp_path):
     path = tmp_path / "spike.smoa"
     matrix_io.write_matrix(np.diag([100.0, 1.0, 1.0]), path)

@@ -11,11 +11,11 @@ from smoa import adapters, blas, rank_analysis
 from smoa.cli import main
 from smoa.errors import FormatError, ValidationError
 from smoa.adapters import FULL_MATRIX
-from smoa.matrix_io import METHODS, RunConfig
+from smoa.matrix_io import METHODS, RunConfig, write_json, write_report
 from smoa.spectral import EmptySubspaceWarning, EnergyPartition, decompose
 from smoa.training import random_weight
 
-from conftest import blas_threads, requires_pin
+from conftest import blas_threads, flat_weight, requires_pin
 
 
 def test_numerical_rank_identity():
@@ -226,8 +226,8 @@ def test_sweep_same_weight_across_methods_per_seed():
 def test_report_csv_roundtrip_bytes(tmp_path):
     report = rank_analysis.rank_sweep(["lora"], 32, [4], [1], 3)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    report.write_csv(a)
-    rank_analysis.rank_sweep(["lora"], 32, [4], [1], 3).write_csv(b)
+    write_report(report.rows, a)
+    write_report(rank_analysis.rank_sweep(["lora"], 32, [4], [1], 3).rows, b)
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "method,d,r,K,seed,param_count,numerical_rank,frobenius_error"
@@ -236,7 +236,7 @@ def test_report_csv_roundtrip_bytes(tmp_path):
 def test_report_sidecar_has_protocol_note(tmp_path):
     report = rank_analysis.rank_sweep(["lora"], 32, [4], [1], 1)
     path = tmp_path / "meta.json"
-    report.write_sidecar(path)
+    write_json(report.metadata, path)
     body = path.read_text()
     assert "achievable rank" in body
     assert "config_hash" in body
@@ -418,7 +418,7 @@ def test_block_rank_equals_dense_rank_and_respects_bound(method, d_out, d_in, k_
     K = min(k_pick, d_out, d_in)
     r = K + r_pick if mode == "budget" else 1 + r_pick
     rng = np.random.default_rng(seed)
-    w0 = random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    w0 = (flat_weight if spiked else random_weight)(d_out, d_in, rng)
     if spiked:
         w0[0] *= 100.0
     cfg = RunConfig(K=K, r=r, seed=seed, mode=mode)

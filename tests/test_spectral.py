@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,16 @@ def test_cumulative_energy_rejects_degenerate():
         spectral.cumulative_energy([0.0, 0.0])
 
 
+def test_cumulative_energy_rejects_a_spectrum_whose_sum_overflows():
+    # each value is finite, but their sum is not; no numpy warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^spectrum overflows: the sum of its 2 "
+                                                 "singular values exceeds the float64 range$"):
+            spectral.cumulative_energy([1e308, 1e308])
+    assert spectral.cumulative_energy([1e307, 1e307])[-1] == 1.0
+
+
 def test_cumulative_energy_rejects_bad_order():
     with pytest.raises(ValidationError, match="non-increasing"):
         spectral.cumulative_energy([1.0, 2.0])
@@ -164,6 +175,27 @@ def test_partition_rejects_k_above_p():
         spectral.partition([0.5, 0.8, 1.0], 4)
     with pytest.raises(ValidationError, match="K must be ≥ 1"):
         spectral.partition([0.5, 1.0], 0)
+
+
+@pytest.mark.parametrize("K, named", [
+    (True, "True of type bool"),  # a bool is an int to Python
+    (np.True_, "np.True_ of type bool"),
+    (2.0, "2.0 of type float"),
+    (np.float64(2.0), "np.float64(2.0) of type float64"),
+    ("2", "'2' of type str"),
+    (None, "None of type NoneType"),
+], ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"])
+def test_partition_rejects_a_k_that_is_not_an_int_naming_its_type(K, named):
+    with pytest.raises(ValidationError, match=rf"^K must be an int, got {re.escape(named)}$"):
+        spectral.partition([0.5, 1.0], K)
+
+
+@pytest.mark.parametrize("K", [2, np.int64(2), np.int32(2), np.uint8(2)],
+                         ids=["int", "int64", "int32", "uint8"])
+def test_partition_accepts_python_and_numpy_ints(K):
+    part = spectral.partition([0.5, 1.0], K)
+    assert part.K == 2
+    assert [list(s) for s in part.index_sets] == [[0], [1]]
 
 
 @pytest.mark.parametrize("d", [16, 64])

@@ -57,6 +57,85 @@ def f(x: np.ndarray) -> None:
     assert unused_imports(source) == [(3, "logging"), (6, "FormatError")]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """The (module, line, name) of every module-level private function,
+    class or constant in sources (module name -> source) that no source
+    reads.  A private name has a leading underscore and is no dunder; a
+    read is a loaded name, a loaded attribute or a from-import of it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+            unread += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_the_package_reads_every_private_name_it_defines():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    unread = unread_private_names(sources)
+    assert unread == [], "\n".join(f"{module}:{line}: {name} is defined but never read"
+                                   for module, line, name in unread)
+
+
+def test_unread_private_names_finds_what_no_module_reads_and_nothing_else():
+    first = """__all__ = ["public"]
+_LIMIT = 3
+_BOUND: int = 4
+_left, _right = 1, 2
+_a = _b = 0
+
+
+def _helper():
+    return _LIMIT + _left + _a
+
+
+class _Spare:
+    pass
+
+
+def _imported():
+    pass
+
+
+def _spare():
+    pass
+
+
+def public():
+    return _helper()
+"""
+    second = """from .first import _imported
+from . import first
+
+
+def f():
+    return _imported, first._BOUND
+"""
+    assert unread_private_names({"first.py": first, "second.py": second}) == [
+        ("first.py", 4, "_right"), ("first.py", 5, "_b"), ("first.py", 12, "_Spare"),
+        ("first.py", 20, "_spare")]
+
+
 def parsers(parser: argparse.ArgumentParser):
     """parser and every subparser under it, depth first."""
     yield parser

@@ -17,7 +17,7 @@ from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
 from smoa.spectral import EmptySubspaceWarning
 
-from conftest import blas_threads, flip_largest_gradient, requires_pin
+from conftest import blas_threads, flat_weight, flip_largest_gradient, requires_pin
 
 
 def small_cfg(K=2, r=4, seed=0, **kwargs):
@@ -38,14 +38,6 @@ def test_random_weight_norm_and_spectrum():
     assert_allclose(sigma / sigma[0], expected, rtol=1e-10)
 
 
-def test_random_weight_equal_spectrum():
-    w = training.random_weight(16, 16, np.random.default_rng(1), spectrum="equal")
-    sigma = np.linalg.svd(w, compute_uv=False)
-    assert_allclose(sigma, sigma[0], rtol=1e-12)
-    with pytest.raises(ValidationError, match="spectrum"):
-        training.random_weight(4, 4, np.random.default_rng(0), spectrum="spiky")
-
-
 @pytest.mark.parametrize("d_out, d_in, message", [
     (4.0, 5, "d_out must be of type int, got 4.0"),
     (0, 5, "d_out must be ≥ 1, got 0"),
@@ -55,6 +47,17 @@ def test_random_weight_equal_spectrum():
 def test_random_weight_rejects_bad_dimensions(d_out, d_in, message):
     with pytest.raises(ValidationError, match=message):
         training.random_weight(d_out, d_in, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rng, named", [
+    (None, "NoneType"),
+    (0, "int"),
+    (np.random.RandomState(0), "RandomState"),
+], ids=["none", "seed", "legacy-random-state"])
+def test_random_weight_rejects_what_is_not_a_generator(rng, named):
+    with pytest.raises(ValidationError,
+                       match=rf"^rng must be an np\.random\.Generator, got {named}$"):
+        training.random_weight(4, 4, rng)
 
 
 def test_make_task_shapes_and_scales():
@@ -396,7 +399,7 @@ def test_blockwise_step_matches_dense_reference(method, d_out, d_in, k_pick, r_e
     # one dominant singular value, which empties the leading subspaces
     K = min(k_pick, d_out, d_in)
     rng = np.random.default_rng(seed)
-    w0 = training.random_weight(d_out, d_in, rng, spectrum="equal" if spiked else "decaying")
+    w0 = (flat_weight if spiked else training.random_weight)(d_out, d_in, rng)
     if spiked:
         w0[0] *= 100.0
     cfg = RunConfig(K=K, r=K + r_extra, seed=seed)
@@ -589,6 +592,8 @@ def test_train_seeds_run_equals_building_and_training_it_alone(method, K, q, rem
         assert run.params.tobytes() == alone.params.tobytes()
         assert ([None if blk.mask is None else blk.mask.tobytes() for blk in run.blocks]
                 == [None if blk.mask is None else blk.mask.tobytes() for blk in alone.blocks])
+        # the masks are frozen: no returned view of the stacked masks takes a write
+        assert not any(blk.mask.flags.writeable for blk in run.blocks if blk.mask is not None)
 
 
 def test_train_seeds_names_the_step_and_the_diverging_run(monkeypatch):
