@@ -11,15 +11,29 @@ It forms every spectrum at one BLAS thread (blas.one_thread): a 128 x 128
 values-only SVD takes about half the time there that it takes at two
 threads, and gives the same bits at any count.
 
-rank_sweep runs whole at one BLAS thread, from the weight build to the
-last row: random_weight, decompose and the mask products, build_adapter,
-delta, numerical_rank (whose own pin is then a no-op) and the norm
-column.  At d=128 each of these calls is faster at one thread than at
-two, and larger sweeps are no slower.  A sweep's bytes are therefore
+rank_sweep measures its rows at one BLAS thread, from the weight build
+to the last row: random_weight, decompose and the mask products,
+build_adapter, delta, numerical_rank (whose own pin is then a no-op) and
+the norm column.  At d=128 each of these calls is faster at one thread
+than at two, and larger sweeps are no slower.  A sweep's bytes are therefore
 those of one thread at any caller's count.  Left at the caller's count,
 the norm column (np.linalg.norm sums through BLAS) would move in its
 last bits, and from d=256 up so would decompose's singular vectors, and
 with them the smoa masks; no rank or bound depends on the count.
+
+The pin leaves the caller's other threads idle, so the sweep splits its
+seeds into as many contiguous groups as workers.pinned grants processes,
+at most one per seed, and measures every group but the first in a forked
+worker (workers.run_groups), which sends its rows back.  It splits only
+where each group's share of rows x d**2 is at least _MIN_SHARE = 2**15,
+such as 128 rows at d=16: below that, a worker's fork, result and reap
+cost about what it saves (measured on a 2-vCPU box; the table is in
+CHANGES.md).  Each group records the warnings its rows issue and stops
+at the first SmoaError; the caller issues the groups' warnings again in
+seed order and raises the lowest group's error, so a split sweep
+returns, warns and raises as the one-process sweep does.  Where the
+caller runs at one BLAS thread, as under OPENBLAS_NUM_THREADS=1, the
+sweep stays in one process.
 
 ``theoretical_bound`` reads the rank bound off the same blocks: each
 block's factor rank times the rank of its mask, capped by the block's
@@ -48,6 +62,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -56,11 +72,13 @@ import numpy as np
 from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_count,
                        randomize_factors, smoa_masks)
 from .blas import one_thread
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, SmoaError, ValidationError
 from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix
 from .training import random_weight
+from .workers import pinned, run_groups
 
 _METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
+_MIN_SHARE = 2**15  # fewest rows x d**2 a sweep measures in each process it splits into
 
 
 def numerical_rank(m, tol_factor: float = 1e-10) -> int:
@@ -166,7 +184,6 @@ class RankReport:
         return {key: float(np.median(vals)) for key, vals in sorted(cells.items())}
 
 
-@one_thread()
 def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                tol_factor: float = 1e-10, budget_match: bool = True,
                base_seed: int = 0) -> RankReport:
@@ -183,8 +200,10 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     dropped before the next (seed, K) builds its own.  Each row's factor
     fill is seeded by (seed, method, r, K) alone, and rows are sorted into
     (method, d, r, K, seed) order, so the loop order changes no output.
-    The whole sweep runs at one BLAS thread, so its rows do not depend on
-    the caller's thread count.
+    The rows are measured at one BLAS thread, so they do not depend on the
+    caller's thread count, and at several threads the seeds split over
+    forked workers (see the module docstring), which changes no output,
+    warning or error either.
     """
     cfg = SweepConfig(methods=tuple(methods), d=d, r_values=tuple(r_values),
                       K_values=tuple(K_values), n_seeds=n_seeds, base_seed=base_seed,
@@ -209,28 +228,19 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                     continue
                 cells.setdefault(K, []).append((method, r, r_m, pc))
 
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
+    work = len(seeds) * sum(len(planned) for planned in cells.values()) * d * d
+    with pinned() as processes:
+        n_groups = max(1, min(processes, len(seeds), work // _MIN_SHARE))
+        groups = run_groups(lambda group: _measure(group, cells, d, tol_factor), seeds,
+                            n_groups, "measuring seeds")
     rows: list[RankRecord] = []
-    for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
-        w0 = random_weight(d, d, np.random.default_rng([d, seed]))
-        w0_rank = numerical_rank(w0, tol_factor)
-        for K, planned in cells.items():
-            state = None
-            for method, r, r_m, pc in planned:
-                if method == "smoa" and state is None:
-                    state = smoa_masks(w0, K)
-                adapter = build_adapter(method, RunConfig(K=K, r=r_m, seed=seed), w0,
-                                        smoa_state=state if method == "smoa" else None)
-                fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
-                randomize_factors(adapter, fill)
-                update = delta(adapter)
-                measured = numerical_rank(adapter, tol_factor)
-                bound = theoretical_bound(adapter, w0_rank=w0_rank)
-                rows.append(RankRecord(
-                    method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
-                    numerical_rank=measured, rank_upper_bound=bound,
-                    frobenius_norm=float(np.linalg.norm(update)),
-                ))
-
+    for group_rows, caught, error in groups:
+        for warning in caught:
+            _warn_again(*warning)
+        if error is not None:
+            raise error
+        rows += group_rows
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
     config = asdict(cfg)
     config_blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -245,3 +255,57 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
         "skipped": skipped,
     }
     return RankReport(rows=rows, metadata=metadata)
+
+
+def _measure(seeds: range, cells, d: int, tol_factor: float):
+    """The rows of the planned cells on the weights of seeds, in seed
+    order; returns (rows, warnings, error).  warnings holds the
+    (message, category, filename, lineno) of every warning issued on the
+    way, whatever the filters; error is the SmoaError that stopped the
+    rows, or None.
+    """
+    rows, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for seed in seeds:
+                rows += _weight_rows(seed, cells, d, tol_factor)
+        except SmoaError as exc:
+            error = exc
+    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _weight_rows(seed: int, cells, d: int, tol_factor: float) -> list[RankRecord]:
+    """The rows of the planned cells on seed's weight, K by K."""
+    w0 = random_weight(d, d, np.random.default_rng([d, seed]))
+    w0_rank = numerical_rank(w0, tol_factor)
+    rows = []
+    for K, planned in cells.items():
+        state = None
+        for method, r, r_m, pc in planned:
+            if method == "smoa" and state is None:
+                state = smoa_masks(w0, K)
+            adapter = build_adapter(method, RunConfig(K=K, r=r_m, seed=seed), w0,
+                                    smoa_state=state if method == "smoa" else None)
+            fill = np.random.default_rng([seed, _METHOD_INDEX[method], r, K])
+            randomize_factors(adapter, fill)
+            update = delta(adapter)
+            measured = numerical_rank(adapter, tol_factor)
+            bound = theoretical_bound(adapter, w0_rank=w0_rank)
+            rows.append(RankRecord(
+                method=method, d=d, r=r_m, K=K, seed=seed, param_count=pc,
+                numerical_rank=measured, rank_upper_bound=bound,
+                frobenius_norm=float(np.linalg.norm(update)),
+            ))
+    return rows
+
+
+def _warn_again(message, category, filename, lineno) -> None:
+    """Issue a warning that _measure recorded as warnings.warn issued it in
+    the module of filename: the caller's filters and that module's registry
+    of the warnings it has shown decide whether it shows."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, category, filename, lineno,
+                           getattr(module, "__name__", None), registry)

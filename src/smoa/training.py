@@ -63,7 +63,7 @@ of its rows of the stacked params and masks, so the step trains the
 returned adapters in place.
 
 train and train_seeds run whole at one BLAS thread (one_thread_if_small,
-over blas.one_thread) when each run's host product is small,
+over workers.pinned) when each run's host product is small,
 n d_out d_in <= 2**22, and at the caller's count above: the task builds,
 x @ w0^T, build_adapter with its decompose, and the steps.  Pinned, a
 call writes the one-thread bytes at any caller's count, so at d <= 128
@@ -90,25 +90,16 @@ The pin covers the builds too: an OpenBLAS thread left busy by an
 unpinned build spins on while a pinned step loop runs, and costs CPU
 time.
 
-A pinned call leaves the caller's other threads idle, so
-one_thread_if_small alone decides how many processes a call may use.
-When it pins, that is the lesser of the caller's thread count and the
-CPUs the process may run on.  It is 1 when it does not pin, when the
-caller runs at one thread, where os.fork is missing, and while another
-interpreter thread runs.  train_seeds splits its S runs into w contiguous groups (_split),
-w the least of S and that count.  Every stack of the call, the inputs,
-host outputs, targets, masks, params and traces, lives in an anonymous
-shared mapping (_stacks).  The calling process builds every task and
-adapter, then trains the first group; a forked worker trains each other
-group at one thread, in place in the shared params and traces, and reads
-the rest of the stacks, which no run writes.  A group's runs compute
-what the whole stack computes for them, so any split writes the same
-bytes.  On the capacity workload (two calls of 5 runs, 2000 steps,
-split 3 + 2) at 2 threads on the box above, 10 alternating benchmark
-pairs measured a pass at a median 1.49 s split and 2.33 s in one
-process; the CPU time of the process and its workers was 2.62 s split
-and 2.26 s in one process (medians of 11 pairs), as each process pays
-the step's per-call cost.
+A pinned train_seeds call splits its S runs into as many contiguous
+groups as workers.pinned grants processes, at most S; an unpinned one
+trains them all in the calling process.  Every stack of the call, the
+inputs, host outputs, targets, masks, params and traces, lives in an
+anonymous shared mapping (_stacks).  The calling process builds every
+task and adapter, then trains the first group; workers.run_groups forks
+a worker for each other group, which trains its runs in place in the
+shared params and traces and reads the rest of the stacks, which no run
+writes.  A group's runs compute what the whole stack computes for them,
+so any split writes the same bytes.
 """
 
 from __future__ import annotations
@@ -117,18 +108,13 @@ import contextlib
 import dataclasses
 import math
 import mmap
-import os
-import signal
-import threading
-import traceback
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from . import blas
+from . import workers
 from .adapters import Adapter, Block, _split, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, validate_matrix
@@ -148,24 +134,13 @@ def one_thread_if_small(n: int, d_out: int, d_in: int):
     multiply-adds, at most 2**22, and at the caller's BLAS thread count
     above.
 
-    Yields how many processes the block may use: when it pins, the lesser
-    of the caller's thread count and the CPUs this process may run on;
-    1 when it does not pin, where os.fork is missing, or while another
-    interpreter thread runs.  A fork copies only the calling thread, so a
-    lock another interpreter thread holds stays held in the child; with
-    one interpreter thread the only other OS threads are OpenBLAS's idle
-    workers, and a pinned block makes no BLAS call while it forks.
+    Yields how many processes the block may use: what workers.pinned
+    grants when it pins, and 1 when it does not.
     """
     if n * d_out * d_in > _ONE_THREAD_MAX_SIZE:
         yield 1
         return
-    processes = blas.threads()
-    if processes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        processes = min(processes, cpus or 1)
-    else:
-        processes = 1
-    with blas.one_thread():
+    with workers.pinned() as processes:
         yield processes
 
 
@@ -595,7 +570,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     large to allocate raises ValidationError naming the seed count and
     the bytes.  The runs split into as many contiguous groups as
     one_thread_if_small grants processes, at most n_seeds, and forked
-    workers train all groups but the first in place (see _train_groups);
+    workers train all groups but the first in place (workers.run_groups);
     the returned params and masks are views of a shared mapping, which a
     process the caller forks later shares too.  A divergence raises
     DivergenceError as train does: the earliest step whose loss is
@@ -629,8 +604,13 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
                     view.setflags(write=False)
             adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
             runs.append(adapter)
-        _train_groups(runs[0], _split(n_seeds, min(n_seeds, processes)), x, base, targets,
-                      masks, params, traces, cfg)
+
+        def train_group(group):
+            rows = slice(group.start, group.stop)
+            _train_runs(runs[0], x[rows], base[rows], targets[rows],
+                        [None if stack is None else stack[rows] for stack in masks],
+                        params[rows], traces[rows], cfg)
+        workers.run_groups(train_group, range(n_seeds), min(n_seeds, processes), "training runs")
     _check_finite(traces)
     return runs, traces
 
@@ -649,76 +629,6 @@ def _stacks(n_runs: int, shapes) -> list[np.ndarray]:
     bounds = tuple(accumulate(sizes, initial=0))
     return [flat[a:b].reshape(n_runs, *shape)
             for a, b, shape in zip(bounds, bounds[1:], shapes)]
-
-
-def _train_groups(adapter, groups, x, base, targets, masks, params, traces,
-                  cfg: TrainConfig) -> None:
-    """_train_runs on contiguous groups of the stacked runs, of the sizes in
-    groups: the first in the calling process, each other in a forked
-    worker at the one BLAS thread it inherits, which trains its rows of
-    the shared params and traces in place and leaves with os._exit.
-
-    A group's runs compute what the whole stack computes for them, bit for
-    bit, so any split writes the same bytes.  A group whose fork fails
-    trains in the calling process.  A worker that ends without training
-    its group raises NumericalError naming its runs, and when the calling
-    process raises, the workers still running are killed; either way
-    every worker is reaped before the call returns or raises.
-    """
-    bounds = tuple(accumulate(groups, initial=0))
-    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-    def train_group(rows):
-        _train_runs(adapter, x[rows], base[rows], targets[rows],
-                    [None if stack is None else stack[rows] for stack in masks],
-                    params[rows], traces[rows], cfg)
-
-    local, workers = spans[:1], {}
-    try:
-        for rows in spans[1:]:
-            try:
-                pid = _fork()
-            except OSError:
-                local.append(rows)
-                continue
-            if pid == 0:  # the worker: it must never return into the caller's code
-                code = 1
-                try:
-                    train_group(rows)
-                    code = 0
-                except Exception:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            workers[pid] = rows
-        for rows in local:
-            train_group(rows)
-        for pid, rows in list(workers.items()):
-            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
-            if exit_code != 0:
-                how = (f"was killed by signal {-exit_code}" if exit_code < 0
-                       else f"exited with {exit_code}")
-                raise NumericalError(f"the worker training runs {rows.start} to {rows.stop - 1} "
-                                     f"{how} before it finished")
-    finally:
-        for pid in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork() -> int:
-    """os.fork() for _train_groups, which forks only where one_thread_if_small
-    grants several processes."""
-    with warnings.catch_warnings():
-        # Python 3.12 and later warn on every fork in a process with another
-        # OS thread.  Here those are OpenBLAS's idle workers (see one_thread_if_small),
-        # and the child runs numpy on arrays that exist, at one BLAS thread.
-        warnings.filterwarnings(
-            "ignore", category=DeprecationWarning,
-            message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
-                    r"may lead to deadlocks in the child\.")
-        return os.fork()
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

@@ -270,6 +270,15 @@ def test_merge_rejects_shape_mismatch():
         adapters.merge(adapter, np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("method", adapters.METHODS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_rejects_a_non_finite_weight(method, value):
+    w0 = random_weight(8, 8, np.random.default_rng(0))
+    w0[3, 5] = value
+    with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+        adapters.build_adapter(method, RunConfig(K=2, r=4, seed=0), w0)
+
+
 def test_build_baseline_rejects_unknown_kind():
     with pytest.raises(ValidationError, match="unknown method"):
         adapters.build_adapter("dora", cfg64(), np.zeros((64, 64)))

@@ -64,6 +64,15 @@ def test_analyze_empty_csv_exits_3(capsys, tmp_path):
     assert err == f"smoa analyze: i/o error: {path}: empty CSV matrix\n"
 
 
+def test_analyze_exits_2_when_the_svd_does_not_converge(capsys, diag_matrix, monkeypatch):
+    def diverging_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", diverging_svd)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(diag_matrix), "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == "smoa analyze: numerical error: SVD did not converge: SVD did not converge\n"
+
+
 def test_analyze_of_a_spectrum_whose_sum_overflows_exits_2_with_one_line(tmp_path):
     # run apart, so that numpy's RuntimeWarnings would reach stderr as they
     # do for a user, not pytest's warning capture

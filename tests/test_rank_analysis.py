@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from smoa import adapters, blas, rank_analysis
 from smoa.cli import main
-from smoa.errors import FormatError, ValidationError
+from smoa.errors import FormatError, NumericalError, ValidationError
 from smoa.adapters import FULL_MATRIX
 from smoa.matrix_io import METHODS, RunConfig, write_json, write_report
 from smoa.spectral import EmptySubspaceWarning, EnergyPartition, decompose
@@ -37,6 +40,29 @@ def test_numerical_rank_factor_product():
 
 def test_numerical_rank_zero_matrix():
     assert rank_analysis.numerical_rank(np.zeros((6, 3))) == 0
+
+
+@pytest.mark.parametrize("path", ["matrix", "adapter-core", "adapter-update"])
+def test_numerical_rank_threshold_scales_with_the_larger_dimension(path):
+    # a 4 x 64 update with sigma = 1, then 1% above and 1% below the
+    # threshold 1e-3 * sigma_max * max(shape), then 0: its rank is 2, and a
+    # threshold scaled by min(shape) or by 1 / max(shape) would count 3
+    tol_factor, threshold = 1e-3, 1e-3 * 64
+    sigma = np.array([1.0, 1.01 * threshold, 0.99 * threshold, 0.0])
+    rng = np.random.default_rng(40)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((64, 4)))
+    if path == "matrix":
+        measured = (u * sigma) @ v.T
+    else:
+        # lora r=3 < 4 ranks its QR core; r=4 ranks its update
+        r = 3 if path == "adapter-core" else 4
+        measured = adapters.build_adapter("lora", RunConfig(K=1, r=r, seed=0), np.ones((4, 64)))
+        block = measured.blocks[0]
+        assert block.scale == 1.0
+        block.B[...] = (u * sigma)[:, :r]
+        block.A[...] = v.T[:r]
+    assert rank_analysis.numerical_rank(measured, tol_factor) == 2
 
 
 def test_numerical_rank_rejects_bad_tolerance():
@@ -482,3 +508,188 @@ def test_weight_rank_equals_the_count_of_its_decomposition_sigma():
         sigma = decompose(w).sigma
         want = np.count_nonzero(sigma > 1e-10 * sigma.max() * d)
         assert rank_analysis.numerical_rank(w) == want
+
+
+# A sweep at several BLAS threads splits its seeds into contiguous groups
+# when each group gets enough rows x d**2: the calling process measures the
+# first group, forked workers the others, and the caller merges their rows,
+# warnings and errors in seed order.
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+# 4 seeds x 16 rows at d=32: twice the floor, so two processes where granted
+SPLIT_SWEEP = dict(methods=list(METHODS), d=32, r_values=[2, 4], K_values=[1, 2], n_seeds=4,
+                   base_seed=10)
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: the sweep forks no worker")
+
+
+def spy_forks(monkeypatch):
+    """The pids of the processes that called os.fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def rank_bench(capsys, tmp_path, name, sweep=SPLIT_SWEEP):
+    """smoa rank-bench on sweep: (exit code, stdout, stderr, CSV bytes,
+    sidecar without its timestamp), with the output path taken out of stdout."""
+    cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    cfg.write_text(json.dumps(sweep))
+    code = main(["rank-bench", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    sidecar = None
+    if code == 0:
+        sidecar = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        sidecar.pop("timestamp")
+    return (code, captured.out.replace(str(out), "OUT"), captured.err,
+            out.read_bytes() if code == 0 else None, sidecar)
+
+
+@requires_pin
+def test_sweep_splits_only_above_its_work_floor(monkeypatch):
+    small = dict(SPLIT_SWEEP, n_seeds=1)  # one seed: nothing to split
+    below = dict(SPLIT_SWEEP, n_seeds=2)  # 32 rows x 32**2, the floor itself
+    assert 2 * 16 * 32 ** 2 == rank_analysis._MIN_SHARE
+    forks = spy_forks(monkeypatch)
+    with blas_threads(2):
+        rank_analysis.rank_sweep(**small)
+        rank_analysis.rank_sweep(**below)
+    assert forks == []
+    with blas_threads(1):
+        rank_analysis.rank_sweep(**SPLIT_SWEEP)
+    assert forks == []
+    with blas_threads(2):
+        rank_analysis.rank_sweep(**SPLIT_SWEEP)
+    assert forks == [os.getpid()] * (min(2, CPUS) - 1)
+
+
+@requires_pin
+def test_split_sweep_writes_the_bytes_of_the_one_process_sweep(capsys, tmp_path, monkeypatch):
+    with blas_threads(1):
+        one = rank_bench(capsys, tmp_path, "one")
+    forks = spy_forks(monkeypatch)
+    with blas_threads(2):
+        split = rank_bench(capsys, tmp_path, "split")
+    assert forks == [os.getpid()] * (min(2, CPUS) - 1)
+    assert one[0] == 0 and one[3].count(b"\n") == 1 + 4 * 16
+    assert split == one
+    with blas_threads(2):
+        rows = rank_analysis.rank_sweep(**SPLIT_SWEEP).rows
+    with blas_threads(1):
+        assert rank_analysis.rank_sweep(**SPLIT_SWEEP).rows == rows
+
+
+def fail_at(monkeypatch, seeds):
+    """Make _weight_rows raise seeds[seed], an exception, at those seeds, in
+    whichever process measures them."""
+    weight_rows = rank_analysis._weight_rows
+
+    def failing(seed, *args):
+        if seed in seeds:
+            raise seeds[seed]
+        return weight_rows(seed, *args)
+    monkeypatch.setattr(rank_analysis, "_weight_rows", failing)
+
+
+@requires_pin
+@pytest.mark.parametrize("error, code", [
+    (NumericalError("SVD did not converge at seed {}"), 2),
+    (FormatError("matrix contains non-finite entries at seed {}"), 3),
+], ids=["numerical", "format"])
+@pytest.mark.parametrize("at", [(13,), (11, 13), (12, 13)],
+                         ids=["in-the-worker", "in-both-groups", "twice-in-the-worker"])
+def test_an_error_in_any_group_reaches_the_caller_as_the_one_process_sweep_raises_it(
+        capsys, tmp_path, monkeypatch, error, code, at):
+    # seeds 10-11 are measured in the calling process, 12-13 in the worker
+    fail_at(monkeypatch, {seed: type(error)(str(error).format(seed)) for seed in at})
+    first = str(error).format(at[0])
+    forks = spy_forks(monkeypatch)
+    results = []
+    for threads in (1, 2):
+        with blas_threads(threads):
+            with pytest.raises(type(error), match=f"^{first}$"):
+                rank_analysis.rank_sweep(**SPLIT_SWEEP)
+            results.append(rank_bench(capsys, tmp_path, f"threads{threads}"))
+    assert forks == [os.getpid()] * 2 * (min(2, CPUS) - 1)
+    assert results[0] == results[1]
+    label = {NumericalError: "numerical error", FormatError: "i/o error"}[type(error)]
+    assert results[0][:3] == (code, "", f"smoa rank-bench: {label}: {first}\n")
+
+
+@requires_pin
+@needs_two_cpus
+def test_a_worker_killed_by_a_signal_raises_numerical_error_naming_its_seeds(monkeypatch):
+    weight_rows, caller = rank_analysis._weight_rows, os.getpid()
+
+    def killed_in_a_worker(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return weight_rows(*args)
+    monkeypatch.setattr(rank_analysis, "_weight_rows", killed_in_a_worker)
+    with blas_threads(2):
+        with pytest.raises(NumericalError, match="^the worker measuring seeds 12 to 13 was "
+                                                 "killed by signal 9 before it finished$"):
+            rank_analysis.rank_sweep(**SPLIT_SWEEP)
+
+
+@requires_pin
+def test_warnings_of_every_group_print_as_the_one_process_sweep_prints_them(capsys, tmp_path,
+                                                                          monkeypatch):
+    weight_rows = rank_analysis._weight_rows
+
+    def warning(seed, *args):
+        # one message per seed, in order, and one that every seed repeats
+        warnings.warn(f"empty subspace index set(s): I_{seed}", EmptySubspaceWarning)
+        warnings.warn("empty subspace index set(s): I_1", EmptySubspaceWarning)
+        return weight_rows(seed, *args)
+    monkeypatch.setattr(rank_analysis, "_weight_rows", warning)
+    with blas_threads(1):
+        one = rank_bench(capsys, tmp_path, "one")
+    forks = spy_forks(monkeypatch)
+    with blas_threads(2):
+        split = rank_bench(capsys, tmp_path, "split")
+    assert forks == [os.getpid()] * (min(2, CPUS) - 1)
+    assert one[2] == "".join(f"smoa rank-bench: warning: empty subspace index set(s): I_{k}\n"
+                             for k in (10, 1, 11, 12, 13))
+    assert split == one
+    with blas_threads(2), pytest.warns(EmptySubspaceWarning) as shown:
+        rank_analysis.rank_sweep(**SPLIT_SWEEP)
+    assert [str(w.message)[-4:] for w in shown] == [
+        "I_10", " I_1", "I_11", " I_1", "I_12", " I_1", "I_13", " I_1"]
+
+
+@requires_pin
+def test_a_real_empty_subspace_in_a_split_sweep_prints_as_in_one_process(capsys, tmp_path,
+                                                                          monkeypatch):
+    # at d=16 the leading direction leaves I_1 empty for K=8, on every seed;
+    # 64 seeds x 4 rows x 16**2 is twice the floor
+    sweep = dict(methods=["smoa", "lora"], d=16, r_values=[8, 16], K_values=[8], n_seeds=64)
+    with blas_threads(1):
+        one = rank_bench(capsys, tmp_path, "one", sweep)
+    forks = spy_forks(monkeypatch)
+    with blas_threads(2):
+        split = rank_bench(capsys, tmp_path, "split", sweep)
+    assert forks == [os.getpid()] * (min(2, CPUS) - 1)
+    assert one[2] == "smoa rank-bench: warning: empty subspace index set(s): I_1\n"
+    assert split == one
+
+
+@requires_pin
+@needs_two_cpus
+def test_a_split_sweep_kills_its_workers_when_the_calling_process_raises(monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    caller = os.getpid()
+
+    def raise_in_the_caller(*args):
+        if os.getpid() == caller:
+            raise Interrupted
+        time.sleep(60)  # the worker is still measuring when the caller raises
+    monkeypatch.setattr(rank_analysis, "_weight_rows", raise_in_the_caller)
+    start = time.monotonic()
+    with blas_threads(2):
+        with pytest.raises(Interrupted):
+            rank_analysis.rank_sweep(**SPLIT_SWEEP)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)

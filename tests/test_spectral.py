@@ -79,6 +79,21 @@ def test_decompose_rejects_nonfinite():
         spectral.decompose(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+def test_decompose_returns_factors_that_reject_writes():
+    dec = spectral.decompose(random_weight(6, 4, np.random.default_rng(0)))
+    for name in ("U", "sigma", "Vt"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dec, name)[0] = 1.0
+
+
+def test_decompose_raises_numerical_error_when_the_svd_does_not_converge(monkeypatch):
+    def diverging_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", diverging_svd)
+    with pytest.raises(NumericalError, match="^SVD did not converge: SVD did not converge$"):
+        spectral.decompose(np.eye(3))
+
+
 def test_cumulative_energy_hand_values():
     # partial sums 3/6, 5/6, 6/6
     energy = spectral.cumulative_energy([3.0, 2.0, 1.0])
@@ -107,6 +122,15 @@ def test_cumulative_energy_rejects_a_spectrum_whose_sum_overflows():
                                                  "singular values exceeds the float64 range$"):
             spectral.cumulative_energy([1e308, 1e308])
     assert spectral.cumulative_energy([1e307, 1e307])[-1] == 1.0
+
+
+@pytest.mark.parametrize("values", [[], [[3.0, 1.0]]], ids=["empty", "2-D"])
+def test_cumulative_energy_and_partition_reject_what_is_not_a_non_empty_vector(values):
+    with pytest.raises(ValidationError, match="^sigma must be a non-empty 1-D vector$"):
+        spectral.cumulative_energy(values)
+    energy = [[0.75, 1.0]] if values else []
+    with pytest.raises(ValidationError, match="^E must be a non-empty 1-D vector$"):
+        spectral.partition(energy, 1)
 
 
 def test_cumulative_energy_rejects_bad_order():

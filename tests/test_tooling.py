@@ -136,6 +136,45 @@ def f():
         ("first.py", 20, "_spare")]
 
 
+PROCESS_CALLS = ("fork", "waitpid", "kill", "_exit")
+
+
+def process_calls(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of every use of os.fork, os.waitpid, os.kill or
+    os._exit in source, as an attribute of os or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in PROCESS_CALLS):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{alias.name}") for alias in node.names
+                      if alias.name in PROCESS_CALLS]
+    return sorted(found)
+
+
+def test_only_the_worker_module_forks_reaps_or_kills_processes():
+    found = {path.name: process_calls(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name for _, name in found.pop("workers.py")} == {f"os.{call}" for call in PROCESS_CALLS}
+    assert {module: calls for module, calls in found.items() if calls} == {}
+
+
+def test_process_calls_finds_every_fork_reap_and_kill_and_nothing_else():
+    source = """import os
+from os import kill as stop, getpid
+
+
+def f(pid):
+    if os.fork() == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    stop(pid, 9)
+    return os.getpid(), getpid, os.path.exists("kill")
+"""
+    assert process_calls(source) == [(2, "os.kill"), (6, "os.fork"), (7, "os._exit"),
+                                     (8, "os.waitpid")]
+
+
 def parsers(parser: argparse.ArgumentParser):
     """parser and every subparser under it, depth first."""
     yield parser

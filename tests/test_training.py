@@ -127,6 +127,14 @@ def test_make_task_deterministic():
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_make_task_arrays_reject_writes(noise_std):
+    task = training.make_task(8, 2, 10, noise_std, seed=9)
+    for name in ("w0", "target_delta", "inputs", "targets"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(task, name)[0, 0] = 1.0
+
+
 def test_make_task_validation():
     with pytest.raises(ValidationError, match="target_rank"):
         training.make_task(8, 9, 10, 0.0, 0)
@@ -516,6 +524,61 @@ def test_train_equals_per_tensor_step_bit_for_bit(method, weight_decay, d, n, K,
     ref_trace = per_tensor_train(ref, task, settings_)
     assert np.array_equal(trace, ref_trace)
     assert adapter.params.tobytes() == ref.params.tobytes()
+
+
+# Decoupled weight decay against AdamW as its paper writes it, not against
+# the program's own update, which the reference loops above call.
+
+def decoupled_adamw(param, grad, m, v, t, cfg):
+    """AdamW step t from Loshchilov and Hutter (arXiv 1711.05101,
+    Algorithm 2, with schedule multiplier 1): the decay lr * wd * param is
+    taken beside the Adam step, not added to the gradient.  Returns the new
+    param, m and v."""
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad ** 2
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    step = m_hat / (np.sqrt(v_hat) + cfg.epsilon) + cfg.weight_decay * param
+    return param - cfg.learning_rate * step, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05, 0.5])
+def test_adamw_update_equals_decoupled_adamw(weight_decay):
+    rng = np.random.default_rng(31)
+    cfg = train_cfg(1, learning_rate=1e-2, weight_decay=weight_decay)
+    param, grad, m = rng.standard_normal((3, 50))
+    v = rng.random(50)
+    want = decoupled_adamw(param, grad, m, v, 3, cfg)
+    got = param.copy(), m.copy(), v.copy()
+    adamw_update(got[0], grad, got[1], got[2], 3, cfg)
+    for name, a, b in zip(("param", "m", "v"), got, want):
+        assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("method", ["smoa", "lora"])
+def test_train_with_weight_decay_follows_decoupled_adamw(method):
+    task = training.make_task(16, 6, 40, 0.0, seed=32, target_blocks=2)
+    cfg = small_cfg(K=2, r=4, seed=32)
+    settings_ = train_cfg(10, learning_rate=1e-2, weight_decay=0.1)
+    adapter = adapters.build_adapter(method, cfg, task.w0)
+    trace = training.train(adapter, task, settings_)
+
+    ref = adapters.build_adapter(method, cfg, task.w0)
+    m_a, v_a, m_b, v_b = per_tensor_moments(ref)
+    ref_trace = []
+    for step in range(settings_.steps + 1):
+        resid = training.forward(ref, task.w0, task.inputs) - task.targets
+        ref_trace.append(np.mean(resid ** 2))
+        if step == settings_.steps:
+            break
+        grads = training.backward(ref, task.w0, task.inputs, resid * (2.0 / resid.size))
+        for k, blk in enumerate(ref.blocks):
+            blk.A[...], m_a[k], v_a[k] = decoupled_adamw(blk.A, grads.A[k], m_a[k], v_a[k],
+                                                         step + 1, settings_)
+            blk.B[...], m_b[k], v_b[k] = decoupled_adamw(blk.B, grads.B[k], m_b[k], v_b[k],
+                                                         step + 1, settings_)
+    assert_allclose(trace, ref_trace, rtol=1e-9)
+    assert_allclose(adapter.params, ref.params, rtol=1e-9, atol=1e-12)
 
 
 def test_train_makes_one_adamw_update_per_step(monkeypatch):
