@@ -8,15 +8,33 @@ a mask, dB_k = s_k (G_k o M_k) A_k^T and dA_k = s_k B_k^T (G_k o M_k).
 Frozen tensors (the host weight, masks, references) receive no gradient.
 
 The block structure does the linear algebra: neither the update matrix
-nor the full d_out x d_in gradient G is formed.  For n samples and a
-block of m_k rows, c_k columns and rank r_k, one step costs
-2 n m_k c_k + 3 m_k c_k r_k multiply-adds: the block's update
-U_k = s (B_k A_k), masked where the block has a mask, the forward
-x_k U_k^T, G_k = u^T x_k (u the block's columns of the output gradient,
-x_k its columns of the inputs), G_k A_k^T and B_k^T G_k.  Each product
-is a block of the matching dense product, so the results equal those of
-a dense step bit for bit wherever the BLAS computes a block of a product
-as it computes the whole.
+nor the full d_out x d_in gradient G is formed.  With n samples, u the
+block's columns of the output gradient and x_k its columns of the
+inputs, a block of m_k rows, c_k columns and rank r_k takes one of two
+step forms:
+
+* formed: the block's update U_k = s (B_k A_k), masked where the block
+  has a mask, the forward x_k U_k^T, G_k = u^T x_k, masked likewise,
+  G_k A_k^T and B_k^T G_k, 2 n m_k c_k + 3 m_k c_k r_k multiply-adds.
+  Each product is a block of the matching dense product, so the results
+  equal a dense step's bit for bit wherever the BLAS computes a block of
+  a product as it computes the whole.
+* factored: h = s x_k A_k^T, the forward h B_k^T, dB_k = u^T h and
+  dA_k = s (u B_k)^T x_k, n r_k (3 m_k + 2 c_k) multiply-adds; LoRA
+  trains this way and merges B A only for inference (Hu et al., arXiv
+  2106.09685).  It sums in another order than the dense step, so its
+  results differ from that step's in the last bits.
+
+A block takes the factored step when it has no mask, its run is above
+the one-thread size, n d_out d_in > 2**22, and the factored count is the
+smaller (_trains_factored).  At d = 512 and n = 1024 a lora block of
+rank 8 then costs 21M multiply-adds a step against 543M formed; a block
+of rank r_k >= its sides stays formed.  Every run at or below 2**22
+stays formed, and keeps its bytes: the capacity task's 2000-step lora
+runs are chaotic in their factors, where a reordered last bit grows past
+the relative tolerance of 1e-6 at which perfbench/check.py compares
+them.  The size condition stays until that check judges the training
+runs by their loss traces.
 
 One block step serves forward, backward, grad_check and training.  It
 indexes the trailing two axes only, so the same calls run on one
@@ -35,13 +53,15 @@ forward, backward, grad_check, train or train_seeds, holds every view
 the step reads (each block's columns of the inputs, its rows of the
 output and residual buffers, A_k^T and B_k^T) and every buffer it
 writes: the output buffer (which then takes the squared residual), the
-residual, each block's update buffer, the gradients and, in training,
-AdamW's moments and its two temporaries.  The forward multiplies x_k by
-a transposed view of U_k, OpenBLAS's NT kernel.  A contiguous
+residual, each formed block's update buffer or each factored block's
+two n x r_k buffers, the gradients and, in training, AdamW's moments and
+its two temporaries.  A factored block's h, written by the forward, is
+read by the backward of the same step; backward, which runs no forward,
+writes it first.  A formed block's forward multiplies x_k by a
+transposed view of U_k, OpenBLAS's NT kernel.  A contiguous
 U_k^T = s (A_k^T B_k^T) o M_k^T would run its NN kernel, which is faster
-at the capacity shapes, and A_k^T B_k^T equals (B_k A_k)^T bit for bit;
-but at n = 128 the NN product changed the forward's bits on 1928 of the
-4761 block shapes up to 69 x 69, so it would change what training writes.
+at the capacity shapes, but it changes the forward's bits, so it would
+change what training writes.
 
 The adapter's factors live in one flat float64 buffer, adapter.params,
 and each block's A and B are reshaped views of it; Adapter.over gives
@@ -69,26 +89,14 @@ x @ w0^T, build_adapter with its decompose, and the steps.  Pinned, a
 call writes the one-thread bytes at any caller's count, so at d <= 128
 with n = 2d it writes the same bytes at 1 and at 2 threads; unpinned,
 make_task's norms (BLAS dots) would move with the count.  The step's
-products split their output, not their sums, across threads, and every
-step output of all four methods was bit-identical either way at d = 64,
-96 and 128 (n = 2d, 200 steps).  Per step, one run, n = 2d, median of 9
-in ms, 2 threads / 1 thread, on a shared 2-vCPU box (numpy 2.4.6,
-OpenBLAS 0.3.31):
-
-    d     n     n d^2     smoa K=2 r=16    lora r=8
-    64    128   2^19      0.14 / 0.15      0.14 / 0.14
-    128   256   2^22      0.50 / 0.50      0.55 / 0.58
-    192   384   2^23.75   1.13 / 1.46      1.37 / 1.75
-    256   512   2^25      2.24 / 2.73      3.43 / 4.99
-
-Up to d=128 one thread is within 5% of two and takes half the CPU time;
-from d=192 up one thread takes 22-45% longer.  A small step at two
-threads also waits on its second thread whenever another process holds
-that core, which slowed the d=64 step 10-50x.  The capacity task
-(2^19) thus trains at one thread and d=512 (2^28) at the caller's count.
-The pin covers the builds too: an OpenBLAS thread left busy by an
-unpinned build spins on while a pinned step loop runs, and costs CPU
-time.
+products split their output, not their sums, across threads, so the
+step itself writes the same bits at either count.  Up to 2**22 one
+thread is about as fast as two and takes half the CPU time, and a step
+at two threads stalls whenever another process holds the second core;
+above it, one thread is markedly slower (the per-step table is in
+CHANGES.md).  The pin covers the builds too: an OpenBLAS thread left
+busy by an unpinned build spins on while a pinned step loop runs, and
+costs CPU time.
 
 A pinned train_seeds call splits its S runs into as many contiguous
 groups as workers.pinned grants processes, at most S; an unpinned one
@@ -253,7 +261,9 @@ def _check_task(adapter, task: LinearTask) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 class _BlockStep(NamedTuple):
-    """One block's views and buffer in a _StepPlan."""
+    """One block's views and buffers in a _StepPlan.  A block the step
+    forms holds upd and upd_t, one it trains through its factors h and
+    ub_t; the other two are None."""
 
     block: Block
     x: np.ndarray  # x_k: the block's columns of the inputs
@@ -261,16 +271,32 @@ class _BlockStep(NamedTuple):
     u_t: np.ndarray  # u_k^T: its rows of the residual buffer, transposed
     a_t: np.ndarray  # A_k^T
     b_t: np.ndarray  # B_k^T
-    upd: np.ndarray  # U_k in the forward, G_k in the backward
-    upd_t: np.ndarray  # U_k^T
+    upd: np.ndarray | None  # U_k in the forward, G_k in the backward
+    upd_t: np.ndarray | None  # U_k^T
     grad_a: np.ndarray  # dA_k and dB_k: views of plan.grads
     grad_b: np.ndarray
+    h: np.ndarray | None  # s x_k A_k^T, n x r_k
+    ub_t: np.ndarray | None  # s (u B_k)^T, r_k x n
+
+
+def _trains_factored(blk: Block, n: int, shape: tuple[int, int]) -> bool:
+    """Whether the step trains blk, a block of an adapter of this shape
+    on n samples, through its factors rather than through U_k and G_k.
+
+    It does when the block has no mask, the run is above the one-thread
+    size, n d_out d_in > 2**22, and the factored step's
+    n r_k (3 m_k + 2 c_k) multiply-adds are fewer than the formed step's
+    2 n m_k c_k + 3 m_k c_k r_k.
+    """
+    m, (r, c) = blk.B.shape[-2], blk.A.shape[-2:]
+    return (blk.mask is None and n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE
+            and n * r * (3 * m + 2 * c) < 2 * n * m * c + 3 * m * c * r)
 
 
 class _StepPlan:
     """The views and buffers of the block step on inputs x, over params and
     masks (see Adapter.over), with the leading run axes of params; built
-    once per call.
+    once per call, when each block's step form is chosen.
 
     out takes the update's output x @ delta^T, resid the residual, which
     the backward reads as its upstream gradient, and grads the factor
@@ -286,25 +312,43 @@ class _StepPlan:
         for blk, grad_a, grad_b in zip(adapter.over(params, masks),
                                        *adapter.factor_views(self.grads)):
             rows, cols = slice(blk.row0, blk.row1), slice(blk.col0, blk.col1)
-            upd = np.empty(lead + (blk.row1 - blk.row0, blk.col1 - blk.col0))
+            if _trains_factored(blk, n, adapter.shape):
+                r = blk.A.shape[-2]
+                upd = upd_t = None
+                h, ub_t = np.empty(lead + (n, r)), np.empty(lead + (r, n))
+            else:
+                upd = np.empty(lead + (blk.row1 - blk.row0, blk.col1 - blk.col0))
+                upd_t, h, ub_t = upd.swapaxes(-1, -2), None, None
             steps.append(_BlockStep(blk, x[..., cols], self.out[..., rows],
                                     self.resid[..., rows].swapaxes(-1, -2),
                                     blk.A.swapaxes(-1, -2), blk.B.swapaxes(-1, -2),
-                                    upd, upd.swapaxes(-1, -2), grad_a, grad_b))
+                                    upd, upd_t, grad_a, grad_b, h, ub_t))
         self.steps = tuple(steps)
+
+
+def _project(step: _BlockStep) -> None:
+    """Write s x_k A_k^T into the h of a block trained through its factors."""
+    h = np.matmul(step.x, step.a_t, out=step.h)
+    h *= step.block.scale
 
 
 def _add_update(plan: _StepPlan, base, out=None) -> np.ndarray:
     """base + x @ delta^T, written into out when given.
 
     Block k writes x_k @ U_k^T, where U_k is the block's own update, into
-    its rows of plan.out; the blocks' row ranges cover the output, so one
-    add then finishes every entry, and the full update matrix is never
+    its rows of plan.out: formed, or as (s x_k A_k^T) B_k^T for a block
+    trained through its factors, which leaves s x_k A_k^T in its h for
+    the backward.  The blocks' row ranges cover the output, so one add
+    then finishes every entry, and the full update matrix is never
     formed.
     """
     for step in plan.steps:
-        step.block.update(out=step.upd)
-        np.matmul(step.x, step.upd_t, out=step.y)
+        if step.h is None:
+            step.block.update(out=step.upd)
+            np.matmul(step.x, step.upd_t, out=step.y)
+        else:
+            _project(step)
+            np.matmul(step.h, step.b_t, out=step.y)
     return np.add(base, plan.out, out=out)
 
 
@@ -327,11 +371,20 @@ def _factor_grads(plan: _StepPlan) -> None:
     """Write the factor gradients into plan.grads, with plan.resid as the
     upstream gradient.
 
-    With u its block-k rows, block k forms G_k = u^T x_k, masked where the
-    block has a mask, and takes dB_k = s G_k A_k^T and dA_k = s B_k^T G_k.
+    With u its block-k rows, a formed block forms G_k = u^T x_k, masked
+    where the block has a mask, and takes dB_k = s G_k A_k^T and
+    dA_k = s B_k^T G_k.  A block trained through its factors takes
+    dB_k = u^T h, from the h of the last forward (or _project), and
+    dA_k = s (u B_k)^T x_k.
     """
     for step in plan.steps:
         blk, gk, grad_a, grad_b = step.block, step.upd, step.grad_a, step.grad_b
+        if step.h is not None:
+            np.matmul(step.u_t, step.h, out=grad_b)
+            ub_t = np.matmul(step.b_t, step.u_t, out=step.ub_t)
+            ub_t *= blk.scale
+            np.matmul(ub_t, step.x, out=grad_a)
+            continue
         np.matmul(step.u_t, step.x, out=gk)
         if blk.mask is not None:
             gk *= blk.mask
@@ -353,6 +406,9 @@ def backward(adapter, w0, x, upstream_grad) -> Gradients:
         )
     plan = _StepPlan(adapter, x, adapter.params)
     plan.resid[...] = upstream
+    for step in plan.steps:
+        if step.h is not None:  # no forward wrote it
+            _project(step)
     _factor_grads(plan)
     return Gradients(*adapter.factor_views(plan.grads))
 

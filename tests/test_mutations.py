@@ -11,7 +11,13 @@ The checks:
   theoretical bound;
 * the sweep and train oracles: the CLI on the d=16 sweep and training
   runs of tests/test_oracle.py, compared with perfbench/oracle.py's
-  outputs through check.compare_dirs.
+  outputs through check.compare_dirs;
+* the fresh backward: tests/test_training.py's fresh_backward_error, a
+  backward call with no forward before it against the dense reference.
+
+The factored twins of the faults run with the one-thread size patched to
+0, so that unmasked blocks of the d=8 and d=16 runs train through their
+factors.
 
 Each check also runs once without a fault, and must pass then.  Where a
 fault cannot show, the case is left out, with the reason beside the list
@@ -38,6 +44,7 @@ import check  # noqa: E402
 import oracle  # noqa: E402
 import workloads  # noqa: E402
 from test_oracle import SWEEP, TRAIN, run_cli  # noqa: E402
+from test_training import fresh_backward_error, spy_factored  # noqa: E402
 
 
 def db_sign_flipped(monkeypatch):
@@ -109,6 +116,61 @@ def boundary_shifted(monkeypatch):
 
 FAULTS = {f.__name__: f for f in (db_sign_flipped, scale_dropped, mask_skipped,
                                   bias_correction_late, rank_one_too_high, boundary_shifted)}
+
+
+def factored(monkeypatch):
+    """Every run counts as above the one-thread size, so each unmasked block
+    whose factored step costs less trains through its factors.  Not a
+    fault: each factored check also runs with this alone, and must pass."""
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+
+
+def factored_db_sign_flipped(monkeypatch):
+    """On the factored path, block 0's dB leaves _factor_grads with its sign
+    flipped where block 0 trains through its factors."""
+    factored(monkeypatch)
+    factor_grads = training._factor_grads
+
+    def faulty(plan):
+        factor_grads(plan)
+        if plan.steps[0].h is not None:
+            np.negative(plan.steps[0].grad_b, out=plan.steps[0].grad_b)
+    monkeypatch.setattr(training, "_factor_grads", faulty)
+
+
+def factored_scale_dropped(monkeypatch):
+    """On the factored path, _add_update projects x_k A_k^T without the
+    scale s_k."""
+    factored(monkeypatch)
+
+    def faulty(plan, base, out=None):
+        for step in plan.steps:
+            if step.h is None:
+                step.block.update(out=step.upd)
+                np.matmul(step.x, step.upd_t, out=step.y)
+            else:
+                np.matmul(step.x, step.a_t, out=step.h)  # the fault: no h *= s
+                np.matmul(step.h, step.b_t, out=step.y)
+        return np.add(base, plan.out, out=out)
+    monkeypatch.setattr(training, "_add_update", faulty)
+
+
+def stale_projection(monkeypatch):
+    """On the factored path, backward reads the x_k A_k^T of its fresh plan
+    without writing it."""
+    factored(monkeypatch)
+
+    def faulty(adapter, w0, x, upstream_grad):
+        w0, x = training._check_host(adapter, w0, x)
+        plan = training._StepPlan(adapter, x, adapter.params)
+        plan.resid[...] = upstream_grad
+        training._factor_grads(plan)  # the fault: no _project
+        return training.Gradients(*adapter.factor_views(plan.grads))
+    monkeypatch.setattr(training, "backward", faulty)
+
+
+FACTORED_FAULTS = {f.__name__: f for f in (factored_db_sign_flipped, factored_scale_dropped,
+                                           stale_projection)}
 
 # kind: (configs, invocations, rtol) of the d=16 runs of tests/test_oracle.py
 RUNS = {
@@ -193,3 +255,53 @@ def test_the_sweep_oracle_fails_on_the_fault(fault, expected, tmp_path, monkeypa
     # rank-bench itself exits 2 once a rank exceeds its bound
     assert codes == [2 if fault == "rank_one_too_high" else 0]
     assert (problems != []) == (fault is not None), problems
+
+
+# The factored checks: gradcheck at r=2, where block_lora's r_k = 1 blocks
+# take the factored step at d=8 (r=4 keeps them formed), and the train
+# oracle, whose lora runs take it at d=16.  A dropped scale cannot show in
+# the train oracle: lora's s = 1, and its smoa blocks are masked.
+FACTORED_GRADCHECK_CASES = [("factored_db_sign_flipped", "lora"),
+                            ("factored_db_sign_flipped", "block_lora"),
+                            ("factored_scale_dropped", "block_lora")]
+FACTORED_TRAIN_ORACLE_CASES = ["factored_db_sign_flipped"]
+FRESH_BACKWARD_CASES = ["stale_projection"]
+
+
+def test_every_factored_fault_has_a_case():
+    cases = {fault for fault, _ in FACTORED_GRADCHECK_CASES}
+    assert (cases | set(FACTORED_TRAIN_ORACLE_CASES) | set(FRESH_BACKWARD_CASES)
+            == set(FACTORED_FAULTS))
+
+
+@pytest.mark.parametrize("fault, method", [(None, "lora"), (None, "block_lora")]
+                         + FACTORED_GRADCHECK_CASES)
+def test_gradcheck_fails_on_the_factored_fault(fault, method, capsys, monkeypatch):
+    (FACTORED_FAULTS[fault] if fault else factored)(monkeypatch)
+    verdicts = spy_factored(monkeypatch)
+    code = cli.main(["gradcheck", "--d", "8", "--k", "2", "--r", "2", "--method", method])
+    error = float(re.search(r"max relative error: (\S+)", capsys.readouterr().out).group(1))
+    assert verdicts and all(verdicts)
+    if fault is None:
+        assert (code, error <= 1e-6) == (0, True)
+    elif fault == "factored_db_sign_flipped":
+        assert (code, error) == (2, pytest.approx(2.0, rel=1e-3))
+    else:
+        assert (code, error > 1e-6) == (2, True)
+
+
+@pytest.mark.parametrize("fault", [None] + FACTORED_TRAIN_ORACLE_CASES)
+def test_the_train_oracle_fails_on_the_factored_fault(fault, expected, tmp_path, monkeypatch):
+    (FACTORED_FAULTS[fault] if fault else factored)(monkeypatch)
+    verdicts = spy_factored(monkeypatch)
+    codes, problems = run_against_the_oracle("train", expected, tmp_path, monkeypatch)
+    assert codes == [0, 0]
+    assert True in verdicts
+    assert (problems != []) == (fault is not None), problems
+
+
+@pytest.mark.parametrize("fault", [None] + FRESH_BACKWARD_CASES)
+@pytest.mark.parametrize("method", ["lora", "block_lora"])
+def test_the_fresh_backward_fails_on_the_fault(fault, method, monkeypatch):
+    (FACTORED_FAULTS[fault] if fault else factored)(monkeypatch)
+    assert (fresh_backward_error(method) <= 1e-11) == (fault is None)

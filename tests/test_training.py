@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import signal
 import threading
@@ -467,6 +468,129 @@ def test_train_trace_matches_dense_reference_loop(method):
     assert_allclose(trace, ref_trace, rtol=1e-9)
     for got, want in zip(factors(adapter), factors(ref), strict=True):
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# The factored step: above the one-thread size, an unmasked block trains
+# through its factors when that costs fewer multiply-adds than forming
+# U_k and G_k.  The dense-reference tests above run below 2**22, so these
+# patch the size to 0 or run above it.
+
+@pytest.mark.parametrize("method, d, n, K, r, factored", [
+    ("lora", 512, 1024, 1, 8, True),
+    ("block_lora", 512, 1024, 2, 16, True),
+    ("lora", 512, 1024, 1, 600, False),  # r >= d: forming U_k costs less
+    ("smoa", 512, 1024, 2, 16, False),  # masked
+    ("lora", 64, 128, 1, 8, False),  # the capacity task, 2**19
+    ("lora", 128, 256, 1, 8, False),  # 2**22, the largest pinned run
+    ("lora", 128, 257, 1, 8, True),
+])
+def test_unmasked_blocks_of_large_runs_train_through_their_factors(method, d, n, K, r,
+                                                                   factored):
+    w0 = training.random_weight(d, d, np.random.default_rng(0))
+    adapter = adapters.build_adapter(method, RunConfig(K=K, r=r, seed=0), w0)
+    assert ([training._trains_factored(blk, n, adapter.shape) for blk in adapter.blocks]
+            == [factored] * K)
+
+
+def spy_factored(monkeypatch):
+    """Record every verdict of training._trains_factored."""
+    verdicts = []
+    rule = training._trains_factored
+
+    def spy(*args):
+        verdicts.append(rule(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(training, "_trains_factored", spy)
+    return verdicts
+
+
+def test_blockwise_step_matches_dense_reference_on_the_factored_path(monkeypatch):
+    # the same property, shapes and rtol with every run above the
+    # one-thread size: unmasked blocks whose factored step costs less take
+    # it, and the others stay formed
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    verdicts = spy_factored(monkeypatch)
+    test_blockwise_step_matches_dense_reference()
+    assert True in verdicts and False in verdicts
+
+
+def dense_train(adapter, task, cfg):
+    """cfg.steps AdamW updates of the adapter through the dense step, with
+    one update per tensor; returns the loss trace."""
+    m_a, v_a, m_b, v_b = per_tensor_moments(adapter)
+    trace = []
+    for step in range(1, cfg.steps + 2):
+        pred = dense_forward(adapter, task.w0, task.inputs)
+        trace.append(np.mean((pred - task.targets) ** 2))
+        if step == cfg.steps + 1:
+            return trace
+        upstream = (2.0 / pred.size) * (pred - task.targets)
+        grads_a, grads_b = dense_backward(adapter, task.inputs, upstream)
+        for k, blk in enumerate(adapter.blocks):
+            adamw_update(blk.A, grads_a[k], m_a[k], v_a[k], step, cfg)
+            adamw_update(blk.B, grads_b[k], m_b[k], v_b[k], step, cfg)
+
+
+@pytest.mark.parametrize("method", ["lora", "block_lora"])
+def test_train_above_the_one_thread_size_matches_dense_reference_loop(method):
+    task = training.make_task(64, 6, 2048, 0.0, seed=28, target_blocks=2)
+    assert 2048 * 64 * 64 > training._ONE_THREAD_MAX_SIZE
+    cfg, settings_ = small_cfg(K=2, r=4, seed=28), train_cfg(20)
+    adapter = adapters.build_adapter(method, cfg, task.w0)
+    assert all(training._trains_factored(blk, 2048, adapter.shape) for blk in adapter.blocks)
+    trace = training.train(adapter, task, settings_)
+
+    ref = adapters.build_adapter(method, cfg, task.w0)
+    assert_allclose(trace, dense_train(ref, task, settings_), rtol=1e-9)
+    for got, want in zip(factors(adapter), factors(ref), strict=True):
+        assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["lora", "block_lora"])
+def test_train_seeds_on_the_factored_path_equals_training_each_run_alone(method):
+    cfg = TrainConfig(d=64, target_rank=8, n_samples=2048, seed=40, noise_std=0.1,
+                      K=2, r=4, steps=10, learning_rate=1e-2, weight_decay=0.01)
+    runs, traces = training.train_seeds(method, cfg, 2)
+    for j, run in enumerate(runs):
+        task = training.make_task(64, 8, 2048, 0.1, 40 + j)
+        alone = adapters.build_adapter(method, dataclasses.replace(cfg, seed=40 + j), task.w0)
+        assert all(training._trains_factored(blk, 2048, alone.shape) for blk in alone.blocks)
+        assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
+        assert run.params.tobytes() == alone.params.tobytes()
+
+
+_FRESH_CALLS = itertools.count()
+
+
+def fresh_backward_error(method):
+    """The largest difference between training.backward, called with no
+    forward before it, and dense_backward on a d=12 adapter with random
+    factors and n=30, relative to the largest entry of each reference
+    gradient (at least 1).  NaN when backward returns a NaN.
+
+    Each call draws inputs that no earlier call drew, so no buffer freed
+    by an earlier call, and reused by this one, holds this call's
+    x_k A_k^T.
+    """
+    rng = np.random.default_rng(41)
+    w0 = training.random_weight(12, 12, rng)
+    adapter = adapters.build_adapter(method, RunConfig(K=2, r=2, seed=41), w0)
+    adapters.randomize_factors(adapter, rng, std=0.5)
+    rng = np.random.default_rng([41, next(_FRESH_CALLS)])
+    x, upstream = rng.standard_normal((30, 12)), rng.standard_normal((30, 12))
+    grads = training.backward(adapter, w0, x, upstream)
+    ref_a, ref_b = dense_backward(adapter, x, upstream)
+    return np.max([np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+                   for got, ref in zip(grads.A + grads.B, ref_a + ref_b)])
+
+
+@pytest.mark.parametrize("method", ["lora", "block_lora"])
+def test_backward_without_a_forward_matches_dense_reference(method, monkeypatch):
+    # backward builds a fresh plan, and no forward has written its blocks' x_k A_k^T
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    verdicts = spy_factored(monkeypatch)
+    assert fresh_backward_error(method) <= 1e-11
+    assert verdicts and all(verdicts)
 
 
 # Per-tensor reference for the flat-buffer optimizer: the step as it was
