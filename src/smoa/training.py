@@ -36,26 +36,55 @@ the relative tolerance of 1e-6 at which perfbench/check.py compares
 them.  The size condition stays until that check judges the training
 runs by their loss traces.
 
+Above the same size a training run may also train on compressed
+samples.  Block k's rows of the output are fed by its columns x_k alone.
+With the reduced Householder QR x_k = Q_k R_k (Golub & Van Loan, Matrix
+Computations, 5.3), o_k = base_k - targets_k for the host output base,
+P_k = Q_k^T o_k and kappa_k = ||o_k - Q_k P_k||^2,
+
+    ||x_k U_k^T + o_k||^2 = ||R_k U_k^T + P_k||^2 + kappa_k and
+    (x_k U_k^T + o_k)^T x_k = (R_k U_k^T + P_k)^T R_k,
+
+so the block's loss and gradient depend on the n samples only through
+R_k (c_k x c_k), P_k (c_k x m_k) and kappa_k.  _train_runs takes them once
+per run (_compress), then runs the same block step with R_k as the
+block's inputs and R_k U_k^T + P_k as its residual: formed or factored
+as _trains_factored decides with c_k rows in place of n, at
+2 c_k^2 m_k + 3 m_k c_k r_k or c_k r_k (3 m_k + 2 c_k) multiply-adds.  The
+loss is (sum of squares + kappa) / (n d_out), with kappa = 0.0 on the
+samples, where adding it is exact, and the gradient scale stays
+2 / (n d_out).  A run compresses when every c_k < n and steps times the
+multiply-adds a step saves exceed the compression's
+2 n c_k^2 - 2 c_k^3 / 3 + 3 n c_k m_k (_compresses).  At d = 512 and
+n = 1024 that holds from 4 steps for smoa with K = 2 and r = 16, whose
+masked blocks stay formed, and from 107 for lora with r = 8.  The
+compressed step sums in another order: at task seeds 0-4 of those
+configs, 60 steps each (lora compressed by force), its loss traces
+differed from the step on the samples by at most 3.7e-16 relative and
+its factors by 2.4e-11 of each run's largest entry.  forward, backward
+and grad_check always read the samples.
+
 One block step serves forward, backward, grad_check and training.  It
 indexes the trailing two axes only, so the same calls run on one
 adapter's 2-D arrays and on stacks of S runs, shaped (S, ...): one set
-of numpy calls per step for all S runs.  numpy's stacked matmul makes,
-for each member, the BLAS call the 2-D product makes, and every other
-operation is elementwise or reduces one member's entries in the same
-order, so each run's results equal those of training it alone, bit for
-bit.
+of numpy calls per step for all S runs.  numpy's stacked matmul and qr
+make, for each member, the BLAS and LAPACK calls the 2-D call makes,
+and every other operation is elementwise or reduces one member's
+entries in the same order, so each run's results equal those of
+training it alone, bit for bit.
 
 The host output x @ w0^T (n d_out d_in) is computed once per run; a
-step adds O(n d_out) elementwise work on the output: each block's
-product writes its rows of one output buffer, and one add of the host
-output finishes the forward.  A _StepPlan, built once per call of
-forward, backward, grad_check, train or train_seeds, holds every view
-the step reads (each block's columns of the inputs, its rows of the
-output and residual buffers, A_k^T and B_k^T) and every buffer it
-writes: the output buffer (which then takes the squared residual), the
-residual, each formed block's update buffer or each factored block's
-two n x r_k buffers, the gradients and, in training, AdamW's moments and
-its two temporaries.  A factored block's h, written by the forward, is
+step adds O(n d_out) elementwise work on the output, O(sum c_k m_k) on
+compressed samples: each block's product writes its part of one output
+buffer, and one add of the host output, or of the P_k, finishes the
+forward.  A _StepPlan, built once per call of forward, backward,
+grad_check, train or train_seeds, holds every view the step reads (each
+block's inputs, x_k or R_k, its part of the output and residual
+buffers, A_k^T and B_k^T) and every buffer it writes: the output buffer
+(which then takes the squared residual), the residual, each formed
+block's update buffer or each factored block's two buffers of r_k
+columns, the gradients and, in training, AdamW's moments and its two
+temporaries.  A factored block's h, written by the forward, is
 read by the backward of the same step; backward, which runs no forward,
 writes it first.  A formed block's forward multiplies x_k by a
 transposed view of U_k, OpenBLAS's NT kernel.  A contiguous
@@ -266,31 +295,76 @@ class _BlockStep(NamedTuple):
     ub_t; the other two are None."""
 
     block: Block
-    x: np.ndarray  # x_k: the block's columns of the inputs
-    y: np.ndarray  # its rows of the update's output, as columns of plan.out
-    u_t: np.ndarray  # u_k^T: its rows of the residual buffer, transposed
+    x: np.ndarray  # x_k, the block's columns of the inputs, or its R_k
+    y: np.ndarray  # its rows of the update's output: its part of plan.out
+    u_t: np.ndarray  # u_k^T: its part of the residual buffer, transposed
     a_t: np.ndarray  # A_k^T
     b_t: np.ndarray  # B_k^T
     upd: np.ndarray | None  # U_k in the forward, G_k in the backward
     upd_t: np.ndarray | None  # U_k^T
     grad_a: np.ndarray  # dA_k and dB_k: views of plan.grads
     grad_b: np.ndarray
-    h: np.ndarray | None  # s x_k A_k^T, n x r_k
-    ub_t: np.ndarray | None  # s (u B_k)^T, r_k x n
+    h: np.ndarray | None  # s x_k A_k^T, one row per row of x_k
+    ub_t: np.ndarray | None  # s (u B_k)^T
 
 
-def _trains_factored(blk: Block, n: int, shape: tuple[int, int]) -> bool:
+def _step_counts(blk: Block, rows: int) -> tuple[int, int]:
+    """The multiply-adds of blk's formed and factored step on rows rows of
+    inputs: 2 rows m_k c_k + 3 m_k c_k r_k and rows r_k (3 m_k + 2 c_k)."""
+    m, (r, c) = blk.B.shape[-2], blk.A.shape[-2:]
+    return 2 * rows * m * c + 3 * m * c * r, rows * r * (3 * m + 2 * c)
+
+
+def _trains_factored(blk: Block, n: int, shape: tuple[int, int], rows: int | None = None) -> bool:
     """Whether the step trains blk, a block of an adapter of this shape
     on n samples, through its factors rather than through U_k and G_k.
+    rows is how many rows of inputs the block's step reads: n, or c_k on
+    compressed samples (_compresses).
 
     It does when the block has no mask, the run is above the one-thread
-    size, n d_out d_in > 2**22, and the factored step's
-    n r_k (3 m_k + 2 c_k) multiply-adds are fewer than the formed step's
-    2 n m_k c_k + 3 m_k c_k r_k.
+    size, n d_out d_in > 2**22, and the factored step's count is below the
+    formed step's (_step_counts).
     """
-    m, (r, c) = blk.B.shape[-2], blk.A.shape[-2:]
+    formed, factored = _step_counts(blk, n if rows is None else rows)
     return (blk.mask is None and n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE
-            and n * r * (3 * m + 2 * c) < 2 * n * m * c + 3 * m * c * r)
+            and factored < formed)
+
+
+def _compresses(adapter, n: int, steps: int) -> bool:
+    """Whether a run of steps AdamW steps of the adapter on n samples
+    trains on its blocks' compressed samples (_compress) rather than on
+    the samples themselves.
+
+    It does when the run is above the one-thread size, n d_out d_in > 2**22,
+    every block has fewer columns c_k than n, and steps times the
+    multiply-adds a step saves exceed the compression's own.  A block's
+    step on rows rows of inputs counts its products in the form
+    _trains_factored picks and five elementwise passes over its
+    rows x m_k residual; the compression counts 2 n c_k^2 - 2 c_k^3 / 3 for
+    the reduced QR with its Q_k, then 3 n c_k m_k for P_k and kappa.
+    """
+    shape = adapter.shape
+    if n * shape[0] * shape[1] <= _ONE_THREAD_MAX_SIZE:
+        return False
+    saved = cost = 0
+    for blk in adapter.blocks:
+        m, c = blk.B.shape[-2], blk.A.shape[-1]
+        if c >= n:
+            return False
+        for rows, sign in ((n, 1), (c, -1)):
+            formed, factored = _step_counts(blk, rows)
+            step = factored if _trains_factored(blk, n, shape, rows) else formed
+            saved += sign * (step + 5 * rows * m)
+        cost += 2 * n * c * c - 2 * c**3 // 3 + 3 * n * c * m
+    return steps * saved > cost
+
+
+def _segments(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Reshaped views of consecutive segments of flat's last axis, one of
+    each shape, each with flat's leading axes."""
+    bounds = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    return [flat[..., a:b].reshape(*flat.shape[:-1], *shape)
+            for a, b, shape in zip(bounds, bounds[1:], shapes)]
 
 
 class _StepPlan:
@@ -298,29 +372,43 @@ class _StepPlan:
     masks (see Adapter.over), with the leading run axes of params; built
     once per call, when each block's step form is chosen.
 
-    out takes the update's output x @ delta^T, resid the residual, which
-    the backward reads as its upstream gradient, and grads the factor
-    gradients, laid out like params.  steps holds each block's _BlockStep.
+    x is the inputs, (..., n, d_in), or, with n the runs' sample count, a
+    list of each block's R_k, (..., c_k, c_k), for a run on compressed
+    samples (_compress).  out takes the update's output x @ delta^T, resid
+    the residual, which the backward reads as its upstream gradient, and
+    grads the factor gradients, laid out like params.  On the samples, out
+    and resid are (..., n, d_out) and block k owns their columns of its
+    rows; on compressed samples they are flat, and block k owns a c_k x m_k
+    segment of each.  steps holds each block's _BlockStep.
     """
 
-    def __init__(self, adapter, x, params, masks=None):
-        lead, n = params.shape[:-1], x.shape[-2]
-        self.out = np.empty(lead + (n, adapter.shape[0]))
-        self.resid = np.empty_like(self.out)
+    def __init__(self, adapter, x, params, masks=None, n=None):
+        lead, blocks = params.shape[:-1], adapter.over(params, masks)
+        if n is None:
+            n = x.shape[-2]
+            self.out = np.empty(lead + (n, adapter.shape[0]))
+            self.resid = np.empty_like(self.out)
+            xs = [x[..., blk.col0:blk.col1] for blk in blocks]
+            ys, us = ([buf[..., blk.row0:blk.row1] for blk in blocks]
+                      for buf in (self.out, self.resid))
+        else:
+            xs, shapes = x, [(r.shape[-2], blk.row1 - blk.row0) for r, blk in zip(x, blocks)]
+            self.out = np.empty(lead + (sum(map(math.prod, shapes)),))
+            self.resid = np.empty_like(self.out)
+            ys, us = _segments(self.out, shapes), _segments(self.resid, shapes)
         self.grads = np.empty_like(params)
         steps = []
-        for blk, grad_a, grad_b in zip(adapter.over(params, masks),
-                                       *adapter.factor_views(self.grads)):
-            rows, cols = slice(blk.row0, blk.row1), slice(blk.col0, blk.col1)
-            if _trains_factored(blk, n, adapter.shape):
+        for blk, xk, y, u, grad_a, grad_b in zip(blocks, xs, ys, us,
+                                                 *adapter.factor_views(self.grads)):
+            rows = xk.shape[-2]
+            if _trains_factored(blk, n, adapter.shape, rows):
                 r = blk.A.shape[-2]
                 upd = upd_t = None
-                h, ub_t = np.empty(lead + (n, r)), np.empty(lead + (r, n))
+                h, ub_t = np.empty(lead + (rows, r)), np.empty(lead + (r, rows))
             else:
                 upd = np.empty(lead + (blk.row1 - blk.row0, blk.col1 - blk.col0))
                 upd_t, h, ub_t = upd.swapaxes(-1, -2), None, None
-            steps.append(_BlockStep(blk, x[..., cols], self.out[..., rows],
-                                    self.resid[..., rows].swapaxes(-1, -2),
+            steps.append(_BlockStep(blk, xk, y, u.swapaxes(-1, -2),
                                     blk.A.swapaxes(-1, -2), blk.B.swapaxes(-1, -2),
                                     upd, upd_t, grad_a, grad_b, h, ub_t))
         self.steps = tuple(steps)
@@ -524,6 +612,45 @@ def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp) -> None:
     param -= m_hat
 
 
+_KAPPA_ROWS = 256  # rows of o_k per pass of _compress's kappa
+
+
+def _compress(adapter, x, base, targets) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Each block's compressed samples for runs whose arrays carry the run
+    axis first: x is (S, n, d_in), base and targets (S, n, d_out).
+
+    Block k's rows of the output are fed by its columns x_k alone.  With
+    the reduced Householder QR x_k = Q_k R_k, o_k = base_k - targets_k and
+    P_k = Q_k^T base_k - Q_k^T targets_k, its rows of the loss are
+    ||R_k U_k^T + P_k||^2 + ||o_k - Q_k P_k||^2, and (x_k U_k^T + o_k)^T x_k
+    equals (R_k U_k^T + P_k)^T R_k (Golub & Van Loan, Matrix Computations,
+    5.3).
+    Returns the R_k, (S, c_k, c_k), the P_k as c_k x m_k segments of one
+    (S, sum c_k m_k) buffer, and kappa, the (S,) sums of ||o_k - Q_k P_k||^2
+    over the blocks, each taken directly in row chunks of o_k: neither
+    ||o||^2 - ||P||^2 nor the Gram matrix x_k^T x_k, both of which cancel.
+    Q_k is dropped before the next block's QR.
+    """
+    blocks = adapter.blocks
+    rs, kappa, n = [], np.zeros(len(x)), x.shape[-2]
+    shapes = [(blk.A.shape[-1], blk.B.shape[-2]) for blk in blocks]
+    p = np.empty((len(x), sum(map(math.prod, shapes))))
+    for blk, p_k in zip(blocks, _segments(p, shapes)):
+        rows = slice(blk.row0, blk.row1)
+        q, r = np.linalg.qr(x[..., blk.col0:blk.col1])
+        rs.append(r)
+        q_t = q.swapaxes(-1, -2)
+        np.matmul(q_t, base[..., rows], out=p_k)
+        p_k -= q_t @ targets[..., rows]
+        for i in range(0, n, _KAPPA_ROWS):
+            chunk = slice(i, i + _KAPPA_ROWS)
+            off = np.subtract(base[..., chunk, rows], targets[..., chunk, rows])
+            off -= q[..., chunk, :] @ p_k
+            kappa += np.einsum("sij,sij->s", off, off)
+        del q, q_t
+    return rs, p, kappa
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _train_runs(adapter, x, base, targets, masks, params, traces, cfg: TrainConfig) -> None:
     """cfg.steps full-batch AdamW updates, in place, on S runs of the
@@ -534,22 +661,31 @@ def _train_runs(adapter, x, base, targets, masks, params, traces, cfg: TrainConf
     and params (S, p).  masks[k] is (S, rows_k, cols_k) or None; masks
     None means the adapter's own masks, which broadcast over the runs.
     cfg gives the step count and the optimizer constants; the moments
-    start at zero.  A non-finite loss in any run stops all of them after
-    its trace column is written, and _check_finite reports it; numpy's
-    overflow and invalid-value warnings on the way there are silenced, so
-    that report is the one report of a divergence.
+    start at zero.  Where _compresses says so, the step runs on the
+    blocks' compressed samples (_compress): the residual is R_k U_k^T + P_k
+    and the loss adds kappa to its sum of squares; on the samples kappa is
+    0.0, and adding it is exact.  A non-finite loss in any run stops all
+    of them after its trace column is written, and _check_finite reports
+    it; numpy's overflow and invalid-value warnings on the way there are
+    silenced, so that report is the one report of a divergence.
     """
     n, d_out = base.shape[1:]
-    plan = _StepPlan(adapter, x, params, masks)
+    if _compresses(adapter, n, cfg.steps):
+        rs, base, kappa = _compress(adapter, x, base, targets)
+        plan, targets = _StepPlan(adapter, rs, params, masks, n), None
+    else:
+        plan, kappa = _StepPlan(adapter, x, params, masks), 0.0
     resid = plan.resid
     sq = plan.out  # the update's output is spent once resid holds the forward
+    axes = tuple(range(1, sq.ndim))
     m, v = np.zeros_like(params), np.zeros_like(params)
     tmp = np.empty_like(params), np.empty_like(params)
     for i in range(cfg.steps + 1):
         _add_update(plan, base, out=resid)
-        resid -= targets
+        if targets is not None:
+            resid -= targets
         np.square(resid, out=sq)
-        loss = np.add.reduce(sq, axis=(-2, -1)) / (n * d_out)
+        loss = (np.add.reduce(sq, axis=axes) + kappa) / (n * d_out)
         traces[:, i] = loss
         if i == cfg.steps or not np.isfinite(loss).all():
             break
@@ -585,7 +721,9 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     come from cfg.  The trace has cfg.steps + 1 entries: trace[i] is the
     MSE after i updates, so trace[0] is the initial loss.  Deterministic
     for fixed inputs.  The host output x @ w0^T is computed once; each step
-    adds the block-wise update output to it.  A task that does not fit the
+    adds the block-wise update output to it, or, where the run trains on
+    compressed samples (see the module docstring), the host output
+    enters once, through each block's P_k.  A task that does not fit the
     adapter raises ValidationError before any parameter changes.  Raises
     DivergenceError (with the step index) if the loss leaves the finite
     range.
@@ -676,15 +814,14 @@ def _stacks(n_runs: int, shapes) -> list[np.ndarray]:
     anonymous shared mapping, which forked workers write in place.  Stacks
     too large to allocate raise ValidationError naming the run count and
     the bytes."""
-    sizes = [n_runs * math.prod(shape) for shape in shapes]
+    shapes = [(n_runs, *shape) for shape in shapes]
+    size = 8 * sum(map(math.prod, shapes))
     try:
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
+        flat = np.frombuffer(mmap.mmap(-1, size))
     except (MemoryError, OSError, OverflowError, ValueError):  # what numpy and mmap raise
-        raise ValidationError(f"{n_runs} seeds need {8 * sum(sizes):,} bytes of stacked arrays, "
+        raise ValidationError(f"{n_runs} seeds need {size:,} bytes of stacked arrays, "
                               f"more than can be allocated") from None
-    bounds = tuple(accumulate(sizes, initial=0))
-    return [flat[a:b].reshape(n_runs, *shape)
-            for a, b, shape in zip(bounds, bounds[1:], shapes)]
+    return _segments(flat, shapes)
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:

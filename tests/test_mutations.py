@@ -13,11 +13,14 @@ The checks:
   runs of tests/test_oracle.py, compared with perfbench/oracle.py's
   outputs through check.compare_dirs;
 * the fresh backward: tests/test_training.py's fresh_backward_error, a
-  backward call with no forward before it against the dense reference.
+  backward call with no forward before it against the dense reference;
+* the compressed equivalence: tests/test_training.py's
+  compressed_differences, train_seeds on compressed samples against the
+  same runs on the samples themselves.
 
-The factored twins of the faults run with the one-thread size patched to
-0, so that unmasked blocks of the d=8 and d=16 runs train through their
-factors.
+The factored and compressed twins of the faults run with the one-thread
+size patched to 0, so that unmasked blocks of the d=8 and d=16 runs
+train through their factors and training runs on compressed samples.
 
 Each check also runs once without a fault, and must pass then.  Where a
 fault cannot show, the case is left out, with the reason beside the list
@@ -44,7 +47,9 @@ import check  # noqa: E402
 import oracle  # noqa: E402
 import workloads  # noqa: E402
 from test_oracle import SWEEP, TRAIN, run_cli  # noqa: E402
-from test_training import fresh_backward_error, spy_factored  # noqa: E402
+from test_training import (COMPRESSED_CFG, COMPRESSED_FACTOR_RTOL,  # noqa: E402
+                           COMPRESSED_LOSS_RTOL, compressed_differences, fresh_backward_error,
+                           spy_compresses, spy_factored)
 
 
 def db_sign_flipped(monkeypatch):
@@ -58,20 +63,32 @@ def db_sign_flipped(monkeypatch):
 
 
 def scale_dropped(monkeypatch):
-    """_add_update forms each block's update without its scale s_k."""
+    """_add_update takes each block's update without its scale s_k: a formed
+    block forms B_k A_k, a factored one projects x_k A_k^T."""
     def faulty(plan, base, out=None):
         for step in plan.steps:
-            step.block._replace(scale=1.0).update(out=step.upd)  # the fault: scale 1
-            np.matmul(step.x, step.upd_t, out=step.y)
+            if step.h is None:
+                step.block._replace(scale=1.0).update(out=step.upd)  # the fault: scale 1
+                np.matmul(step.x, step.upd_t, out=step.y)
+            else:
+                np.matmul(step.x, step.a_t, out=step.h)  # the fault: no h *= s
+                np.matmul(step.h, step.b_t, out=step.y)
         return np.add(base, plan.out, out=out)
     monkeypatch.setattr(training, "_add_update", faulty)
 
 
 def mask_skipped(monkeypatch):
-    """_factor_grads leaves G_k unmasked."""
+    """_factor_grads leaves G_k unmasked.  Only a masked block has a mask to
+    skip, and a masked block is always formed: the others keep their
+    gradients."""
+    factor_grads = training._factor_grads
+
     def faulty(plan):
+        factor_grads(plan)
         for step in plan.steps:
             blk, gk, grad_a, grad_b = step.block, step.upd, step.grad_a, step.grad_b
+            if blk.mask is None:
+                continue
             np.matmul(step.u_t, step.x, out=gk)  # the fault: no gk *= blk.mask
             np.matmul(gk, step.a_t, out=grad_b)
             grad_b *= blk.scale
@@ -120,8 +137,10 @@ FAULTS = {f.__name__: f for f in (db_sign_flipped, scale_dropped, mask_skipped,
 
 def factored(monkeypatch):
     """Every run counts as above the one-thread size, so each unmasked block
-    whose factored step costs less trains through its factors.  Not a
-    fault: each factored check also runs with this alone, and must pass."""
+    whose factored step costs less trains through its factors, and each
+    training run that compression repays trains on compressed samples.
+    Not a fault: each factored and compressed check also runs with this
+    alone, and must pass."""
     monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
 
 
@@ -171,6 +190,54 @@ def stale_projection(monkeypatch):
 
 FACTORED_FAULTS = {f.__name__: f for f in (factored_db_sign_flipped, factored_scale_dropped,
                                            stale_projection)}
+
+
+def kappa_dropped(monkeypatch):
+    """On compressed samples, the loss leaves out kappa, the part of each
+    block's o_k off the span of its inputs."""
+    factored(monkeypatch)
+    compress = training._compress
+
+    def faulty(*args):
+        rs, p, kappa = compress(*args)
+        return rs, p, np.zeros_like(kappa)
+    monkeypatch.setattr(training, "_compress", faulty)
+
+
+def projection_of_base_alone(monkeypatch):
+    """On compressed samples, P_k is Q_k^T base_k, without the targets."""
+    factored(monkeypatch)
+    compress = training._compress
+
+    def faulty(adapter, x, base, targets):
+        rs, _, kappa = compress(adapter, x, base, targets)
+        return rs, compress(adapter, x, base, np.zeros_like(targets))[1], kappa
+    monkeypatch.setattr(training, "_compress", faulty)
+
+
+def gradient_against_the_samples(monkeypatch):
+    """On compressed samples, _factor_grads takes each block's gradient
+    against the first c_k samples of x_k in place of R_k, as if the
+    compressed residual were theirs."""
+    factored(monkeypatch)
+    train_runs, factor_grads = training._train_runs, training._factor_grads
+
+    def faulty(adapter, x, *args):
+        def against_the_samples(plan):
+            steps = plan.steps
+            plan.steps = tuple(step._replace(x=x[..., :step.x.shape[-2],
+                                                 step.block.col0:step.block.col1])
+                               for step in steps)
+            factor_grads(plan)
+            plan.steps = steps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "_factor_grads", against_the_samples)
+            train_runs(adapter, x, *args)
+    monkeypatch.setattr(training, "_train_runs", faulty)
+
+
+COMPRESSED_FAULTS = {f.__name__: f for f in (kappa_dropped, projection_of_base_alone,
+                                             gradient_against_the_samples)}
 
 # kind: (configs, invocations, rtol) of the d=16 runs of tests/test_oracle.py
 RUNS = {
@@ -305,3 +372,37 @@ def test_the_train_oracle_fails_on_the_factored_fault(fault, expected, tmp_path,
 def test_the_fresh_backward_fails_on_the_fault(fault, method, monkeypatch):
     (FACTORED_FAULTS[fault] if fault else factored)(monkeypatch)
     assert (fresh_backward_error(method) <= 1e-11) == (fault is None)
+
+
+# The compressed checks: the train oracle, whose d=16 runs all train on
+# compressed samples once every run counts as above the one-thread size,
+# and tests/test_training.py's compressed_differences, on its noisy config.
+# Its runs carry noise, so kappa > 0; the oracle's runs carry none, so each
+# block's o_k lies in the span of its inputs, kappa is a rounding error,
+# and a dropped kappa cannot show there.
+COMPRESSED_TRAIN_ORACLE_CASES = ["projection_of_base_alone", "gradient_against_the_samples"]
+COMPRESSED_EQUIVALENCE_CASES = ["kappa_dropped", "projection_of_base_alone",
+                                "gradient_against_the_samples"]
+
+
+def test_every_compressed_fault_has_a_case():
+    assert (set(COMPRESSED_TRAIN_ORACLE_CASES) | set(COMPRESSED_EQUIVALENCE_CASES)
+            == set(COMPRESSED_FAULTS))
+
+
+@pytest.mark.parametrize("fault", [None] + COMPRESSED_TRAIN_ORACLE_CASES)
+def test_the_train_oracle_fails_on_the_compressed_fault(fault, expected, tmp_path, monkeypatch):
+    (COMPRESSED_FAULTS[fault] if fault else factored)(monkeypatch)
+    verdicts = spy_compresses(monkeypatch)
+    codes, problems = run_against_the_oracle("train", expected, tmp_path, monkeypatch)
+    assert codes == [0, 0]
+    assert verdicts == [True, True]
+    assert (problems != []) == (fault is not None), problems
+
+
+@pytest.mark.parametrize("fault", [None] + COMPRESSED_EQUIVALENCE_CASES)
+@pytest.mark.parametrize("method", ["smoa", "lora"])
+def test_the_compressed_equivalence_fails_on_the_fault(fault, method, monkeypatch):
+    (COMPRESSED_FAULTS[fault] if fault else factored)(monkeypatch)
+    loss, factor = compressed_differences(method, COMPRESSED_CFG, 1)
+    assert (loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL) == (fault is None)

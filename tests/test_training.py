@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -591,6 +592,141 @@ def test_backward_without_a_forward_matches_dense_reference(method, monkeypatch)
     verdicts = spy_factored(monkeypatch)
     assert fresh_backward_error(method) <= 1e-11
     assert verdicts and all(verdicts)
+
+
+# Compressed samples: above the one-thread size, a run whose blocks each
+# have fewer columns than samples, and whose steps repay the QR, trains on
+# each block's R_k and P_k (training._compress).  Against the same runs on
+# the samples, at task seeds 0-4 of the d=512 benchmark configs, the loss
+# traces differed by at most 3.7e-16 relative and the factors by 2.4e-11 of
+# each run's largest entry.  On the cases below they differ by at most
+# 1.2e-14 and 9.3e-13; the bounds leave room above both.
+
+COMPRESSED_LOSS_RTOL = 1e-12
+COMPRESSED_FACTOR_RTOL = 1e-9
+
+
+def spy_compresses(monkeypatch):
+    """Record every verdict of training._compresses."""
+    verdicts = []
+    rule = training._compresses
+
+    def spy(*args):
+        verdicts.append(rule(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(training, "_compresses", spy)
+    return verdicts
+
+
+def spy_plans(monkeypatch):
+    """Record the shape of every _StepPlan's out buffer; resid is shaped
+    like it."""
+    shapes = []
+
+    class Plan(training._StepPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shapes.append(self.out.shape)
+    monkeypatch.setattr(training, "_StepPlan", Plan)
+    return shapes
+
+
+def compressed_differences(method, cfg, n_seeds):
+    """Train method's n_seeds runs of cfg with train_seeds on compressed
+    samples, then on the samples themselves; returns the largest relative
+    difference of their loss traces and the largest difference of their
+    factors relative to each run's largest factor entry."""
+    with pytest.MonkeyPatch.context() as patch:
+        verdicts = spy_compresses(patch)
+        runs, traces = training.train_seeds(method, cfg, n_seeds)
+        assert verdicts == [True]
+        patch.setattr(training, "_compresses", lambda *args: False)
+        refs, ref_traces = training.train_seeds(method, cfg, n_seeds)
+    loss = np.max(np.abs(traces - ref_traces) / ref_traces)
+    factor = max(np.abs(run.params - ref.params).max() / np.abs(ref.params).max()
+                 for run, ref in zip(runs, refs, strict=True))
+    return loss, factor
+
+
+# noise puts part of each block's o_k off the span of x_k, so kappa > 0
+COMPRESSED_CFG = TrainConfig(d=24, target_rank=6, n_samples=64, seed=42, noise_std=0.1,
+                             target_blocks=2, K=2, r=4, steps=40, learning_rate=1e-2,
+                             weight_decay=0.01)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_compressed_samples_train_as_the_samples_do(method, S, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    loss, factor = compressed_differences(method, COMPRESSED_CFG, S)
+    assert loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_train_seeds_on_compressed_samples_equals_training_each_run_alone(method, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    verdicts, cfg = spy_compresses(monkeypatch), COMPRESSED_CFG
+    runs, traces = training.train_seeds(method, cfg, 3)
+    for j, run in enumerate(runs):
+        seed = cfg.seed + j
+        task = training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std, seed,
+                                  target_blocks=cfg.target_blocks)
+        alone = adapters.build_adapter(method, dataclasses.replace(cfg, seed=seed), task.w0)
+        assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
+        assert run.params.tobytes() == alone.params.tobytes()
+    assert verdicts == [True] * 4
+
+
+def test_compressed_samples_train_as_the_samples_do_above_the_one_thread_size():
+    cfg = TrainConfig(d=256, target_rank=192, n_samples=512, seed=43, noise_std=0.1,
+                      target_blocks=2, K=2, r=16, steps=20, weight_decay=0.01)
+    assert cfg.n_samples * cfg.d * cfg.d > training._ONE_THREAD_MAX_SIZE
+    loss, factor = compressed_differences("smoa", cfg, 1)
+    assert loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL
+
+
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(COMPRESSED_CFG, n_samples=24),  # lora's c_k = 24 is not below n
+    dataclasses.replace(COMPRESSED_CFG, steps=1),  # one step does not repay the QR
+], ids=["c_k-not-below-n", "one-step"])
+def test_runs_that_compression_does_not_repay_train_on_the_samples(cfg, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    verdicts, shapes = spy_compresses(monkeypatch), spy_plans(monkeypatch)
+    training.train_seeds("lora", cfg, 2)
+    assert verdicts == [False]
+    assert shapes == [(2, cfg.n_samples, cfg.d)]
+
+
+def traced_peak(method, cfg, n_seeds):
+    """The tracemalloc peak, in bytes, of one train_seeds call."""
+    tracemalloc.start()
+    try:
+        training.train_seeds(method, cfg, n_seeds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", [
+    "smoa", "block_lora",
+    # a single block has c_k = d_in = d_out: np.linalg.qr holds its copy of
+    # x_k, Q_k and R_k at once, 2 n c_k + c_k^2 entries, against the n-space
+    # step's 2 n d_out, and P_k is held beside them
+    *(pytest.param(method, marks=pytest.mark.xfail(
+        strict=True, reason="the single block's QR holds c_k^2 + c_k m_k more than "
+                            "the n-space step buffers")) for method in ("lora", "hadamard_w0")),
+])
+def test_compressed_samples_hold_no_step_buffer_of_the_samples(method, monkeypatch):
+    cfg = TrainConfig(d=256, target_rank=192, n_samples=512, seed=44, noise_std=0.1,
+                      target_blocks=2, K=2, r=16, steps=60)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_compresses", lambda *args: False)
+        on_the_samples = traced_peak(method, cfg, 2)
+    verdicts, shapes = spy_compresses(monkeypatch), spy_plans(monkeypatch)
+    compressed = traced_peak(method, cfg, 2)
+    assert verdicts == [True]
+    assert len(shapes) == 1 and cfg.n_samples not in shapes[0]
+    assert compressed <= on_the_samples
 
 
 # Per-tensor reference for the flat-buffer optimizer: the step as it was
