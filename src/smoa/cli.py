@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapters, matrix_io, rank_analysis, spectral, training
+from . import adapters, blas, matrix_io, rank_analysis, spectral, training
 from .errors import FormatError, NumericalError, ValidationError
 
 
@@ -175,12 +175,11 @@ def _cmd_train(args) -> int:
 def _cmd_gradcheck(args) -> int:
     mode = "budget" if args.r >= args.k else "flexible"
     cfg = matrix_io.RunConfig(K=args.k, r=args.r, seed=args.seed, mode=mode)
-    n = 2 * args.d
-    with training.one_thread_if_small(n, args.d, args.d):
-        task = training.make_task(args.d, max(1, args.d // 2), n, 0.0, args.seed)
+    with blas.one_thread():  # the builds' norms and decompose move with the count
+        task = training.make_task(args.d, max(1, args.d // 2), 2 * args.d, 0.0, args.seed)
         adapter = adapters.build_adapter(args.method, cfg, task.w0)
         adapters.randomize_factors(adapter, np.random.default_rng([args.seed, 1]), std=0.5)
-        report = training.grad_check(adapter, task, seed=args.seed)
+    report = training.grad_check(adapter, task, seed=args.seed)
     role, k, i, j = report.worst
     print(f"checked {report.n_checked} entries")
     print(f"max relative error: {report.max_rel_error:.6e}")

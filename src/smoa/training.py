@@ -25,21 +25,22 @@ step forms:
   2106.09685).  It sums in another order than the dense step, so its
   results differ from that step's in the last bits.
 
-A block takes the factored step when it has no mask, its run is above
-the one-thread size, n d_out d_in > 2**22, and the factored count is the
-smaller (_trains_factored).  At d = 512 and n = 1024 a lora block of
+A run is large when its host product is, n d_out d_in > 2**22
+(_ONE_THREAD_MAX_SIZE), and small otherwise.  A block takes the factored
+step when it has no mask, its run is large and the factored count is
+the smaller (_trains_factored).  At d = 512 and n = 1024 a lora block of
 rank 8 then costs 21M multiply-adds a step against 543M formed; a block
-of rank r_k >= its sides stays formed.  Every run at or below 2**22
-stays formed, and keeps its bytes: the capacity task's 2000-step lora
+of rank r_k >= its sides stays formed.  Every small run stays formed,
+and keeps its bytes: the capacity task's 2000-step lora
 runs are chaotic in their factors, where a reordered last bit grows past
 the relative tolerance of 1e-6 at which perfbench/check.py compares
 them.  The size condition stays until that check judges the training
 runs by their loss traces.
 
-Above the same size a training run may also train on compressed
-samples.  Block k's rows of the output are fed by its columns x_k alone.
-With the reduced Householder QR x_k = Q_k R_k (Golub & Van Loan, Matrix
-Computations, 5.3), o_k = base_k - targets_k for the host output base,
+A large training run may also train on compressed samples.  Block k's
+rows of the output are fed by its columns x_k alone.  With the reduced
+Householder QR x_k = Q_k R_k (Golub & Van Loan, Matrix Computations,
+5.3), o_k = base_k - targets_k for the host output base,
 P_k = Q_k^T o_k and kappa_k = ||o_k - Q_k P_k||^2,
 
     ||x_k U_k^T + o_k||^2 = ||R_k U_k^T + P_k||^2 + kappa_k and
@@ -77,8 +78,9 @@ The host output x @ w0^T (n d_out d_in) is computed once per run; a
 step adds O(n d_out) elementwise work on the output, O(sum c_k m_k) on
 compressed samples: each block's product writes its part of one output
 buffer, and one add of the host output, or of the P_k, finishes the
-forward.  A _StepPlan, built once per call of forward, backward,
-grad_check, train or train_seeds, holds every view the step reads (each
+forward.  A _StepPlan, built once per call of forward, backward and
+grad_check, and once per group of train and train_seeds (see below),
+for the group's blocks, holds every view the step reads (each
 block's inputs, x_k or R_k, its part of the output and residual
 buffers, A_k^T and B_k^T) and every buffer it writes: the output buffer
 (which then takes the squared residual), the residual, each formed
@@ -103,46 +105,51 @@ goes through the same operations as in a per-tensor update.  The step
 count and the optimizer constants come from a validated TrainConfig,
 which is a RunConfig: train_seeds builds seed s's adapter from
 dataclasses.replace(cfg, seed=s).  The moments start at zero in every
-call.  train runs the step on a [None] view of one adapter's params, in
-place, and on the adapter's own masks, which broadcast over the run
-axis.  train_seeds builds its seeds' tasks and adapters straight into
-stacked inputs, targets, host outputs, masks and params, so it holds
-O(S n d) stacked arrays and no task; each adapter it returns holds views
-of its rows of the stacked params and masks, so the step trains the
-returned adapters in place.
+call.  train runs the step on a stack of one run: a copy of the
+adapter's params, written back when it returns or raises, and [None]
+views of the adapter's masks.  train_seeds builds its seeds' tasks and
+adapters straight into stacked inputs, targets, host outputs, masks and
+params, so it holds O(S n d) stacked arrays and no task; each adapter it
+returns holds views of its rows of the stacked params and masks, so the
+step trains the returned adapters in place.
 
-train and train_seeds run whole at one BLAS thread (one_thread_if_small,
-over workers.pinned) when each run's host product is small,
-n d_out d_in <= 2**22, and at the caller's count above: the task builds,
-x @ w0^T, build_adapter with its decompose, and the steps.  Pinned, a
-call writes the one-thread bytes at any caller's count, so at d <= 128
-with n = 2d it writes the same bytes at 1 and at 2 threads; unpinned,
-make_task's norms (BLAS dots) would move with the count.  The step's
-products split their output, not their sums, across threads, so the
-step itself writes the same bits at either count.  Up to 2**22 one
-thread is about as fast as two and takes half the CPU time, and a step
-at two threads stalls whenever another process holds the second core;
-above it, one thread is markedly slower (the per-step table is in
-CHANGES.md).  The pin covers the builds too: an OpenBLAS thread left
-busy by an unpinned build spins on while a pinned step loop runs, and
-costs CPU time.
+train, train_seeds and grad_check run whole at one BLAS thread
+(workers.pinned): the task builds, x @ w0^T, build_adapter with its
+decompose, and the steps or the check; the gradcheck command pins its
+builds too.  Pinned, a call writes the one-thread bytes at any caller's
+count, so it writes the same bytes at 1 and at 2 threads at every size;
+unpinned, make_task's norms (BLAS dots) would move with the count, and
+from d = 256 so would decompose's singular vectors.  At two threads a
+d = 512 step ran about as fast as at one and took twice the CPU time,
+and a step at two threads stalls whenever another process holds the
+second core.  The core the pin frees goes to forked processes instead.
 
-A pinned train_seeds call splits its S runs into as many contiguous
-groups as workers.pinned grants processes, at most S; an unpinned one
-trains them all in the calling process.  Every stack of the call, the
-inputs, host outputs, targets, masks, params and traces, lives in an
-anonymous shared mapping (_stacks).  The calling process builds every
-task and adapter, then trains the first group; workers.run_groups forks
-a worker for each other group, which trains its runs in place in the
-shared params and traces and reads the rest of the stacks, which no run
-writes.  A group's runs compute what the whole stack computes for them,
-so any split writes the same bytes.
+A call splits its items into as many contiguous groups as
+workers.pinned grants processes, at most one per item: the calling
+process runs the first group, and workers.run_groups forks a worker for
+each other.  The items of a training call are its runs, or, where its
+runs are large and have several blocks, their blocks (_splits_blocks);
+those of grad_check are its perturbed entries.  Every stack of a
+train_seeds call, the inputs, host outputs, targets, masks and params,
+lives in an anonymous shared mapping (_stacks), as do train's copy of
+its params and each call's loss sums.  The calling process builds every
+task and adapter; a group then trains its runs, or its blocks' span of
+the params (_param_span), in place, and reads the rest of the stacks,
+which no group writes.  Block k's loss and gradient read only its
+columns of the inputs and its rows of the output, so a group of blocks
+computes what the whole call computes for them: a large run's trace is
+its blocks' sums of squares, each plus its kappa_k, added in block
+order over n d_out, and a small run's is its whole output's sum of
+squares over n d_out.  So any split writes the same bytes.  grad_check
+takes the analytic gradient once, checks each group of entries in its
+own process and merges the groups' worst entries in entry order
+(_largest_error).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -157,28 +164,11 @@ from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, validate_matrix
 
 
-_ONE_THREAD_MAX_SIZE = 2**22  # largest n * d_out * d_in trained at one BLAS thread
+_ONE_THREAD_MAX_SIZE = 2**22  # largest n * d_out * d_in of a small run (module docstring)
 
 
 class DivergenceError(NumericalError):
     """Training loss became non-finite."""
-
-
-@contextlib.contextmanager
-def one_thread_if_small(n: int, d_out: int, d_in: int):
-    """Run the block under blas.one_thread() when a run of n samples on a
-    d_out x d_in weight is small, its host product x @ w0^T, n d_out d_in
-    multiply-adds, at most 2**22, and at the caller's BLAS thread count
-    above.
-
-    Yields how many processes the block may use: what workers.pinned
-    grants when it pins, and 1 when it does not.
-    """
-    if n * d_out * d_in > _ONE_THREAD_MAX_SIZE:
-        yield 1
-        return
-    with workers.pinned() as processes:
-        yield processes
 
 
 def random_weight(d_out: int, d_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -321,9 +311,9 @@ def _trains_factored(blk: Block, n: int, shape: tuple[int, int], rows: int | Non
     rows is how many rows of inputs the block's step reads: n, or c_k on
     compressed samples (_compresses).
 
-    It does when the block has no mask, the run is above the one-thread
-    size, n d_out d_in > 2**22, and the factored step's count is below the
-    formed step's (_step_counts).
+    It does when the block has no mask, the run is large, n d_out d_in >
+    2**22, and the factored step's count is below the formed step's
+    (_step_counts).
     """
     formed, factored = _step_counts(blk, n if rows is None else rows)
     return (blk.mask is None and n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE
@@ -335,13 +325,13 @@ def _compresses(adapter, n: int, steps: int) -> bool:
     trains on its blocks' compressed samples (_compress) rather than on
     the samples themselves.
 
-    It does when the run is above the one-thread size, n d_out d_in > 2**22,
-    every block has fewer columns c_k than n, and steps times the
-    multiply-adds a step saves exceed the compression's own.  A block's
-    step on rows rows of inputs counts its products in the form
-    _trains_factored picks and five elementwise passes over its
-    rows x m_k residual; the compression counts 2 n c_k^2 - 2 c_k^3 / 3 for
-    the reduced QR with its Q_k, then 3 n c_k m_k for P_k and kappa.
+    It does when the run is large, n d_out d_in > 2**22, every block has
+    fewer columns c_k than n, and steps times the multiply-adds a step
+    saves exceed the compression's own.  A block's step on rows rows of
+    inputs counts its products in the form _trains_factored picks and five
+    elementwise passes over its rows x m_k residual; the compression
+    counts 2 n c_k^2 - 2 c_k^3 / 3 for the reduced QR with its Q_k, then
+    3 n c_k m_k for P_k and kappa.
     """
     shape = adapter.shape
     if n * shape[0] * shape[1] <= _ONE_THREAD_MAX_SIZE:
@@ -372,34 +362,40 @@ class _StepPlan:
     masks (see Adapter.over), with the leading run axes of params; built
     once per call, when each block's step form is chosen.
 
-    x is the inputs, (..., n, d_in), or, with n the runs' sample count, a
-    list of each block's R_k, (..., c_k, c_k), for a run on compressed
-    samples (_compress).  out takes the update's output x @ delta^T, resid
-    the residual, which the backward reads as its upstream gradient, and
-    grads the factor gradients, laid out like params.  On the samples, out
-    and resid are (..., n, d_out) and block k owns their columns of its
-    rows; on compressed samples they are flat, and block k owns a c_k x m_k
-    segment of each.  steps holds each block's _BlockStep.
+    group is the range of the blocks the step runs, all of them by default;
+    the plan holds their views alone.  x is the inputs, (..., n, d_in), or,
+    with n the runs' sample count, a list of the group's blocks' R_k,
+    (..., c_k, c_k), for a run on compressed samples (_compress).  out
+    takes the update's output x @ delta^T, resid the residual, which the
+    backward reads as its upstream gradient, and grads the factor
+    gradients, laid out like params.  On the samples, out and resid are the
+    group's rows of (..., n, d_out) buffers, rows, and block k owns their
+    columns of its rows; on compressed samples they are flat, and block k
+    owns a c_k x m_k segment of each.  steps holds each block's _BlockStep.
     """
 
-    def __init__(self, adapter, x, params, masks=None, n=None):
-        lead, blocks = params.shape[:-1], adapter.over(params, masks)
+    def __init__(self, adapter, x, params, masks=None, n=None, group=None):
+        cut = slice(None) if group is None else slice(group.start, group.stop)
+        lead, blocks = params.shape[:-1], adapter.over(params, masks)[cut]
         if n is None:
             n = x.shape[-2]
-            self.out = np.empty(lead + (n, adapter.shape[0]))
-            self.resid = np.empty_like(self.out)
+            # the whole output's buffers: a block's views, and so the bits
+            # of its loss sum, are the same in every group
+            out = np.empty(lead + (n, adapter.shape[0]))
+            resid = np.empty_like(out)
+            self.rows = slice(blocks[0].row0, blocks[-1].row1)
+            self.out, self.resid = out[..., self.rows], resid[..., self.rows]
             xs = [x[..., blk.col0:blk.col1] for blk in blocks]
-            ys, us = ([buf[..., blk.row0:blk.row1] for blk in blocks]
-                      for buf in (self.out, self.resid))
+            ys, us = ([buf[..., blk.row0:blk.row1] for blk in blocks] for buf in (out, resid))
         else:
             xs, shapes = x, [(r.shape[-2], blk.row1 - blk.row0) for r, blk in zip(x, blocks)]
             self.out = np.empty(lead + (sum(map(math.prod, shapes)),))
             self.resid = np.empty_like(self.out)
             ys, us = _segments(self.out, shapes), _segments(self.resid, shapes)
         self.grads = np.empty_like(params)
+        grads_a, grads_b = (views[cut] for views in adapter.factor_views(self.grads))
         steps = []
-        for blk, xk, y, u, grad_a, grad_b in zip(blocks, xs, ys, us,
-                                                 *adapter.factor_views(self.grads)):
+        for blk, xk, y, u, grad_a, grad_b in zip(blocks, xs, ys, us, grads_a, grads_b):
             rows = xk.shape[-2]
             if _trains_factored(blk, n, adapter.shape, rows):
                 r = blk.A.shape[-2]
@@ -550,44 +546,60 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     (role, subspace, row, col).  Failures are report entries, never
     exceptions.  seed, which picks the subsample, must be a non-negative
     int.  tests/test_mutations.py keeps the known faults this check catches.
+
+    The call runs pinned (workers.pinned).  It takes the analytic gradient
+    once, then splits the entries into min(entries, processes) contiguous
+    groups, the first checked in the calling process and each other in a
+    forked worker (workers.run_groups), and takes the worst entry of the
+    groups' worst in entry order (_largest_error), so the report is the
+    same at any split.
     """
     _check_field("seed", seed, int, 0)
     w0, x, targets = _check_task(adapter, task)
     params = adapter.params
-    plan = _StepPlan(adapter, x, params)
-    base = x @ w0.T
-    resid = _add_update(plan, base, out=plan.resid)
-    resid -= targets
-    resid *= 2.0 / resid.size
-    _factor_grads(plan)
-    offset = 2.0 * (base - targets)
-    zero = np.zeros_like(offset)
-
     entries = np.arange(params.size)
     if params.size > _CHECK_ALL_UP_TO:
         picker = np.random.default_rng(seed)
         entries = np.sort(picker.choice(params.size, _N_SAMPLED, replace=False))
+    with workers.pinned() as processes:
+        plan = _StepPlan(adapter, x, params)
+        base = x @ w0.T
+        resid = _add_update(plan, base, out=plan.resid)
+        resid -= targets
+        resid *= 2.0 / resid.size
+        _factor_grads(plan)
+        offset = 2.0 * (base - targets)
+        zero = np.zeros_like(offset)
 
-    max_rel = 0.0
-    worst = entries[0]
-    worst_a = worst_n = 0.0
-    for e in entries:
-        orig = params[e]
-        params[e] = orig + _H
-        plus = _add_update(plan, zero)
-        params[e] = orig - _H
-        minus = _add_update(plan, zero)
-        params[e] = orig
-        numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
-        analytic = plan.grads[e]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        if rel > max_rel:
-            max_rel = rel
-            worst = e
-            worst_a, worst_n = analytic, numeric
+        def check(group):
+            """The group's worst entry: its first largest relative error,
+            that error, the entry, and its analytic and numeric values."""
+            max_rel, worst, worst_a, worst_n = 0.0, entries[group[0]], 0.0, 0.0
+            for e in entries[group.start:group.stop]:
+                orig = params[e]
+                params[e] = orig + _H
+                plus = _add_update(plan, zero)
+                params[e] = orig - _H
+                minus = _add_update(plan, zero)
+                params[e] = orig
+                numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
+                analytic = plan.grads[e]
+                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+                if rel > max_rel:
+                    max_rel, worst, worst_a, worst_n = rel, e, analytic, numeric
+            return max_rel, worst, worst_a, worst_n
+        items = range(len(entries))
+        worsts = workers.run_groups(check, items, min(len(items), processes), "checking entries")
+    max_rel, worst, worst_a, worst_n = _largest_error(worsts)
     return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries),
                            worst=_factor_entry(adapter, worst), worst_analytic=worst_a,
                            worst_numeric=worst_n, tol=_TOL)
+
+
+def _largest_error(worsts: list[tuple]) -> tuple:
+    """The first of the groups' worst entries, in entry order, whose
+    relative error is the largest: the entry an unsplit check names."""
+    return max(worsts, key=lambda worst: worst[0])
 
 
 def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp) -> None:
@@ -615,9 +627,10 @@ def _adamw_update(param, grad, m, v, t, cfg: TrainConfig, tmp) -> None:
 _KAPPA_ROWS = 256  # rows of o_k per pass of _compress's kappa
 
 
-def _compress(adapter, x, base, targets) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Each block's compressed samples for runs whose arrays carry the run
-    axis first: x is (S, n, d_in), base and targets (S, n, d_out).
+def _compress(blocks, x, base, targets) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The compressed samples of blocks, some of an adapter's blocks, for
+    runs whose arrays carry the run axis first: x is (S, n, d_in), base and
+    targets (S, n, d_out).
 
     Block k's rows of the output are fed by its columns x_k alone.  With
     the reduced Householder QR x_k = Q_k R_k, o_k = base_k - targets_k and
@@ -626,16 +639,15 @@ def _compress(adapter, x, base, targets) -> tuple[list[np.ndarray], np.ndarray, 
     equals (R_k U_k^T + P_k)^T R_k (Golub & Van Loan, Matrix Computations,
     5.3).
     Returns the R_k, (S, c_k, c_k), the P_k as c_k x m_k segments of one
-    (S, sum c_k m_k) buffer, and kappa, the (S,) sums of ||o_k - Q_k P_k||^2
-    over the blocks, each taken directly in row chunks of o_k: neither
+    (S, sum c_k m_k) buffer, and kappa, the (S, len(blocks)) sums
+    ||o_k - Q_k P_k||^2, each taken directly in row chunks of o_k: neither
     ||o||^2 - ||P||^2 nor the Gram matrix x_k^T x_k, both of which cancel.
     Q_k is dropped before the next block's QR.
     """
-    blocks = adapter.blocks
-    rs, kappa, n = [], np.zeros(len(x)), x.shape[-2]
+    rs, kappa, n = [], np.zeros((len(x), len(blocks))), x.shape[-2]
     shapes = [(blk.A.shape[-1], blk.B.shape[-2]) for blk in blocks]
     p = np.empty((len(x), sum(map(math.prod, shapes))))
-    for blk, p_k in zip(blocks, _segments(p, shapes)):
+    for k, (blk, p_k) in enumerate(zip(blocks, _segments(p, shapes))):
         rows = slice(blk.row0, blk.row1)
         q, r = np.linalg.qr(x[..., blk.col0:blk.col1])
         rs.append(r)
@@ -646,38 +658,54 @@ def _compress(adapter, x, base, targets) -> tuple[list[np.ndarray], np.ndarray, 
             chunk = slice(i, i + _KAPPA_ROWS)
             off = np.subtract(base[..., chunk, rows], targets[..., chunk, rows])
             off -= q[..., chunk, :] @ p_k
-            kappa += np.einsum("sij,sij->s", off, off)
+            kappa[:, k] += np.einsum("sij,sij->s", off, off)
         del q, q_t
     return rs, p, kappa
 
 
+def _param_span(adapter, group: range) -> slice:
+    """The span of adapter.params that holds the factors of the blocks in
+    group."""
+    bounds = tuple(accumulate((blk.A.size + blk.B.size for blk in adapter.blocks), initial=0))
+    return slice(bounds[group.start], bounds[group.stop])
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _train_runs(adapter, x, base, targets, masks, params, traces, cfg: TrainConfig) -> None:
-    """cfg.steps full-batch AdamW updates, in place, on S runs of the
-    adapter's structure whose arrays carry the run axis first, writing
-    the (S, cfg.steps + 1) traces.
+def _train_runs(adapter, x, base, targets, masks, params, sums, cfg: TrainConfig,
+                group: range) -> None:
+    """cfg.steps full-batch AdamW updates, in place, of the blocks in group
+    on S runs of the adapter's structure whose arrays carry the run axis
+    first, writing the (S, parts, cfg.steps + 1) sums of their squared
+    residuals.
 
     x is (S, n, d_in), base (the host outputs) and targets (S, n, d_out),
-    and params (S, p).  masks[k] is (S, rows_k, cols_k) or None; masks
-    None means the adapter's own masks, which broadcast over the runs.
-    cfg gives the step count and the optimizer constants; the moments
-    start at zero.  Where _compresses says so, the step runs on the
-    blocks' compressed samples (_compress): the residual is R_k U_k^T + P_k
-    and the loss adds kappa to its sum of squares; on the samples kappa is
-    0.0, and adding it is exact.  A non-finite loss in any run stops all
-    of them after its trace column is written, and _check_finite reports
-    it; numpy's overflow and invalid-value warnings on the way there are
-    silenced, so that report is the one report of a divergence.
+    params (S, p), and masks[k] (S, rows_k, cols_k) or None.  sums has one
+    part per block of group, block k's sum of squares plus its kappa_k,
+    or one part, the sum over the whole output; with one block the two
+    are the same.  The step trains the group's span of params
+    (_param_span) and no other entry.  cfg gives the step count and the
+    optimizer constants; the moments start at zero.  Where _compresses
+    says so, the step runs on the group's blocks' compressed samples
+    (_compress): the residual is R_k U_k^T + P_k; on the samples kappa is
+    0.0, and adding it is exact.  The first step at which a part of a run
+    is non-finite is the last the runs take, and their later columns are
+    filled with NaN; numpy's overflow and invalid-value warnings on the way
+    there are silenced, so _check_finite's report is the one report of a
+    divergence.
     """
-    n, d_out = base.shape[1:]
+    n, d_out = x.shape[1], adapter.shape[0]
     if _compresses(adapter, n, cfg.steps):
-        rs, base, kappa = _compress(adapter, x, base, targets)
-        plan, targets = _StepPlan(adapter, rs, params, masks, n), None
+        rs, base, kappa = _compress(adapter.blocks[group.start:group.stop], x, base, targets)
+        plan, targets = _StepPlan(adapter, rs, params, masks, n, group), None
     else:
-        plan, kappa = _StepPlan(adapter, x, params, masks), 0.0
+        plan, kappa = _StepPlan(adapter, x, params, masks, group=group), np.zeros(sums.shape[:2])
+        base, targets = base[..., plan.rows], targets[..., plan.rows]
     resid = plan.resid
     sq = plan.out  # the update's output is spent once resid holds the forward
-    axes = tuple(range(1, sq.ndim))
+    # after the square, each block's part of the output holds its squares
+    squares = [step.y for step in plan.steps] if sums.shape[1] == len(group) else [sq]
+    span = _param_span(adapter, group)
+    params, grads = params[..., span], plan.grads[..., span]
     m, v = np.zeros_like(params), np.zeros_like(params)
     tmp = np.empty_like(params), np.empty_like(params)
     for i in range(cfg.steps + 1):
@@ -685,24 +713,25 @@ def _train_runs(adapter, x, base, targets, masks, params, traces, cfg: TrainConf
         if targets is not None:
             resid -= targets
         np.square(resid, out=sq)
-        loss = (np.add.reduce(sq, axis=axes) + kappa) / (n * d_out)
-        traces[:, i] = loss
-        if i == cfg.steps or not np.isfinite(loss).all():
+        for k, part in enumerate(squares):
+            np.add(np.add.reduce(part, axis=(1, 2)), kappa[:, k], out=sums[:, k, i])
+        if i == cfg.steps or not np.isfinite(sums[..., i]).all():
+            sums[..., i + 1:] = np.nan
             break
         resid *= 2.0 / (n * d_out)
         _factor_grads(plan)
-        _adamw_update(params, plan.grads, m, v, i + 1, cfg, tmp)
+        _adamw_update(params, grads, m, v, i + 1, cfg, tmp)
 
 
 def _check_finite(traces: np.ndarray) -> None:
-    """Raise DivergenceError if the (S, steps + 1) traces that _train_runs
-    wrote hold a non-finite loss, naming the earliest such step and, for
-    S > 1, the lowest run whose loss is non-finite there.
+    """Raise DivergenceError if the (S, steps + 1) traces hold a non-finite
+    loss, naming the earliest such step and, for S > 1, the lowest run
+    whose loss is non-finite there.
 
-    Runs trained apart stop apart, and a stopped run's columns after its
-    stop are never written.  Every column before a run's stop is finite,
-    so the earliest non-finite column is the earliest stop, which every
-    run has written.
+    Groups trained apart stop apart, and a group that stops fills its
+    later columns with NaN (_train_runs).  Up to the earliest stop every
+    group computes what the whole call computes, so the earliest
+    non-finite column, and its runs, are the same at any split.
     """
     finite = np.isfinite(traces)
     if finite.all():
@@ -710,6 +739,54 @@ def _check_finite(traces: np.ndarray) -> None:
     step = np.flatnonzero(~finite.all(axis=0))[0]
     where = f" in run {np.flatnonzero(~finite[:, step])[0]}" if len(traces) > 1 else ""
     raise DivergenceError(f"training diverged: non-finite loss at step {step}{where}")
+
+
+def _splits_blocks(adapter, n: int) -> bool:
+    """Whether a training call of the adapter's runs on n samples splits
+    their blocks into groups, rather than the runs themselves, and sums
+    each block's loss apart.
+
+    It does when the runs are large, n d_out d_in > 2**22, and have
+    several blocks.  Block k's loss and gradient read only
+    its own columns of the inputs and its own rows of the output, so the
+    blocks are independent problems that share only the sum in the loss.
+    Smaller runs split by runs and keep their bytes.
+    """
+    shape = adapter.shape
+    return n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE and len(adapter.blocks) > 1
+
+
+def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
+                  processes: int) -> np.ndarray:
+    """Train S runs with _train_runs's arrays, in place, on up to processes
+    processes; returns their (S, cfg.steps + 1) loss traces, or raises
+    DivergenceError as _check_finite does.
+
+    The items are the runs' blocks where _splits_blocks says so, and the
+    runs otherwise; they split into min(items, processes) contiguous
+    groups, the first trained in the calling process and each other in a
+    forked worker (workers.run_groups).  params lives in a shared mapping
+    (_stacks), as do the sums of squares _train_runs writes: one part per
+    block where the blocks split, one for the whole output otherwise.
+    Run j's trace is the sum of its parts, added in block order, over
+    n d_out, so each trace is the same at any split.
+    """
+    (n_runs, n), blocks = x.shape[:2], range(len(adapter.blocks))
+    by_blocks = _splits_blocks(adapter, n)
+    [sums] = _stacks(n_runs, [(len(blocks) if by_blocks else 1, cfg.steps + 1)])
+
+    def train_group(group):
+        cut = slice(group.start, group.stop)
+        runs, parts, trained = (slice(None), cut, group) if by_blocks else (cut, slice(None), blocks)
+        _train_runs(adapter, x[runs], base[runs], targets[runs],
+                    [None if mask is None else mask[runs] for mask in masks],
+                    params[runs], sums[runs, parts], cfg, trained)
+    items = blocks if by_blocks else range(n_runs)
+    workers.run_groups(train_group, items, min(len(items), processes),
+                       "training blocks" if by_blocks else "training runs")
+    traces = functools.reduce(np.add, sums.swapaxes(0, 1)) / (n * adapter.shape[0])
+    _check_finite(traces)
+    return traces
 
 
 def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
@@ -728,16 +805,22 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     DivergenceError (with the step index) if the loss leaves the finite
     range.
 
-    Each step is one AdamW update over adapter.params, in place, from
-    zeroed moments, so when the call returns or raises the adapter holds
+    The call runs pinned (workers.pinned), and a large run with several
+    blocks splits them over the processes granted (_train_groups).
+    The steps train a copy of adapter.params in a shared mapping, which is
+    copied back when the call returns or raises, so the adapter then holds
     every update made.
     """
     w0, x, targets = _check_task(adapter, task)
-    traces = np.empty((1, cfg.steps + 1))
-    with one_thread_if_small(*x.shape, w0.shape[0]):
-        _train_runs(adapter, x[None], (x @ w0.T)[None], targets[None], None,
-                    adapter.params[None], traces, cfg)
-    _check_finite(traces)
+    masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
+    with workers.pinned() as processes:
+        [params] = _stacks(1, [adapter.params.shape])
+        params[0] = adapter.params
+        try:
+            traces = _train_groups(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
+                                   params, cfg, processes)
+        finally:
+            adapter.params[...] = params[0]
     return traces[0]
 
 
@@ -759,20 +842,20 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
 
     Every stack comes from _stacks, so all of them live in anonymous
     shared mappings: the inputs, host outputs and targets from one call
-    before the first build, the params, traces and masks from one call
-    after it, once the first adapter gives their shapes.  A stack too
-    large to allocate raises ValidationError naming the seed count and
-    the bytes.  The runs split into as many contiguous groups as
-    one_thread_if_small grants processes, at most n_seeds, and forked
-    workers train all groups but the first in place (workers.run_groups);
-    the returned params and masks are views of a shared mapping, which a
-    process the caller forks later shares too.  A divergence raises
-    DivergenceError as train does: the earliest step whose loss is
-    non-finite in any run and, when there are several runs, the lowest
-    run diverging at that step, wherever the runs trained.
+    before the first build, the params and masks from one call after it,
+    once the first adapter gives their shapes.  A stack too large to
+    allocate raises ValidationError naming the seed count and the bytes.
+    The call runs pinned (workers.pinned), and its runs, or the blocks of
+    large runs, split over the processes granted, whose
+    forked workers train in place (_train_groups); the returned params
+    and masks are views of a shared mapping, which a process the caller
+    forks later shares too.  A divergence raises DivergenceError as train
+    does: the earliest step whose loss is non-finite in any run and, when
+    there are several runs, the lowest run diverging at that step,
+    wherever the runs trained.
     """
     _check_field("n_seeds", n_seeds, int, 1)
-    with one_thread_if_small(cfg.n_samples, cfg.d, cfg.d) as processes:
+    with workers.pinned() as processes:
         x, base, targets = _stacks(n_seeds, [(cfg.n_samples, cfg.d)] * 3)
         runs = []
         for j in range(n_seeds):
@@ -786,8 +869,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             del w0
             if j == 0:
                 masked = [blk.mask.shape for blk in adapter.blocks if blk.mask is not None]
-                params, traces, *stacked = _stacks(
-                    n_seeds, [(adapter.params.size,), (cfg.steps + 1,), *masked])
+                params, *stacked = _stacks(n_seeds, [(adapter.params.size,), *masked])
                 masks = [None if blk.mask is None else stacked.pop(0) for blk in adapter.blocks]
             params[j] = adapter.params
             adapter.params = params[j]
@@ -799,13 +881,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
             adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
             runs.append(adapter)
 
-        def train_group(group):
-            rows = slice(group.start, group.stop)
-            _train_runs(runs[0], x[rows], base[rows], targets[rows],
-                        [None if stack is None else stack[rows] for stack in masks],
-                        params[rows], traces[rows], cfg)
-        workers.run_groups(train_group, range(n_seeds), min(n_seeds, processes), "training runs")
-    _check_finite(traces)
+        traces = _train_groups(runs[0], x, base, targets, masks, params, cfg, processes)
     return runs, traces
 
 

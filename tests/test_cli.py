@@ -570,26 +570,33 @@ def test_gradcheck_d256_passes_where_loss_differences_cancelled(capsys, method, 
 
 @requires_pin
 def test_train_and_gradcheck_write_the_same_bytes_at_one_and_two_blas_threads(capsys, tmp_path):
-    # d=128 with n=256 is the largest task run whole at one thread (n d^2 = 2**22).
-    # Unpinned, make_task's norms, BLAS dots, moved with the count at task seeds 2 and 3
-    cfg = tmp_path / "train.json"
-    cfg.write_text(json.dumps({"d": 128, "target_rank": 64, "n_samples": 256, "seed": 2,
-                               "target_blocks": 2, "r": 16, "K": 2, "steps": 5}))
+    # Both commands run wholly at one BLAS thread.  Unpinned, make_task's
+    # norms, BLAS dots, moved with the count at task seeds 2 and 3.  d=128
+    # with n=256 is the largest run split by runs (n d^2 = 2**22); d=256 with
+    # n=128 is above it, where smoa's two blocks train in two processes
+    cases = [({"d": 128, "target_rank": 64, "n_samples": 256, "seed": 2, "target_blocks": 2,
+               "r": 16, "K": 2, "steps": 5}, "128"),
+             ({"d": 256, "target_rank": 128, "n_samples": 128, "seed": 2, "target_blocks": 2,
+               "r": 16, "K": 2, "steps": 5}, "256")]
     outputs = []
     for threads in (1, 2):
         out_dir = tmp_path / f"threads{threads}"
         with blas_threads(threads):
-            for method in ("smoa", "lora"):
-                assert main(["train", "--config", str(cfg), "--method", method,
-                             "--out-prefix", str(out_dir / method), "--seeds", "2"]) == 0
-            for method in adapters.METHODS:
-                assert main(["gradcheck", "--d", "128", "--k", "2", "--r", "8", "--seed", "3",
-                             "--method", method]) == 0
+            for config, d in cases:
+                cfg = tmp_path / f"train{d}.json"
+                cfg.write_text(json.dumps(config))
+                for method in ("smoa", "lora"):
+                    assert main(["train", "--config", str(cfg), "--method", method,
+                                 "--out-prefix", str(out_dir / f"{method}{d}"),
+                                 "--seeds", "2"]) == 0
+                for method in adapters.METHODS:
+                    assert main(["gradcheck", "--d", d, "--k", "2", "--r", "8", "--seed", "3",
+                                 "--method", method]) == 0
         out = capsys.readouterr().out.replace(str(out_dir), "")
         files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
         outputs.append((out, files))
     (out_1, files_1), (out_2, files_2) = outputs
-    # per seed: each method's trace and manifest, smoa's 6 tensors and lora's 2
-    assert len(files_1) == 2 * (2 * 2 + 6 + 2)
+    # per case and seed: each method's trace and manifest, smoa's 6 tensors and lora's 2
+    assert len(files_1) == 2 * 2 * (2 * 2 + 6 + 2)
     assert files_1 == files_2
     assert out_1 == out_2

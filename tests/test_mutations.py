@@ -16,7 +16,10 @@ The checks:
   backward call with no forward before it against the dense reference;
 * the compressed equivalence: tests/test_training.py's
   compressed_differences, train_seeds on compressed samples against the
-  same runs on the samples themselves.
+  same runs on the samples themselves;
+* the split invariance: tests/test_training.py's split_outcomes, a
+  train_seeds or grad_check call at one group against the same call at
+  two, with a forked worker and with a fork that fails.
 
 The factored and compressed twins of the faults run with the one-thread
 size patched to 0, so that unmasked blocks of the d=8 and d=16 runs
@@ -48,8 +51,10 @@ import oracle  # noqa: E402
 import workloads  # noqa: E402
 from test_oracle import SWEEP, TRAIN, run_cli  # noqa: E402
 from test_training import (COMPRESSED_CFG, COMPRESSED_FACTOR_RTOL,  # noqa: E402
-                           COMPRESSED_LOSS_RTOL, compressed_differences, fresh_backward_error,
-                           spy_compresses, spy_factored)
+                           COMPRESSED_LOSS_RTOL, CPUS, compressed_differences,
+                           fresh_backward_error, grad_check_outcome, split_outcomes,
+                           spy_compresses, spy_factored, train_seeds_outcome)
+from conftest import requires_pin  # noqa: E402
 
 
 def db_sign_flipped(monkeypatch):
@@ -404,5 +409,110 @@ def test_the_train_oracle_fails_on_the_compressed_fault(fault, expected, tmp_pat
 @pytest.mark.parametrize("method", ["smoa", "lora"])
 def test_the_compressed_equivalence_fails_on_the_fault(fault, method, monkeypatch):
     (COMPRESSED_FAULTS[fault] if fault else factored)(monkeypatch)
+    loss, factor = compressed_differences(method, COMPRESSED_CFG, 1)
+    assert (loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL) == (fault is None)
+
+
+def span_shifted(monkeypatch):
+    """A group of blocks that does not start at block 0 trains the span of
+    params one block before its own."""
+    span = training._param_span
+
+    def faulty(adapter, group):
+        return span(adapter, range(group.start - 1, group.stop - 1) if group.start else group)
+    monkeypatch.setattr(training, "_param_span", faulty)
+
+
+def block_loss_dropped(monkeypatch):
+    """The trace leaves out block 0's sum of squares: the part it writes
+    for block 0, or for the whole output where a call sums it whole, is
+    never added."""
+    factored(monkeypatch)
+    train_runs = training._train_runs
+
+    def faulty(adapter, x, base, targets, masks, params, sums, cfg, group):
+        train_runs(adapter, x, base, targets, masks, params, sums, cfg, group)
+        if group.start == 0:
+            sums[:, 0] = 0.0
+    monkeypatch.setattr(training, "_train_runs", faulty)
+
+
+def block_kappa_dropped(monkeypatch):
+    """On compressed samples, block 0's part of the loss leaves out its
+    kappa_0; the other blocks keep theirs."""
+    factored(monkeypatch)
+    compress = training._compress
+
+    def faulty(blocks, x, base, targets):
+        rs, p, kappa = compress(blocks, x, base, targets)
+        if blocks[0].row0 == 0:
+            kappa[:, 0] = 0.0
+        return rs, p, kappa
+    monkeypatch.setattr(training, "_compress", faulty)
+
+
+def last_groups_worst(monkeypatch):
+    """grad_check's merge takes the last group's worst entry in place of
+    the one with the largest relative error."""
+    monkeypatch.setattr(training, "_largest_error", lambda worsts: worsts[-1])
+
+
+SPLIT_FAULTS = {f.__name__: f for f in (span_shifted, block_loss_dropped, block_kappa_dropped,
+                                        last_groups_worst)}
+
+# The split checks.  A shifted span and a wrong merge show only where a
+# call splits, so their checks compare the splits of split_outcomes, which
+# needs two CPUs; the trace's parts are summed at any split, so the train
+# oracle, whose d=16 smoa runs split their blocks with the size patched to
+# 0, and the compressed equivalence catch a dropped part or kappa_k.
+SPLIT_INVARIANCE_CASES = ["span_shifted"]
+SPLIT_GRADCHECK_CASES = ["last_groups_worst"]
+SPLIT_TRAIN_ORACLE_CASES = ["block_loss_dropped"]
+SPLIT_EQUIVALENCE_CASES = ["block_kappa_dropped"]
+
+
+def test_every_split_fault_has_a_case():
+    assert (set(SPLIT_INVARIANCE_CASES) | set(SPLIT_GRADCHECK_CASES)
+            | set(SPLIT_TRAIN_ORACLE_CASES) | set(SPLIT_EQUIVALENCE_CASES) == set(SPLIT_FAULTS))
+
+
+def differ(outcomes):
+    """Whether split_outcomes's outcomes are not all equal."""
+    return len(set(outcomes.values())) > 1
+
+
+@requires_pin
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: no call splits")
+@pytest.mark.parametrize("fault", [None] + SPLIT_INVARIANCE_CASES)
+def test_the_block_split_invariance_fails_on_the_fault(fault, monkeypatch):
+    factored(monkeypatch)
+    if fault:
+        SPLIT_FAULTS[fault](monkeypatch)
+    outcomes, _ = split_outcomes(lambda: train_seeds_outcome("smoa", COMPRESSED_CFG, 2))
+    assert differ(outcomes) == (fault is not None)
+
+
+@requires_pin
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: no call splits")
+@pytest.mark.parametrize("fault", [None] + SPLIT_GRADCHECK_CASES)
+def test_the_grad_check_split_invariance_fails_on_the_fault(fault, monkeypatch):
+    if fault:
+        SPLIT_FAULTS[fault](monkeypatch)
+    outcomes, _ = split_outcomes(lambda: grad_check_outcome("smoa"))
+    assert differ(outcomes) == (fault is not None)
+
+
+@pytest.mark.parametrize("fault", [None] + SPLIT_TRAIN_ORACLE_CASES)
+def test_the_train_oracle_fails_on_the_split_fault(fault, expected, tmp_path, monkeypatch):
+    (SPLIT_FAULTS[fault] if fault else factored)(monkeypatch)
+    codes, problems = run_against_the_oracle("train", expected, tmp_path, monkeypatch)
+    assert codes == [0, 0]
+    assert (problems != []) == (fault is not None), problems
+
+
+@pytest.mark.parametrize("fault", [None] + SPLIT_EQUIVALENCE_CASES)
+@pytest.mark.parametrize("method", ["smoa", "lora"])
+def test_the_compressed_equivalence_fails_on_the_split_fault(fault, method, monkeypatch):
+    (SPLIT_FAULTS[fault] if fault else factored)(monkeypatch)
     loss, factor = compressed_differences(method, COMPRESSED_CFG, 1)
     assert (loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL) == (fault is None)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from smoa import adapters, blas, training
+from smoa import adapters, blas, training, workers
 from smoa.errors import NumericalError, ValidationError
 from smoa.matrix_io import RunConfig, TrainConfig
 from smoa.rank_analysis import numerical_rank
@@ -618,6 +619,19 @@ def spy_compresses(monkeypatch):
     return verdicts
 
 
+def in_one_process(monkeypatch):
+    """Grant every pinned call one process, so that the calling process
+    trains every group and the spies and tracemalloc, which see only that
+    process, see the whole call."""
+    pinned = workers.pinned
+
+    @contextlib.contextmanager
+    def one_process():
+        with pinned():
+            yield 1
+    monkeypatch.setattr(workers, "pinned", one_process)
+
+
 def spy_plans(monkeypatch):
     """Record the shape of every _StepPlan's out buffer; resid is shaped
     like it."""
@@ -691,6 +705,7 @@ def test_compressed_samples_train_as_the_samples_do_above_the_one_thread_size():
 ], ids=["c_k-not-below-n", "one-step"])
 def test_runs_that_compression_does_not_repay_train_on_the_samples(cfg, monkeypatch):
     monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    in_one_process(monkeypatch)
     verdicts, shapes = spy_compresses(monkeypatch), spy_plans(monkeypatch)
     training.train_seeds("lora", cfg, 2)
     assert verdicts == [False]
@@ -719,6 +734,7 @@ def traced_peak(method, cfg, n_seeds):
 def test_compressed_samples_hold_no_step_buffer_of_the_samples(method, monkeypatch):
     cfg = TrainConfig(d=256, target_rank=192, n_samples=512, seed=44, noise_std=0.1,
                       target_blocks=2, K=2, r=16, steps=60)
+    in_one_process(monkeypatch)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "_compresses", lambda *args: False)
         on_the_samples = traced_peak(method, cfg, 2)
@@ -1048,13 +1064,14 @@ def test_capacity_steps_run_at_one_thread_with_the_bytes_of_the_caller_count(
 
 
 @requires_pin
-def test_larger_steps_run_at_the_caller_count(monkeypatch):
+def test_larger_steps_run_at_one_thread_too(monkeypatch):
     cfg = TrainConfig(d=256, target_rank=8, n_samples=512, seed=0, r=8, K=2, steps=1)
     assert cfg.n_samples * cfg.d * cfg.d > training._ONE_THREAD_MAX_SIZE
     seen = _threads_in(monkeypatch, (training, "make_task"), (training, "_factor_grads"))
     with blas_threads(2):
         training.train_seeds("smoa", cfg, 1)
-    assert seen == {"make_task": [2], "_factor_grads": [2]}
+    # the calling process trains the first group of blocks, a worker the other
+    assert seen == {"make_task": [1], "_factor_grads": [1]}
 
 
 # A small train_seeds call at several BLAS threads splits its runs into
@@ -1099,7 +1116,7 @@ def test_train_seeds_writes_the_same_bytes_split_over_processes(monkeypatch, met
 
 
 @requires_pin
-def test_train_seeds_forks_only_for_several_small_runs_at_several_threads(monkeypatch):
+def test_train_seeds_forks_only_for_several_runs_or_blocks_at_several_threads(monkeypatch):
     small = TrainConfig(**CAPACITY_TASK, seed=0, steps=2)
     large = TrainConfig(d=256, target_rank=8, n_samples=512, seed=0, r=8, K=2, steps=1)
     assert large.n_samples * large.d * large.d > training._ONE_THREAD_MAX_SIZE
@@ -1119,7 +1136,8 @@ def test_train_seeds_forks_only_for_several_small_runs_at_several_threads(monkey
             release.set()
             waiter.join(timeout=10)
     assert not waiter.is_alive()
-    assert forks == []
+    # the large call's two blocks alone split, over two processes
+    assert forks == [os.getpid()] * (min(2, CPUS) - 1)
 
 
 @requires_pin
@@ -1221,3 +1239,143 @@ def test_train_seeds_kills_its_workers_when_the_calling_process_raises(monkeypat
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):  # the worker is reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# A call of large runs with several blocks splits the blocks into groups
+# (training._splits_blocks): each group trains its blocks' span of the
+# params, in a forked worker for all groups but the first, and sums each
+# block's loss apart, so a trace is its blocks' sums added in block order
+# at any split.  grad_check splits its entries likewise.
+
+SPLITS = ("one group", "two groups", "fork fails")
+
+
+def split_outcomes(call):
+    """call() at one BLAS thread, so that a pinned call runs one group, and
+    at two, so that it runs two where two CPUs are granted: with a forked
+    worker, and with an os.fork that raises OSError, so that the calling
+    process runs both groups.  Returns call's result, or the message of
+    the DivergenceError it raised, under each split, and how many forks
+    each split tried."""
+    outcomes, forks = {}, {}
+    for how in SPLITS:
+        with pytest.MonkeyPatch.context() as patch, blas_threads(1 if how == "one group" else 2):
+            tried = _spy_forks(patch, fails=how == "fork fails")
+            try:
+                outcomes[how] = call()
+            except training.DivergenceError as exc:
+                outcomes[how] = str(exc)
+        forks[how] = len(tried)
+    return outcomes, forks
+
+
+def train_seeds_outcome(method, cfg, n_seeds):
+    """The bytes of train_seeds's traces and of each run's params."""
+    runs, traces = training.train_seeds(method, cfg, n_seeds)
+    return traces.tobytes(), tuple(run.params.tobytes() for run in runs)
+
+
+SPLIT_FORKS = {"one group": 0, "two groups": min(2, CPUS) - 1, "fork fails": min(2, CPUS) - 1}
+
+
+@requires_pin
+@pytest.mark.parametrize("compressed", [True, False], ids=["compressed", "on-the-samples"])
+@pytest.mark.parametrize("S", [1, 2])
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_block_groups_write_the_bytes_of_one_group(method, S, compressed, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    if not compressed:
+        monkeypatch.setattr(training, "_compresses", lambda *args: False)
+    verdicts = spy_compresses(monkeypatch)
+    outcomes, forks = split_outcomes(lambda: train_seeds_outcome(method, COMPRESSED_CFG, S))
+    assert set(verdicts) == {compressed}
+    assert forks == SPLIT_FORKS
+    assert outcomes["two groups"] == outcomes["one group"] == outcomes["fork fails"]
+
+
+@requires_pin
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_block_groups_above_the_one_thread_size_write_the_bytes_of_one_group(method):
+    cfg = TrainConfig(d=256, target_rank=16, n_samples=128, seed=45, noise_std=0.1,
+                      target_blocks=2, K=2, r=16, steps=5, learning_rate=1e-2)
+    assert cfg.n_samples * cfg.d * cfg.d > training._ONE_THREAD_MAX_SIZE
+    outcomes, forks = split_outcomes(lambda: train_seeds_outcome(method, cfg, 1))
+    assert forks == SPLIT_FORKS
+    assert outcomes["two groups"] == outcomes["one group"] == outcomes["fork fails"]
+
+
+@requires_pin
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_train_equals_train_seeds_at_every_split(method, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    cfg = COMPRESSED_CFG
+
+    def both():
+        runs, traces = training.train_seeds(method, cfg, 2)
+        for j, run in enumerate(runs):
+            task = training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std,
+                                      cfg.seed + j, target_blocks=cfg.target_blocks)
+            alone = adapters.build_adapter(method, dataclasses.replace(cfg, seed=cfg.seed + j),
+                                           task.w0)
+            assert traces[j].tobytes() == training.train(alone, task, cfg).tobytes()
+            assert run.params.tobytes() == alone.params.tobytes()
+        return traces.tobytes()
+    outcomes, forks = split_outcomes(both)
+    assert forks == {how: 3 * n for how, n in SPLIT_FORKS.items()}
+    assert outcomes["two groups"] == outcomes["one group"] == outcomes["fork fails"]
+
+
+def _targets_of_block_1_of_seed_43_huge(monkeypatch):
+    """make_task at seed 43 puts 1e200 in the targets of block 1's rows, so
+    that block 1 of that run diverges at step 0 while block 0 trains on."""
+    make_task = training.make_task
+
+    def faulty(d, target_rank, n_samples, noise_std, seed, **kwargs):
+        task = make_task(d, target_rank, n_samples, noise_std, seed, **kwargs)
+        if seed == 43:
+            targets = task.targets.copy()
+            targets[:, d // 2:] = 1e200
+            task = dataclasses.replace(task, targets=targets)
+        return task
+    monkeypatch.setattr(training, "make_task", faulty)
+
+
+@requires_pin
+@pytest.mark.parametrize("compressed", [True, False], ids=["compressed", "on-the-samples"])
+@pytest.mark.parametrize("learning_rate, huge_targets, named", [
+    (1e200, False, "step 1 in run 0"),
+    (1e-2, True, "step 0 in run 1"),  # block 1 of run 1 alone
+], ids=["learning-rate", "one-block"])
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_a_divergence_names_the_same_step_and_run_at_every_split(
+        method, learning_rate, huge_targets, named, compressed, monkeypatch):
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    if not compressed:
+        monkeypatch.setattr(training, "_compresses", lambda *args: False)
+    if huge_targets:
+        _targets_of_block_1_of_seed_43_huge(monkeypatch)
+    cfg = dataclasses.replace(COMPRESSED_CFG, learning_rate=learning_rate)
+    outcomes, forks = split_outcomes(lambda: train_seeds_outcome(method, cfg, 2))
+    assert forks == SPLIT_FORKS
+    assert set(outcomes.values()) == {f"training diverged: non-finite loss at {named}"}
+
+
+def grad_check_outcome(method):
+    """grad_check's report, as a tuple, on the d=16 task and adapter that
+    smoa gradcheck --d 16 --k 2 --r 4 builds."""
+    task = training.make_task(16, 8, 32, 0.0, 46)
+    adapter = adapters.build_adapter(method, RunConfig(K=2, r=4, seed=46), task.w0)
+    adapters.randomize_factors(adapter, np.random.default_rng([46, 1]), std=0.5)
+    return dataclasses.astuple(training.grad_check(adapter, task, seed=46))
+
+
+@requires_pin
+@pytest.mark.parametrize("flipped", [False, True], ids=["exact", "flipped"])
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_grad_check_reports_the_same_at_every_split(method, flipped, monkeypatch):
+    if flipped:
+        flip_largest_gradient(monkeypatch)
+    outcomes, forks = split_outcomes(lambda: grad_check_outcome(method))
+    assert forks == SPLIT_FORKS
+    assert outcomes["two groups"] == outcomes["one group"] == outcomes["fork fails"]
+    assert (outcomes["one group"][0] <= 1e-6) == (not flipped)
