@@ -22,6 +22,7 @@ The full-matrix methods of FULL_MATRIX ignore K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import matrix_io
 from .errors import FormatError, ValidationError
-from .matrix_io import METHODS, RunConfig, _check_field, validate_matrix
+from .matrix_io import METHODS, RunConfig, _check_field, _check_int, _check_type, validate_matrix
 from .spectral import EnergyPartition, cumulative_energy, decompose, partition
 
 FULL_MATRIX = ("lora", "hadamard_w0")  # one full-matrix block; these methods ignore K
@@ -45,10 +46,20 @@ def _split(n: int, K: int) -> tuple[int, ...]:
     return tuple(base + (1 if k < extra else 0) for k in range(K))
 
 
+def _segments(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Reshaped views of consecutive segments of flat's last axis, one of
+    each shape, each with flat's leading axes."""
+    bounds = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    return [flat[..., a:b].reshape(*flat.shape[:-1], *shape)
+            for a, b, shape in zip(bounds, bounds[1:], shapes)]
+
+
 def block_layout(d_out: int, d_in: int, K: int) -> tuple[tuple[int, int, int, int], ...]:
     """The (row0, row1, col0, col1) of each block of the K-block layout of a
     d_out x d_in weight: contiguous half-open row and column intervals that
-    cover the shape, whose sizes are the _split of each axis into K."""
+    cover the shape, whose sizes are the _split of each axis into K.  K
+    must be a Python or numpy int, not a bool."""
+    _check_int("K", K)
     if K < 1:
         raise ValidationError(f"K must be ≥ 1, got K={K}")
     if K > min(d_out, d_in):
@@ -167,12 +178,8 @@ class Adapter:
     def factor_views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
         """Reshaped views of a buffer laid out like params along its last
         axis: the A_k views, then the B_k views, each with flat's leading axes."""
-        views, start = [], 0
-        for blk in self.blocks:
-            for rows, cols in (blk.A.shape, blk.B.shape):
-                views.append(flat[..., start:start + rows * cols]
-                             .reshape(*flat.shape[:-1], rows, cols))
-                start += rows * cols
+        views = _segments(flat, [shape for blk in self.blocks
+                                 for shape in (blk.A.shape, blk.B.shape)])
         return tuple(views[0::2]), tuple(views[1::2])
 
     def over(self, params: np.ndarray, masks=None) -> tuple[Block, ...]:
@@ -191,9 +198,11 @@ def _plan(method: str, cfg: RunConfig,
     """The block ranges and per-block ranks of a method under cfg over a
     weight of this shape: one block of rank r for the full-matrix methods,
     which ignore K, the K-block layout with subspace_ranks otherwise.  A
-    bad method, K or budget r raises ValidationError here."""
+    bad method, a cfg that is no RunConfig, or a bad K or budget r raises
+    ValidationError here."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
+    _check_type("cfg", cfg, RunConfig)
     if method in FULL_MATRIX:
         return block_layout(*shape, 1), (cfg.r,)
     return block_layout(*shape, cfg.K), subspace_ranks(cfg)
@@ -264,12 +273,17 @@ def delta(adapter) -> np.ndarray:
 
 def merge(adapter, w0) -> np.ndarray:
     """Return w0 + delta(adapter); w0 is left untouched."""
+    return _host_weight(adapter, w0) + delta(adapter)
+
+
+def _host_weight(adapter, w0) -> np.ndarray:
+    """w0 as validate_matrix returns it; ValidationError unless it has the
+    adapter's shape."""
     w0 = validate_matrix(w0)
     if w0.shape != adapter.shape:
-        raise ValidationError(
-            f"weight shape {w0.shape} does not match adapter shape {adapter.shape}"
-        )
-    return w0 + delta(adapter)
+        raise ValidationError(f"weight shape {w0.shape} does not match adapter shape "
+                              f"{adapter.shape}")
+    return w0
 
 
 def param_count(method: str, cfg: RunConfig, shape: tuple[int, int]) -> int:

@@ -40,8 +40,12 @@ METHODS = ("smoa", "lora", "block_lora", "hadamard_w0")
 
 
 def validate_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject empty or non-finite data."""
-    arr = np.asarray(m, dtype=np.float64)
+    """Coerce to a 2-D float64 array and reject empty or non-finite data;
+    data numpy cannot convert to float64 raises ValidationError."""
+    try:
+        arr = np.asarray(m, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix must hold numbers: {exc}") from exc
     if arr.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -129,12 +133,13 @@ def _read_csv(path: Path) -> np.ndarray:
 
 
 def _check_field(name: str, value, kind: type, low: int | None = None,
-                 high: int | None = None) -> None:
+                 high: int | None = None, positive: bool = False) -> None:
     """Raise ValidationError unless value is a kind (int, float or bool), at
-    least low, if given, and at most high, if given with low.  A bool passes
-    only as bool, since JSON true/false would otherwise pass as the integers
-    1/0; an int passes as a float.  A float must be finite: Python's json
-    reads NaN and Infinity, and NaN passes every ordered comparison check."""
+    least low, if given, at most high, if given with low, and above 0 if
+    positive.  A bool passes only as bool, since JSON true/false would
+    otherwise pass as the integers 1/0; an int passes as a float.  A float
+    must be finite: Python's json reads NaN and Infinity, and NaN passes
+    every ordered comparison check."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValidationError(f"{name} must be of type {kind.__name__}, got {value!r}")
@@ -144,6 +149,24 @@ def _check_field(name: str, value, kind: type, low: int | None = None,
         raise ValidationError(f"{name} must be in [{low}, {high}], got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be ≥ {low}, got {value!r}")
+    if positive and value <= 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ValidationError, naming value and its type, unless value is a
+    Python or numpy int and no bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # np.bool_ is neither
+        raise ValidationError(f"{name} must be an int, got {value!r} "
+                              f"of type {type(value).__name__}")
+
+
+def _check_type(name: str, value, cls: type, called: str | None = None) -> None:
+    """Raise ValidationError, naming value's type, unless value is a cls;
+    called names cls in the message, "a {cls.__name__}" by default."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be {called or 'a ' + cls.__name__}, "
+                              f"got {type(value).__name__}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -173,12 +196,8 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.alpha is not None:
-            _check_field("alpha", self.alpha, float)
-            if self.alpha <= 0:
-                raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        _check_field("init_std", self.init_std, float)
-        if self.init_std <= 0:
-            raise ValidationError(f"init_std must be positive, got {self.init_std}")
+            _check_field("alpha", self.alpha, float, positive=True)
+        _check_field("init_std", self.init_std, float, positive=True)
 
 
 def write_json(obj, path) -> None:
@@ -234,10 +253,8 @@ class SweepConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValidationError(f"{name} must not repeat an entry, got {list(values)}")
-        _check_field("tol_factor", self.tol_factor, float)
+        _check_field("tol_factor", self.tol_factor, float, positive=True)
         _check_field("budget_match", self.budget_match, bool)
-        if self.tol_factor <= 0:
-            raise ValidationError(f"tol_factor must be positive, got {self.tol_factor}")
 
 
 def read_sweep_config(path) -> SweepConfig:
@@ -273,19 +290,16 @@ class TrainConfig(RunConfig):
     def __post_init__(self):
         for name in ("d", "n_samples", "steps"):
             _check_field(name, getattr(self, name), int, 1)
-        for name, low in (("noise_std", 0), ("learning_rate", None), ("beta1", 0), ("beta2", 0),
-                          ("epsilon", None), ("weight_decay", 0)):
-            _check_field(name, getattr(self, name), float, low)
+        for name in ("noise_std", "beta1", "beta2", "weight_decay"):
+            _check_field(name, getattr(self, name), float, 0)
+        for name in ("learning_rate", "epsilon"):
+            _check_field(name, getattr(self, name), float, positive=True)
         _check_field("target_rank", self.target_rank, int, 1, self.d)
         _check_field("target_blocks", self.target_blocks, int, 1, self.d)
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if value >= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1), got {value}")
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         super().__post_init__()
 
 

@@ -22,16 +22,12 @@ last bits, and from d=256 up so would decompose's singular vectors, and
 with them the smoa masks; no rank or bound depends on the count.
 
 The pin leaves the caller's other threads idle, so the sweep splits its
-seeds into as many contiguous groups as workers.pinned grants processes,
-at most one per seed, and measures every group but the first in a forked
-worker (workers.run_groups), which sends its rows back.  It splits only
-where each group's share of rows x d**2 is at least _MIN_SHARE = 2**15,
-such as 128 rows at d=16: below that, a worker's fork, result and reap
-cost about what it saves (measured on a 2-vCPU box; the table is in
-CHANGES.md).  Each group records the warnings its rows issue and stops
-at the first SmoaError; the caller issues the groups' warnings again in
-seed order and raises the lowest group's error, so a split sweep
-returns, warns and raises as the one-process sweep does.  Where the
+seeds over the processes workers.pinned grants (workers.run_groups, whose
+protocol makes a split sweep return, warn and raise as the one-process
+sweep does).  It grants run_groups no more processes than give each a
+share of rows x d**2 of at least _MIN_SHARE = 2**15, such as 128 rows at
+d=16: below that, a worker's fork, result and reap cost about what it
+saves (measured on a 2-vCPU box; the table is in CHANGES.md).  Where the
 caller runs at one BLAS thread, as under OPENBLAS_NUM_THREADS=1, the
 sweep stays in one process.
 
@@ -62,8 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -72,8 +66,9 @@ import numpy as np
 from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_count,
                        randomize_factors, smoa_masks)
 from .blas import one_thread
-from .errors import NumericalError, SmoaError, ValidationError
+from .errors import ValidationError
 from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix
+from .spectral import _svd
 from .training import random_weight
 from .workers import pinned, run_groups
 
@@ -125,10 +120,7 @@ def _block_singular_values(blk: Block) -> np.ndarray:
 
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return _svd(arr, compute_uv=False)
 
 
 def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
@@ -231,16 +223,10 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     work = len(seeds) * sum(len(planned) for planned in cells.values()) * d * d
     with pinned() as processes:
-        n_groups = max(1, min(processes, len(seeds), work // _MIN_SHARE))
-        groups = run_groups(lambda group: _measure(group, cells, d, tol_factor), seeds,
-                            n_groups, "measuring seeds")
-    rows: list[RankRecord] = []
-    for group_rows, caught, error in groups:
-        for warning in caught:
-            _warn_again(*warning)
-        if error is not None:
-            raise error
-        rows += group_rows
+        groups = run_groups(lambda group: [row for seed in group
+                                           for row in _weight_rows(seed, cells, d, tol_factor)],
+                            seeds, min(processes, work // _MIN_SHARE), "measuring seeds")
+    rows = [row for group_rows in groups for row in group_rows]
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
     config = asdict(cfg)
     config_blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -255,24 +241,6 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
         "skipped": skipped,
     }
     return RankReport(rows=rows, metadata=metadata)
-
-
-def _measure(seeds: range, cells, d: int, tol_factor: float):
-    """The rows of the planned cells on the weights of seeds, in seed
-    order; returns (rows, warnings, error).  warnings holds the
-    (message, category, filename, lineno) of every warning issued on the
-    way, whatever the filters; error is the SmoaError that stopped the
-    rows, or None.
-    """
-    rows, error = [], None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            for seed in seeds:
-                rows += _weight_rows(seed, cells, d, tol_factor)
-        except SmoaError as exc:
-            error = exc
-    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
 
 
 def _weight_rows(seed: int, cells, d: int, tol_factor: float) -> list[RankRecord]:
@@ -299,13 +267,3 @@ def _weight_rows(seed: int, cells, d: int, tol_factor: float) -> list[RankRecord
             ))
     return rows
 
-
-def _warn_again(message, category, filename, lineno) -> None:
-    """Issue a warning that _measure recorded as warnings.warn issued it in
-    the module of filename: the caller's filters and that module's registry
-    of the warnings it has shown decide whether it shows."""
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
-    warnings.warn_explicit(message, category, filename, lineno,
-                           getattr(module, "__name__", None), registry)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matrix_io import validate_matrix
+from .matrix_io import _check_int, validate_matrix
 
 
 class EmptySubspaceWarning(UserWarning):
@@ -61,16 +61,21 @@ class EnergyPartition:
         return tuple(k for k, s in enumerate(self.index_sets) if len(s) == 0)
 
 
+def _svd(arr: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv), the
+    one SVD call of the package: a failure to converge raises NumericalError."""
+    try:
+        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+
 def decompose(w0) -> SpectralDecomposition:
     """Thin SVD of w0 with a deterministic sign convention.
 
     Raises NumericalError if the underlying SVD fails to converge.
     """
-    arr = validate_matrix(w0)
-    try:
-        U, sigma, Vt = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    U, sigma, Vt = _svd(validate_matrix(w0))
     first = U[np.argmax(U != 0, axis=0), np.arange(U.shape[1])]
     signs = np.where(first < 0, -1.0, 1.0)
     U *= signs
@@ -121,8 +126,7 @@ def partition(E, K: int) -> EnergyPartition:
         raise ValidationError("E must be a non-empty 1-D vector")
     if not (np.isfinite(E).all() and E[0] >= 0.0 and E[-1] == 1.0 and np.all(np.diff(E) >= 0)):
         raise ValidationError("E must be finite, non-decreasing, in [0, 1] and end at 1")
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):  # np.bool_ is no np.integer
-        raise ValidationError(f"K must be an int, got {K!r} of type {type(K).__name__}")
+    _check_int("K", K)
     if K < 1:
         raise ValidationError(f"K must be ≥ 1, got {K!r}")
     if K > E.size:
@@ -150,8 +154,9 @@ def modulation_tensor(dec: SpectralDecomposition, part: EnergyPartition, k: int)
     Only the singular triples whose indices fall in the k-th set
     contribute; the result has numerical rank equal to the number of
     above-tolerance singular values in that set, and is zero for an empty
-    set.
+    set.  k must be a Python or numpy int, not a bool.
     """
+    _check_int("k", k)
     if not 0 <= k < part.K:
         raise ValidationError(f"subspace index must be in [0, {part.K}), got {k}")
     idx = part.index_sets[k]

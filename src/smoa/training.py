@@ -26,7 +26,7 @@ step forms:
   results differ from that step's in the last bits.
 
 A run is large when its host product is, n d_out d_in > 2**22
-(_ONE_THREAD_MAX_SIZE), and small otherwise.  A block takes the factored
+(_large), and small otherwise.  A block takes the factored
 step when it has no mask, its run is large and the factored count is
 the smaller (_trains_factored).  At d = 512 and n = 1024 a lora block of
 rank 8 then costs 21M multiply-adds a step against 543M formed; a block
@@ -124,10 +124,9 @@ d = 512 step ran about as fast as at one and took twice the CPU time,
 and a step at two threads stalls whenever another process holds the
 second core.  The core the pin frees goes to forked processes instead.
 
-A call splits its items into as many contiguous groups as
-workers.pinned grants processes, at most one per item: the calling
-process runs the first group, and workers.run_groups forks a worker for
-each other.  The items of a training call are its runs, or, where its
+A call splits its items over the processes workers.pinned grants,
+through workers.run_groups: the calling process runs the first group of
+items, and a forked worker each other.  The items of a training call are its runs, or, where its
 runs are large and have several blocks, their blocks (_splits_blocks);
 those of grad_check are its perturbed entries.  Every stack of a
 train_seeds call, the inputs, host outputs, targets, masks and params,
@@ -159,9 +158,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import workers
-from .adapters import Adapter, Block, _split, block_layout, build_adapter
+from .adapters import Adapter, Block, _host_weight, _segments, _split, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
-from .matrix_io import TrainConfig, _check_field, validate_matrix
+from .matrix_io import TrainConfig, _check_field, _check_type
 
 
 _ONE_THREAD_MAX_SIZE = 2**22  # largest n * d_out * d_in of a small run (module docstring)
@@ -183,8 +182,7 @@ def random_weight(d_out: int, d_in: int, rng: np.random.Generator) -> np.ndarray
     """
     _check_field("d_out", d_out, int, 1)
     _check_field("d_in", d_in, int, 1)
-    if not isinstance(rng, np.random.Generator):
-        raise ValidationError(f"rng must be an np.random.Generator, got {type(rng).__name__}")
+    _check_type("rng", rng, np.random.Generator, "an np.random.Generator")
     p = min(d_out, d_in)
     sigma = np.arange(1, p + 1, dtype=np.float64) ** -0.5
     qu, _ = np.linalg.qr(rng.standard_normal((d_out, p)))
@@ -253,24 +251,22 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _check_host(adapter, w0, x) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the frozen weight against the inputs and the adapter;
-    returns both as float64 arrays."""
-    w0 = validate_matrix(w0)
+    """Validate the frozen weight against the adapter (adapters._host_weight)
+    and the inputs against the weight; returns both as float64 arrays."""
+    w0 = _host_weight(adapter, w0)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w0.shape[1]:
         raise ValidationError(
             f"inputs must be 2-D with {w0.shape[1]} features, got shape {x.shape}"
         )
-    if adapter.shape != w0.shape:
-        raise ValidationError(
-            f"weight shape {w0.shape} does not match adapter shape {adapter.shape}"
-        )
     return w0, x
 
 
 def _check_task(adapter, task: LinearTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_check_host on the task's weight and inputs, and the targets checked
-    against the output shape; returns all three as float64 arrays."""
+    """task checked to be a LinearTask, _check_host on its weight and
+    inputs, and its targets checked against the output shape; returns all
+    three as float64 arrays."""
+    _check_type("task", task, LinearTask)
     w0, x = _check_host(adapter, task.w0, task.inputs)
     targets = np.asarray(task.targets, dtype=np.float64)
     if targets.shape != (x.shape[0], w0.shape[0]):
@@ -298,6 +294,12 @@ class _BlockStep(NamedTuple):
     ub_t: np.ndarray | None  # s (u B_k)^T
 
 
+def _large(n: int, shape: tuple[int, int]) -> bool:
+    """Whether a run of an adapter of this shape on n samples is large:
+    n d_out d_in > 2**22 (see the module docstring)."""
+    return n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE
+
+
 def _step_counts(blk: Block, rows: int) -> tuple[int, int]:
     """The multiply-adds of blk's formed and factored step on rows rows of
     inputs: 2 rows m_k c_k + 3 m_k c_k r_k and rows r_k (3 m_k + 2 c_k)."""
@@ -316,8 +318,7 @@ def _trains_factored(blk: Block, n: int, shape: tuple[int, int], rows: int | Non
     (_step_counts).
     """
     formed, factored = _step_counts(blk, n if rows is None else rows)
-    return (blk.mask is None and n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE
-            and factored < formed)
+    return blk.mask is None and _large(n, shape) and factored < formed
 
 
 def _compresses(adapter, n: int, steps: int) -> bool:
@@ -334,7 +335,7 @@ def _compresses(adapter, n: int, steps: int) -> bool:
     3 n c_k m_k for P_k and kappa.
     """
     shape = adapter.shape
-    if n * shape[0] * shape[1] <= _ONE_THREAD_MAX_SIZE:
+    if not _large(n, shape):
         return False
     saved = cost = 0
     for blk in adapter.blocks:
@@ -347,14 +348,6 @@ def _compresses(adapter, n: int, steps: int) -> bool:
             saved += sign * (step + 5 * rows * m)
         cost += 2 * n * c * c - 2 * c**3 // 3 + 3 * n * c * m
     return steps * saved > cost
-
-
-def _segments(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Reshaped views of consecutive segments of flat's last axis, one of
-    each shape, each with flat's leading axes."""
-    bounds = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
-    return [flat[..., a:b].reshape(*flat.shape[:-1], *shape)
-            for a, b, shape in zip(bounds, bounds[1:], shapes)]
 
 
 class _StepPlan:
@@ -548,9 +541,9 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     int.  tests/test_mutations.py keeps the known faults this check catches.
 
     The call runs pinned (workers.pinned).  It takes the analytic gradient
-    once, then splits the entries into min(entries, processes) contiguous
-    groups, the first checked in the calling process and each other in a
-    forked worker (workers.run_groups), and takes the worst entry of the
+    once, then splits the entries over the processes granted, the first
+    group checked in the calling process and each other in a forked
+    worker (workers.run_groups), and takes the worst entry of the
     groups' worst in entry order (_largest_error), so the report is the
     same at any split.
     """
@@ -588,8 +581,7 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
                 if rel > max_rel:
                     max_rel, worst, worst_a, worst_n = rel, e, analytic, numeric
             return max_rel, worst, worst_a, worst_n
-        items = range(len(entries))
-        worsts = workers.run_groups(check, items, min(len(items), processes), "checking entries")
+        worsts = workers.run_groups(check, range(len(entries)), processes, "checking entries")
     max_rel, worst, worst_a, worst_n = _largest_error(worsts)
     return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries),
                            worst=_factor_entry(adapter, worst), worst_analytic=worst_a,
@@ -752,8 +744,7 @@ def _splits_blocks(adapter, n: int) -> bool:
     blocks are independent problems that share only the sum in the loss.
     Smaller runs split by runs and keep their bytes.
     """
-    shape = adapter.shape
-    return n * shape[0] * shape[1] > _ONE_THREAD_MAX_SIZE and len(adapter.blocks) > 1
+    return _large(n, adapter.shape) and len(adapter.blocks) > 1
 
 
 def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
@@ -763,9 +754,9 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
     DivergenceError as _check_finite does.
 
     The items are the runs' blocks where _splits_blocks says so, and the
-    runs otherwise; they split into min(items, processes) contiguous
-    groups, the first trained in the calling process and each other in a
-    forked worker (workers.run_groups).  params lives in a shared mapping
+    runs otherwise; they split over the processes, the first group
+    trained in the calling process and each other in a forked worker
+    (workers.run_groups).  params lives in a shared mapping
     (_stacks), as do the sums of squares _train_runs writes: one part per
     block where the blocks split, one for the whole output otherwise.
     Run j's trace is the sum of its parts, added in block order, over
@@ -781,8 +772,7 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
         _train_runs(adapter, x[runs], base[runs], targets[runs],
                     [None if mask is None else mask[runs] for mask in masks],
                     params[runs], sums[runs, parts], cfg, trained)
-    items = blocks if by_blocks else range(n_runs)
-    workers.run_groups(train_group, items, min(len(items), processes),
+    workers.run_groups(train_group, blocks if by_blocks else range(n_runs), processes,
                        "training blocks" if by_blocks else "training runs")
     traces = functools.reduce(np.add, sums.swapaxes(0, 1)) / (n * adapter.shape[0])
     _check_finite(traces)
@@ -811,6 +801,7 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     copied back when the call returns or raises, so the adapter then holds
     every update made.
     """
+    _check_type("cfg", cfg, TrainConfig)
     w0, x, targets = _check_task(adapter, task)
     masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
     with workers.pinned() as processes:
@@ -854,6 +845,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     there are several runs, the lowest run diverging at that step,
     wherever the runs trained.
     """
+    _check_type("cfg", cfg, TrainConfig)
     _check_field("n_seeds", n_seeds, int, 1)
     with workers.pinned() as processes:
         x, base, targets = _stacks(n_seeds, [(cfg.n_samples, cfg.d)] * 3)

@@ -11,26 +11,40 @@ lock another interpreter thread holds would stay held in the child; with
 one interpreter thread the only other OS threads are OpenBLAS's idle
 workers, and a pinned block makes no BLAS call while it forks.
 
-``run_groups`` splits its items into contiguous groups, forks a worker
-for every group but the first, and runs the first in the calling
-process.  Each worker inherits the caller's memory, including the one
-BLAS thread of the pin, computes its group, sends the group's result
-back pickled through a pipe and leaves with os._exit, so it never returns
-into the caller's code.  The caller reads every pipe to its end before it
-reaps the worker: a result larger than the pipe's buffer (64 KiB on
-Linux) blocks its worker until the caller reads it.  A group whose fork
-fails runs in the calling process.  A worker that ends without sending
-its result raises NumericalError naming its items, and when the calling
-process raises, the workers still running are killed; either way every
-worker is reaped before the call returns or raises.
-"""
+``run_groups`` owns the whole fork protocol, so a split call returns,
+warns and raises as the one-process call does:
 
+* A call granted p processes splits its items into max(1, min(items, p))
+  contiguous groups.  With one group, empty items included, it returns
+  [work(items)] and forks nothing.
+* Otherwise it forks a worker for every group but the first, and runs
+  the first in the calling process, as it runs a group whose fork fails.
+  Each worker inherits the caller's memory, including the one BLAS
+  thread of the pin, computes its group, sends the outcome back pickled
+  through a pipe and leaves with os._exit, so it never returns into the
+  caller's code.  The caller reads every pipe to its end before it reaps
+  the worker: an outcome larger than the pipe's buffer (64 KiB on Linux)
+  blocks its worker until the caller reads it.
+* Every group, local or forked, records the warnings it issues, whatever
+  the filters, and stops at its first SmoaError.  Once all groups are
+  in, the caller issues the warnings again in group order, as issued in
+  their own modules, so the caller's filters and each module's registry
+  decide what shows, and raises the error of the lowest group that
+  stopped.  Any other exception in the calling process propagates at
+  once.
+* A worker that ends without sending its outcome, killed or exiting on
+  an exception that is no SmoaError, raises NumericalError naming its
+  items.  When the calling process raises, the workers still running
+  are killed; either way every worker is reaped before the call returns
+  or raises.
+"""
 from __future__ import annotations
 
 import contextlib
 import os
 import pickle
 import signal
+import sys
 import threading
 import traceback
 import warnings
@@ -38,7 +52,7 @@ from itertools import accumulate
 
 from . import blas
 from .adapters import _split
-from .errors import NumericalError
+from .errors import NumericalError, SmoaError
 
 
 @contextlib.contextmanager
@@ -55,19 +69,24 @@ def pinned():
         yield processes
 
 
-def run_groups(work, items: range, n_groups: int, doing: str) -> list:
-    """[work(group) for group in groups]: items split into n_groups
-    contiguous ranges, of the sizes adapters._split gives.
+def run_groups(work, items: range, processes: int, doing: str) -> list:
+    """[work(group) for group in groups]: items split into
+    max(1, min(len(items), processes)) contiguous ranges, of the sizes
+    adapters._split gives.
 
     work(groups[0]) runs in the calling process and every other group in a
-    forked worker, whose result must pickle.  A worker that dies names its
-    group in words: "the worker {doing} {first} to {last} was killed by
-    signal 9 before it finished".
+    forked worker, whose result must pickle; the groups' warnings and
+    SmoaErrors reach the caller in group order (see the module docstring).
+    A worker that dies names its group in words: "the worker {doing}
+    {first} to {last} was killed by signal 9 before it finished".
     """
+    n_groups = max(1, min(len(items), processes))
+    if n_groups == 1:
+        return [work(items)]
     bounds = tuple(accumulate(_split(len(items), n_groups), initial=0))
     groups = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    results = [None] * n_groups
-    local, workers = [0], {}  # workers: pid -> (group index, read end of its pipe)
+    outcomes, local = [None] * n_groups, [0]
+    workers = {}  # pid -> (group index, read end of its pipe)
     try:
         for g in range(1, n_groups):
             read, write = os.pipe()
@@ -82,7 +101,7 @@ def run_groups(work, items: range, n_groups: int, doing: str) -> list:
                 code = 1
                 try:
                     with open(write, "wb") as pipe:
-                        pickle.dump(work(groups[g]), pipe)
+                        pickle.dump(_recorded(work, groups[g]), pipe)
                     code = 0
                 except Exception:
                     traceback.print_exc()
@@ -91,7 +110,7 @@ def run_groups(work, items: range, n_groups: int, doing: str) -> list:
             os.close(write)  # so that a later worker holds no write end of this pipe
             workers[pid] = g, open(read, "rb")
         for g in local:
-            results[g] = work(groups[g])
+            outcomes[g] = _recorded(work, groups[g])
         for pid, (g, pipe) in list(workers.items()):
             with pipe:
                 sent = pipe.read()
@@ -102,13 +121,43 @@ def run_groups(work, items: range, n_groups: int, doing: str) -> list:
                        else f"exited with {exit_code}")
                 raise NumericalError(f"the worker {doing} {groups[g][0]} to {groups[g][-1]} "
                                      f"{how} before it finished")
-            results[g] = pickle.loads(sent)
+            outcomes[g] = pickle.loads(sent)
     finally:
         for pid, (_, pipe) in workers.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-    return results
+    for _, error, caught in outcomes:
+        for warning in caught:
+            _warn_again(*warning)
+        if error is not None:
+            raise error
+    return [result for result, _, _ in outcomes]
+
+
+def _recorded(work, group: range) -> tuple:
+    """(work(group), error, warnings) for run_groups: error is the SmoaError
+    that stopped the work, with None for its result, or None; warnings
+    holds the (message, category, filename, lineno) of every warning
+    issued on the way, whatever the filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = work(group), None
+        except SmoaError as exc:
+            outcome = None, exc
+    return *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(message, category, filename, lineno) -> None:
+    """Issue a warning that _recorded recorded as warnings.warn issued it in
+    the module of filename: the caller's filters and that module's registry
+    of the warnings it has shown decide whether it shows."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, category, filename, lineno,
+                           getattr(module, "__name__", None), registry)
 
 
 def _fork() -> int:

@@ -45,6 +45,30 @@ def test_block_layout_rejects_bad_k():
         adapters.block_layout(4, 4, 5)
 
 
+@pytest.mark.parametrize("K, named", [
+    (2.0, "2.0 of type float"),
+    (True, "True of type bool"),
+    ("2", "'2' of type str"),
+], ids=["float", "bool", "str"])
+def test_block_layout_rejects_a_k_that_is_not_an_int_naming_its_type(K, named):
+    with pytest.raises(ValidationError, match=rf"^K must be an int, got {re.escape(named)}$"):
+        adapters.block_layout(8, 8, K)
+
+
+def test_block_layout_takes_a_numpy_int_k():
+    assert adapters.block_layout(8, 8, np.int64(2)) == adapters.block_layout(8, 8, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w0: adapters.build_adapter("smoa", {"K": 2, "r": 4, "seed": 0}, w0),
+    lambda w0: adapters.param_count("lora", {"K": 2, "r": 4, "seed": 0}, w0.shape),
+], ids=["build_adapter", "param_count"])
+def test_a_config_that_is_no_run_config_raises_validation_error_naming_its_type(call):
+    w0 = random_weight(8, 8, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="^cfg must be a RunConfig, got dict$"):
+        call(w0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(0, 50), K=st.integers(1, 13))
 def test_split_parts_sum_to_n_and_differ_by_at_most_one(n, K):

@@ -151,6 +151,21 @@ def test_non_2d_rejected():
         matrix_io.validate_matrix(np.zeros(3))
 
 
+@pytest.mark.parametrize("m, reason", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ([[1.0, 2.0], [3.0]], "setting an array element with a sequence"),
+    ([[object()]], "float() argument must be a string or a real number, not 'object'"),
+], ids=["string", "ragged", "object"])
+def test_validate_matrix_rejects_what_numpy_cannot_convert(m, reason):
+    with pytest.raises(ValidationError, match=rf"^matrix must hold numbers: {re.escape(reason)}"):
+        matrix_io.validate_matrix(m)
+
+
+def test_validate_matrix_still_reports_non_finite_entries_as_a_format_error():
+    with pytest.raises(FormatError, match="^matrix contains non-finite entries$"):
+        matrix_io.validate_matrix([[1.0, np.nan]])
+
+
 def test_config_defaults():
     cfg = config_from_dict(RunConfig, {"K": 2, "r": 16, "seed": 7})
     assert cfg.alpha is None  # alpha = r, resolved where build_adapter sets the scales

@@ -76,6 +76,11 @@ def test_numerical_rank_rejects_non_finite_tolerance(tol_factor):
         rank_analysis.numerical_rank(np.eye(4), tol_factor)
 
 
+def test_numerical_rank_of_what_is_no_matrix_raises_validation_error():
+    with pytest.raises(ValidationError, match="^matrix must hold numbers: could not convert"):
+        rank_analysis.numerical_rank("abc")
+
+
 def fake_partition(sizes):
     edges = np.cumsum([0] + list(sizes))
     sets = tuple(np.arange(edges[k], edges[k + 1]) for k in range(len(sizes)))

@@ -334,3 +334,17 @@ def test_modulation_tensor_rejects_bad_subspace_index():
     part = spectral.partition(spectral.cumulative_energy(dec.sigma), 3)
     with pytest.raises(ValidationError, match="subspace index"):
         spectral.modulation_tensor(dec, part, 3)
+
+
+@pytest.mark.parametrize("k, named", [
+    (1.5, "1.5 of type float"),
+    (True, "True of type bool"),
+    (None, "None of type NoneType"),
+], ids=["float", "bool", "none"])
+def test_modulation_tensor_rejects_a_k_that_is_not_an_int_naming_its_type(k, named):
+    dec = spectral.decompose(np.eye(3))
+    part = spectral.partition(spectral.cumulative_energy(dec.sigma), 3)
+    with pytest.raises(ValidationError, match=rf"^k must be an int, got {re.escape(named)}$"):
+        spectral.modulation_tensor(dec, part, k)
+    assert_array_equal(spectral.modulation_tensor(dec, part, np.int64(1)),
+                       spectral.modulation_tensor(dec, part, 1))

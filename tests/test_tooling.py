@@ -9,6 +9,8 @@ import pytest
 
 from smoa import cli
 
+from code_lines import code_lines
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smoa"
 # __init__.py imports names to re-export them, not to read them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -173,6 +175,86 @@ def f(pid):
 """
     assert process_calls(source) == [(2, "os.kill"), (6, "os.fork"), (7, "os._exit"),
                                      (8, "os.waitpid")]
+
+
+def protocol_tools(source: str) -> list[tuple[int, str]]:
+    """The (line, name) of every use in source of what carries a group's
+    outcome between processes: pickle imported, sys.modules read (as an
+    attribute of sys or imported from it), and catch_warnings called with
+    a record argument that is not literally False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        imports = isinstance(node, (ast.Import, ast.ImportFrom))
+        imported = [alias.name for alias in node.names] if imports else []
+        if ((isinstance(node, ast.Import) and "pickle" in imported)
+                or (isinstance(node, ast.ImportFrom) and node.module == "pickle")):
+            found.append((node.lineno, "pickle"))
+        elif ((isinstance(node, ast.ImportFrom) and node.module == "sys" and "modules" in imported)
+              or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "sys" and node.attr == "modules")):
+            found.append((node.lineno, "sys.modules"))
+        elif isinstance(node, ast.Call) and "catch_warnings" in (getattr(node.func, "attr", None),
+                                                                 getattr(node.func, "id", None)):
+            record = [kw.value for kw in node.keywords if kw.arg == "record"]
+            if record and not (isinstance(record[0], ast.Constant) and record[0].value is False):
+                found.append((node.lineno, "catch_warnings(record=True)"))
+    return sorted(found)
+
+
+def test_only_the_worker_module_carries_outcomes_between_processes():
+    # run_groups alone sends a group's result, warnings and error back to
+    # the caller and issues the warnings again; no caller repeats that
+    found = {path.name: protocol_tools(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name for _, name in found.pop("workers.py")} == {
+        "pickle", "sys.modules", "catch_warnings(record=True)"}
+    assert {module: tools for module, tools in found.items() if tools} == {}
+
+
+def test_protocol_tools_finds_pickle_sys_modules_and_recording_and_nothing_else():
+    source = """import pickle as serial
+import sys
+import warnings
+from sys import modules, argv
+from pickle import loads
+
+
+def f(blob):
+    with warnings.catch_warnings(record=True) as caught, warnings.catch_warnings():
+        serial.loads(blob)
+    with catch_warnings(record=False), warnings.catch_warnings(record=flag):
+        pass
+    return sys.modules, sys.argv, caught
+"""
+    assert protocol_tools(source) == [
+        (1, "pickle"), (4, "sys.modules"), (5, "pickle"), (9, "catch_warnings(record=True)"),
+        (11, "catch_warnings(record=True)"), (13, "sys.modules")]
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring_line():
+    source = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code counts its line
+
+# a comment line
+
+
+class Thing:
+    """A class docstring."""
+
+    def method(self, x):
+        """A method docstring,
+        over two lines."""
+        text = """a string
+that is no docstring"""
+        return (x +
+                len(text))
+
+
+"not a docstring: the module body does not start here"
+'''
+    # import, class, def, text (2 lines), return (2 lines), the last string
+    assert code_lines(source) == 8
 
 
 def parsers(parser: argparse.ArgumentParser):

@@ -63,6 +63,28 @@ def test_random_weight_rejects_what_is_not_a_generator(rng, named):
         training.random_weight(4, 4, rng)
 
 
+TYPE_TASK = training.make_task(8, 2, 10, 0.0, seed=5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda adapter: training.train_seeds("smoa", small_cfg(), 1),
+     "cfg must be a TrainConfig, got RunConfig"),
+    (lambda adapter: training.train(adapter, TYPE_TASK, small_cfg()),
+     "cfg must be a TrainConfig, got RunConfig"),
+    (lambda adapter: training.train(adapter, None, train_cfg(2)),
+     "task must be a LinearTask, got NoneType"),
+    (lambda adapter: training.grad_check(adapter, {"w0": TYPE_TASK.w0}),
+     "task must be a LinearTask, got dict"),
+], ids=["train_seeds-cfg", "train-cfg", "train-task", "grad_check-task"])
+def test_a_config_or_task_of_the_wrong_type_raises_validation_error_naming_it(call, message):
+    adapter = adapters.build_adapter("smoa", small_cfg(), TYPE_TASK.w0)
+    adapters.randomize_factors(adapter, np.random.default_rng(5))
+    params = adapter.params.copy()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(adapter)
+    assert_array_equal(adapter.params, params)
+
+
 def test_make_task_shapes_and_scales():
     task = training.make_task(32, 8, 50, 0.0, seed=3)
     assert task.inputs.shape == (50, 32)
