@@ -24,12 +24,14 @@ with them the smoa masks; no rank or bound depends on the count.
 The pin leaves the caller's other threads idle, so the sweep splits its
 seeds over the processes workers.pinned grants (workers.run_groups, whose
 protocol makes a split sweep return, warn and raise as the one-process
-sweep does).  It grants run_groups no more processes than give each a
-share of rows x d**2 of at least _MIN_SHARE = 2**15, such as 128 rows at
-d=16: below that, a worker's fork, result and reap cost about what it
-saves (measured on a 2-vCPU box; the table is in CHANGES.md).  Where the
-caller runs at one BLAS thread, as under OPENBLAS_NUM_THREADS=1, the
-sweep stays in one process.
+sweep does).  It passes run_groups its grant and its work, rows x 2**9 x
+d**2 multiply-adds, and run_groups decides the split: a row at small d
+costs mostly per-call overhead, which a bare multiply-add count would
+price too low, and at this price a split group holds at least 2**15
+rows x d**2, such as 128 rows at d=16, below which a worker's fork,
+result and reap cost about what it saves (measured on a 2-vCPU box; the
+table is in CHANGES.md).  Where the caller runs at one BLAS thread, as
+under OPENBLAS_NUM_THREADS=1, the sweep stays in one process.
 
 ``theoretical_bound`` reads the rank bound off the same blocks: each
 block's factor rank times the rank of its mask, capped by the block's
@@ -73,7 +75,6 @@ from .training import random_weight
 from .workers import pinned, run_groups
 
 _METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
-_MIN_SHARE = 2**15  # fewest rows x d**2 a sweep measures in each process it splits into
 
 
 def numerical_rank(m, tol_factor: float = 1e-10) -> int:
@@ -221,11 +222,12 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
                 cells.setdefault(K, []).append((method, r, r_m, pc))
 
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
-    work = len(seeds) * sum(len(planned) for planned in cells.values()) * d * d
+    # a row at small d is mostly per-call overhead: price it at 2**9 d**2 multiply-adds
+    madds = len(seeds) * sum(len(planned) for planned in cells.values()) * 2**9 * d * d
     with pinned() as processes:
         groups = run_groups(lambda group: [row for seed in group
                                            for row in _weight_rows(seed, cells, d, tol_factor)],
-                            seeds, min(processes, work // _MIN_SHARE), "measuring seeds")
+                            seeds, processes, "measuring seeds", madds)
     rows = [row for group_rows in groups for row in group_rows]
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
     config = asdict(cfg)

@@ -125,10 +125,12 @@ and a step at two threads stalls whenever another process holds the
 second core.  The core the pin frees goes to forked processes instead.
 
 A call splits its items over the processes workers.pinned grants,
-through workers.run_groups: the calling process runs the first group of
-items, and a forked worker each other.  The items of a training call are its runs, or, where its
-runs are large and have several blocks, their blocks (_splits_blocks);
-those of grad_check are its perturbed entries.  Every stack of a
+through workers.run_groups, where its work, in multiply-adds
+(_step_madds), pays for the forks: the calling process runs the first
+group of items, and a forked worker each other.  The items of a training
+call are its runs, or, where its runs are large and have several
+blocks, their blocks (_splits_blocks); those of grad_check are its
+perturbed entries.  Every stack of a
 train_seeds call, the inputs, host outputs, targets, masks and params,
 lives in an anonymous shared mapping (_stacks), as do train's copy of
 its params and each call's loss sums.  The calling process builds every
@@ -321,6 +323,18 @@ def _trains_factored(blk: Block, n: int, shape: tuple[int, int], rows: int | Non
     return blk.mask is None and _large(n, shape) and factored < formed
 
 
+def _step_madds(adapter, n: int, compressed: bool = False) -> int:
+    """The multiply-adds of one step of every block of the adapter on n
+    samples, or on their compressed samples (c_k rows for block k), each
+    block counted in the form _trains_factored picks (_step_counts)."""
+    total = 0
+    for blk in adapter.blocks:
+        rows = blk.A.shape[-1] if compressed else n
+        formed, factored = _step_counts(blk, rows)
+        total += factored if _trains_factored(blk, n, adapter.shape, rows) else formed
+    return total
+
+
 def _compresses(adapter, n: int, steps: int) -> bool:
     """Whether a run of steps AdamW steps of the adapter on n samples
     trains on its blocks' compressed samples (_compress) rather than on
@@ -334,18 +348,12 @@ def _compresses(adapter, n: int, steps: int) -> bool:
     counts 2 n c_k^2 - 2 c_k^3 / 3 for the reduced QR with its Q_k, then
     3 n c_k m_k for P_k and kappa.
     """
-    shape = adapter.shape
-    if not _large(n, shape):
+    if not _large(n, adapter.shape) or any(blk.A.shape[-1] >= n for blk in adapter.blocks):
         return False
-    saved = cost = 0
+    saved, cost = _step_madds(adapter, n) - _step_madds(adapter, n, compressed=True), 0
     for blk in adapter.blocks:
         m, c = blk.B.shape[-2], blk.A.shape[-1]
-        if c >= n:
-            return False
-        for rows, sign in ((n, 1), (c, -1)):
-            formed, factored = _step_counts(blk, rows)
-            step = factored if _trains_factored(blk, n, shape, rows) else formed
-            saved += sign * (step + 5 * rows * m)
+        saved += 5 * (n - c) * m
         cost += 2 * n * c * c - 2 * c**3 // 3 + 3 * n * c * m
     return steps * saved > cost
 
@@ -541,11 +549,12 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     int.  tests/test_mutations.py keeps the known faults this check catches.
 
     The call runs pinned (workers.pinned).  It takes the analytic gradient
-    once, then splits the entries over the processes granted, the first
-    group checked in the calling process and each other in a forked
-    worker (workers.run_groups), and takes the worst entry of the
-    groups' worst in entry order (_largest_error), so the report is the
-    same at any split.
+    once, then splits the entries over the processes granted where their
+    cost, each entry one step of every block (_step_madds), pays for a
+    fork, the first group checked in the calling process and each other
+    in a forked worker (workers.run_groups), and takes the worst entry of
+    the groups' worst in entry order (_largest_error), so the report is
+    the same at any split.
     """
     _check_field("seed", seed, int, 0)
     w0, x, targets = _check_task(adapter, task)
@@ -581,7 +590,8 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
                 if rel > max_rel:
                     max_rel, worst, worst_a, worst_n = rel, e, analytic, numeric
             return max_rel, worst, worst_a, worst_n
-        worsts = workers.run_groups(check, range(len(entries)), processes, "checking entries")
+        worsts = workers.run_groups(check, range(len(entries)), processes, "checking entries",
+                                    len(entries) * _step_madds(adapter, len(x)))
     max_rel, worst, worst_a, worst_n = _largest_error(worsts)
     return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries),
                            worst=_factor_entry(adapter, worst), worst_analytic=worst_a,
@@ -664,7 +674,7 @@ def _param_span(adapter, group: range) -> slice:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _train_runs(adapter, x, base, targets, masks, params, sums, cfg: TrainConfig,
-                group: range) -> None:
+                group: range, compressed: bool) -> None:
     """cfg.steps full-batch AdamW updates, in place, of the blocks in group
     on S runs of the adapter's structure whose arrays carry the run axis
     first, writing the (S, parts, cfg.steps + 1) sums of their squared
@@ -676,17 +686,17 @@ def _train_runs(adapter, x, base, targets, masks, params, sums, cfg: TrainConfig
     or one part, the sum over the whole output; with one block the two
     are the same.  The step trains the group's span of params
     (_param_span) and no other entry.  cfg gives the step count and the
-    optimizer constants; the moments start at zero.  Where _compresses
-    says so, the step runs on the group's blocks' compressed samples
-    (_compress): the residual is R_k U_k^T + P_k; on the samples kappa is
-    0.0, and adding it is exact.  The first step at which a part of a run
-    is non-finite is the last the runs take, and their later columns are
-    filled with NaN; numpy's overflow and invalid-value warnings on the way
-    there are silenced, so _check_finite's report is the one report of a
-    divergence.
+    optimizer constants; the moments start at zero.  Where compressed, the
+    caller's _compresses verdict, the step runs on the group's blocks'
+    compressed samples (_compress): the residual is R_k U_k^T + P_k; on
+    the samples kappa is 0.0, and adding it is exact.  The first step at
+    which a part of a run is non-finite is the last the runs take, and
+    their later columns are filled with NaN; numpy's overflow and
+    invalid-value warnings on the way there are silenced, so
+    _check_finite's report is the one report of a divergence.
     """
     n, d_out = x.shape[1], adapter.shape[0]
-    if _compresses(adapter, n, cfg.steps):
+    if compressed:
         rs, base, kappa = _compress(adapter.blocks[group.start:group.stop], x, base, targets)
         plan, targets = _StepPlan(adapter, rs, params, masks, n, group), None
     else:
@@ -754,16 +764,18 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
     DivergenceError as _check_finite does.
 
     The items are the runs' blocks where _splits_blocks says so, and the
-    runs otherwise; they split over the processes, the first group
-    trained in the calling process and each other in a forked worker
-    (workers.run_groups).  params lives in a shared mapping
-    (_stacks), as do the sums of squares _train_runs writes: one part per
-    block where the blocks split, one for the whole output otherwise.
-    Run j's trace is the sum of its parts, added in block order, over
-    n d_out, so each trace is the same at any split.
+    runs otherwise; they split over the processes where the call's
+    cfg.steps steps of S runs (_step_madds, in the form _compresses
+    picks) pay for a fork, the first group trained in the calling process
+    and each other in a forked worker (workers.run_groups).  The call
+    decides _compresses once for all groups.  params lives in a shared
+    mapping (_stacks), as do the sums of squares _train_runs writes: one
+    part per block where the blocks split, one for the whole output
+    otherwise.  Run j's trace is the sum of its parts, added in block
+    order, over n d_out, so each trace is the same at any split.
     """
     (n_runs, n), blocks = x.shape[:2], range(len(adapter.blocks))
-    by_blocks = _splits_blocks(adapter, n)
+    by_blocks, compressed = _splits_blocks(adapter, n), _compresses(adapter, n, cfg.steps)
     [sums] = _stacks(n_runs, [(len(blocks) if by_blocks else 1, cfg.steps + 1)])
 
     def train_group(group):
@@ -771,9 +783,10 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
         runs, parts, trained = (slice(None), cut, group) if by_blocks else (cut, slice(None), blocks)
         _train_runs(adapter, x[runs], base[runs], targets[runs],
                     [None if mask is None else mask[runs] for mask in masks],
-                    params[runs], sums[runs, parts], cfg, trained)
+                    params[runs], sums[runs, parts], cfg, trained, compressed)
+    madds = cfg.steps * n_runs * _step_madds(adapter, n, compressed)
     workers.run_groups(train_group, blocks if by_blocks else range(n_runs), processes,
-                       "training blocks" if by_blocks else "training runs")
+                       "training blocks" if by_blocks else "training runs", madds)
     traces = functools.reduce(np.add, sums.swapaxes(0, 1)) / (n * adapter.shape[0])
     _check_finite(traces)
     return traces

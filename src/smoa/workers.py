@@ -11,12 +11,39 @@ lock another interpreter thread holds would stay held in the child; with
 one interpreter thread the only other OS threads are OpenBLAS's idle
 workers, and a pinned block makes no BLAS call while it forks.
 
+``run_groups`` alone decides how many groups a call splits into.  Its
+caller passes the grant and the call's work in multiply-adds, and a call
+granted p processes for m multiply-adds splits its items into
+max(1, min(items, p, m // _FORK_MADDS)) contiguous groups: a fork pays
+only for work that takes longer than the fork.  _FORK_MADDS = 2**24 puts
+each call below on the faster side of its break-even, or, near it, on a
+side within the timing noise.  Each call was timed in one group and in
+two, in ms, at 2 BLAS threads in one process on a shared 2-vCPU box
+(numpy 2.4.6, OpenBLAS 0.3.31), median of 15; the multiply-adds are
+those its caller passes, and two groups need 2**25.  The train_seeds
+runs are the capacity task's shape at d (n = 2d, target rank 3d/4, two
+target blocks, K=2, r = min(16, d)); grad_check's task and adapter are
+those of smoa gradcheck --d d --k 2 --r 4.  A bare 2-group round trip
+took 3.4 ms.
+
+    call                                      multiply-adds  one group  two groups
+    train_seeds, 2 smoa runs, d=8, 50 steps         2**17.1        8.0        11.4
+    train_seeds, 2 smoa runs, d=16, 200 steps       2**22.1       21.5        22.8
+    train_seeds, 2 smoa runs, d=32, 500 steps       2**26.2       65.2        56.4
+    train_seeds, 2 smoa runs, d=64, 500 steps       2**29.1      106.1        86.4
+    grad_check smoa, d=8                            2**15.2        2.2         5.5
+    grad_check smoa, d=16                           2**19.1        3.8         6.1
+    grad_check smoa, d=32                           2**23.1        9.6         8.7
+    grad_check smoa, d=64                           2**27.0       34.1        22.7
+
+A caller whose work is mostly per-call overhead, as a sweep's rows at
+small d are, states it at more than its bare multiply-add count.
+
 ``run_groups`` owns the whole fork protocol, so a split call returns,
 warns and raises as the one-process call does:
 
-* A call granted p processes splits its items into max(1, min(items, p))
-  contiguous groups.  With one group, empty items included, it returns
-  [work(items)] and forks nothing.
+* With one group, empty items included, it returns [work(items)] and
+  forks nothing.
 * Otherwise it forks a worker for every group but the first, and runs
   the first in the calling process, as it runs a group whose fork fails.
   Each worker inherits the caller's memory, including the one BLAS
@@ -31,7 +58,9 @@ warns and raises as the one-process call does:
   their own modules, so the caller's filters and each module's registry
   decide what shows, and raises the error of the lowest group that
   stopped.  Any other exception in the calling process propagates at
-  once.
+  once.  A worker's warning whose message or category cannot pickle,
+  such as one of a class defined in a function, is sent and issued
+  again as its text under UserWarning.
 * A worker that ends without sending its outcome, killed or exiting on
   an exception that is no SmoaError, raises NumericalError naming its
   items.  When the calling process raises, the workers still running
@@ -54,6 +83,8 @@ from . import blas
 from .adapters import _split
 from .errors import NumericalError, SmoaError
 
+_FORK_MADDS = 2**24  # multiply-adds of work that pay for each group of a split (module docstring)
+
 
 @contextlib.contextmanager
 def pinned():
@@ -69,10 +100,11 @@ def pinned():
         yield processes
 
 
-def run_groups(work, items: range, processes: int, doing: str) -> list:
+def run_groups(work, items: range, processes: int, doing: str, madds: int) -> list:
     """[work(group) for group in groups]: items split into
-    max(1, min(len(items), processes)) contiguous ranges, of the sizes
-    adapters._split gives.
+    max(1, min(len(items), processes, madds // _FORK_MADDS)) contiguous
+    ranges, of the sizes adapters._split gives, where processes is the
+    grant pinned yielded and madds the multiply-adds of work(items).
 
     work(groups[0]) runs in the calling process and every other group in a
     forked worker, whose result must pickle; the groups' warnings and
@@ -80,7 +112,7 @@ def run_groups(work, items: range, processes: int, doing: str) -> list:
     A worker that dies names its group in words: "the worker {doing}
     {first} to {last} was killed by signal 9 before it finished".
     """
-    n_groups = max(1, min(len(items), processes))
+    n_groups = max(1, min(len(items), processes, madds // _FORK_MADDS))
     if n_groups == 1:
         return [work(items)]
     bounds = tuple(accumulate(_split(len(items), n_groups), initial=0))
@@ -101,7 +133,8 @@ def run_groups(work, items: range, processes: int, doing: str) -> list:
                 code = 1
                 try:
                     with open(write, "wb") as pipe:
-                        pickle.dump(_recorded(work, groups[g]), pipe)
+                        result, error, caught = _recorded(work, groups[g])
+                        pickle.dump((result, error, [_sendable(*w) for w in caught]), pipe)
                     code = 0
                 except Exception:
                     traceback.print_exc()
@@ -147,6 +180,17 @@ def _recorded(work, group: range) -> tuple:
         except SmoaError as exc:
             outcome = None, exc
     return *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _sendable(message, category, filename, lineno) -> tuple:
+    """A warning _recorded recorded, as a worker sends it: as recorded where
+    its message and category pickle, and as its text under UserWarning
+    where they do not, such as a category defined in a function."""
+    try:
+        pickle.dumps((message, category))
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return str(message), UserWarning, filename, lineno
+    return message, category, filename, lineno
 
 
 def _warn_again(message, category, filename, lineno) -> None:

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoa import adapters, cli, rank_analysis, training
+from smoa import adapters, cli, rank_analysis, training, workers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -430,8 +430,8 @@ def block_loss_dropped(monkeypatch):
     factored(monkeypatch)
     train_runs = training._train_runs
 
-    def faulty(adapter, x, base, targets, masks, params, sums, cfg, group):
-        train_runs(adapter, x, base, targets, masks, params, sums, cfg, group)
+    def faulty(adapter, x, base, targets, masks, params, sums, cfg, group, compressed):
+        train_runs(adapter, x, base, targets, masks, params, sums, cfg, group, compressed)
         if group.start == 0:
             sums[:, 0] = 0.0
     monkeypatch.setattr(training, "_train_runs", faulty)
@@ -464,7 +464,9 @@ SPLIT_FAULTS = {f.__name__: f for f in (span_shifted, block_loss_dropped, block_
 # call splits, so their checks compare the splits of split_outcomes, which
 # needs two CPUs; the trace's parts are summed at any split, so the train
 # oracle, whose d=16 smoa runs split their blocks with the size patched to
-# 0, and the compressed equivalence catch a dropped part or kappa_k.
+# 0, and the compressed equivalence catch a dropped part or kappa_k.  These
+# two patch the fork floor (workers._FORK_MADDS) to 1, so that their calls
+# fork where two CPUs are granted, as split_outcomes's do.
 SPLIT_INVARIANCE_CASES = ["span_shifted"]
 SPLIT_GRADCHECK_CASES = ["last_groups_worst"]
 SPLIT_TRAIN_ORACLE_CASES = ["block_loss_dropped"]
@@ -505,6 +507,7 @@ def test_the_grad_check_split_invariance_fails_on_the_fault(fault, monkeypatch):
 @pytest.mark.parametrize("fault", [None] + SPLIT_TRAIN_ORACLE_CASES)
 def test_the_train_oracle_fails_on_the_split_fault(fault, expected, tmp_path, monkeypatch):
     (SPLIT_FAULTS[fault] if fault else factored)(monkeypatch)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)
     codes, problems = run_against_the_oracle("train", expected, tmp_path, monkeypatch)
     assert codes == [0, 0]
     assert (problems != []) == (fault is not None), problems
@@ -514,5 +517,6 @@ def test_the_train_oracle_fails_on_the_split_fault(fault, expected, tmp_path, mo
 @pytest.mark.parametrize("method", ["smoa", "lora"])
 def test_the_compressed_equivalence_fails_on_the_split_fault(fault, method, monkeypatch):
     (SPLIT_FAULTS[fault] if fault else factored)(monkeypatch)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)
     loss, factor = compressed_differences(method, COMPRESSED_CFG, 1)
     assert (loss <= COMPRESSED_LOSS_RTOL and factor <= COMPRESSED_FACTOR_RTOL) == (fault is None)

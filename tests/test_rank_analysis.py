@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoa import adapters, blas, rank_analysis
+from smoa import adapters, blas, rank_analysis, workers
 from smoa.cli import main
 from smoa.errors import FormatError, NumericalError, ValidationError
 from smoa.adapters import FULL_MATRIX
@@ -516,12 +516,13 @@ def test_weight_rank_equals_the_count_of_its_decomposition_sigma():
 
 
 # A sweep at several BLAS threads splits its seeds into contiguous groups
-# when each group gets enough rows x d**2: the calling process measures the
+# when its rows x 2**9 x d**2 multiply-adds pay for each group's fork
+# (workers._FORK_MADDS): the calling process measures the
 # first group, forked workers the others, and the caller merges their rows,
 # warnings and errors in seed order.
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-# 4 seeds x 16 rows at d=32: twice the floor, so two processes where granted
+# 4 seeds x 16 rows at d=32: two forks' worth, so two processes where granted
 SPLIT_SWEEP = dict(methods=list(METHODS), d=32, r_values=[2, 4], K_values=[1, 2], n_seeds=4,
                    base_seed=10)
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: the sweep forks no worker")
@@ -552,8 +553,8 @@ def rank_bench(capsys, tmp_path, name, sweep=SPLIT_SWEEP):
 @requires_pin
 def test_sweep_splits_only_above_its_work_floor(monkeypatch):
     small = dict(SPLIT_SWEEP, n_seeds=1)  # one seed: nothing to split
-    below = dict(SPLIT_SWEEP, n_seeds=2)  # 32 rows x 32**2, the floor itself
-    assert 2 * 16 * 32 ** 2 == rank_analysis._MIN_SHARE
+    below = dict(SPLIT_SWEEP, n_seeds=2)  # 32 rows at 2**9 x 32**2 each: one fork's worth
+    assert 2 * 16 * 2**9 * 32**2 == workers._FORK_MADDS
     forks = spy_forks(monkeypatch)
     with blas_threads(2):
         rank_analysis.rank_sweep(**small)
@@ -666,7 +667,7 @@ def test_warnings_of_every_group_print_as_the_one_process_sweep_prints_them(caps
 def test_a_real_empty_subspace_in_a_split_sweep_prints_as_in_one_process(capsys, tmp_path,
                                                                           monkeypatch):
     # at d=16 the leading direction leaves I_1 empty for K=8, on every seed;
-    # 64 seeds x 4 rows x 16**2 is twice the floor
+    # 64 seeds x 4 rows at 2**9 x 16**2 each: two forks' worth
     sweep = dict(methods=["smoa", "lora"], d=16, r_values=[8, 16], K_values=[8], n_seeds=64)
     with blas_threads(1):
         one = rank_bench(capsys, tmp_path, "one", sweep)

@@ -177,6 +177,98 @@ def f(pid):
                                      (8, "os.waitpid")]
 
 
+def called(call: ast.Call) -> str | None:
+    """The name a call calls: f for f(...) and for m.f(...)."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def ungranted_splits(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """The (module, line) of every run_groups call in sources (module name
+    -> source) whose processes argument is not the grant pinned yielded,
+    as a bare name: one that a `with pinned() as name` of the calling
+    function binds, or a parameter of the calling function that every
+    call of that function passes such a grant."""
+    parents, calls = {}, []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            parents.update((child, node) for child in ast.iter_child_nodes(node))
+            if isinstance(node, ast.Call):
+                calls.append((module, node))
+
+    def caller(node):
+        while node is not None and not isinstance(node, ast.FunctionDef):
+            node = parents.get(node)
+        return node
+
+    def is_grant(expr, function, seen=frozenset()):
+        if not isinstance(expr, ast.Name) or function is None:
+            return False
+        if any(isinstance(item.context_expr, ast.Call) and called(item.context_expr) == "pinned"
+               and getattr(item.optional_vars, "id", None) == expr.id
+               for node in ast.walk(function) if isinstance(node, ast.With)
+               for item in node.items):
+            return True
+        names = [arg.arg for arg in function.args.args]
+        if expr.id not in names or function in seen:
+            return False
+        index = names.index(expr.id)
+        passes = [call for _, call in calls if called(call) == function.name]
+        return passes != [] and all(
+            is_grant(processes(call, index, expr.id), caller(call), seen | {function})
+            for call in passes)
+
+    def processes(call, index, name):
+        if index < len(call.args):
+            return call.args[index]
+        return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+    return sorted((module, call.lineno) for module, call in calls if called(call) == "run_groups"
+                  and not is_grant(processes(call, 2, "processes"), caller(call)))
+
+
+def test_every_split_passes_the_grant_pinned_yielded():
+    # run_groups alone decides how many groups a call splits into, so no
+    # caller passes it arithmetic on its grant, such as a floor of its own
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert ungranted_splits(sources) == []
+    assert sum(source.count("run_groups(") for source in sources.values()) > 2
+
+
+def test_ungranted_splits_finds_every_split_of_no_bare_grant_and_nothing_else():
+    first = """from .workers import pinned, run_groups
+
+
+def granted(items):
+    with pinned() as processes:
+        return run_groups(work, items, processes, "doing", 1)
+
+
+def floored(items):
+    with pinned() as processes:
+        return run_groups(work, items, min(processes, 2), "doing", 1)
+
+
+def passed_on(items, grant):
+    return workers.run_groups(work, items, processes=grant, doing="doing", madds=1)
+
+
+def unpinned(items, processes):
+    return run_groups(work, items, processes, "doing", 1)
+"""
+    second = """from . import first, workers
+
+
+def caller(items):
+    with workers.pinned() as processes:
+        first.passed_on(items, processes)
+        first.unpinned(items, processes)
+    first.unpinned(items, 2)
+    return run_groups(work, items, 2, "doing", 1)
+"""
+    assert ungranted_splits({"first.py": first, "second.py": second}) == [
+        ("first.py", 11), ("first.py", 19), ("second.py", 9)]
+
+
 def protocol_tools(source: str) -> list[tuple[int, str]]:
     """The (line, name) of every use in source of what carries a group's
     outcome between processes: pickle imported, sys.modules read (as an

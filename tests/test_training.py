@@ -1097,8 +1097,10 @@ def test_larger_steps_run_at_one_thread_too(monkeypatch):
 
 
 # A small train_seeds call at several BLAS threads splits its runs into
-# contiguous groups: the calling process trains the first, forked workers
-# the others, in place in shared params and traces.
+# contiguous groups where its steps cost more than a fork (workers'
+# _FORK_MADDS, which tests patch to 1 to split any call): the calling
+# process trains the first, forked workers the others, in place in shared
+# params and traces.
 
 CAPACITY_TASK = dict(d=64, target_rank=48, n_samples=128, target_blocks=2)
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -1125,6 +1127,9 @@ def test_train_seeds_writes_the_same_bytes_split_over_processes(monkeypatch, met
     cfg = TrainConfig(**CAPACITY_TASK, seed=S, r=r, K=K, steps=30)
     with blas_threads(1):
         one_runs, one = training.train_seeds(method, cfg, S)
+    # 30 steps of 2 runs pay for a fork: the split follows the grant and the runs
+    two_runs = cfg.steps * 2 * training._step_madds(one_runs[0], cfg.n_samples)
+    assert two_runs >= 2 * workers._FORK_MADDS
     forks = _spy_forks(monkeypatch)
     with blas_threads(2):
         split_runs, split = training.train_seeds(method, cfg, S)
@@ -1147,13 +1152,19 @@ def test_train_seeds_forks_only_for_several_runs_or_blocks_at_several_threads(mo
         training.train_seeds("smoa", small, 3)
     with blas_threads(2):
         training.train_seeds("smoa", small, 1)
+        # three runs of two steps cost less than a fork
+        runs, _ = training.train_seeds("smoa", small, 3)
+        three_runs = small.steps * 3 * training._step_madds(runs[0], small.n_samples)
+        assert three_runs < workers._FORK_MADDS
         training.train_seeds("smoa", large, 2)
         # another interpreter thread could hold a lock the child needs
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            training.train_seeds("smoa", small, 3)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(workers, "_FORK_MADDS", 1)  # work enough for any split
+                training.train_seeds("smoa", small, 3)
         finally:
             release.set()
             waiter.join(timeout=10)
@@ -1177,6 +1188,7 @@ def test_train_seeds_silences_the_fork_warning_of_python_3_12(monkeypatch):
                           f"may lead to deadlocks in the child.", DeprecationWarning)
         return pid
     monkeypatch.setattr(os, "fork", fork_that_warns)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)  # two runs of two steps split too
     with blas_threads(2), warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         training.train_seeds("lora", TrainConfig(**CAPACITY_TASK, seed=0, steps=2), 2)
@@ -1217,6 +1229,7 @@ def test_train_seeds_names_the_earliest_step_and_its_lowest_run_over_all_groups(
         monkeypatch, steps, named):
     cfg = TrainConfig(d=8, target_rank=2, n_samples=10, seed=10, K=2, r=4, steps=10)
     _poison_runs(monkeypatch, cfg, 4, steps)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)  # four d=8 runs split too
     forks = _spy_forks(monkeypatch)
     with blas_threads(2):  # runs 0-1 in the calling process, 2-3 in a worker
         with pytest.raises(training.DivergenceError, match=f"non-finite loss at {named}$"):
@@ -1235,6 +1248,7 @@ def test_train_seeds_names_the_runs_of_a_worker_that_died(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         train_runs(*args)
     monkeypatch.setattr(training, "_train_runs", killed_in_a_worker)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)  # four runs of two steps split too
     with blas_threads(2):
         with pytest.raises(NumericalError, match="^the worker training runs 2 to 3 was killed "
                                                  "by signal 9 before it finished$"):
@@ -1254,6 +1268,7 @@ def test_train_seeds_kills_its_workers_when_the_calling_process_raises(monkeypat
             raise Interrupted
         time.sleep(60)  # the worker is still training when the caller raises
     monkeypatch.setattr(training, "_train_runs", raise_in_the_caller)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)  # two runs of two steps split too
     start = time.monotonic()
     with blas_threads(2):
         with pytest.raises(Interrupted):
@@ -1274,14 +1289,15 @@ SPLITS = ("one group", "two groups", "fork fails")
 
 def split_outcomes(call):
     """call() at one BLAS thread, so that a pinned call runs one group, and
-    at two, so that it runs two where two CPUs are granted: with a forked
-    worker, and with an os.fork that raises OSError, so that the calling
-    process runs both groups.  Returns call's result, or the message of
-    the DivergenceError it raised, under each split, and how many forks
-    each split tried."""
+    at two, so that it runs two where two CPUs are granted, whatever its
+    work: with a forked worker, and with an os.fork that raises OSError,
+    so that the calling process runs both groups.  Returns call's result,
+    or the message of the DivergenceError it raised, under each split, and
+    how many forks each split tried."""
     outcomes, forks = {}, {}
     for how in SPLITS:
         with pytest.MonkeyPatch.context() as patch, blas_threads(1 if how == "one group" else 2):
+            patch.setattr(workers, "_FORK_MADDS", 1)
             tried = _spy_forks(patch, fails=how == "fork fails")
             try:
                 outcomes[how] = call()
