@@ -277,8 +277,9 @@ def merge(adapter, w0) -> np.ndarray:
 
 
 def _host_weight(adapter, w0) -> np.ndarray:
-    """w0 as validate_matrix returns it; ValidationError unless it has the
-    adapter's shape."""
+    """w0 as validate_matrix returns it; ValidationError unless adapter is
+    an Adapter and w0 has its shape."""
+    _check_type("adapter", adapter, Adapter, "an Adapter")
     w0 = validate_matrix(w0)
     if w0.shape != adapter.shape:
         raise ValidationError(f"weight shape {w0.shape} does not match adapter shape "
@@ -300,7 +301,10 @@ def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> No
     One draw fills params; in its A_0, B_0, A_1, B_1, ... order that equals
     one draw per tensor in that order.  Rank sweeps use this to measure
     achievable rank; the zero-init state would make every measured rank 0.
+    rng must be an np.random.Generator and std a finite float of at least 0.
     """
+    _check_type("rng", rng, np.random.Generator, "an np.random.Generator")
+    _check_field("std", std, float, 0)
     adapter.params[...] = rng.normal(0.0, std, size=adapter.params.size)
 
 

@@ -11,27 +11,28 @@ It forms every spectrum at one BLAS thread (blas.one_thread): a 128 x 128
 values-only SVD takes about half the time there that it takes at two
 threads, and gives the same bits at any count.
 
-rank_sweep measures its rows at one BLAS thread, from the weight build
-to the last row: random_weight, decompose and the mask products,
-build_adapter, delta, numerical_rank (whose own pin is then a no-op) and
-the norm column.  At d=128 each of these calls is faster at one thread
-than at two, and larger sweeps are no slower.  A sweep's bytes are therefore
-those of one thread at any caller's count.  Left at the caller's count,
-the norm column (np.linalg.norm sums through BLAS) would move in its
-last bits, and from d=256 up so would decompose's singular vectors, and
-with them the smoa masks; no rank or bound depends on the count.
+rank_sweep measures its rows at one BLAS thread (workers.run_groups pins
+them), from the weight build to the last row: random_weight, decompose
+and the mask products, build_adapter, delta, numerical_rank (whose own
+pin is then a no-op) and the norm column.  At d=128 each of these calls
+is faster at one thread than at two, and larger sweeps are no slower.
+A sweep's bytes are therefore those of one thread at any caller's
+count.  Left at the caller's count, the norm column (np.linalg.norm sums
+through BLAS) would move in its last bits, and from d=256 up so would
+decompose's singular vectors, and with them the smoa masks; no rank or
+bound depends on the count.
 
-The pin leaves the caller's other threads idle, so the sweep splits its
-seeds over the processes workers.pinned grants (workers.run_groups, whose
-protocol makes a split sweep return, warn and raise as the one-process
-sweep does).  It passes run_groups its grant and its work, rows x 2**9 x
-d**2 multiply-adds, and run_groups decides the split: a row at small d
-costs mostly per-call overhead, which a bare multiply-add count would
-price too low, and at this price a split group holds at least 2**15
-rows x d**2, such as 128 rows at d=16, below which a worker's fork,
-result and reap cost about what it saves (measured on a 2-vCPU box; the
-table is in CHANGES.md).  Where the caller runs at one BLAS thread, as
-under OPENBLAS_NUM_THREADS=1, the sweep stays in one process.
+The sweep hands its seeds to workers.run_groups, which pins them and
+splits them over the processes it grants (its protocol makes a split
+sweep return, warn and raise as the one-process sweep does).  It passes
+run_groups its work, rows x 2**9 x d**2 multiply-adds, and run_groups
+decides the split: a row at small d costs mostly per-call overhead,
+which a bare multiply-add count would price too low, and at this price a
+split group holds at least 2**15 rows x d**2, such as 128 rows at d=16,
+below which a worker's fork, result and reap cost about what it saves
+(measured on a 2-vCPU box; the table is in CHANGES.md).  Where the
+caller runs at one BLAS thread, as under OPENBLAS_NUM_THREADS=1, the
+sweep stays in one process.
 
 ``theoretical_bound`` reads the rank bound off the same blocks: each
 block's factor rank times the rank of its mask, capped by the block's
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -68,11 +68,10 @@ import numpy as np
 from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_count,
                        randomize_factors, smoa_masks)
 from .blas import one_thread
-from .errors import ValidationError
-from .matrix_io import METHODS, RunConfig, SweepConfig, validate_matrix
+from .matrix_io import METHODS, RunConfig, SweepConfig, _check_field, validate_matrix
 from .spectral import _svd
 from .training import random_weight
-from .workers import pinned, run_groups
+from .workers import run_groups
 
 _METHOD_INDEX = {m: i for i, m in enumerate(METHODS)}
 
@@ -88,11 +87,10 @@ def numerical_rank(m, tol_factor: float = 1e-10) -> int:
     values of its r x r core s (R_B R_A^T), with R_B and R_A the
     triangular QR factors of B and A^T; every other block contributes
     the singular values of its update.  The tolerance is scale-aware,
-    and tol_factor must be finite and positive; the zero matrix and the
-    zero update have rank 0.
+    and tol_factor must be a finite positive float, as in SweepConfig; the
+    zero matrix and the zero update have rank 0.
     """
-    if not (math.isfinite(tol_factor) and tol_factor > 0):
-        raise ValidationError(f"tol_factor must be finite and positive, got {tol_factor}")
+    _check_field("tol_factor", tol_factor, float, positive=True)
     with one_thread():
         if isinstance(m, Adapter):
             shape = m.shape
@@ -132,10 +130,13 @@ def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
     the block's dimensions: q_k is 1 for an unmasked block, |I_k| for a
     block masked by the k-th modulation tensor (the adapter has a
     partition), and rank(W0) for a block masked by W0, where w0_rank
-    defaults to full rank.  The blocks are disjoint, so their bounds add,
-    and the sum is capped by min(d_out, d_in).
+    defaults to full rank and must otherwise be an int of at least 0.  The
+    blocks are disjoint, so their bounds add, and the sum is capped by
+    min(d_out, d_in).
     """
     p = min(adapter.shape)
+    w0_rank = p if w0_rank is None else w0_rank
+    _check_field("w0_rank", w0_rank, int, 0)
     total = 0
     for k, blk in enumerate(adapter.blocks):
         if blk.mask is None:
@@ -143,7 +144,7 @@ def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
         elif adapter.partition is not None:
             q = adapter.partition.sizes[k]
         else:
-            q = p if w0_rank is None else w0_rank
+            q = w0_rank
         total += min(blk.row1 - blk.row0, blk.col1 - blk.col0, blk.A.shape[0] * q)
     return min(p, total)
 
@@ -224,10 +225,9 @@ def rank_sweep(methods, d: int, r_values, K_values, n_seeds: int,
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     # a row at small d is mostly per-call overhead: price it at 2**9 d**2 multiply-adds
     madds = len(seeds) * sum(len(planned) for planned in cells.values()) * 2**9 * d * d
-    with pinned() as processes:
-        groups = run_groups(lambda group: [row for seed in group
-                                           for row in _weight_rows(seed, cells, d, tol_factor)],
-                            seeds, processes, "measuring seeds", madds)
+    groups = run_groups(lambda group: [row for seed in group
+                                       for row in _weight_rows(seed, cells, d, tol_factor)],
+                        seeds, "measuring seeds", madds)
     rows = [row for group_rows in groups for row in group_rows]
     rows.sort(key=lambda row: (row.method, row.d, row.r, row.K, row.seed))
     config = asdict(cfg)

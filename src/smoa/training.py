@@ -113,25 +113,28 @@ params, so it holds O(S n d) stacked arrays and no task; each adapter it
 returns holds views of its rows of the stacked params and masks, so the
 step trains the returned adapters in place.
 
-train, train_seeds and grad_check run whole at one BLAS thread
-(workers.pinned): the task builds, x @ w0^T, build_adapter with its
-decompose, and the steps or the check; the gradcheck command pins its
-builds too.  Pinned, a call writes the one-thread bytes at any caller's
-count, so it writes the same bytes at 1 and at 2 threads at every size;
-unpinned, make_task's norms (BLAS dots) would move with the count, and
-from d = 256 so would decompose's singular vectors.  At two threads a
-d = 512 step ran about as fast as at one and took twice the CPU time,
-and a step at two threads stalls whenever another process holds the
-second core.  The core the pin frees goes to forked processes instead.
+The steps of train and train_seeds and grad_check's perturbed entries
+run at one BLAS thread: workers.run_groups pins every group it runs.
+train_seeds pins its task and adapter builds too (blas.one_thread), as
+the gradcheck command pins its builds; unpinned, make_task's norms (BLAS
+dots) would move with the count, and from d = 256 so would decompose's
+singular vectors.  The rest runs at the caller's count: train's and
+grad_check's x @ w0^T and grad_check's analytic gradient, GEMMs and
+elementwise work whose bits were the same at 1 and 2 threads for every
+kind at d = 64, 256 and 512.  So a call writes the one-thread bytes at
+any caller's count, the same bytes at 1 and at 2 threads at every size.
+At two threads a d = 512 step ran about as fast as at one and took
+twice the CPU time, and a step at two threads stalls whenever another
+process holds the second core.  The core the pin frees goes to forked
+processes instead.
 
-A call splits its items over the processes workers.pinned grants,
-through workers.run_groups, where its work, in multiply-adds
-(_step_madds), pays for the forks: the calling process runs the first
-group of items, and a forked worker each other.  The items of a training
-call are its runs, or, where its runs are large and have several
-blocks, their blocks (_splits_blocks); those of grad_check are its
-perturbed entries.  Every stack of a
-train_seeds call, the inputs, host outputs, targets, masks and params,
+A call splits its items over the processes workers.run_groups grants,
+where its work, in multiply-adds (_step_madds), pays for the forks: the
+calling process runs the first group of items, and a forked worker each
+other.  The items of a training call are its runs, or, where its runs
+are large and have several blocks, their blocks (_splits_blocks); those
+of grad_check are its perturbed entries.  Every stack of a train_seeds
+call, the inputs, host outputs, targets, masks and params,
 lives in an anonymous shared mapping (_stacks), as do train's copy of
 its params and each call's loss sums.  The calling process builds every
 task and adapter; a group then trains its runs, or its blocks' span of
@@ -159,7 +162,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import workers
+from . import blas, workers
 from .adapters import Adapter, Block, _host_weight, _segments, _split, block_layout, build_adapter
 from .errors import NumericalError, ValidationError
 from .matrix_io import TrainConfig, _check_field, _check_type
@@ -548,13 +551,13 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     exceptions.  seed, which picks the subsample, must be a non-negative
     int.  tests/test_mutations.py keeps the known faults this check catches.
 
-    The call runs pinned (workers.pinned).  It takes the analytic gradient
-    once, then splits the entries over the processes granted where their
-    cost, each entry one step of every block (_step_madds), pays for a
-    fork, the first group checked in the calling process and each other
-    in a forked worker (workers.run_groups), and takes the worst entry of
-    the groups' worst in entry order (_largest_error), so the report is
-    the same at any split.
+    It takes the analytic gradient once, at the caller's BLAS thread
+    count, then checks the entries at one thread, split over the processes
+    workers.run_groups grants where their cost, each entry one step of
+    every block (_step_madds), pays for a fork: the first group checked in
+    the calling process and each other in a forked worker.  It takes the
+    worst entry of the groups' worst in entry order (_largest_error), so
+    the report is the same at any split.
     """
     _check_field("seed", seed, int, 0)
     w0, x, targets = _check_task(adapter, task)
@@ -563,35 +566,34 @@ def grad_check(adapter, task: LinearTask, seed: int = 0) -> GradCheckReport:
     if params.size > _CHECK_ALL_UP_TO:
         picker = np.random.default_rng(seed)
         entries = np.sort(picker.choice(params.size, _N_SAMPLED, replace=False))
-    with workers.pinned() as processes:
-        plan = _StepPlan(adapter, x, params)
-        base = x @ w0.T
-        resid = _add_update(plan, base, out=plan.resid)
-        resid -= targets
-        resid *= 2.0 / resid.size
-        _factor_grads(plan)
-        offset = 2.0 * (base - targets)
-        zero = np.zeros_like(offset)
+    plan = _StepPlan(adapter, x, params)
+    base = x @ w0.T
+    resid = _add_update(plan, base, out=plan.resid)
+    resid -= targets
+    resid *= 2.0 / resid.size
+    _factor_grads(plan)
+    offset = 2.0 * (base - targets)
+    zero = np.zeros_like(offset)
 
-        def check(group):
-            """The group's worst entry: its first largest relative error,
-            that error, the entry, and its analytic and numeric values."""
-            max_rel, worst, worst_a, worst_n = 0.0, entries[group[0]], 0.0, 0.0
-            for e in entries[group.start:group.stop]:
-                orig = params[e]
-                params[e] = orig + _H
-                plus = _add_update(plan, zero)
-                params[e] = orig - _H
-                minus = _add_update(plan, zero)
-                params[e] = orig
-                numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
-                analytic = plan.grads[e]
-                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                if rel > max_rel:
-                    max_rel, worst, worst_a, worst_n = rel, e, analytic, numeric
-            return max_rel, worst, worst_a, worst_n
-        worsts = workers.run_groups(check, range(len(entries)), processes, "checking entries",
-                                    len(entries) * _step_madds(adapter, len(x)))
+    def check(group):
+        """The group's worst entry: its first largest relative error,
+        that error, the entry, and its analytic and numeric values."""
+        max_rel, worst, worst_a, worst_n = 0.0, entries[group[0]], 0.0, 0.0
+        for e in entries[group.start:group.stop]:
+            orig = params[e]
+            params[e] = orig + _H
+            plus = _add_update(plan, zero)
+            params[e] = orig - _H
+            minus = _add_update(plan, zero)
+            params[e] = orig
+            numeric = float(np.mean((plus - minus) * (plus + minus + offset))) / (2.0 * _H)
+            analytic = plan.grads[e]
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+            if rel > max_rel:
+                max_rel, worst, worst_a, worst_n = rel, e, analytic, numeric
+        return max_rel, worst, worst_a, worst_n
+    worsts = workers.run_groups(check, range(len(entries)), "checking entries",
+                                len(entries) * _step_madds(adapter, len(x)))
     max_rel, worst, worst_a, worst_n = _largest_error(worsts)
     return GradCheckReport(max_rel_error=max_rel, n_checked=len(entries),
                            worst=_factor_entry(adapter, worst), worst_analytic=worst_a,
@@ -757,18 +759,17 @@ def _splits_blocks(adapter, n: int) -> bool:
     return _large(n, adapter.shape) and len(adapter.blocks) > 1
 
 
-def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
-                  processes: int) -> np.ndarray:
-    """Train S runs with _train_runs's arrays, in place, on up to processes
-    processes; returns their (S, cfg.steps + 1) loss traces, or raises
-    DivergenceError as _check_finite does.
+def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig) -> np.ndarray:
+    """Train S runs with _train_runs's arrays, in place; returns their
+    (S, cfg.steps + 1) loss traces, or raises DivergenceError as
+    _check_finite does.
 
     The items are the runs' blocks where _splits_blocks says so, and the
-    runs otherwise; they split over the processes where the call's
-    cfg.steps steps of S runs (_step_madds, in the form _compresses
-    picks) pay for a fork, the first group trained in the calling process
-    and each other in a forked worker (workers.run_groups).  The call
-    decides _compresses once for all groups.  params lives in a shared
+    runs otherwise; they train at one BLAS thread and split over the
+    processes workers.run_groups grants where the call's cfg.steps steps
+    of S runs (_step_madds, in the form _compresses picks) pay for a fork,
+    the first group trained in the calling process and each other in a
+    forked worker.  The call decides _compresses once for all groups.  params lives in a shared
     mapping (_stacks), as do the sums of squares _train_runs writes: one
     part per block where the blocks split, one for the whole output
     otherwise.  Run j's trace is the sum of its parts, added in block
@@ -785,7 +786,7 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig,
                     [None if mask is None else mask[runs] for mask in masks],
                     params[runs], sums[runs, parts], cfg, trained, compressed)
     madds = cfg.steps * n_runs * _step_madds(adapter, n, compressed)
-    workers.run_groups(train_group, blocks if by_blocks else range(n_runs), processes,
+    workers.run_groups(train_group, blocks if by_blocks else range(n_runs),
                        "training blocks" if by_blocks else "training runs", madds)
     traces = functools.reduce(np.add, sums.swapaxes(0, 1)) / (n * adapter.shape[0])
     _check_finite(traces)
@@ -808,8 +809,9 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     DivergenceError (with the step index) if the loss leaves the finite
     range.
 
-    The call runs pinned (workers.pinned), and a large run with several
-    blocks splits them over the processes granted (_train_groups).
+    x @ w0^T runs at the caller's BLAS thread count and the steps at one
+    thread, and a large run with several blocks splits them over the
+    processes workers.run_groups grants (_train_groups).
     The steps train a copy of adapter.params in a shared mapping, which is
     copied back when the call returns or raises, so the adapter then holds
     every update made.
@@ -817,14 +819,13 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
     _check_type("cfg", cfg, TrainConfig)
     w0, x, targets = _check_task(adapter, task)
     masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
-    with workers.pinned() as processes:
-        [params] = _stacks(1, [adapter.params.shape])
-        params[0] = adapter.params
-        try:
-            traces = _train_groups(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
-                                   params, cfg, processes)
-        finally:
-            adapter.params[...] = params[0]
+    [params] = _stacks(1, [adapter.params.shape])
+    params[0] = adapter.params
+    try:
+        traces = _train_groups(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
+                               params, cfg)
+    finally:
+        adapter.params[...] = params[0]
     return traces[0]
 
 
@@ -849,18 +850,20 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     before the first build, the params and masks from one call after it,
     once the first adapter gives their shapes.  A stack too large to
     allocate raises ValidationError naming the seed count and the bytes.
-    The call runs pinned (workers.pinned), and its runs, or the blocks of
-    large runs, split over the processes granted, whose
-    forked workers train in place (_train_groups); the returned params
-    and masks are views of a shared mapping, which a process the caller
-    forks later shares too.  A divergence raises DivergenceError as train
-    does: the earliest step whose loss is non-finite in any run and, when
-    there are several runs, the lowest run diverging at that step,
-    wherever the runs trained.
+    The call builds its tasks and adapters at one BLAS thread
+    (blas.one_thread), and only after that pin ends does it train its runs,
+    or the blocks of large runs, split over the processes
+    workers.run_groups grants, whose forked workers train in place
+    (_train_groups): a split made inside the pin would see one thread and
+    run in one process.  The returned params and masks are views of a
+    shared mapping, which a process the caller forks later shares too.  A
+    divergence raises DivergenceError as train does: the earliest step
+    whose loss is non-finite in any run and, when there are several runs,
+    the lowest run diverging at that step, wherever the runs trained.
     """
     _check_type("cfg", cfg, TrainConfig)
     _check_field("n_seeds", n_seeds, int, 1)
-    with workers.pinned() as processes:
+    with blas.one_thread():  # make_task's norms and decompose move with the count
         x, base, targets = _stacks(n_seeds, [(cfg.n_samples, cfg.d)] * 3)
         runs = []
         for j in range(n_seeds):
@@ -885,9 +888,7 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
                     view.setflags(write=False)
             adapter.blocks = adapter.over(adapter.params, views)  # frees the seed's own copies
             runs.append(adapter)
-
-        traces = _train_groups(runs[0], x, base, targets, masks, params, cfg, processes)
-    return runs, traces
+    return runs, _train_groups(runs[0], x, base, targets, masks, params, cfg)
 
 
 def _stacks(n_runs: int, shapes) -> list[np.ndarray]:

@@ -1,19 +1,21 @@
 """Run work on contiguous groups of items: the first group in the calling
 process, each other group in a forked worker.
 
-A pinned call (``pinned``) runs at one BLAS thread and leaves the
-caller's other threads idle, so ``pinned`` alone decides how many
-processes such a call may use: the lesser of the caller's BLAS thread
-count and the CPUs this process may run on.  It grants 1 where the caller
-runs at one thread, where os.fork is missing, and while another
-interpreter thread runs.  A fork copies only the calling thread, so a
-lock another interpreter thread holds would stay held in the child; with
-one interpreter thread the only other OS threads are OpenBLAS's idle
-workers, and a pinned block makes no BLAS call while it forks.
+``run_groups`` runs every group at one BLAS thread (blas.one_thread), the
+one-group call included.  The pin leaves the caller's other threads
+idle, so ``run_groups`` alone also decides how many processes a call may
+use, its grant: the lesser of the caller's BLAS thread count and the CPUs
+this process may run on.  It grants 1 where the caller runs at one
+thread, as inside a blas.one_thread() block, where os.fork is missing,
+and while another interpreter thread runs.  A fork copies only the
+calling thread, so a lock another interpreter thread holds would stay
+held in the child; with one interpreter thread the only other OS threads
+are OpenBLAS's idle workers, and run_groups makes no BLAS call while it
+forks.
 
 ``run_groups`` alone decides how many groups a call splits into.  Its
-caller passes the grant and the call's work in multiply-adds, and a call
-granted p processes for m multiply-adds splits its items into
+caller passes the call's work in multiply-adds, and a call granted p
+processes for m multiply-adds splits its items into
 max(1, min(items, p, m // _FORK_MADDS)) contiguous groups: a fork pays
 only for work that takes longer than the fork.  _FORK_MADDS = 2**24 puts
 each call below on the faster side of its break-even, or, near it, on a
@@ -69,7 +71,6 @@ warns and raises as the one-process call does:
 """
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 import signal
@@ -86,25 +87,12 @@ from .errors import NumericalError, SmoaError
 _FORK_MADDS = 2**24  # multiply-adds of work that pay for each group of a split (module docstring)
 
 
-@contextlib.contextmanager
-def pinned():
-    """Run the block under blas.one_thread(); yields how many processes the
-    block may use (see the module docstring)."""
-    processes = blas.threads()
-    if processes > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        processes = min(processes, cpus or 1)
-    else:
-        processes = 1
-    with blas.one_thread():
-        yield processes
-
-
-def run_groups(work, items: range, processes: int, doing: str, madds: int) -> list:
-    """[work(group) for group in groups]: items split into
-    max(1, min(len(items), processes, madds // _FORK_MADDS)) contiguous
-    ranges, of the sizes adapters._split gives, where processes is the
-    grant pinned yielded and madds the multiply-adds of work(items).
+def run_groups(work, items: range, doing: str, madds: int) -> list:
+    """[work(group) for group in groups], each at one BLAS thread: items
+    split into max(1, min(len(items), grant, madds // _FORK_MADDS))
+    contiguous ranges, of the sizes adapters._split gives, where grant is
+    the processes the call may use (see the module docstring) and madds
+    the multiply-adds of work(items).
 
     work(groups[0]) runs in the calling process and every other group in a
     forked worker, whose result must pickle; the groups' warnings and
@@ -112,60 +100,65 @@ def run_groups(work, items: range, processes: int, doing: str, madds: int) -> li
     A worker that dies names its group in words: "the worker {doing}
     {first} to {last} was killed by signal 9 before it finished".
     """
-    n_groups = max(1, min(len(items), processes, madds // _FORK_MADDS))
-    if n_groups == 1:
-        return [work(items)]
-    bounds = tuple(accumulate(_split(len(items), n_groups), initial=0))
-    groups = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    outcomes, local = [None] * n_groups, [0]
-    workers = {}  # pid -> (group index, read end of its pipe)
-    try:
-        for g in range(1, n_groups):
-            read, write = os.pipe()
-            try:
-                pid = _fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                local.append(g)
-                continue
-            if pid == 0:  # the worker: it must never return into the caller's code
-                code = 1
+    grant = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        grant = min(blas.threads(), cpus or 1)
+    n_groups = max(1, min(len(items), grant, madds // _FORK_MADDS))
+    with blas.one_thread():
+        if n_groups == 1:
+            return [work(items)]
+        bounds = tuple(accumulate(_split(len(items), n_groups), initial=0))
+        groups = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        outcomes, local = [None] * n_groups, [0]
+        workers = {}  # pid -> (group index, read end of its pipe)
+        try:
+            for g in range(1, n_groups):
+                read, write = os.pipe()
                 try:
-                    with open(write, "wb") as pipe:
-                        result, error, caught = _recorded(work, groups[g])
-                        pickle.dump((result, error, [_sendable(*w) for w in caught]), pipe)
-                    code = 0
-                except Exception:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            os.close(write)  # so that a later worker holds no write end of this pipe
-            workers[pid] = g, open(read, "rb")
-        for g in local:
-            outcomes[g] = _recorded(work, groups[g])
-        for pid, (g, pipe) in list(workers.items()):
-            with pipe:
-                sent = pipe.read()
-            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
-            if exit_code != 0:
-                how = (f"was killed by signal {-exit_code}" if exit_code < 0
-                       else f"exited with {exit_code}")
-                raise NumericalError(f"the worker {doing} {groups[g][0]} to {groups[g][-1]} "
-                                     f"{how} before it finished")
-            outcomes[g] = pickle.loads(sent)
-    finally:
-        for pid, (_, pipe) in workers.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    for _, error, caught in outcomes:
-        for warning in caught:
-            _warn_again(*warning)
-        if error is not None:
-            raise error
-    return [result for result, _, _ in outcomes]
+                    pid = _fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    local.append(g)
+                    continue
+                if pid == 0:  # the worker: it must never return into the caller's code
+                    code = 1
+                    try:
+                        with open(write, "wb") as pipe:
+                            result, error, caught = _recorded(work, groups[g])
+                            pickle.dump((result, error, [_sendable(*w) for w in caught]), pipe)
+                        code = 0
+                    except Exception:
+                        traceback.print_exc()
+                    finally:
+                        os._exit(code)
+                os.close(write)  # so that a later worker holds no write end of this pipe
+                workers[pid] = g, open(read, "rb")
+            for g in local:
+                outcomes[g] = _recorded(work, groups[g])
+            for pid, (g, pipe) in list(workers.items()):
+                with pipe:
+                    sent = pipe.read()
+                exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[pid]
+                if exit_code != 0:
+                    how = (f"was killed by signal {-exit_code}" if exit_code < 0
+                           else f"exited with {exit_code}")
+                    raise NumericalError(f"the worker {doing} {groups[g][0]} to {groups[g][-1]} "
+                                         f"{how} before it finished")
+                outcomes[g] = pickle.loads(sent)
+        finally:
+            for pid, (_, pipe) in workers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+        for _, error, caught in outcomes:
+            for warning in caught:
+                _warn_again(*warning)
+            if error is not None:
+                raise error
+        return [result for result, _, _ in outcomes]
 
 
 def _recorded(work, group: range) -> tuple:
@@ -205,11 +198,11 @@ def _warn_again(message, category, filename, lineno) -> None:
 
 
 def _fork() -> int:
-    """os.fork() for run_groups, which forks only where pinned grants
+    """os.fork() for run_groups, which forks only where its grant is
     several processes."""
     with warnings.catch_warnings():
         # Python 3.12 and later warn on every fork in a process with another
-        # OS thread.  Here those are OpenBLAS's idle workers (see pinned),
+        # OS thread.  Here those are OpenBLAS's idle workers (module docstring),
         # and the child runs numpy on arrays that exist, at one BLAS thread.
         warnings.filterwarnings(
             "ignore", category=DeprecationWarning,

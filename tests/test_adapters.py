@@ -515,6 +515,22 @@ def test_randomize_factors_is_seed_deterministic():
     assert np.any(first.blocks[0].B)
 
 
+@pytest.mark.parametrize("rng, std, message", [
+    (None, 1.0, "rng must be an np.random.Generator, got NoneType"),
+    (np.random.RandomState(0), 1.0, "rng must be an np.random.Generator, got RandomState"),
+    (np.random.default_rng(0), -1.0, "std must be ≥ 0, got -1.0"),
+    (np.random.default_rng(0), float("nan"), "std must be finite, got nan"),
+    (np.random.default_rng(0), True, "std must be of type float, got True"),
+], ids=["no-rng", "legacy-random-state", "negative-std", "nan-std", "bool-std"])
+def test_randomize_factors_rejects_a_bad_rng_or_std_and_leaves_params(rng, std, message):
+    adapter = adapters.build_adapter("smoa", cfg64(), random_weight(64, 64,
+                                                                     np.random.default_rng(82)))
+    params = adapter.params.copy()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        adapters.randomize_factors(adapter, rng, std)
+    assert_array_equal(adapter.params, params)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(method=st.sampled_from(adapters.METHODS), d_out=st.integers(2, 11),
        d_in=st.integers(2, 11), k_pick=st.integers(1, 11), r_extra=st.integers(0, 4),

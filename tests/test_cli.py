@@ -570,8 +570,10 @@ def test_gradcheck_d256_passes_where_loss_differences_cancelled(capsys, method, 
 
 @requires_pin
 def test_train_and_gradcheck_write_the_same_bytes_at_one_and_two_blas_threads(capsys, tmp_path):
-    # Both commands run wholly at one BLAS thread.  Unpinned, make_task's
-    # norms, BLAS dots, moved with the count at task seeds 2 and 3.  d=128
+    # Both commands build their tasks and adapters and run their steps or
+    # entries at one BLAS thread; gradcheck's x W0^T and analytic gradient
+    # run at the caller's count.  Unpinned, make_task's norms, BLAS dots,
+    # moved with the count at task seeds 2 and 3.  d=128
     # with n=256 is the largest run split by runs (n d^2 = 2**22); d=256 with
     # n=128 is above it, where smoa's two blocks train in two processes
     cases = [({"d": 128, "target_rank": 64, "n_samples": 256, "seed": 2, "target_blocks": 2,

@@ -72,7 +72,15 @@ def test_numerical_rank_rejects_bad_tolerance():
 
 @pytest.mark.parametrize("tol_factor", [float("nan"), float("inf"), float("-inf")])
 def test_numerical_rank_rejects_non_finite_tolerance(tol_factor):
-    with pytest.raises(ValidationError, match="finite and positive"):
+    with pytest.raises(ValidationError, match=f"^tol_factor must be finite, got {tol_factor}$"):
+        rank_analysis.numerical_rank(np.eye(4), tol_factor)
+
+
+@pytest.mark.parametrize("tol_factor", [True, "1e-10", None], ids=["bool", "str", "none"])
+def test_numerical_rank_rejects_a_tolerance_that_is_no_float(tol_factor):
+    # as SweepConfig does: a bool would otherwise pass as 1.0 and rank every matrix 0
+    with pytest.raises(ValidationError,
+                       match=f"^tol_factor must be of type float, got {tol_factor!r}$"):
         rank_analysis.numerical_rank(np.eye(4), tol_factor)
 
 
@@ -130,6 +138,17 @@ def test_bound_hadamard_uses_reference_rank():
     adapter = built("hadamard_w0", d_out=128, d_in=128, K=1, r=8)
     assert rank_analysis.theoretical_bound(adapter) == 128
     assert rank_analysis.theoretical_bound(adapter, w0_rank=3) == 24
+
+
+@pytest.mark.parametrize("w0_rank, message", [
+    (-3, "w0_rank must be ≥ 0, got -3"),
+    (3.0, "w0_rank must be of type int, got 3.0"),
+    (True, "w0_rank must be of type int, got True"),
+], ids=["negative", "float", "bool"])
+def test_bound_rejects_a_reference_rank_that_is_no_count(w0_rank, message):
+    adapter = built("hadamard_w0", d_out=16, d_in=16, K=1, r=2)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        rank_analysis.theoretical_bound(adapter, w0_rank=w0_rank)
 
 
 def test_bound_block_lora_sums_block_ranks():

@@ -182,91 +182,77 @@ def called(call: ast.Call) -> str | None:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
-def ungranted_splits(sources: dict[str, str]) -> list[tuple[str, int]]:
-    """The (module, line) of every run_groups call in sources (module name
-    -> source) whose processes argument is not the grant pinned yielded,
-    as a bare name: one that a `with pinned() as name` of the calling
-    function binds, or a parameter of the calling function that every
-    call of that function passes such a grant."""
-    parents, calls = {}, []
-    for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            parents.update((child, node) for child in ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call):
-                calls.append((module, node))
-
-    def caller(node):
-        while node is not None and not isinstance(node, ast.FunctionDef):
-            node = parents.get(node)
-        return node
-
-    def is_grant(expr, function, seen=frozenset()):
-        if not isinstance(expr, ast.Name) or function is None:
-            return False
-        if any(isinstance(item.context_expr, ast.Call) and called(item.context_expr) == "pinned"
-               and getattr(item.optional_vars, "id", None) == expr.id
-               for node in ast.walk(function) if isinstance(node, ast.With)
-               for item in node.items):
-            return True
-        names = [arg.arg for arg in function.args.args]
-        if expr.id not in names or function in seen:
-            return False
-        index = names.index(expr.id)
-        passes = [call for _, call in calls if called(call) == function.name]
-        return passes != [] and all(
-            is_grant(processes(call, index, expr.id), caller(call), seen | {function})
-            for call in passes)
-
-    def processes(call, index, name):
-        if index < len(call.args):
-            return call.args[index]
-        return next((kw.value for kw in call.keywords if kw.arg == name), None)
-
-    return sorted((module, call.lineno) for module, call in calls if called(call) == "run_groups"
-                  and not is_grant(processes(call, 2, "processes"), caller(call)))
+def splits_inside_a_pin(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """The (module, line) of every call in sources (module name -> source)
+    that sits lexically inside a `with one_thread()` or
+    `with blas.one_thread()` block and calls run_groups, or a function of
+    sources that calls it, directly or through others."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    functions = [node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    splitting, grown = {"run_groups"}, True
+    while grown:
+        callers = {function.name for function in functions for node in ast.walk(function)
+                   if isinstance(node, ast.Call) and called(node) in splitting}
+        grown = not callers <= splitting
+        splitting |= callers
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With) and any(
+                    isinstance(item.context_expr, ast.Call)
+                    and called(item.context_expr) == "one_thread" for item in node.items):
+                found += [(module, inner.lineno) for statement in node.body
+                          for inner in ast.walk(statement)
+                          if isinstance(inner, ast.Call) and called(inner) in splitting]
+    return sorted(set(found))
 
 
-def test_every_split_passes_the_grant_pinned_yielded():
-    # run_groups alone decides how many groups a call splits into, so no
-    # caller passes it arithmetic on its grant, such as a floor of its own
+def test_no_split_runs_inside_a_pin():
+    # run_groups grants a call made at one BLAS thread one process, so a
+    # split inside a pin would silently run in the calling process alone
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
-    assert ungranted_splits(sources) == []
+    assert splits_inside_a_pin(sources) == []
     assert sum(source.count("run_groups(") for source in sources.values()) > 2
 
 
-def test_ungranted_splits_finds_every_split_of_no_bare_grant_and_nothing_else():
-    first = """from .workers import pinned, run_groups
+def test_splits_inside_a_pin_finds_every_pinned_split_and_nothing_else():
+    first = """from . import blas, workers
+from .blas import one_thread
 
 
-def granted(items):
-    with pinned() as processes:
-        return run_groups(work, items, processes, "doing", 1)
+def pinned(items):
+    with blas.one_thread():
+        return workers.run_groups(work, items, "doing", 1)
 
 
-def floored(items):
-    with pinned() as processes:
-        return run_groups(work, items, min(processes, 2), "doing", 1)
+def split_after_the_pin(items):
+    with one_thread():
+        built = list(items)
+    return run_groups(work, built, "doing", 1)
 
 
-def passed_on(items, grant):
-    return workers.run_groups(work, items, processes=grant, doing="doing", madds=1)
-
-
-def unpinned(items, processes):
-    return run_groups(work, items, processes, "doing", 1)
+def nested(items):
+    with open("log") as log, one_thread() as pinned:
+        for item in items:
+            if pinned:
+                run_groups(work, item, "doing", 1)
 """
-    second = """from . import first, workers
+    second = """from . import first
 
 
-def caller(items):
-    with workers.pinned() as processes:
-        first.passed_on(items, processes)
-        first.unpinned(items, processes)
-    first.unpinned(items, 2)
-    return run_groups(work, items, 2, "doing", 1)
+def other_block(items):
+    with threads():
+        return first.split_after_the_pin(items)
+
+
+def through_a_caller(items):
+    with one_thread():
+        first.split_after_the_pin(items)
+        return len(items)
 """
-    assert ungranted_splits({"first.py": first, "second.py": second}) == [
-        ("first.py", 11), ("first.py", 19), ("second.py", 9)]
+    assert splits_inside_a_pin({"first.py": first, "second.py": second}) == [
+        ("first.py", 7), ("first.py", 20), ("second.py", 11)]
 
 
 def protocol_tools(source: str) -> list[tuple[int, str]]:

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -75,7 +74,18 @@ TYPE_TASK = training.make_task(8, 2, 10, 0.0, seed=5)
      "task must be a LinearTask, got NoneType"),
     (lambda adapter: training.grad_check(adapter, {"w0": TYPE_TASK.w0}),
      "task must be a LinearTask, got dict"),
-], ids=["train_seeds-cfg", "train-cfg", "train-task", "grad_check-task"])
+    (lambda adapter: training.forward(None, TYPE_TASK.w0, TYPE_TASK.inputs),
+     "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: training.backward("smoa", TYPE_TASK.w0, TYPE_TASK.inputs, TYPE_TASK.targets),
+     "adapter must be an Adapter, got str"),
+    (lambda adapter: training.grad_check(None, TYPE_TASK),
+     "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: training.train(adapter.params, TYPE_TASK, train_cfg(2)),
+     "adapter must be an Adapter, got ndarray"),
+    (lambda adapter: adapters.merge(None, TYPE_TASK.w0),
+     "adapter must be an Adapter, got NoneType"),
+], ids=["train_seeds-cfg", "train-cfg", "train-task", "grad_check-task", "forward-adapter",
+        "backward-adapter", "grad_check-adapter", "train-adapter", "merge-adapter"])
 def test_a_config_or_task_of_the_wrong_type_raises_validation_error_naming_it(call, message):
     adapter = adapters.build_adapter("smoa", small_cfg(), TYPE_TASK.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(5))
@@ -642,16 +652,10 @@ def spy_compresses(monkeypatch):
 
 
 def in_one_process(monkeypatch):
-    """Grant every pinned call one process, so that the calling process
+    """Price a fork above any call's work, so that the calling process
     trains every group and the spies and tracemalloc, which see only that
     process, see the whole call."""
-    pinned = workers.pinned
-
-    @contextlib.contextmanager
-    def one_process():
-        with pinned():
-            yield 1
-    monkeypatch.setattr(workers, "pinned", one_process)
+    monkeypatch.setattr(workers, "_FORK_MADDS", 2**62)
 
 
 def spy_plans(monkeypatch):
@@ -1061,7 +1065,7 @@ def _threads_in(monkeypatch, *targets):
 @pytest.mark.parametrize("method, r, K", [("smoa", 16, 2), ("lora", 8, 1)])
 def test_capacity_steps_run_at_one_thread_with_the_bytes_of_the_caller_count(
         monkeypatch, method, r, K):
-    # the whole call runs pinned: the tasks, the adapters' decompositions and the steps
+    # the tasks, the adapters' decompositions and the steps run pinned
     cfg = TrainConfig(d=64, target_rank=48, n_samples=128, seed=0, target_blocks=2,
                       r=r, K=K, steps=100)
     assert cfg.n_samples * cfg.d * cfg.d <= training._ONE_THREAD_MAX_SIZE
@@ -1288,12 +1292,12 @@ SPLITS = ("one group", "two groups", "fork fails")
 
 
 def split_outcomes(call):
-    """call() at one BLAS thread, so that a pinned call runs one group, and
-    at two, so that it runs two where two CPUs are granted, whatever its
-    work: with a forked worker, and with an os.fork that raises OSError,
-    so that the calling process runs both groups.  Returns call's result,
-    or the message of the DivergenceError it raised, under each split, and
-    how many forks each split tried."""
+    """call() at one BLAS thread, so that run_groups grants one process,
+    and at two, so that a call runs two groups where two CPUs are granted,
+    whatever its work: with a forked worker, and with an os.fork that
+    raises OSError, so that the calling process runs both groups.  Returns
+    call's result, or the message of the DivergenceError it raised, under
+    each split, and how many forks each split tried."""
     outcomes, forks = {}, {}
     for how in SPLITS:
         with pytest.MonkeyPatch.context() as patch, blas_threads(1 if how == "one group" else 2):

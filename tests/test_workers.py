@@ -1,13 +1,15 @@
+import contextlib
 import os
 import signal
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoa import adapters, rank_analysis, training, workers
+from smoa import adapters, blas, rank_analysis, training, workers
 from smoa.errors import ValidationError
 from smoa.matrix_io import RunConfig, TrainConfig
 
@@ -20,16 +22,52 @@ import workloads  # noqa: E402
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+@contextlib.contextmanager
+def granted(processes):
+    """Run the block at processes BLAS threads on as many CPUs, so that
+    run_groups grants it processes processes."""
+    with pytest.MonkeyPatch.context() as patch, blas_threads(processes):
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
+        yield
+
+
+def groups_seen():
+    """The BLAS thread count each group of a 6-item run_groups call saw."""
+    return workers.run_groups(lambda group: blas.threads(), range(6), "testing items", 6)
+
+
 @requires_pin
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity to narrow")
-def test_pinned_grants_no_more_processes_than_the_cpus_it_may_run_on(monkeypatch):
-    with blas_threads(2), workers.pinned() as processes:
-        assert processes == min(2, CPUS)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with blas_threads(2), workers.pinned() as processes:
-        assert processes == 1
-    with blas_threads(1), workers.pinned() as processes:
-        assert processes == 1
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_run_groups_grants_no_more_processes_than_the_caller_threads_and_cpus(monkeypatch):
+    # every group, local or forked, runs at one BLAS thread, and the caller's
+    # count comes back after the call
+    monkeypatch.setattr(workers, "_FORK_MADDS", 1)
+    with blas_threads(2):
+        assert groups_seen() == [1] * min(2, CPUS)
+        with blas.one_thread():  # a split inside a pin sees one thread
+            assert groups_seen() == [1]
+    with granted(3):
+        assert groups_seen() == [1, 1, 1]
+        assert blas.threads() == 3
+        # another interpreter thread could hold a lock the child needs
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert groups_seen() == [1]
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        with blas_threads(1):
+            assert groups_seen() == [1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert groups_seen() == [1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert groups_seen() == [1]
+        assert blas.threads() == 3
 
 
 def test_run_groups_returns_results_larger_than_a_pipe_buffer_in_group_order(monkeypatch):
@@ -41,8 +79,9 @@ def test_run_groups_returns_results_larger_than_a_pipe_buffer_in_group_order(mon
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(60)
     try:
-        results = workers.run_groups(lambda group: [bytes(2**20), list(group)], range(10, 15), 3,
-                                     "sending", 5)
+        with granted(3):
+            results = workers.run_groups(lambda group: [bytes(2**20), list(group)],
+                                         range(10, 15), "sending", 5)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -54,8 +93,8 @@ def test_run_groups_returns_results_larger_than_a_pipe_buffer_in_group_order(mon
 # returns, warns and raises as the one-group call does, whether its groups
 # run in forked workers or, where os.fork fails, in the calling process.
 # The tests of the protocol patch _FORK_MADDS to 1 and count one
-# multiply-add per item, so that the grant and the items alone decide the
-# split.
+# multiply-add per item, so that the grant (granted) and the items alone
+# decide the split.
 
 def warn_each_item(stop=None):
     """work for run_groups: warn once per item, naming it, raise
@@ -84,16 +123,18 @@ def spy_forks(monkeypatch, fails):
 
 
 def outcome(work, items, processes):
-    """(result or error, messages of every warning shown) of run_groups."""
-    with warnings.catch_warnings(record=True) as shown:
+    """(result or error, messages of every warning shown) of run_groups,
+    granted processes processes."""
+    with warnings.catch_warnings(record=True) as shown, granted(processes):
         warnings.simplefilter("always")
         try:
-            result = workers.run_groups(work, items, processes, "testing items", len(items))
+            result = workers.run_groups(work, items, "testing items", len(items))
         except ValidationError as exc:
             result = f"ValidationError: {exc}"
     return result, [str(w.message) for w in shown]
 
 
+@requires_pin
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 @pytest.mark.parametrize("fails", [False, True], ids=["forked", "fork-fails"])
 @pytest.mark.parametrize("stop", [None, 11, 13, 15, 12], ids=[
@@ -113,6 +154,7 @@ def test_a_split_call_warns_and_raises_as_the_one_group_call(monkeypatch, fails,
         assert split == one == f"ValidationError: stopped at item {stop}"
 
 
+@requires_pin
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_split_call_raises_the_error_of_the_lowest_group_that_failed(monkeypatch):
     def work(group):
@@ -122,32 +164,37 @@ def test_a_split_call_raises_the_error_of_the_lowest_group_that_failed(monkeypat
         return list(group)
     monkeypatch.setattr(workers, "_FORK_MADDS", 1)
     forks = spy_forks(monkeypatch, fails=False)
-    with pytest.raises(ValidationError, match="^stopped at item 11$"):
-        workers.run_groups(work, range(10, 14), 2, "testing items", 4)
+    with pytest.raises(ValidationError, match="^stopped at item 11$"), granted(2):
+        workers.run_groups(work, range(10, 14), "testing items", 4)
     assert forks == [os.getpid()]
 
 
+@requires_pin
 @pytest.mark.parametrize("items, processes", [(range(0), 2), (range(5), 1), (range(1), 4)],
                          ids=["no-items", "one-process", "one-item"])
 def test_one_group_runs_the_work_on_all_items_and_forks_nothing(monkeypatch, items, processes):
     monkeypatch.setattr(workers, "_FORK_MADDS", 1)
     forks = spy_forks(monkeypatch, fails=False)
-    assert workers.run_groups(lambda group: group, items, processes, "testing items",
-                              len(items)) == [items]
+    with granted(processes):
+        assert workers.run_groups(lambda group: group, items, "testing items",
+                                  len(items)) == [items]
     assert forks == []
 
 
+@requires_pin
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 @pytest.mark.parametrize("floors, groups", [(0, 1), (1.5, 1), (2, 2), (3, 3), (9, 3)])
 def test_a_call_splits_into_no_more_groups_than_its_work_pays_forks_for(monkeypatch, floors,
                                                                        groups):
     forks = spy_forks(monkeypatch, fails=False)
-    results = workers.run_groups(lambda group: list(group), range(6), 3, "testing items",
-                                 int(floors * workers._FORK_MADDS))
+    with granted(3):
+        results = workers.run_groups(lambda group: list(group), range(6), "testing items",
+                                     int(floors * workers._FORK_MADDS))
     assert len(results) == groups
     assert forks == [os.getpid()] * (groups - 1)
 
 
+@requires_pin
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_worker_sends_a_warning_whose_category_cannot_pickle_as_its_text(monkeypatch):
     class LocalWarning(UserWarning):
@@ -159,9 +206,9 @@ def test_a_worker_sends_a_warning_whose_category_cannot_pickle_as_its_text(monke
         return list(group)
     monkeypatch.setattr(workers, "_FORK_MADDS", 1)
     forks = spy_forks(monkeypatch, fails=False)
-    with warnings.catch_warnings(record=True) as shown:
+    with warnings.catch_warnings(record=True) as shown, granted(2):
         warnings.simplefilter("always")
-        results = workers.run_groups(work, range(10, 14), 2, "testing items", 4)
+        results = workers.run_groups(work, range(10, 14), "testing items", 4)
     assert forks == [os.getpid()]
     assert results == [[10, 11], [12, 13]]
     assert [(str(w.message), w.category) for w in shown] == [
@@ -171,12 +218,12 @@ def test_a_worker_sends_a_warning_whose_category_cannot_pickle_as_its_text(monke
 
 def skip_the_work(monkeypatch):
     """Make training's and rank_analysis's run_groups calls split as they
-    would, each group's work returning [] at once; returns the group count
-    of every call."""
+    would, reading the grant as run_groups does, each group's work
+    returning [] at once; returns the group count of every call."""
     counts, run_groups = [], workers.run_groups
 
-    def skipping(work, items, processes, doing, madds):
-        groups = run_groups(lambda group: [], items, processes, doing, madds)
+    def skipping(work, items, doing, madds):
+        groups = run_groups(lambda group: [], items, doing, madds)
         counts.append(len(groups))
         return groups
     monkeypatch.setattr(workers, "run_groups", skipping)
