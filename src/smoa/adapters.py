@@ -58,7 +58,10 @@ def block_layout(d_out: int, d_in: int, K: int) -> tuple[tuple[int, int, int, in
     """The (row0, row1, col0, col1) of each block of the K-block layout of a
     d_out x d_in weight: contiguous half-open row and column intervals that
     cover the shape, whose sizes are the _split of each axis into K.  K
-    must be a Python or numpy int, not a bool."""
+    must be a Python or numpy int, not a bool, and d_out and d_in ints of
+    at least 1."""
+    _check_field("d_out", d_out, int, 1)
+    _check_field("d_in", d_in, int, 1)
     _check_int("K", K)
     if K < 1:
         raise ValidationError(f"K must be ≥ 1, got K={K}")
@@ -198,11 +201,14 @@ def _plan(method: str, cfg: RunConfig,
     """The block ranges and per-block ranks of a method under cfg over a
     weight of this shape: one block of rank r for the full-matrix methods,
     which ignore K, the K-block layout with subspace_ranks otherwise.  A
-    bad method, a cfg that is no RunConfig, or a bad K or budget r raises
-    ValidationError here."""
+    bad method, a cfg that is no RunConfig, a shape that is no pair of
+    ints of at least 1, or a bad K or budget r raises ValidationError
+    here."""
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
     _check_type("cfg", cfg, RunConfig)
+    if not isinstance(shape, (tuple, list)) or len(shape) != 2:
+        raise ValidationError(f"shape must be a (d_out, d_in) pair, got {shape!r}")
     if method in FULL_MATRIX:
         return block_layout(*shape, 1), (cfg.r,)
     return block_layout(*shape, cfg.K), subspace_ranks(cfg)
@@ -264,6 +270,7 @@ def build_adapter(method: str, cfg: RunConfig, w0, smoa_state=None) -> Adapter:
 
 def delta(adapter) -> np.ndarray:
     """Assemble the full update matrix from the adapter's blocks."""
+    _check_adapter(adapter)
     d_out, d_in = adapter.shape
     out = np.zeros((d_out, d_in))
     for blk in adapter.blocks:
@@ -276,10 +283,16 @@ def merge(adapter, w0) -> np.ndarray:
     return _host_weight(adapter, w0) + delta(adapter)
 
 
+def _check_adapter(adapter) -> None:
+    """Raise ValidationError, naming adapter's type, unless it is an Adapter;
+    every public function that takes an adapter calls it first."""
+    _check_type("adapter", adapter, Adapter, "an Adapter")
+
+
 def _host_weight(adapter, w0) -> np.ndarray:
     """w0 as validate_matrix returns it; ValidationError unless adapter is
-    an Adapter and w0 has its shape."""
-    _check_type("adapter", adapter, Adapter, "an Adapter")
+    an Adapter (_check_adapter) and w0 has its shape."""
+    _check_adapter(adapter)
     w0 = validate_matrix(w0)
     if w0.shape != adapter.shape:
         raise ValidationError(f"weight shape {w0.shape} does not match adapter shape "
@@ -303,6 +316,7 @@ def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> No
     achievable rank; the zero-init state would make every measured rank 0.
     rng must be an np.random.Generator and std a finite float of at least 0.
     """
+    _check_adapter(adapter)
     _check_type("rng", rng, np.random.Generator, "an np.random.Generator")
     _check_field("std", std, float, 0)
     adapter.params[...] = rng.normal(0.0, std, size=adapter.params.size)
@@ -313,7 +327,10 @@ def randomize_factors(adapter, rng: np.random.Generator, std: float = 1.0) -> No
 
 def save_adapter(adapter, prefix) -> list[Path]:
     """Write adapter state as `{prefix}.<role><k>.smoa` tensors plus
-    `{prefix}.manifest.json` naming each tensor's role, shape, and subspace."""
+    `{prefix}.manifest.json` naming each tensor's role, shape, and subspace.
+    An adapter that is no Adapter raises ValidationError before any
+    directory or file is made."""
+    _check_adapter(adapter)
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     tensors = []

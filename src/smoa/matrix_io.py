@@ -328,7 +328,9 @@ def config_from_dict(cls, raw: dict):
 
 
 def write_report(rows, path) -> None:
-    """Write rank-report rows (RankRecord objects) as CSV with the fixed header."""
+    """Write rank-report rows (a list or tuple of RankRecord objects) as CSV
+    with the fixed header."""
+    _check_type("rows", rows, (list, tuple), "a list of rank records")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(REPORT_HEADER + "\n")
         for row in rows:

@@ -65,8 +65,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .adapters import (FULL_MATRIX, Adapter, Block, build_adapter, delta, param_count,
-                       randomize_factors, smoa_masks)
+from .adapters import (FULL_MATRIX, Adapter, Block, _check_adapter, build_adapter, delta,
+                       param_count, randomize_factors, smoa_masks)
 from .blas import one_thread
 from .matrix_io import METHODS, RunConfig, SweepConfig, _check_field, validate_matrix
 from .spectral import _svd
@@ -132,8 +132,9 @@ def theoretical_bound(adapter: Adapter, w0_rank: int | None = None) -> int:
     partition), and rank(W0) for a block masked by W0, where w0_rank
     defaults to full rank and must otherwise be an int of at least 0.  The
     blocks are disjoint, so their bounds add, and the sum is capped by
-    min(d_out, d_in).
+    min(d_out, d_in).  An adapter that is no Adapter raises ValidationError.
     """
+    _check_adapter(adapter)
     p = min(adapter.shape)
     w0_rank = p if w0_rank is None else w0_rank
     _check_field("w0_rank", w0_rank, int, 0)

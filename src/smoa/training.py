@@ -105,13 +105,13 @@ goes through the same operations as in a per-tensor update.  The step
 count and the optimizer constants come from a validated TrainConfig,
 which is a RunConfig: train_seeds builds seed s's adapter from
 dataclasses.replace(cfg, seed=s).  The moments start at zero in every
-call.  train runs the step on a stack of one run: a copy of the
-adapter's params, written back when it returns or raises, and [None]
-views of the adapter's masks.  train_seeds builds its seeds' tasks and
-adapters straight into stacked inputs, targets, host outputs, masks and
-params, so it holds O(S n d) stacked arrays and no task; each adapter it
-returns holds views of its rows of the stacked params and masks, so the
-step trains the returned adapters in place.
+call.  train runs the step on a stack of one run: [None] views of the
+adapter's params, which it trains in place, and of its masks.
+train_seeds builds its seeds' tasks and adapters straight into stacked
+inputs, targets, host outputs, masks and params, so it holds O(S n d)
+stacked arrays and no task; each adapter it returns holds views of its
+rows of the stacked params and masks, so the step trains the returned
+adapters in place.
 
 The steps of train and train_seeds and grad_check's perturbed entries
 run at one BLAS thread: workers.run_groups pins every group it runs.
@@ -133,14 +133,14 @@ where its work, in multiply-adds (_step_madds), pays for the forks: the
 calling process runs the first group of items, and a forked worker each
 other.  The items of a training call are its runs, or, where its runs
 are large and have several blocks, their blocks (_splits_blocks); those
-of grad_check are its perturbed entries.  Every stack of a train_seeds
-call, the inputs, host outputs, targets, masks and params,
-lives in an anonymous shared mapping (_stacks), as do train's copy of
-its params and each call's loss sums.  The calling process builds every
-task and adapter; a group then trains its runs, or its blocks' span of
-the params (_param_span), in place, and reads the rest of the stacks,
-which no group writes.  Block k's loss and gradient read only its
-columns of the inputs and its rows of the output, so a group of blocks
+of grad_check are its perturbed entries.  The calling process builds
+every task and adapter; a group then trains its runs, or its blocks'
+span of the params (_param_span), in place, the first in the calling
+process and each other in a forked worker's copy of its memory, and
+returns that span and its loss sums as its run_groups result, the one
+way a group's outcome reaches the caller (_train_groups).  Block k's
+loss and gradient read only its columns of the inputs and its rows of
+the output, so a group of blocks
 computes what the whole call computes for them: a large run's trace is
 its blocks' sums of squares, each plus its kappa_k, added in block
 order over n d_out, and a small run's is its whole output's sum of
@@ -155,7 +155,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import mmap
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -769,11 +768,15 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig) ->
     processes workers.run_groups grants where the call's cfg.steps steps
     of S runs (_step_madds, in the form _compresses picks) pay for a fork,
     the first group trained in the calling process and each other in a
-    forked worker.  The call decides _compresses once for all groups.  params lives in a shared
-    mapping (_stacks), as do the sums of squares _train_runs writes: one
-    part per block where the blocks split, one for the whole output
-    otherwise.  Run j's trace is the sum of its parts, added in block
-    order, over n d_out, so each trace is the same at any split.
+    forked worker.  The call decides _compresses once for all groups.
+    Each group returns, as its run_groups result, its span of params
+    (_param_span) over its runs and its sums of squares: one part per
+    block where the blocks split, one for the whole output otherwise.
+    The groups' spans and sums, joined in group order, are written into
+    params and the call's sums before _check_finite reads them, so a
+    divergence leaves every update made.  Run j's trace is the sum of its
+    parts, added in block order, over n d_out, so each trace is the same
+    at any split.
     """
     (n_runs, n), blocks = x.shape[:2], range(len(adapter.blocks))
     by_blocks, compressed = _splits_blocks(adapter, n), _compresses(adapter, n, cfg.steps)
@@ -785,9 +788,14 @@ def _train_groups(adapter, x, base, targets, masks, params, cfg: TrainConfig) ->
         _train_runs(adapter, x[runs], base[runs], targets[runs],
                     [None if mask is None else mask[runs] for mask in masks],
                     params[runs], sums[runs, parts], cfg, trained, compressed)
+        return params[runs, _param_span(adapter, trained)], sums[runs, parts]
     madds = cfg.steps * n_runs * _step_madds(adapter, n, compressed)
-    workers.run_groups(train_group, blocks if by_blocks else range(n_runs),
-                       "training blocks" if by_blocks else "training runs", madds)
+    results = workers.run_groups(train_group, blocks if by_blocks else range(n_runs),
+                                 "training blocks" if by_blocks else "training runs", madds)
+    # groups of runs join along the run axis, groups of blocks along the
+    # params and the parts
+    trained, sums = (np.concatenate(got, axis=int(by_blocks)) for got in zip(*results))
+    params[...] = trained
     traces = functools.reduce(np.add, sums.swapaxes(0, 1)) / (n * adapter.shape[0])
     _check_finite(traces)
     return traces
@@ -811,22 +819,17 @@ def train(adapter, task: LinearTask, cfg: TrainConfig) -> np.ndarray:
 
     x @ w0^T runs at the caller's BLAS thread count and the steps at one
     thread, and a large run with several blocks splits them over the
-    processes workers.run_groups grants (_train_groups).
-    The steps train a copy of adapter.params in a shared mapping, which is
-    copied back when the call returns or raises, so the adapter then holds
-    every update made.
+    processes workers.run_groups grants (_train_groups).  The steps train
+    adapter.params in place, and a forked worker's blocks come back as its
+    run_groups result, written in before the loss is checked: when the
+    call returns or raises DivergenceError, the adapter holds every update
+    made; when a worker dies, those of the calling process alone.
     """
     _check_type("cfg", cfg, TrainConfig)
     w0, x, targets = _check_task(adapter, task)
     masks = [None if blk.mask is None else blk.mask[None] for blk in adapter.blocks]
-    [params] = _stacks(1, [adapter.params.shape])
-    params[0] = adapter.params
-    try:
-        traces = _train_groups(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
-                               params, cfg)
-    finally:
-        adapter.params[...] = params[0]
-    return traces[0]
+    return _train_groups(adapter, x[None], (x @ w0.T)[None], targets[None], masks,
+                         adapter.params[None], cfg)[0]
 
 
 def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapter], np.ndarray]:
@@ -845,21 +848,19 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
     masks, so every factor and mask is held once.  The runs share kind,
     layout, ranks, scales and cfg by construction.
 
-    Every stack comes from _stacks, so all of them live in anonymous
-    shared mappings: the inputs, host outputs and targets from one call
-    before the first build, the params and masks from one call after it,
-    once the first adapter gives their shapes.  A stack too large to
-    allocate raises ValidationError naming the seed count and the bytes.
-    The call builds its tasks and adapters at one BLAS thread
-    (blas.one_thread), and only after that pin ends does it train its runs,
-    or the blocks of large runs, split over the processes
-    workers.run_groups grants, whose forked workers train in place
-    (_train_groups): a split made inside the pin would see one thread and
-    run in one process.  The returned params and masks are views of a
-    shared mapping, which a process the caller forks later shares too.  A
-    divergence raises DivergenceError as train does: the earliest step
-    whose loss is non-finite in any run and, when there are several runs,
-    the lowest run diverging at that step, wherever the runs trained.
+    Every stack comes from _stacks: the inputs, host outputs and targets
+    from one call before the first build, the params and masks from one
+    call after it, once the first adapter gives their shapes.  A stack too
+    large to allocate raises ValidationError naming the seed count and
+    the bytes.  The call builds its tasks and adapters at one BLAS thread
+    (blas.one_thread), and only after that pin ends does it train its
+    runs, or the blocks of large runs, split over the processes
+    workers.run_groups grants, whose forked workers return what they
+    trained (_train_groups): a split made inside the pin would see one
+    thread and run in one process.  A divergence raises DivergenceError as
+    train does: the earliest step whose loss is non-finite in any run and,
+    when there are several runs, the lowest run diverging at that step,
+    wherever the runs trained.
     """
     _check_type("cfg", cfg, TrainConfig)
     _check_field("n_seeds", n_seeds, int, 1)
@@ -892,23 +893,23 @@ def train_seeds(method: str, cfg: TrainConfig, n_seeds: int) -> tuple[list[Adapt
 
 
 def _stacks(n_runs: int, shapes) -> list[np.ndarray]:
-    """An empty float64 (n_runs, *shape) stack for each shape, all in one
-    anonymous shared mapping, which forked workers write in place.  Stacks
-    too large to allocate raise ValidationError naming the run count and
-    the bytes."""
+    """An empty float64 (n_runs, *shape) stack for each shape, all views of
+    one allocation.  Stacks too large to allocate raise ValidationError
+    naming the run count and the bytes."""
     shapes = [(n_runs, *shape) for shape in shapes]
     size = 8 * sum(map(math.prod, shapes))
     try:
-        flat = np.frombuffer(mmap.mmap(-1, size))
-    except (MemoryError, OSError, OverflowError, ValueError):  # what numpy and mmap raise
+        flat = np.empty(size // 8)
+    except (MemoryError, ValueError):  # what numpy raises for too large a size
         raise ValidationError(f"{n_runs} seeds need {size:,} bytes of stacked arrays, "
                               f"more than can be allocated") from None
     return _segments(flat, shapes)
 
 
 def write_loss_trace(trace: np.ndarray, path) -> None:
-    """Loss trace as CSV with header step,loss; step i is the state after
-    i optimizer updates."""
+    """Loss trace, an np.ndarray, as CSV with header step,loss; step i is
+    the state after i optimizer updates."""
+    _check_type("trace", trace, np.ndarray, "an np.ndarray")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("step,loss\n")
         for i, loss in enumerate(trace):

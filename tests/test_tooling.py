@@ -255,24 +255,33 @@ def through_a_caller(items):
         ("first.py", 7), ("first.py", 20), ("second.py", 11)]
 
 
+# what carries an outcome between processes when a module imports it or
+# reads it as an attribute: serialized through a pipe, written into memory
+# that several processes share, or read from the modules the caller loaded
+CARRIERS = ("pickle", "mmap", "multiprocessing.shared_memory", "sys.modules")
+
+
 def protocol_tools(source: str) -> list[tuple[int, str]]:
     """The (line, name) of every use in source of what carries a group's
-    outcome between processes: pickle imported, sys.modules read (as an
-    attribute of sys or imported from it), and catch_warnings called with
-    a record argument that is not literally False."""
+    outcome between processes: a CARRIERS module or name imported (whole,
+    or any name from it) or read as an attribute of its parent module,
+    and catch_warnings called with a record argument that is not
+    literally False."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        imports = isinstance(node, (ast.Import, ast.ImportFrom))
-        imported = [alias.name for alias in node.names] if imports else []
-        if ((isinstance(node, ast.Import) and "pickle" in imported)
-                or (isinstance(node, ast.ImportFrom) and node.module == "pickle")):
-            found.append((node.lineno, "pickle"))
-        elif ((isinstance(node, ast.ImportFrom) and node.module == "sys" and "modules" in imported)
-              or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "sys" and node.attr == "modules")):
-            found.append((node.lineno, "sys.modules"))
-        elif isinstance(node, ast.Call) and "catch_warnings" in (getattr(node.func, "attr", None),
-                                                                 getattr(node.func, "id", None)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""  # None for from . import x
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            names = []
+        found += [(node.lineno, carrier) for carrier in CARRIERS
+                  if any(name == carrier or name.startswith(carrier + ".") for name in names)]
+        if isinstance(node, ast.Call) and "catch_warnings" in (getattr(node.func, "attr", None),
+                                                               getattr(node.func, "id", None)):
             record = [kw.value for kw in node.keywords if kw.arg == "record"]
             if record and not (isinstance(record[0], ast.Constant) and record[0].value is False):
                 found.append((node.lineno, "catch_warnings(record=True)"))
@@ -281,19 +290,27 @@ def protocol_tools(source: str) -> list[tuple[int, str]]:
 
 def test_only_the_worker_module_carries_outcomes_between_processes():
     # run_groups alone sends a group's result, warnings and error back to
-    # the caller and issues the warnings again; no caller repeats that
+    # the caller and issues the warnings again; no caller repeats that, and
+    # no module shares memory with the processes it forks
     found = {path.name: protocol_tools(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name for _, name in found.pop("workers.py")} == {
         "pickle", "sys.modules", "catch_warnings(record=True)"}
     assert {module: tools for module, tools in found.items() if tools} == {}
 
 
-def test_protocol_tools_finds_pickle_sys_modules_and_recording_and_nothing_else():
+def test_protocol_tools_finds_every_carrier_and_recording_and_nothing_else():
     source = """import pickle as serial
 import sys
 import warnings
 from sys import modules, argv
 from pickle import loads
+import mmap, multiprocessing
+from mmap import mmap as mapping
+import multiprocessing.shared_memory as shm
+from multiprocessing import shared_memory, Pool
+from multiprocessing.shared_memory import SharedMemory
+from multiprocessing import Pool as pool
+from . import pickled
 
 
 def f(blob):
@@ -301,11 +318,15 @@ def f(blob):
         serial.loads(blob)
     with catch_warnings(record=False), warnings.catch_warnings(record=flag):
         pass
-    return sys.modules, sys.argv, caught
+    multiprocessing.shared_memory.SharedMemory(create=True, size=8)
+    return sys.modules, sys.argv, multiprocessing.Pool, caught
 """
     assert protocol_tools(source) == [
-        (1, "pickle"), (4, "sys.modules"), (5, "pickle"), (9, "catch_warnings(record=True)"),
-        (11, "catch_warnings(record=True)"), (13, "sys.modules")]
+        (1, "pickle"), (4, "sys.modules"), (5, "pickle"), (6, "mmap"), (7, "mmap"),
+        (8, "multiprocessing.shared_memory"), (9, "multiprocessing.shared_memory"),
+        (10, "multiprocessing.shared_memory"), (16, "catch_warnings(record=True)"),
+        (18, "catch_warnings(record=True)"), (20, "multiprocessing.shared_memory"),
+        (21, "sys.modules")]
 
 
 def test_code_lines_counts_no_blank_comment_or_docstring_line():

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from smoa import adapters, blas, training, workers
+from smoa import adapters, blas, matrix_io, training, workers
 from smoa.errors import NumericalError, ValidationError
 from smoa.matrix_io import RunConfig, TrainConfig
-from smoa.rank_analysis import numerical_rank
+from smoa.rank_analysis import numerical_rank, theoretical_bound
 from smoa.spectral import EmptySubspaceWarning
 
 from conftest import blas_threads, flat_weight, flip_largest_gradient, requires_pin
@@ -84,15 +84,34 @@ TYPE_TASK = training.make_task(8, 2, 10, 0.0, seed=5)
      "adapter must be an Adapter, got ndarray"),
     (lambda adapter: adapters.merge(None, TYPE_TASK.w0),
      "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: adapters.delta(None), "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: theoretical_bound(None), "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: adapters.randomize_factors(None, np.random.default_rng(0)),
+     "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: adapters.save_adapter(None, "made/ckpt"),
+     "adapter must be an Adapter, got NoneType"),
+    (lambda adapter: training.write_loss_trace(None, "loss.csv"),
+     r"trace must be an np\.ndarray, got NoneType"),
+    (lambda adapter: matrix_io.write_report(None, "report.csv"),
+     "rows must be a list of rank records, got NoneType"),
+    (lambda adapter: adapters.block_layout(None, 4, 2), "d_out must be of type int, got None"),
+    (lambda adapter: adapters.param_count("lora", small_cfg(), None),
+     r"shape must be a \(d_out, d_in\) pair, got None"),
 ], ids=["train_seeds-cfg", "train-cfg", "train-task", "grad_check-task", "forward-adapter",
-        "backward-adapter", "grad_check-adapter", "train-adapter", "merge-adapter"])
-def test_a_config_or_task_of_the_wrong_type_raises_validation_error_naming_it(call, message):
+        "backward-adapter", "grad_check-adapter", "train-adapter", "merge-adapter",
+        "delta-adapter", "theoretical_bound-adapter", "randomize_factors-adapter",
+        "save_adapter-adapter", "write_loss_trace-trace", "write_report-rows",
+        "block_layout-d_out", "param_count-shape"])
+def test_a_config_or_task_of_the_wrong_type_raises_validation_error_naming_it(
+        call, message, tmp_path, monkeypatch):
     adapter = adapters.build_adapter("smoa", small_cfg(), TYPE_TASK.w0)
     adapters.randomize_factors(adapter, np.random.default_rng(5))
     params = adapter.params.copy()
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call(adapter)
     assert_array_equal(adapter.params, params)
+    assert list(tmp_path.iterdir()) == []  # the check comes before any file or directory
 
 
 def test_make_task_shapes_and_scales():
@@ -1400,6 +1419,38 @@ def test_a_divergence_names_the_same_step_and_run_at_every_split(
     outcomes, forks = split_outcomes(lambda: train_seeds_outcome(method, cfg, 2))
     assert forks == SPLIT_FORKS
     assert set(outcomes.values()) == {f"training diverged: non-finite loss at {named}"}
+
+
+@requires_pin
+@pytest.mark.parametrize("compressed", [True, False], ids=["compressed", "on-the-samples"])
+@pytest.mark.parametrize("method", ["smoa", "block_lora"])
+def test_a_split_train_that_diverges_keeps_the_updates_of_every_group(
+        method, compressed, monkeypatch):
+    # every block makes one update, then the loss leaves the finite range at
+    # step 1; a forked group's update comes back as its run_groups result,
+    # and must reach adapter.params before the divergence is raised
+    monkeypatch.setattr(training, "_ONE_THREAD_MAX_SIZE", 0)
+    if not compressed:
+        monkeypatch.setattr(training, "_compresses", lambda *args: False)
+    verdicts = spy_compresses(monkeypatch)
+    cfg = dataclasses.replace(COMPRESSED_CFG, learning_rate=1e200)
+    task = training.make_task(cfg.d, cfg.target_rank, cfg.n_samples, cfg.noise_std, cfg.seed,
+                              target_blocks=cfg.target_blocks)
+    built = adapters.build_adapter(method, cfg, task.w0)
+    block_1 = training._param_span(built, range(1, 2))
+
+    def diverging():
+        adapter = adapters.build_adapter(method, cfg, task.w0)
+        with pytest.raises(training.DivergenceError,
+                           match="^training diverged: non-finite loss at step 1$"):
+            training.train(adapter, task, cfg)
+        return adapter.params.copy()
+    outcomes, forks = split_outcomes(diverging)
+    assert set(verdicts) == {compressed}
+    assert forks == SPLIT_FORKS
+    assert not np.array_equal(outcomes["one group"][block_1], built.params[block_1])
+    assert (outcomes["two groups"].tobytes() == outcomes["one group"].tobytes()
+            == outcomes["fork fails"].tobytes())
 
 
 def grad_check_outcome(method):

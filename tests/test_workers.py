@@ -216,16 +216,21 @@ def test_a_worker_sends_a_warning_whose_category_cannot_pickle_as_its_text(monke
         ("item 12", UserWarning), ("item 13", UserWarning)]
 
 
+class Skipped(Exception):
+    """What skip_the_work's run_groups raises once it has counted a call's
+    groups."""
+
+
 def skip_the_work(monkeypatch):
     """Make training's and rank_analysis's run_groups calls split as they
     would, reading the grant as run_groups does, each group's work
-    returning [] at once; returns the group count of every call."""
+    returning [] at once, then raise Skipped, since no caller can use
+    such results; returns the group count of every call."""
     counts, run_groups = [], workers.run_groups
 
     def skipping(work, items, doing, madds):
-        groups = run_groups(lambda group: [], items, doing, madds)
-        counts.append(len(groups))
-        return groups
+        counts.append(len(run_groups(lambda group: [], items, doing, madds)))
+        raise Skipped
     monkeypatch.setattr(workers, "run_groups", skipping)
     monkeypatch.setattr(rank_analysis, "run_groups", skipping)
     return counts
@@ -248,12 +253,14 @@ def test_small_calls_fork_nothing_and_the_benchmark_calls_split(monkeypatch):
     # rank_sweep's floor of 2**15 rows x d**2 and no floor for training
     counts = skip_the_work(monkeypatch)
     with blas_threads(2):
-        rank_analysis.rank_sweep(**workloads.sweep_config(0))
+        with pytest.raises(Skipped):
+            rank_analysis.rank_sweep(**workloads.sweep_config(0))
         for name in ("train-capacity-d64", "train-d512"):
             w = workloads.WORKLOADS[name]
             for method, r, K in workloads.TRAIN_METHODS:
-                training.train_seeds(method, TrainConfig(**workloads.train_config(w, 0, r, K)),
-                                     w.train_seeds)
+                with pytest.raises(Skipped):
+                    training.train_seeds(
+                        method, TrainConfig(**workloads.train_config(w, 0, r, K)), w.train_seeds)
     granted = min(2, CPUS)
     # sweep-d128's seeds, train-capacity-d64's smoa and lora runs,
     # train-d512's two smoa blocks, and its lora run, one block
